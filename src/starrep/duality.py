@@ -19,6 +19,7 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy, psd_check
 __all__ = [
     "evaluate",
     "gram_matrix",
+    "hermitian_gram",
     "is_positive",
     "hilbert_bound",
     "dual_regular_action",
@@ -55,12 +56,23 @@ def is_positive(
     Returns ``(positive, gram_rank)``; the rank is the dimension of the
     quotient by the null space of the Gram form (the degenerate directions).
     """
+    g = hermitian_gram(algebra, functional, pol)
+    if g is None:
+        return False, 0
+    return psd_check(g, pol)
+
+
+def hermitian_gram(
+    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
+) -> np.ndarray | None:
+    """The Gram matrix of rho, or None when it is not hermitian within match_tol.
+
+    The Gram matrix of a positive functional is hermitian, so None already
+    rules positivity out.
+    """
     g = gram_matrix(algebra, functional)
     asym = float(np.max(np.abs(g - g.conj().T)))
-    if asym > pol.match_tol:
-        return False, 0
-    ok, rank = psd_check(g, pol)
-    return ok, rank
+    return None if asym > pol.match_tol else g
 
 
 def hilbert_bound(

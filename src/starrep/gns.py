@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteStarAlgebra
-from .duality import gram_matrix, is_positive
+from .duality import hermitian_gram, is_positive
 from .errors import (
     InvalidRepresentation,
     NotEquivalent,
@@ -32,6 +32,7 @@ from .numerics import (
     ValidationReport,
     hermitian_eigen,
     psd_check,
+    psd_rank,
     pseudo_inverse,
 )
 
@@ -112,16 +113,13 @@ def gns_construct(
     empty representation (d = 0).
     """
     rho = np.asarray(functional, dtype=complex)
-    positive, _ = is_positive(algebra, rho, pol)
+    g = hermitian_gram(algebra, rho, pol)
+    if g is None:
+        raise NotPositive("gns_construct requires a positive functional")
+    values, vectors = hermitian_eigen(g, pol)
+    positive, d = psd_rank(values, pol)
     if not positive:
         raise NotPositive("gns_construct requires a positive functional")
-
-    g = gram_matrix(algebra, rho)
-    g = (g + g.conj().T) / 2.0
-    values, vectors = hermitian_eigen(g, pol)
-    lam_max = max(float(values[0]), 0.0)
-    kept = values > pol.rel_rank_tol * lam_max
-    d = int(np.count_nonzero(kept))
 
     u_r = vectors[:, :d]
     sqrt_w = np.sqrt(values[:d])
@@ -251,10 +249,9 @@ def commutant(
         raise InvalidRepresentation("commutant requires a nonempty representation")
     normal = _flatten_commutant_system(rep.matrices, rep.matrices)
     values, vectors = hermitian_eigen(normal, pol)
-    lam_max = max(float(values[0]), 0.0)
-    null_mask = values <= pol.rel_rank_tol * lam_max
-    dim = int(np.count_nonzero(null_mask))
-    basis = vectors[:, null_mask].T.reshape(dim, d, d)
+    _, rank = psd_rank(values, pol)
+    dim = values.size - rank
+    basis = vectors[:, rank:].T.reshape(dim, d, d)
     return basis, dim
 
 
@@ -298,8 +295,8 @@ def representations_equivalent(
         return True
     normal = _flatten_commutant_system(rep1.matrices, rep2.matrices)
     values, _ = hermitian_eigen(normal, pol)
-    lam_max = max(float(values[0]), 0.0)
-    return bool(values[-1] <= pol.rel_rank_tol * lam_max)
+    _, rank = psd_rank(values, pol)
+    return rank < values.size
 
 
 @dataclass(frozen=True)

@@ -217,8 +217,9 @@ def chain_limit(
     are monitored through their diagonal quadratic forms: growth past
     ``majorization_bound`` means the chain has no upper bound and
     NotMajorized is raised.  Convergence is entrywise agreement of
-    consecutive terms within match_tol; exhausting max_steps while still
-    moving raises NoConvergence.
+    consecutive terms within match_tol times the largest entry the chain
+    has reached, so a chain and its multiples stop at the same step;
+    exhausting max_steps while still moving raises NoConvergence.
     """
     if direction not in ("decreasing", "increasing"):
         raise ValueError(f"direction must be 'decreasing' or 'increasing', got {direction!r}")
@@ -233,6 +234,10 @@ def chain_limit(
 
     prev = generator(0)
     check_bound(prev, 0)
+    # The largest entry so far: the first term of a decreasing chain, the
+    # newest of an increasing one.  A decreasing chain may tend to zero, so
+    # the newest term alone is no scale for it.
+    size = float(np.max(np.abs(prev.matrix)))
     for step in range(1, max_steps):
         cur = generator(step)
         if cur.dim != prev.dim:
@@ -245,7 +250,8 @@ def chain_limit(
         if not ordered:
             raise MonotonicityViolation(f"chain not {direction} at step {step}")
         check_bound(cur, step)
-        if float(np.max(np.abs(cur.matrix - prev.matrix))) < pol.match_tol:
+        size = max(size, float(np.max(np.abs(cur.matrix))))
+        if float(np.max(np.abs(cur.matrix - prev.matrix))) <= pol.match_tol * size:
             return cur
         prev = cur
     raise NoConvergence(f"chain still moving after {max_steps} steps")

@@ -1,14 +1,18 @@
 """Dense complex linear algebra primitives with a shared rank/tolerance policy.
 
-Every module in the package funnels its spectral work through the three
-primitives here (``hermitian_eigen``, ``pseudo_inverse``, ``psd_check``) so
-that rank decisions and eigenbasis conventions are made exactly once.  The
-eigensolver is a cyclic Jacobi sweep: self-contained, deterministic, and
-entirely adequate for the matrix sizes this package targets (n <= 64).
+Every module in the package funnels its spectral work through the
+primitives here (``hermitian_eigen``, ``pseudo_inverse``, ``psd_check`` and
+the PSD/rank rule ``psd_rank``) so that rank decisions and eigenbasis
+conventions are made exactly once.  The eigensolver is cyclic Jacobi in the
+round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6, 1985): a
+sweep is n - 1 rounds (n for odd n), each of floor(n/2) disjoint plane
+rotations that numpy applies as one batch.  It is self-contained and
+deterministic, so results do not depend on the LAPACK build.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +27,15 @@ __all__ = [
     "hermitian_eigen",
     "pseudo_inverse",
     "psd_check",
+    "psd_rank",
 ]
 
 # Off-diagonal Frobenius mass below this fraction of ||M||_F counts as
 # diagonal; quadratic convergence of Jacobi makes the sweep cap generous.
 _JACOBI_REL_THRESHOLD = 1e-14
 _JACOBI_MAX_SWEEPS = 100
+# Entries per temporary of a batched rotation (256 KiB of complex numbers).
+_BLOCK_ENTRIES = 1 << 14
 
 # Eigenvalues closer than this (relative) are treated as a tie and their
 # eigenvectors ordered lexicographically for reproducibility.
@@ -105,46 +112,46 @@ def _require_square_hermitian(m, match_tol: float) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero out a[p, q] by a unitary plane rotation, updating a and v in place."""
-    apq = a[p, q]
-    b = abs(apq)
-    if b == 0.0:
-        return
-    phase = apq / b
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
-    if tau == 0.0:
-        t = 1.0
-    else:
-        t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    # 2x2 factor [[c*phase, s*phase], [-s, c]]; conjugating by it makes the
-    # (p, q) entry real first and then rotates it away.
-    j00, j01 = c * phase, s * phase
-    j10, j11 = -s, c
+@functools.lru_cache(maxsize=16)
+def _round_robin(n: int) -> np.ndarray:
+    """Brent-Luk round-robin pairing of 0..n-1, shape (rounds, 2, pairs).
 
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = col_p * j00 + col_q * j10
-    a[:, q] = col_p * j01 + col_q * j11
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = np.conj(j00) * row_p + np.conj(j10) * row_q
-    a[q, :] = np.conj(j01) * row_p + np.conj(j11) * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
+    With m = n rounded up to even, round r pairs (m-1, r) and
+    ((r+i) mod (m-1), (r-i) mod (m-1)) for i = 1 .. m/2-1; every pair of
+    indices meets exactly once per sweep and the pairs of a round are
+    disjoint.  For odd n the pair holding the phantom index n is dropped.
+    Each pair is stored as (p, q) with p < q.
+    """
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    i = np.arange(1, m // 2)[None, :]
+    p = (r + i) % (m - 1)
+    q = (r - i) % (m - 1)
+    if m == n:
+        p = np.hstack([np.full_like(r, m - 1), p])
+        q = np.hstack([r, q])
+    sched = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
+    sched.setflags(write=False)
+    return sched
 
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = vcol_p * j00 + vcol_q * j10
-    v[:, q] = vcol_p * j01 + vcol_q * j11
+
+def _rotate_columns(m, p, q, j00, j01, s, c) -> None:
+    """Set columns p, q of m to (x j00 - y s, x j01 + y c), x, y the old ones.
+
+    Works through m in blocks of rows, so that each temporary holds at most
+    _BLOCK_ENTRIES entries whatever the size of m.
+    """
+    rows = max(1, _BLOCK_ENTRIES // p.size)
+    for lo in range(0, m.shape[0], rows):
+        blk = m[lo:lo + rows]
+        x, y = blk[:, p], blk[:, q]
+        blk[:, p] = x * j00 - y * s
+        blk[:, q] = x * j01 + y * c
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
     return float(np.linalg.norm(off))
 
 
@@ -171,21 +178,83 @@ def _canonical_columns(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndar
         while stop < n and values[stop - 1] - values[stop] <= tie_tol:
             stop += 1
         if stop - start > 1:
-            def key(k: int):
-                col = np.round(vectors[:, k], _KEY_DECIMALS) + 0.0
-                return tuple((float(z.real) + 0.0, float(z.imag) + 0.0) for z in col)
-
-            perm = sorted(range(start, stop), key=key, reverse=True)
+            # Keys: real then imaginary part of each rounded coordinate, first
+            # coordinate first.  lexsort is stable and takes its primary key
+            # last; negated keys sort descending.
+            block = np.round(vectors[:, start:stop], _KEY_DECIMALS)
+            keys = np.stack([block.real, block.imag], axis=1).reshape(2 * n, -1)
+            perm = start + np.lexsort(-keys[::-1])
             values[start:stop] = values[perm]
             vectors[:, start:stop] = vectors[:, perm]
         start = stop
     return values, vectors
 
 
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and accumulated rotations of round-robin Jacobi sweeps on a.
+
+    Each sweep runs the rounds of ``_round_robin``; a round rotates its
+    disjoint pairs (p, q) at once, so the pairs' 2x2 problems are read from
+    the same matrix.  Returns copies, so the working arrays are freed
+    before the caller canonicalizes the result.
+    """
+    n = a.shape[0]
+    scale = float(np.linalg.norm(a))
+    if scale == 0.0:
+        return np.zeros(n), np.eye(n, dtype=complex)
+    # a on top of the eigenvector accumulator v, so that one column update
+    # rotates both
+    av = np.zeros((2 * n, n), dtype=complex)
+    av[:n] = a
+    a, v = av[:n], av[n:]
+    np.fill_diagonal(v, 1.0)
+    diag = np.einsum("ii->i", a)
+    diag_re, diag_im = diag.real, diag.imag
+
+    threshold = _JACOBI_REL_THRESHOLD * scale
+    # Entries at or below threshold / n are left alone: once all of them
+    # are, the off-diagonal norm is below threshold and the sweeps stop.
+    # This also keeps subnormal entries out of the rotation formulas.
+    skip = threshold / n
+    schedule = _round_robin(n)
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        if _offdiag_norm(a) < threshold:
+            break
+        for p, q in schedule:
+            apq = a[p, q]
+            b = np.abs(apq)
+            rotate = b > skip
+            count = np.count_nonzero(rotate)
+            if count < rotate.size:
+                if count == 0:
+                    continue
+                p, q, apq, b = p[rotate], q[rotate], apq[rotate], b[rotate]
+            # tan(theta) = t is the smaller root of t^2 + 2 tau t - 1, so
+            # every rotation turns by at most pi/4.
+            tau = (diag_re[q] - diag_re[p]) / (2.0 * b)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            phase = apq / b
+            # Columns p, q of [a; v] times the 2x2 factors
+            # [[c*phase, s*phase], [-s, c]] make a[p, q] real and then
+            # rotate it away; rows p, q of a take the adjoint factors.
+            j00, j01 = c * phase, s * phase
+            _rotate_columns(av, p, q, j00, j01, s, c)
+            _rotate_columns(a.T, p, q, np.conj(j00), np.conj(j01), s, c)
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            # the diagonal is real in exact arithmetic; drop the rounding
+            diag_im[:] = 0.0
+    else:
+        raise NoConvergence("jacobi sweep limit reached")
+    return diag_re.copy(), v.copy()
+
+
 def hermitian_eigen(
     m, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a hermitian matrix by round-robin Jacobi sweeps.
 
     Returns ``(values, vectors)`` with real eigenvalues in descending order
     and orthonormal eigenvector columns.  The output is a pure function of
@@ -193,48 +262,41 @@ def hermitian_eigen(
     positive) and tied eigenvalues are ordered by their eigenvectors'
     rounded coordinates, so repeated calls are bit-identical.
     """
-    a = _require_square_hermitian(m, pol.match_tol)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), v
-
-    threshold = _JACOBI_REL_THRESHOLD * scale
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
-    else:
-        raise NoConvergence("jacobi sweep limit reached")
-
-    values = np.diag(a).real.copy()
-    return _canonical_columns(values, v)
+    values, vectors = _jacobi(_require_square_hermitian(m, pol.match_tol))
+    return _canonical_columns(values, vectors)
 
 
-def psd_check(m, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:
-    """Decide positive semidefiniteness and the numerical rank of ``m``.
+def psd_rank(values: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:
+    """The PSD verdict and the numerical rank read off descending eigenvalues.
 
-    ``rank`` counts eigenvalues above ``rel_rank_tol * lambda_max``; the
-    cutoff is relative so that uniformly scaled matrices keep their rank.
+    The matrix is PSD when its least eigenvalue is at least
+    ``-psd_tol * (1 + lambda_max)``.  ``rank`` counts the eigenvalues above
+    ``rel_rank_tol * lambda_max``, so they are ``values[:rank]``; the cutoff
+    is relative so that uniformly scaled matrices keep their rank.
     """
-    values, _ = hermitian_eigen(m, pol)
     lam_max = max(float(values[0]), 0.0)
     is_psd = bool(values[-1] >= -pol.psd_tol * (1.0 + lam_max))
     rank = int(np.count_nonzero(values > pol.rel_rank_tol * lam_max))
     return is_psd, rank
 
 
+def psd_check(m, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:
+    """Decide positive semidefiniteness and the numerical rank of ``m``.
+
+    The rule is ``psd_rank``'s, applied to the eigenvalues of ``m``.
+    """
+    values, _ = hermitian_eigen(m, pol)
+    return psd_rank(values, pol)
+
+
 def pseudo_inverse(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Moore-Penrose inverse of a hermitian PSD matrix under the rank policy."""
     values, vectors = hermitian_eigen(m, pol)
-    lam_max = max(float(values[0]), 0.0)
-    if values[-1] < -pol.psd_tol * (1.0 + lam_max):
+    is_psd, rank = psd_rank(values, pol)
+    if not is_psd:
         raise NegativeEigenvalue(
             f"eigenvalue {values[-1]:.3e} below -psd_tol*(1+lambda_max)"
         )
-    cutoff = pol.rel_rank_tol * lam_max
-    inv = np.where(values > cutoff, 1.0 / np.where(values > cutoff, values, 1.0), 0.0)
+    inv = np.zeros_like(values)
+    inv[:rank] = 1.0 / values[:rank]
     return (vectors * inv) @ vectors.conj().T

@@ -8,6 +8,7 @@ from starrep import (
     build_matrix_algebra,
     commutant,
     decompose,
+    direct_sum_algebra,
     gns_construct,
     intertwiner,
     is_extremal,
@@ -22,6 +23,7 @@ from conftest import (
     random_algebra,
     random_positive_functional,
     random_unitary,
+    s3_algebra,
     z2_algebra,
 )
 
@@ -67,6 +69,30 @@ def test_gns_matrix_trace_reproduces():
 def test_gns_requires_positive():
     with pytest.raises(NotPositive):
         gns_construct(z2_algebra(), [1, 2.0])
+
+
+def test_gns_requires_hermitian_gram():
+    # on Z_2, rho(g) = 1j gives the Gram matrix [[1, 1j], [1j, 1]]
+    with pytest.raises(NotPositive):
+        gns_construct(z2_algebra(), [1, 1j])
+
+
+def test_gns_eigendecomposes_the_gram_matrix_once(monkeypatch):
+    import starrep.gns
+    import starrep.numerics
+
+    sizes = []
+    solve = starrep.numerics.hermitian_eigen
+
+    def counted(m, *args, **kwargs):
+        sizes.append(len(m))
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", counted)
+    monkeypatch.setattr(starrep.gns, "hermitian_eigen", counted)
+    rep = gns_construct(build_matrix_algebra(2), TRACE2)
+    assert rep.rep_dim == 4
+    assert sizes == [4]
 
 
 def test_gns_zero_functional_gives_empty_rep():
@@ -266,6 +292,24 @@ def test_decompose_s3_regular_matches_character_theory():
     assert np.allclose(weights, [1 / 6, 1 / 6, 1 / 3, 1 / 3], atol=1e-10)
     rebuilt = sum(c.weight * c.functional for c in dec.components)
     assert np.max(np.abs(rebuilt - delta)) < 1e-10
+
+
+def test_decompose_matrix_plus_group_trace_over_seeds():
+    # 1/2 tr/3 on M_3 plus 1/2 delta_e on S_3: three copies of the defining
+    # representation of M_3 with weight 1/6 each, and the regular
+    # representation of S_3 at half weight.  Seed 30 once drew a splitting
+    # operator whose eigensolve met a subnormal entry and did not converge.
+    algebra = direct_sum_algebra(build_matrix_algebra(3), s3_algebra())
+    rho = np.concatenate([0.5 * np.eye(3).ravel() / 3, 0.5 * np.eye(6)[0]])
+    for seed in range(26, 34):
+        dec = decompose(algebra, rho, seed=seed)
+        dims = sorted(c.representation.rep_dim for c in dec.components)
+        assert dims == [1, 1, 2, 2, 3, 3, 3]
+        assert sorted(len(c) for c in dec.multiplicity_classes) == [1, 1, 2, 3]
+        weights = sorted(c.weight for c in dec.components)
+        assert np.allclose(weights, [1 / 12, 1 / 12] + [1 / 6] * 5, atol=1e-10)
+        rebuilt = sum(c.weight * c.functional for c in dec.components)
+        assert np.max(np.abs(rebuilt - rho)) < 1e-10
 
 
 def test_decompose_rejects_bad_input():

@@ -193,6 +193,22 @@ def test_chain_geometric_increasing():
     assert np.max(np.abs(limit.matrix - IDENTITY2)) < 1e-8
 
 
+def test_chain_convergence_is_scale_free():
+    # (1 - 0.5^i) c I stops at the same step for every scale c
+    def steps(c):
+        calls = []
+
+        def gen(i):
+            calls.append(i)
+            return kernel((1 - 0.5**i) * c * IDENTITY2)
+
+        limit = chain_limit(gen, "increasing")
+        assert np.max(np.abs(limit.matrix - c * IDENTITY2)) < 1e-8 * c
+        return len(calls)
+
+    assert steps(1e9) == steps(1.0) == steps(1e-6)
+
+
 def test_chain_unbounded_raises():
     with pytest.raises(NotMajorized):
         chain_limit(lambda i: kernel(2.0**i * IDENTITY2), "increasing", max_steps=50)

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from starrep import TolerancePolicy, hermitian_eigen, pseudo_inverse, psd_check
+from starrep import (
+    TolerancePolicy,
+    gns_construct,
+    hermitian_eigen,
+    pseudo_inverse,
+    psd_check,
+)
 from starrep.errors import NegativeEigenvalue, NonSquare, NotHermitian
 
-from conftest import random_hermitian, random_psd
+from conftest import random_hermitian, random_psd, s3_algebra
 
 
 def two_by_two_symmetric_eigenvalues(a, b):
@@ -35,7 +41,20 @@ def test_eigen_characteristic_polynomial_oracle():
     assert np.allclose(w, [hi, lo], atol=1e-14)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21])
+def assert_eigendecomposition(m, w, v, tol=1e-12):
+    """Descending eigvalsh spectrum, small residual, orthonormal columns.
+
+    Ties may come in either order: their columns are ordered by coordinates.
+    """
+    n = m.shape[0]
+    scale = 1.0 + np.max(np.abs(w))
+    assert np.all(np.diff(w) <= tol * scale)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(m)[::-1])) < tol * scale
+    assert np.max(np.abs(m @ v - v * w)) < tol * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 13, 16, 21, 33, 64])
 def test_eigen_reconstruction_random(n):
     rng = np.random.default_rng(n)
     m = random_hermitian(rng, n)
@@ -55,6 +74,64 @@ def test_eigen_bit_identical_determinism():
     w2, v2 = hermitian_eigen(m.copy())
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
+
+
+def test_eigen_bit_identical_determinism_n64():
+    rng = np.random.default_rng(64)
+    m = random_hermitian(rng, 64)
+    w1, v1 = hermitian_eigen(m)
+    w2, v2 = hermitian_eigen(m.copy())
+    assert w1.tobytes() == w2.tobytes()
+    assert v1.tobytes() == v2.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_eigen_exact_ties(n):
+    # kron(I_3, H) repeats each eigenvalue of H exactly three times
+    rng = np.random.default_rng(100 + n)
+    m = np.kron(np.eye(3), random_hermitian(rng, n))
+    w, v = hermitian_eigen(m)
+    assert_eigendecomposition(m, w, v)
+    assert np.allclose(w[0::3], w[1::3], atol=1e-12) and np.allclose(w[0::3], w[2::3], atol=1e-12)
+
+
+@pytest.mark.parametrize("n,rank", [(3, 1), (7, 3), (16, 5), (33, 1), (64, 20)])
+def test_eigen_rank_deficient_psd(n, rank):
+    rng = np.random.default_rng(n * 100 + rank)
+    m = random_psd(rng, n, rank)
+    w, v = hermitian_eigen(m)
+    assert_eigendecomposition(m, w, v)
+    assert psd_check(m) == (True, rank)
+    assert np.max(np.abs(w[rank:])) < 1e-12 * w[0]
+
+
+def test_eigen_commutant_normal_matrix():
+    # the normal matrix of X pi(e_i) = pi(e_i) X for the regular
+    # representation of S_3: its null space is the commutant, of dimension
+    # 1 + 1 + 2^2 = 6
+    rep = gns_construct(s3_algebra(), np.eye(6)[0])
+    d = rep.rep_dim
+    normal = np.zeros((d * d, d * d), dtype=complex)
+    for a in rep.matrices:
+        k = np.kron(np.eye(d), a.T) - np.kron(a, np.eye(d))
+        normal += k.conj().T @ k
+    w, v = hermitian_eigen(normal)
+    assert_eigendecomposition(normal, w, v)
+    assert psd_check(normal)[1] == d * d - 6
+
+
+@pytest.mark.parametrize("t", [2.5e-323, 2.5e-323j, 1e-310 * (1 + 1j), 5e-324])
+def test_eigen_subnormal_off_diagonal_entry(t):
+    # phase = a_pq / |a_pq| overflows when |a_pq| is subnormal; such an entry
+    # is far below the stopping threshold and must be left alone
+    m = np.array(
+        [[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, t], [0, 0, np.conj(t), 4]], dtype=complex
+    )
+    w, v = hermitian_eigen(m)
+    expected = [4.0, 3.0, (3 + np.sqrt(5)) / 2, (3 - np.sqrt(5)) / 2]
+    assert np.allclose(w, expected, atol=1e-14)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-14
+    assert np.max(np.abs(m @ v - v * w)) < 1e-14
 
 
 def test_eigen_rejects_bad_input():
