@@ -5,6 +5,11 @@ Reports are machine-readable JSON on stdout (or a flat text rendering with
 1 when an operation fails for a domain reason (e.g. a difference that is not
 dominated), and 2 on usage or workspace errors.  Given the same workspace,
 command, and seed, the emitted report is byte-identical across runs.
+
+Every verb is one entry of ``VERBS``: the names of its arguments and the
+function that computes its outputs.  An argument's name fixes how it is
+parsed (``_ARG_OPTIONS``), looked up in the workspace (``_resolve``) and
+echoed in the report (``_echo``).
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,27 +31,147 @@ from .workspace import WorkspaceFile, encode_matrix, parse_workspace
 
 __all__ = ["main", "run_command", "build_parser"]
 
-_CHAIN_RULES = ("constant", "geometric-decreasing", "geometric-increasing", "doubling")
+# Each chain rule: the chain's direction, and the factor on the base kernel
+# at a step given the ratio.
+_CHAIN_RULES: dict[str, tuple[str, Callable[[float, int], float]]] = {
+    "constant": ("decreasing", lambda ratio, step: 1.0),
+    "geometric-decreasing": ("decreasing", lambda ratio, step: ratio**step),
+    "geometric-increasing": ("increasing", lambda ratio, step: 1.0 - ratio**step),
+    "doubling": ("increasing", lambda ratio, step: 2.0**step),
+}
+
+# argparse settings of the verb arguments that are not plain strings.
+_ARG_OPTIONS: dict[str, dict] = {
+    "factor": {"type": float},
+    "terms": {"nargs": "+", "help": "alternating WEIGHT KERNEL pairs"},
+    "--rule": {"choices": tuple(_CHAIN_RULES), "required": True},
+    "--ratio": {"type": float, "default": 0.5},
+    "--max-steps": {"type": int, "default": 50},
+}
+
+_FUNCTIONAL_ARGS = ("functional", "f1", "f2")
+_KERNEL_ARGS = ("kernel", "k1", "k2")
 
 
-def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    # The same flags are accepted before and after the verb; the subparser
-    # copies suppress their defaults so they never clobber a value given
-    # up front.
-    kw = {} if top_level else {"default": argparse.SUPPRESS}
-    parser.add_argument(
-        "--workspace", "-w", help="workspace JSON file",
-        **({"default": None} if top_level else kw),
-    )
-    parser.add_argument("--tol-rank", type=float, dest="tol_rank",
-                        **({"default": 1e-9} if top_level else kw))
-    parser.add_argument("--tol-psd", type=float, dest="tol_psd",
-                        **({"default": 1e-9} if top_level else kw))
-    parser.add_argument("--tol-match", type=float, dest="tol_match",
-                        **({"default": 1e-8} if top_level else kw))
-    parser.add_argument("--seed", type=int, **({"default": 0} if top_level else kw))
-    parser.add_argument("--output", choices=("json", "text"),
-                        **({"default": "json"} if top_level else kw))
+def _matrix_rank(k: Kernel) -> dict:
+    return {"matrix": encode_matrix(k.matrix), "rank": k.rank}
+
+
+def _gns(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
+    rep = gns.gns_construct(v.algebra, v.functional, pol)
+    report = gns.verify_star_rep(rep, pol)
+    return {
+        "rep_dim": rep.rep_dim,
+        "cyclic_vector": encode_matrix(rep.cyclic_vector),
+        "matrices": [encode_matrix(m) for m in rep.matrices],
+        "verification": report.as_dict(),
+    }
+
+
+def _decompose(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
+    result = gns.decompose(v.algebra, v.functional, pol, seed=v.seed)
+    return {
+        "components": [
+            {
+                "weight": float(c.weight),
+                "functional": encode_matrix(c.functional),
+                "rep_dim": c.representation.rep_dim,
+            }
+            for c in result.components
+        ],
+        "multiplicity_classes": [list(c) for c in result.multiplicity_classes],
+    }
+
+
+def _roundtrip(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
+    rep = gns.gns_construct(v.algebra, v.functional, pol)
+    recovered = corr.kernel_to_functional(v.algebra, corr.rep_to_kernel(rep, pol), pol)
+    return {
+        "recovered": encode_matrix(recovered),
+        "max_error": float(np.max(np.abs(recovered - v.functional))),
+    }
+
+
+def _chain(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
+    direction, factor = _CHAIN_RULES[v.rule]
+
+    def gen(step: int) -> Kernel:
+        return kernels.make_kernel(factor(v.ratio, step) * v.kernel.matrix, pol)
+
+    return _matrix_rank(kernels.chain_limit(gen, direction, pol, max_steps=v.max_steps))
+
+
+def _weighted_sum(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
+    combined, direct = kernels.weighted_kernel_sum(v.terms, pol)
+    return {**_matrix_rank(combined), "is_direct": direct}
+
+
+def _equiv(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
+    rep1 = gns.gns_construct(v.algebra, v.f1, pol)
+    rep2 = gns.gns_construct(v.algebra, v.f2, pol)
+    return {"equivalent": True, "unitary": encode_matrix(gns.intertwiner(rep1, rep2, pol))}
+
+
+class Verb(NamedTuple):
+    """A verb's argument names, in command-line order, and its output builder.
+
+    ``run(v, pol)`` gets the parsed command with every argument replaced by
+    what it names in the workspace (see ``_resolve``).
+    """
+
+    args: tuple[str, ...]
+    run: Callable[[argparse.Namespace, TolerancePolicy], dict]
+
+
+_ON_FUNCTIONAL = ("algebra", "functional")
+_KERNEL_PAIR = ("k1", "k2")
+
+# Listed in the order ``starrep --help`` shows them.
+VERBS: dict[str, Verb] = {
+    "validate": Verb(("algebra",), lambda v, pol: validate_algebra(v.algebra, pol).as_dict()),
+    "gns": Verb(_ON_FUNCTIONAL, _gns),
+    "kernel": Verb(_ON_FUNCTIONAL, lambda v, pol: _matrix_rank(
+        corr.functional_to_kernel(v.algebra, v.functional, pol))),
+    "decompose": Verb(_ON_FUNCTIONAL, _decompose),
+    "roundtrip": Verb(_ON_FUNCTIONAL, _roundtrip),
+    "functional": Verb(("algebra", "kernel"), lambda v, pol: {
+        "values": encode_matrix(corr.kernel_to_functional(v.algebra, v.kernel, pol))}),
+    "cone-sum": Verb(_KERNEL_PAIR, lambda v, pol: _matrix_rank(
+        kernels.kernel_sum(v.k1, v.k2, pol))),
+    "cone-leq": Verb(_KERNEL_PAIR, lambda v, pol: {
+        "leq": kernels.kernel_leq(v.k1, v.k2, pol)}),
+    "exclude": Verb(_KERNEL_PAIR, lambda v, pol: {
+        "mutually_excluding": kernels.mutually_excluding(v.k1, v.k2, pol)}),
+    "min-scale": Verb(_KERNEL_PAIR, lambda v, pol: {
+        "dominating_scale": kernels.min_dominating_scale(v.k1, v.k2, pol)}),
+    "cone-scale": Verb(("factor", "kernel"), lambda v, pol: _matrix_rank(
+        kernels.kernel_scale(v.factor, v.kernel, pol))),
+    "cone-diff": Verb(("kernel", "k1"), lambda v, pol: _matrix_rank(
+        kernels.kernel_difference(v.kernel, v.k1, pol))),
+    "subrep": Verb(("k1", "kernel"), lambda v, pol: {
+        "ordinary_subrepresentation": kernels.ordinary_subrep_check(v.k1, v.kernel, pol)}),
+    "chain": Verb(("kernel", "--rule", "--ratio", "--max-steps"), _chain),
+    "weighted-sum": Verb(("terms",), _weighted_sum),
+    "equiv": Verb(("algebra", "f1", "f2"), _equiv),
+    "pullback": Verb(("homomorphism", "kernel"), lambda v, pol: _matrix_rank(
+        corr.pullback(v.homomorphism.hom, v.kernel, pol))),
+    "audit": Verb(("algebra", "f1", "f2", "factor"), lambda v, pol: corr.cone_morphism_audit(
+        v.algebra, v.f1, v.f2, v.factor, pol).as_dict()),
+}
+
+
+def _dest(arg: str) -> str:
+    """The attribute argparse stores an argument under: ``--max-steps`` -> ``max_steps``."""
+    return arg.lstrip("-").replace("-", "_")
+
+
+def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workspace", "-w", help="workspace JSON file")
+    parser.add_argument("--tol-rank", type=float)
+    parser.add_argument("--tol-psd", type=float)
+    parser.add_argument("--tol-match", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--output", choices=("json", "text"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,287 +180,96 @@ def build_parser() -> argparse.ArgumentParser:
         description="Operations on finite-dimensional *-algebras, functionals, "
         "kernels, and their representations.",
     )
-    _add_common_options(parser, top_level=True)
-
+    # The same flags are accepted before and after the verb.  Only the top
+    # level has defaults; a verb's parser suppresses them, so that they never
+    # clobber a value given up front.
+    _add_common_options(parser)
+    pol = TolerancePolicy()
+    parser.set_defaults(
+        workspace=None, tol_rank=pol.rel_rank_tol, tol_psd=pol.psd_tol,
+        tol_match=pol.match_tol, seed=0, output="json",
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_verb(name: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name)
-        _add_common_options(p, top_level=False)
-        return p
-
-    add_verb("validate").add_argument("algebra")
-
-    for verb in ("gns", "kernel", "decompose", "roundtrip"):
-        p = add_verb(verb)
-        p.add_argument("algebra")
-        p.add_argument("functional")
-
-    p = add_verb("functional")
-    p.add_argument("algebra")
-    p.add_argument("kernel")
-
-    for verb in ("cone-sum", "cone-leq", "exclude", "min-scale"):
-        p = add_verb(verb)
-        p.add_argument("k1")
-        p.add_argument("k2")
-
-    p = add_verb("cone-scale")
-    p.add_argument("factor", type=float)
-    p.add_argument("kernel")
-
-    p = add_verb("cone-diff")
-    p.add_argument("kernel")
-    p.add_argument("k1")
-
-    p = add_verb("subrep")
-    p.add_argument("k1")
-    p.add_argument("kernel")
-
-    p = add_verb("chain")
-    p.add_argument("kernel")
-    p.add_argument("--rule", choices=_CHAIN_RULES, required=True)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--max-steps", type=int, default=50, dest="max_steps")
-
-    p = add_verb("weighted-sum")
-    p.add_argument("terms", nargs="+", help="alternating WEIGHT KERNEL pairs")
-
-    p = add_verb("equiv")
-    p.add_argument("algebra")
-    p.add_argument("f1")
-    p.add_argument("f2")
-
-    p = add_verb("pullback")
-    p.add_argument("homomorphism")
-    p.add_argument("kernel")
-
-    p = add_verb("audit")
-    p.add_argument("algebra")
-    p.add_argument("f1")
-    p.add_argument("f2")
-    p.add_argument("factor", type=float)
-
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        _add_common_options(p)
+        for arg in verb.args:
+            p.add_argument(arg, **_ARG_OPTIONS.get(arg, {}))
     return parser
 
 
-def _functional_for(ws: WorkspaceFile, algebra_name: str, functional_name: str):
-    entry = ws.functional(functional_name)
-    if entry.algebra != algebra_name:
-        raise ValidationError(
-            f"functional {functional_name!r} lives on {entry.algebra!r}, "
-            f"not {algebra_name!r}"
-        )
-    return ws.algebra(algebra_name), entry.values
+def _weighted_terms(ws: WorkspaceFile, verb: str, terms: list[str]) -> list[tuple[float, Kernel]]:
+    if len(terms) % 2 != 0:
+        raise UnknownVerb(f"{verb} expects alternating WEIGHT KERNEL pairs")
+    resolved = []
+    for weight, name in zip(terms[::2], terms[1::2]):
+        try:
+            w = float(weight)
+        except ValueError as exc:
+            raise UnknownVerb(f"bad weight {weight!r}") from exc
+        resolved.append((w, ws.kernel(name).kernel))
+    return resolved
 
 
-def _kernel_for(ws: WorkspaceFile, name: str) -> tuple[str, Kernel]:
-    entry = ws.kernel(name)
-    return entry.algebra, entry.kernel
+def _resolve(ws: WorkspaceFile, args: argparse.Namespace, name: str):
+    """What the argument ``name`` of a parsed command names in the workspace.
+
+    A functional or kernel must live on the command's algebra: its
+    ``algebra`` argument, or else its homomorphism's target.  Arguments that
+    name nothing (numbers, chain settings) come back as parsed.
+    """
+    raw = getattr(args, name)
+    if name == "algebra":
+        return ws.algebra(raw)
+    if name == "homomorphism":
+        return ws.homomorphism(raw)
+    if name == "terms":
+        return _weighted_terms(ws, args.verb, raw)
+    if name in _FUNCTIONAL_ARGS:
+        kind, entry = "functional", ws.functional(raw)
+    elif name in _KERNEL_ARGS:
+        kind, entry = "kernel", ws.kernel(raw)
+    else:
+        return raw
+    value = entry.values if kind == "functional" else entry.kernel
+    if "algebra" in args:
+        home, where = args.algebra, f"not {args.algebra!r}"
+    elif "homomorphism" in args:
+        home = ws.homomorphism(args.homomorphism).target
+        where = f"but the homomorphism targets {home!r}"
+    else:
+        return value
+    if entry.algebra != home:
+        raise ValidationError(f"{kind} {raw!r} lives on {entry.algebra!r}, {where}")
+    return value
 
 
-def _chain_generator(rule: str, ratio: float, base: Kernel, pol: TolerancePolicy):
-    h = base.matrix
+def _echo(name: str, raw, value):
+    """How the report's ``inputs`` shows an argument.
 
-    def gen(step: int) -> Kernel:
-        if rule == "constant":
-            return base
-        if rule == "geometric-decreasing":
-            return kernels.make_kernel((ratio**step) * h, pol)
-        if rule == "geometric-increasing":
-            return kernels.make_kernel((1.0 - ratio**step) * h, pol)
-        return kernels.make_kernel((2.0**step) * h, pol)
-
-    return gen
+    A verb's ``functional`` shows the functional's values; a weighted sum
+    shows its parsed weights; every other argument shows as given.
+    """
+    if name == "functional":
+        return encode_matrix(value)
+    if name == "terms":
+        return [{"weight": w, "kernel": k} for (w, _), k in zip(value, raw[1::2])]
+    return raw
 
 
 def run_command(ws: WorkspaceFile, args: argparse.Namespace, pol: TolerancePolicy) -> dict:
-    """Dispatch one parsed command against a workspace and build its report."""
-    verb = args.verb
-    out: dict = {}
-    inputs: dict = {}
-
-    if verb == "validate":
-        algebra = ws.algebra(args.algebra)
-        inputs["algebra"] = args.algebra
-        out = validate_algebra(algebra, pol).as_dict()
-
-    elif verb == "gns":
-        algebra, values = _functional_for(ws, args.algebra, args.functional)
-        inputs = {"algebra": args.algebra, "functional": encode_matrix(values)}
-        rep = gns.gns_construct(algebra, values, pol)
-        report = gns.verify_star_rep(rep, pol)
-        out = {
-            "rep_dim": rep.rep_dim,
-            "cyclic_vector": encode_matrix(rep.cyclic_vector),
-            "matrices": [encode_matrix(m) for m in rep.matrices],
-            "verification": report.as_dict(),
-        }
-
-    elif verb == "kernel":
-        algebra, values = _functional_for(ws, args.algebra, args.functional)
-        inputs = {"algebra": args.algebra, "functional": encode_matrix(values)}
-        k = corr.functional_to_kernel(algebra, values, pol)
-        out = {"matrix": encode_matrix(k.matrix), "rank": k.rank}
-
-    elif verb == "functional":
-        algebra = ws.algebra(args.algebra)
-        kname, k = _kernel_for(ws, args.kernel)
-        if kname != args.algebra:
-            raise ValidationError(
-                f"kernel {args.kernel!r} lives on {kname!r}, not {args.algebra!r}"
-            )
-        inputs = {"algebra": args.algebra, "kernel": args.kernel}
-        values = corr.kernel_to_functional(algebra, k, pol)
-        out = {"values": encode_matrix(values)}
-
-    elif verb == "cone-sum":
-        _, k1 = _kernel_for(ws, args.k1)
-        _, k2 = _kernel_for(ws, args.k2)
-        inputs = {"k1": args.k1, "k2": args.k2}
-        k = kernels.kernel_sum(k1, k2, pol)
-        out = {"matrix": encode_matrix(k.matrix), "rank": k.rank}
-
-    elif verb == "cone-scale":
-        _, k = _kernel_for(ws, args.kernel)
-        inputs = {"factor": args.factor, "kernel": args.kernel}
-        scaled = kernels.kernel_scale(args.factor, k, pol)
-        out = {"matrix": encode_matrix(scaled.matrix), "rank": scaled.rank}
-
-    elif verb == "cone-leq":
-        _, k1 = _kernel_for(ws, args.k1)
-        _, k2 = _kernel_for(ws, args.k2)
-        inputs = {"k1": args.k1, "k2": args.k2}
-        out = {"leq": kernels.kernel_leq(k1, k2, pol)}
-
-    elif verb == "cone-diff":
-        _, k = _kernel_for(ws, args.kernel)
-        _, k1 = _kernel_for(ws, args.k1)
-        inputs = {"kernel": args.kernel, "k1": args.k1}
-        diff = kernels.kernel_difference(k, k1, pol)
-        out = {"matrix": encode_matrix(diff.matrix), "rank": diff.rank}
-
-    elif verb == "exclude":
-        _, k1 = _kernel_for(ws, args.k1)
-        _, k2 = _kernel_for(ws, args.k2)
-        inputs = {"k1": args.k1, "k2": args.k2}
-        out = {"mutually_excluding": kernels.mutually_excluding(k1, k2, pol)}
-
-    elif verb == "min-scale":
-        _, k1 = _kernel_for(ws, args.k1)
-        _, k2 = _kernel_for(ws, args.k2)
-        inputs = {"k1": args.k1, "k2": args.k2}
-        lam = kernels.min_dominating_scale(k1, k2, pol)
-        out = {"dominating_scale": lam}
-
-    elif verb == "subrep":
-        _, k1 = _kernel_for(ws, args.k1)
-        _, k = _kernel_for(ws, args.kernel)
-        inputs = {"k1": args.k1, "kernel": args.kernel}
-        out = {"ordinary_subrepresentation": kernels.ordinary_subrep_check(k1, k, pol)}
-
-    elif verb == "chain":
-        _, base = _kernel_for(ws, args.kernel)
-        inputs = {
-            "kernel": args.kernel,
-            "rule": args.rule,
-            "ratio": args.ratio,
-            "max_steps": args.max_steps,
-        }
-        direction = (
-            "decreasing" if args.rule in ("constant", "geometric-decreasing") else "increasing"
-        )
-        gen = _chain_generator(args.rule, args.ratio, base, pol)
-        limit = kernels.chain_limit(gen, direction, pol, max_steps=args.max_steps)
-        out = {"matrix": encode_matrix(limit.matrix), "rank": limit.rank}
-
-    elif verb == "weighted-sum":
-        if len(args.terms) % 2 != 0:
-            raise UnknownVerb("weighted-sum expects alternating WEIGHT KERNEL pairs")
-        terms = []
-        echoed = []
-        for i in range(0, len(args.terms), 2):
-            try:
-                weight = float(args.terms[i])
-            except ValueError as exc:
-                raise UnknownVerb(f"bad weight {args.terms[i]!r}") from exc
-            _, k = _kernel_for(ws, args.terms[i + 1])
-            terms.append((weight, k))
-            echoed.append({"weight": weight, "kernel": args.terms[i + 1]})
-        inputs = {"terms": echoed}
-        combined, direct = kernels.weighted_kernel_sum(terms, pol)
-        out = {
-            "matrix": encode_matrix(combined.matrix),
-            "rank": combined.rank,
-            "is_direct": direct,
-        }
-
-    elif verb == "decompose":
-        algebra, values = _functional_for(ws, args.algebra, args.functional)
-        inputs = {"algebra": args.algebra, "functional": encode_matrix(values)}
-        result = gns.decompose(algebra, values, pol, seed=args.seed)
-        out = {
-            "components": [
-                {
-                    "weight": float(c.weight),
-                    "functional": encode_matrix(c.functional),
-                    "rep_dim": c.representation.rep_dim,
-                }
-                for c in result.components
-            ],
-            "multiplicity_classes": [list(c) for c in result.multiplicity_classes],
-        }
-
-    elif verb == "equiv":
-        algebra, v1 = _functional_for(ws, args.algebra, args.f1)
-        _, v2 = _functional_for(ws, args.algebra, args.f2)
-        inputs = {"algebra": args.algebra, "f1": args.f1, "f2": args.f2}
-        rep1 = gns.gns_construct(algebra, v1, pol)
-        rep2 = gns.gns_construct(algebra, v2, pol)
-        u = gns.intertwiner(rep1, rep2, pol)
-        out = {"equivalent": True, "unitary": encode_matrix(u)}
-
-    elif verb == "pullback":
-        entry = ws.homomorphism(args.homomorphism)
-        kname, k = _kernel_for(ws, args.kernel)
-        if kname != entry.target:
-            raise ValidationError(
-                f"kernel {args.kernel!r} lives on {kname!r}, but the homomorphism "
-                f"targets {entry.target!r}"
-            )
-        inputs = {"homomorphism": args.homomorphism, "kernel": args.kernel}
-        pulled = corr.pullback(entry.hom, k, pol)
-        out = {"matrix": encode_matrix(pulled.matrix), "rank": pulled.rank}
-
-    elif verb == "audit":
-        algebra, v1 = _functional_for(ws, args.algebra, args.f1)
-        _, v2 = _functional_for(ws, args.algebra, args.f2)
-        inputs = {
-            "algebra": args.algebra,
-            "f1": args.f1,
-            "f2": args.f2,
-            "factor": args.factor,
-        }
-        out = corr.cone_morphism_audit(algebra, v1, v2, args.factor, pol).as_dict()
-
-    elif verb == "roundtrip":
-        algebra, values = _functional_for(ws, args.algebra, args.functional)
-        inputs = {"algebra": args.algebra, "functional": encode_matrix(values)}
-        rep = gns.gns_construct(algebra, values, pol)
-        k = corr.rep_to_kernel(rep, pol)
-        recovered = corr.kernel_to_functional(algebra, k, pol)
-        out = {
-            "recovered": encode_matrix(recovered),
-            "max_error": float(np.max(np.abs(recovered - values))),
-        }
-
-    else:  # pragma: no cover - argparse restricts the verb set
-        raise UnknownVerb(f"unknown verb {verb!r}")
-
+    """Run one parsed command against a workspace and build its report."""
+    verb = VERBS[args.verb]
+    # Functionals are looked up, and checked against the algebra's name,
+    # before the algebra itself: `gns nope rho` reports where rho lives, not
+    # that there is no algebra `nope`.
+    names = sorted(map(_dest, verb.args), key=lambda name: name not in _FUNCTIONAL_ARGS)
+    values = {name: _resolve(ws, args, name) for name in names}
+    outputs = verb.run(argparse.Namespace(**{**vars(args), **values}), pol)
     return {
-        "verb": verb,
-        "inputs": inputs,
-        "outputs": out,
+        "verb": args.verb,
+        "inputs": {name: _echo(name, getattr(args, name), values[name]) for name in names},
+        "outputs": outputs,
         "seed": args.seed,
         "status": "ok",
         "tolerances": {

@@ -202,7 +202,8 @@ def cone_morphism_audit(
 
     Reports the deviation of the kernel of rho1 + rho2 from the sum of
     kernels, likewise for scaling by lam, and whether the two order
-    relations (Gram order of functionals, PSD order of kernels) agree.
+    relations agree: rho1 <= rho2 as functionals (rho2 - rho1 positive) and
+    k1 <= k2 as kernels (k2 - k1 PSD).
     """
     r1 = np.asarray(rho1, dtype=complex)
     r2 = np.asarray(rho2, dtype=complex)
@@ -220,7 +221,7 @@ def cone_morphism_audit(
 
     k1 = functional_to_kernel(algebra, r1, pol)
     k2 = functional_to_kernel(algebra, r2, pol)
-    functional_order = kernel_leq(make_kernel(g1, pol), make_kernel(g2, pol), pol)
+    functional_order, _ = is_positive(algebra, r2 - r1, pol)
     kernel_order = kernel_leq(k1, k2, pol)
     order_dev = 0.0 if functional_order == kernel_order else 1.0
 

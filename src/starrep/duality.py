@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import FiniteStarAlgebra
 from .errors import DimMismatch, NonRealUnitValue, NotPositive
-from .numerics import DEFAULT_POLICY, TolerancePolicy, psd_check
+from .numerics import DEFAULT_POLICY, TolerancePolicy, is_hermitian, psd_check
 
 __all__ = [
     "evaluate",
@@ -65,14 +65,13 @@ def is_positive(
 def hermitian_gram(
     algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray | None:
-    """The Gram matrix of rho, or None when it is not hermitian within match_tol.
+    """The Gram matrix of rho, or None when it is not hermitian (``is_hermitian``).
 
     The Gram matrix of a positive functional is hermitian, so None already
     rules positivity out.
     """
     g = gram_matrix(algebra, functional)
-    asym = float(np.max(np.abs(g - g.conj().T)))
-    return None if asym > pol.match_tol else g
+    return g if is_hermitian(g, pol) else None
 
 
 def hilbert_bound(

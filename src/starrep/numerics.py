@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "ValidationReport",
     "as_complex_matrix",
+    "is_hermitian",
     "hermitian_eigen",
     "pseudo_inverse",
     "psd_check",
@@ -53,7 +54,8 @@ class TolerancePolicy:
         Eigenvalues above ``-psd_tol * (1 + lambda_max)`` still count as
         nonnegative.
     match_tol
-        Generic agreement tolerance for identities checked entrywise.
+        Generic agreement tolerance for identities checked entrywise, and
+        the relative asymmetry bound of ``is_hermitian``.
     """
 
     rel_rank_tol: float = 1e-9
@@ -102,13 +104,25 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def _require_square_hermitian(m, match_tol: float) -> np.ndarray:
+def is_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """The package's one hermiticity rule: max|A - A^H| <= match_tol * max|A|.
+
+    The bound is relative to the largest entry, so a matrix and its multiples
+    get the same verdict.
+    """
+    asym = float(np.max(np.abs(a - a.conj().T)))
+    return asym <= pol.match_tol * float(np.max(np.abs(a)))
+
+
+def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {a.shape}")
-    asym = np.max(np.abs(a - a.conj().T))
-    if asym > 1e3 * match_tol:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {1e3 * match_tol:.3e}")
+    if not is_hermitian(a, pol):
+        asym = float(np.max(np.abs(a - a.conj().T)))
+        raise NotHermitian(
+            f"asymmetry {asym:.3e} exceeds match_tol {pol.match_tol:.1e} times the largest entry"
+        )
     return (a + a.conj().T) / 2.0
 
 
@@ -170,8 +184,8 @@ def _canonical_columns(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndar
 
     # Within a tie cluster the eigenbasis is not canonical; order the columns
     # by (descending) lexicographic comparison of their rounded coordinates.
-    tie_tol = _TIE_REL_TOL * (1.0 + (np.max(np.abs(values)) if values.size else 0.0))
     n = values.size
+    tie_tol = _TIE_REL_TOL * (np.max(np.abs(values)) if n else 0.0)
     start = 0
     while start < n:
         stop = start + 1
@@ -199,14 +213,21 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     before the caller canonicalizes the result.
     """
     n = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
+    amax = float(np.max(np.abs(a)))
+    if amax == 0.0:
         return np.zeros(n), np.eye(n, dtype=complex)
     # a on top of the eigenvector accumulator v, so that one column update
     # rotates both
     av = np.zeros((2 * n, n), dtype=complex)
     av[:n] = a
     a, v = av[:n], av[n:]
+    # Scaled by a power of two to max|a| in [1/2, 1), so that the norms below
+    # neither underflow nor overflow; the scaling is exact, and undone on the
+    # eigenvalues at the end.
+    _, exponent = np.frexp(amax)
+    a_parts = a.view(np.float64)
+    np.ldexp(a_parts, -exponent, out=a_parts)
+    scale = float(np.linalg.norm(a))
     np.fill_diagonal(v, 1.0)
     diag = np.einsum("ii->i", a)
     diag_re, diag_im = diag.real, diag.imag
@@ -248,7 +269,7 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             diag_im[:] = 0.0
     else:
         raise NoConvergence("jacobi sweep limit reached")
-    return diag_re.copy(), v.copy()
+    return np.ldexp(diag_re, exponent), v.copy()
 
 
 def hermitian_eigen(
@@ -262,7 +283,7 @@ def hermitian_eigen(
     positive) and tied eigenvalues are ordered by their eigenvectors'
     rounded coordinates, so repeated calls are bit-identical.
     """
-    values, vectors = _jacobi(_require_square_hermitian(m, pol.match_tol))
+    values, vectors = _jacobi(_require_square_hermitian(m, pol))
     return _canonical_columns(values, vectors)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from starrep import cli
 from starrep.errors import IoError, ParseError, UnknownEntity, ValidationError
 from starrep.workspace import parse_workspace, workspace_to_json
 
@@ -155,40 +156,81 @@ def test_cli_tolerance_flags_are_echoed():
     assert json.loads(result.stdout)["tolerances"]["match_tol"] == 1e-6
 
 
-def test_cli_every_verb_runs():
+def run_in_process(capsys, *args, workspace):
+    code = cli.main(["--workspace", str(workspace), *args])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cli_every_verb_runs(capsys):
     z2 = FIXTURES / "z2.json"
     homs = FIXTURES / "homs.json"
+    # functional values echo as [re, im] pairs: rho_t0 = (1, 0), rho_t1 = (1, 1)
+    t0 = [[1.0, 0.0], [0.0, 0.0]]
+    t1 = [[1.0, 0.0], [1.0, 0.0]]
+    kernel_out = {"matrix", "rank"}
+    report_out = {"violations", "tolerance", "passed"}
     cases = [
-        (z2, ["validate", "z2"]),
-        (z2, ["gns", "z2", "rho_t1"]),
-        (z2, ["kernel", "z2", "rho_t0"]),
-        (z2, ["functional", "z2", "k_t1"]),
-        (z2, ["cone-sum", "k_t1", "k_tm1"]),
-        (z2, ["cone-scale", "2.0", "k_t1"]),
-        (z2, ["cone-leq", "k_t1", "k_sum"]),
-        (z2, ["cone-diff", "k_sum", "k_t1"]),
-        (z2, ["exclude", "k_t1", "k_tm1"]),
-        (z2, ["min-scale", "k_t1", "k_sum"]),
-        (z2, ["subrep", "k_t1", "k_sum"]),
-        (z2, ["chain", "k_id", "--rule", "geometric-decreasing"]),
-        (z2, ["weighted-sum", "1", "k_t1", "1", "k_tm1"]),
-        (z2, ["decompose", "z2", "rho_t0"]),
-        (z2, ["equiv", "z2", "rho_t1", "rho_t1"]),
-        (homs, ["pullback", "embed_z2_m2", "gram_trace"]),
-        (z2, ["audit", "z2", "rho_t1", "rho_tm1", "0.5"]),
-        (z2, ["roundtrip", "z2", "rho_t0"]),
+        (z2, ["validate", "z2"], {"algebra": "z2"}, report_out),
+        (z2, ["gns", "z2", "rho_t1"], {"algebra": "z2", "functional": t1},
+         {"rep_dim", "cyclic_vector", "matrices", "verification"}),
+        (z2, ["kernel", "z2", "rho_t0"], {"algebra": "z2", "functional": t0}, kernel_out),
+        (z2, ["functional", "z2", "k_t1"], {"algebra": "z2", "kernel": "k_t1"}, {"values"}),
+        (z2, ["cone-sum", "k_t1", "k_tm1"], {"k1": "k_t1", "k2": "k_tm1"}, kernel_out),
+        (z2, ["cone-scale", "2.0", "k_t1"], {"factor": 2.0, "kernel": "k_t1"}, kernel_out),
+        (z2, ["cone-leq", "k_t1", "k_sum"], {"k1": "k_t1", "k2": "k_sum"}, {"leq"}),
+        (z2, ["cone-diff", "k_sum", "k_t1"], {"kernel": "k_sum", "k1": "k_t1"}, kernel_out),
+        (z2, ["exclude", "k_t1", "k_tm1"], {"k1": "k_t1", "k2": "k_tm1"},
+         {"mutually_excluding"}),
+        (z2, ["min-scale", "k_t1", "k_sum"], {"k1": "k_t1", "k2": "k_sum"},
+         {"dominating_scale"}),
+        (z2, ["subrep", "k_t1", "k_sum"], {"k1": "k_t1", "kernel": "k_sum"},
+         {"ordinary_subrepresentation"}),
+        (z2, ["chain", "k_id", "--rule", "geometric-decreasing"],
+         {"kernel": "k_id", "rule": "geometric-decreasing", "ratio": 0.5, "max_steps": 50},
+         kernel_out),
+        (z2, ["weighted-sum", "1", "k_t1", "1", "k_tm1"],
+         {"terms": [{"weight": 1.0, "kernel": "k_t1"}, {"weight": 1.0, "kernel": "k_tm1"}]},
+         kernel_out | {"is_direct"}),
+        (z2, ["decompose", "z2", "rho_t0"], {"algebra": "z2", "functional": t0},
+         {"components", "multiplicity_classes"}),
+        (z2, ["equiv", "z2", "rho_t1", "rho_t1"], {"algebra": "z2", "f1": "rho_t1", "f2": "rho_t1"},
+         {"equivalent", "unitary"}),
+        (homs, ["pullback", "embed_z2_m2", "gram_trace"],
+         {"homomorphism": "embed_z2_m2", "kernel": "gram_trace"}, kernel_out),
+        (z2, ["audit", "z2", "rho_t1", "rho_tm1", "0.5"],
+         {"algebra": "z2", "f1": "rho_t1", "f2": "rho_tm1", "factor": 0.5}, report_out),
+        (z2, ["roundtrip", "z2", "rho_t0"], {"algebra": "z2", "functional": t0},
+         {"recovered", "max_error"}),
     ]
-    for fixture, cmd in cases:
-        result = run_cli(*cmd, workspace=fixture)
-        assert result.returncode == 0, (cmd, result.stderr)
-        report = json.loads(result.stdout)
+    assert sorted(cmd[0] for _, cmd, _, _ in cases) == sorted(cli.VERBS)
+    reports = {}
+    for fixture, cmd, inputs, outputs in cases:
+        code, report = run_in_process(capsys, *cmd, workspace=fixture)
+        assert code == 0, (cmd, report)
         assert report["status"] == "ok"
         assert report["verb"] == cmd[0]
+        assert report["inputs"] == inputs, cmd
+        assert set(report["outputs"]) == outputs, cmd
+        reports[cmd[0]] = report
     # spot checks on a few outputs
-    roundtrip = json.loads(run_cli("roundtrip", "z2", "rho_t0", workspace=z2).stdout)
-    assert roundtrip["outputs"]["max_error"] < 1e-8
-    min_scale = json.loads(run_cli("min-scale", "k_t1", "k_sum", workspace=z2).stdout)
-    assert min_scale["outputs"]["dominating_scale"] == pytest.approx(1.0)
+    assert reports["roundtrip"]["outputs"]["max_error"] < 1e-8
+    assert reports["min-scale"]["outputs"]["dominating_scale"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "cmd,error,detail",
+    [
+        # the algebra is looked up before the kernel checked against it ...
+        (["functional", "nope", "k_t1"], "UnknownEntity", "no algebra named 'nope'"),
+        # ... but a functional before the algebra it is checked against
+        (["gns", "nope", "rho_t0"], "ValidationError",
+         "functional 'rho_t0' lives on 'z2', not 'nope'"),
+    ],
+)
+def test_cli_reports_the_first_failed_lookup(capsys, cmd, error, detail):
+    code, report = run_in_process(capsys, *cmd, workspace=FIXTURES / "z2.json")
+    assert code == 2
+    assert (report["error"], report["detail"]) == (error, detail)
 
 
 def test_cli_reports_are_byte_identical():

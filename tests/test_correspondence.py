@@ -32,6 +32,9 @@ from conftest import (
 )
 
 TRACE2 = np.array([1.0, 0, 0, 1.0])
+# the vector states of the two basis vectors on M_2
+E11 = np.array([1.0, 0, 0, 0])
+E22 = np.array([0, 0, 0, 1.0])
 
 
 def embed_z2_into_m2():
@@ -252,3 +255,21 @@ def test_cone_morphism_audit_examples():
 
     with pytest.raises(NotPositive):
         cone_morphism_audit(z2, [1, 2.0], [1, 0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "rho1,rho2,ordered",
+    [(E11, TRACE2, True), (TRACE2, E11, False), (E11, E22, False)],
+    ids=["ordered", "reversed", "unordered"],
+)
+def test_cone_morphism_audit_order_agreement(monkeypatch, rho1, rho2, ordered):
+    import starrep.correspondence
+
+    m2 = build_matrix_algebra(2)
+    k1, k2 = functional_to_kernel(m2, rho1), functional_to_kernel(m2, rho2)
+    assert kernel_leq(k1, k2) == ordered
+    assert cone_morphism_audit(m2, rho1, rho2, 1.0).violations["order_agreement"] == 0.0
+    # the functional order is decided apart from kernel_leq, so a kernel
+    # order that says the opposite shows as a violation
+    monkeypatch.setattr(starrep.correspondence, "kernel_leq", lambda a, b, pol: not ordered)
+    assert cone_morphism_audit(m2, rho1, rho2, 1.0).violations["order_agreement"] == 1.0

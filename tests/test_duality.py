@@ -58,6 +58,15 @@ def test_is_positive_boundary_cases():
     assert not positive
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_is_positive_hermiticity_is_relative(scale):
+    # the trace on M_2 plus an anti-hermitian part of relative size 1e-9 is
+    # hermitian within match_tol, one of relative size 1e-6 is not; at any scale
+    m2 = build_matrix_algebra(2)
+    assert is_positive(m2, scale * np.array([1, 1e-9j, 0, 1])) == (True, 4)
+    assert is_positive(m2, scale * np.array([1, 1e-6j, 0, 1])) == (False, 0)
+
+
 def test_hilbert_bound():
     z2 = z2_algebra()
     for t in (-1.0, 0.0, 1.0):

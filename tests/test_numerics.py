@@ -134,6 +134,36 @@ def test_eigen_subnormal_off_diagonal_entry(t):
     assert np.max(np.abs(m @ v - v * w)) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "m,expected",
+    [
+        # max|m| far below 1e-154 or above 1e154, where ||m||_F under- or
+        # overflows; and a spectrum below 1e-12, which an absolute tie
+        # tolerance would take for one tie cluster
+        (1e-200 * np.diag([1.0, 2.0]), 1e-200 * np.array([2.0, 1.0])),
+        (1e-200 * np.array([[2.0, 1.0], [1.0, 2.0]]), 1e-200 * np.array([3.0, 1.0])),
+        (1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]), 1e200 * np.array([3.0, 1.0])),
+        (1e-150 * np.diag([1.0, 2.0]), 1e-150 * np.array([2.0, 1.0])),
+    ],
+    ids=["tiny-diagonal", "tiny", "huge", "tiny-spectrum"],
+)
+def test_eigen_extreme_scales(m, expected):
+    w, v = hermitian_eigen(m)
+    assert np.allclose(w, expected, rtol=1e-14, atol=0.0)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-14
+
+
+def test_hermiticity_rule_is_relative():
+    # an asymmetry of 1e-12 relative to the largest entry passes at any scale
+    for scale in (1e-9, 1.0, 1e9):
+        w, _ = hermitian_eigen(scale * np.array([[1.0, 1e-12], [0.0, 1.0]]))
+        assert np.allclose(w, scale * np.array([1 + 5e-13, 1 - 5e-13]), rtol=1e-15, atol=0.0)
+    # and one of 1e-6 fails at any scale
+    for scale in (1e-9, 1.0, 1e9):
+        with pytest.raises(NotHermitian):
+            hermitian_eigen(scale * np.array([[1.0, 1e-6], [0.0, 1.0]]))
+
+
 def test_eigen_rejects_bad_input():
     with pytest.raises(NonSquare):
         hermitian_eigen(np.ones((2, 3)))
@@ -192,6 +222,7 @@ def test_psd_check_relative_rank_cutoff():
     m = np.diag([1.0, 1e-30, 0.0])
     assert psd_check(m) == (True, 1)
     assert psd_check(1e-12 * np.diag([1.0, 0.5, 0.0])) == (True, 2)
+    assert psd_check(1e-13 * np.diag([1e-30, 1.0])) == (True, 1)
 
 
 def test_policy_rejects_negative_tolerances():
