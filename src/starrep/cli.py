@@ -24,7 +24,7 @@ import numpy as np
 from . import correspondence as corr
 from . import gns, kernels
 from .algebra import validate_algebra
-from .errors import StarRepError, UnknownVerb, ValidationError, WorkspaceError
+from .errors import BadArgument, StarRepError, ValidationError, WorkspaceError
 from .kernels import Kernel
 from .numerics import TolerancePolicy
 from .workspace import WorkspaceFile, encode_matrix, parse_workspace
@@ -200,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _weighted_terms(ws: WorkspaceFile, verb: str, terms: list[str]) -> list[tuple[float, Kernel]]:
     if len(terms) % 2 != 0:
-        raise UnknownVerb(f"{verb} expects alternating WEIGHT KERNEL pairs")
+        raise BadArgument(f"{verb} expects alternating WEIGHT KERNEL pairs")
     resolved = []
     for weight, name in zip(terms[::2], terms[1::2]):
         try:
             w = float(weight)
         except ValueError as exc:
-            raise UnknownVerb(f"bad weight {weight!r}") from exc
+            raise BadArgument(f"bad weight {weight!r}") from exc
         resolved.append((w, ws.kernel(name).kernel))
     return resolved
 
@@ -291,15 +291,22 @@ def _render_text(report: dict, stream) -> None:
     walk("", report)
 
 
+def _policy(args: argparse.Namespace) -> TolerancePolicy:
+    try:
+        return TolerancePolicy(
+            rel_rank_tol=args.tol_rank, psd_tol=args.tol_psd, match_tol=args.tol_match
+        )
+    except ValueError as exc:
+        raise BadArgument(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.workspace is None:
         parser.error("--workspace is required")
-    pol = TolerancePolicy(
-        rel_rank_tol=args.tol_rank, psd_tol=args.tol_psd, match_tol=args.tol_match
-    )
     try:
+        pol = _policy(args)
         ws = parse_workspace(args.workspace, pol)
         report = run_command(ws, args, pol)
     except StarRepError as exc:

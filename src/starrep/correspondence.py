@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteStarAlgebra
-from .duality import gram_matrix, is_positive
+from .duality import gram_matrix, hermitian_gram, is_positive
 from .errors import (
     DimMismatch,
     InvalidRepresentation,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gns import GNSRepresentation, gns_construct, verify_star_rep
 from .kernels import Kernel, kernel_leq, make_kernel
-from .numerics import DEFAULT_POLICY, TolerancePolicy, ValidationReport
+from .numerics import DEFAULT_POLICY, TolerancePolicy, ValidationReport, psd_check
 
 __all__ = [
     "StarHomomorphism",
@@ -101,13 +101,14 @@ def functional_to_kernel(
     """Reproducing operator of the subspace attached to a positive functional.
 
     This is the Gram matrix itself, read as an operator on dual coordinates;
-    it satisfies the orientation identity rho(x) = <e | H x>.
+    it satisfies the orientation identity rho(x) = <e | H x>.  One
+    eigensolve of the Gram matrix decides positivity and gives the rank.
     """
-    rho = np.asarray(functional, dtype=complex)
-    positive, _ = is_positive(algebra, rho, pol)
+    g = hermitian_gram(algebra, functional, pol)
+    positive, rank = psd_check(g, pol) if g is not None else (False, 0)
     if not positive:
         raise NotPositive("functional_to_kernel requires a positive functional")
-    return make_kernel(gram_matrix(algebra, rho), pol)
+    return Kernel(matrix=(g + g.conj().T) / 2.0, rank=rank)
 
 
 def _invariance_residual(algebra: FiniteStarAlgebra, matrix: np.ndarray) -> float:
@@ -209,18 +210,17 @@ def cone_morphism_audit(
     r2 = np.asarray(rho2, dtype=complex)
     if lam < 0:
         raise NegativeScalar(f"scale factor must be nonnegative, got {lam}")
-    for r in (r1, r2):
-        positive, _ = is_positive(algebra, r, pol)
-        if not positive:
-            raise NotPositive("cone_morphism_audit requires positive functionals")
+    try:
+        k1 = functional_to_kernel(algebra, r1, pol)
+        k2 = functional_to_kernel(algebra, r2, pol)
+    except NotPositive:
+        raise NotPositive("cone_morphism_audit requires positive functionals") from None
 
     g1 = gram_matrix(algebra, r1)
     g2 = gram_matrix(algebra, r2)
     sum_dev = float(np.max(np.abs(gram_matrix(algebra, r1 + r2) - (g1 + g2))))
     scale_dev = float(np.max(np.abs(gram_matrix(algebra, lam * r1) - lam * g1)))
 
-    k1 = functional_to_kernel(algebra, r1, pol)
-    k2 = functional_to_kernel(algebra, r2, pol)
     functional_order, _ = is_positive(algebra, r2 - r1, pol)
     kernel_order = kernel_leq(k1, k2, pol)
     order_dev = 0.0 if functional_order == kernel_order else 1.0

@@ -121,5 +121,5 @@ class UnknownEntity(WorkspaceError):
     pass
 
 
-class UnknownVerb(WorkspaceError):
-    pass
+class BadArgument(WorkspaceError):
+    """A command-line value that cannot be used: a negative tolerance, a bad term list."""

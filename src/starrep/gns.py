@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteStarAlgebra
-from .duality import hermitian_gram, is_positive
+from .duality import hermitian_gram
 from .errors import (
     InvalidRepresentation,
     NotEquivalent,
@@ -126,8 +126,7 @@ def gns_construct(
     q = sqrt_w[:, None] * u_r.conj().T  # (d, n)
     right = u_r * (1.0 / sqrt_w)[None, :] if d else u_r  # (n, d)
 
-    left_mults = algebra.basis_left_mult()
-    mats = np.einsum("ab,ibc,cd->iad", q, left_mults, right)
+    mats = q @ algebra.basis_left_mult() @ right
     xi = q @ algebra.unit
     return GNSRepresentation(
         algebra=algebra,
@@ -223,15 +222,39 @@ def intertwiner(
 
 
 def _flatten_commutant_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
-    """Normal matrix of the linear system X pi1(e_i) = pi2(e_i) X (row-major vec)."""
-    d1 = mats1.shape[1]
+    """Normal matrix of the linear system X pi1(e_i) = pi2(e_i) X (row-major vec).
+
+    With A_i = pi1(e_i) (d1 x d1), B_i = pi2(e_i) (d2 x d2) and the
+    constraint matrices K_i = I (x) A_i^T - B_i (x) I, the normal matrix
+    sum_i K_i^H K_i expands in closed form to
+
+        I (x) sum_i conj(A_i) A_i^T  +  sum_i B_i^H B_i (x) I  -  (X + X^H),
+
+    with X = sum_i B_i (x) conj(A_i), a single (d2^2 x n) by (n x d1^2)
+    product regrouped as (d2 d1) x (d2 d1).  That is O(n d1^2 d2^2) work and
+    no per-generator Kronecker products.
+
+    K_i does not change when A_i and B_i are shifted by the same multiple of
+    the identity, so each pair is first centred by the mean of their
+    normalised traces.  The expansion then cancels only the non-scalar
+    parts in floating point: a one-dimensional representation against
+    itself gives an exact zero, as the Kronecker form does.
+    """
+    n, d1, _ = mats1.shape
     d2 = mats2.shape[1]
-    eye1 = np.eye(d1)
-    eye2 = np.eye(d2)
-    normal = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for a, b in zip(mats1, mats2):
-        k = np.kron(eye2, a.T) - np.kron(b, eye1)
-        normal += k.conj().T @ k
+    shift = (np.trace(mats1, axis1=1, axis2=2) / d1
+             + np.trace(mats2, axis1=1, axis2=2) / d2) / 2
+    mats1 = mats1 - shift[:, None, None] * np.eye(d1)
+    mats2 = mats2 - shift[:, None, None] * np.eye(d2)
+    a_bar = np.conj(mats1)
+    x = mats2.reshape(n, d2 * d2).T @ a_bar.reshape(n, d1 * d1)
+    x = x.reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3).reshape(d2 * d1, d2 * d1)
+    normal = -(x + x.conj().T)
+    # (row block, row within, column block, column within) view of normal
+    blocks = normal.reshape(d2, d1, d2, d1)
+    same1, same2 = np.arange(d1), np.arange(d2)
+    blocks[same2, :, same2, :] += np.einsum("iab,icb->ac", a_bar, mats1)
+    blocks[:, same1, :, same1] += np.einsum("iba,ibc->ac", np.conj(mats2), mats2)
     return normal
 
 
@@ -242,7 +265,9 @@ def commutant(
 
     Computed as the null space of the stacked commutation constraints on d^2
     unknowns; the basis (stacked as an array of d x d matrices) is the set of
-    null eigenvectors of the normal matrix, in canonical eigen order.
+    null eigenvectors of the normal matrix, in canonical eigen order.  The
+    normal matrix is built in closed form (``_flatten_commutant_system``) in
+    O(n d^4) work; its d^2 x d^2 eigensolve dominates the cost.
     """
     d = rep.rep_dim
     if d < 1:
@@ -261,6 +286,16 @@ def is_irreducible(rep: GNSRepresentation, pol: TolerancePolicy = DEFAULT_POLICY
     return dim == 1
 
 
+def _gns_of_positive(
+    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy, caller: str
+) -> GNSRepresentation:
+    """``gns_construct``, with its NotPositive reworded for the calling function."""
+    try:
+        return gns_construct(algebra, functional, pol)
+    except NotPositive:
+        raise NotPositive(f"{caller} requires a positive functional") from None
+
+
 def is_extremal(
     algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
@@ -269,13 +304,10 @@ def is_extremal(
     Decided through irreducibility of the attached representation; at finite
     dimension the two notions coincide.
     """
-    rho = np.asarray(functional, dtype=complex)
-    positive, _ = is_positive(algebra, rho, pol)
-    if not positive:
-        raise NotPositive("is_extremal requires a positive functional")
-    if float(np.max(np.abs(rho))) == 0.0:
+    rep = _gns_of_positive(algebra, functional, pol, "is_extremal")
+    if float(np.max(np.abs(rep.source_functional))) == 0.0:
         raise ZeroFunctional("the zero functional is not in scope")
-    return is_irreducible(gns_construct(algebra, rho, pol), pol)
+    return is_irreducible(rep, pol)
 
 
 def representations_equivalent(
@@ -334,32 +366,39 @@ def decompose(
     """Split a positive functional into irreducible weighted pieces.
 
     While the commutant of the current representation is larger than the
-    scalars, a random real combination of its basis (hermitized) is
-    eigendecomposed and the space split along its eigenvalue clusters; every
-    cluster is invariant and inherits the projected cyclic vector.  Each
-    piece contributes the normalized functional it reproduces, weighted by
-    the squared norm of the projected cyclic vector, so the weighted pieces
-    sum back to the input.  Components are finally grouped into multiplicity
-    classes by unitary equivalence of their representations.
+    scalars, a random real combination C of its basis is hermitized with a
+    phase, ((1 - i) C + (1 + i) C^H) / 2 (the sum of the hermitian and
+    anti-hermitian parts of C, so complex-conjugate characters separate
+    too), eigendecomposed, and the space split along its eigenvalue
+    clusters; every cluster is invariant and inherits the projected cyclic
+    vector (the random-element splitting of Murota, Kanno, Kojima & Kojima,
+    2010).  Each piece contributes the normalized functional it reproduces,
+    weighted by the squared norm of the projected cyclic vector, so the
+    weighted pieces sum back to the input.  Components are finally grouped
+    into multiplicity classes by unitary equivalence of their
+    representations.
 
-    Deterministic for a fixed (input, seed); a draw with a clusterless
-    spectrum is retried up to 8 times before SplitFailure.
+    Fixed by the input alone: the component dimensions, the multiplicity
+    classes, and the weights of a tracial state (for delta_e on a group G,
+    dim(pi)/|G| per copy; for tr/m on M_m, 1/m per copy).
+    Not fixed: which vector state is picked inside a multiplicity class, and
+    so the weights and functionals of other states; they depend on the
+    commutant basis and can change between versions.  The contract is that
+    the same code, input and seed give the same result, bit for bit.  A draw
+    with a clusterless spectrum is retried up to 8 times before
+    SplitFailure.
     """
-    rho = np.asarray(functional, dtype=complex)
-    positive, _ = is_positive(algebra, rho, pol)
-    if not positive:
-        raise NotPositive("decompose requires a positive functional")
-    if float(np.max(np.abs(rho))) == 0.0:
+    whole = _gns_of_positive(algebra, functional, pol, "decompose")
+    if float(np.max(np.abs(whole.source_functional))) == 0.0:
         raise ZeroFunctional("cannot decompose the zero functional")
 
     rng = np.random.default_rng(seed)
     components: list[DecompositionComponent] = []
 
-    def split(weight: float, values_vec: np.ndarray) -> None:
-        rep = gns_construct(algebra, values_vec, pol)
+    def split(weight: float, rep: GNSRepresentation) -> None:
         basis, comm_dim = commutant(rep, pol)
         if comm_dim <= 1:
-            components.append(DecompositionComponent(weight, values_vec, rep))
+            components.append(DecompositionComponent(weight, rep.source_functional, rep))
             return
 
         clusters = None
@@ -367,7 +406,10 @@ def decompose(
         for _ in range(_MAX_SPLIT_RETRIES):
             coeffs = rng.standard_normal(comm_dim)
             candidate = np.einsum("k,kab->ab", coeffs, basis)
-            candidate = (candidate + candidate.conj().T) / 2.0
+            # The phase mixes the hermitian and anti-hermitian parts of the
+            # combination; its real part alone cannot tell a character from
+            # its complex conjugate (Z_k, k >= 3).
+            candidate = ((1 - 1j) * candidate + (1 + 1j) * candidate.conj().T) / 2.0
             w, v = hermitian_eigen(candidate, pol)
             groups = _eigenvalue_clusters(w)
             if len(groups) >= 2:
@@ -384,13 +426,13 @@ def decompose(
             lam = float(np.vdot(xi_block, xi_block).real)
             if np.sqrt(lam) <= pol.rel_rank_tol:
                 raise SplitFailure("projected cyclic vector vanished in a block")
-            sub_mats = np.einsum("ab,iac,cd->ibd", np.conj(block), rep.matrices, block)
+            sub_mats = block.conj().T @ rep.matrices @ block
             sub_values = (
                 np.einsum("a,iab,b->i", np.conj(xi_block), sub_mats, xi_block) / lam
             )
-            split(weight * lam, sub_values)
+            split(weight * lam, gns_construct(algebra, sub_values, pol))
 
-    split(1.0, rho)
+    split(1.0, whole)
 
     classes: list[list[int]] = []
     for k, comp in enumerate(components):

@@ -21,13 +21,18 @@ def cyclic_group_table(k: int) -> list[list[int]]:
     return [[(i + j) % k for j in range(k)] for i in range(k)]
 
 
-def s3_table() -> list[list[int]]:
-    perms = list(itertools.permutations(range(3)))
+def symmetric_group_table(k: int) -> list[list[int]]:
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
 
     def compose(p, q):
-        return tuple(p[q[x]] for x in range(3))
+        return tuple(p[q[x]] for x in range(k))
 
-    return [[perms.index(compose(p, q)) for q in perms] for p in perms]
+    return [[index[compose(p, q)] for q in perms] for p in perms]
+
+
+def s3_table() -> list[list[int]]:
+    return symmetric_group_table(3)
 
 
 def z2_algebra() -> FiniteStarAlgebra:
@@ -40,6 +45,10 @@ def z3_algebra() -> FiniteStarAlgebra:
 
 def s3_algebra() -> FiniteStarAlgebra:
     return build_group_algebra(s3_table())
+
+
+def s4_algebra() -> FiniteStarAlgebra:
+    return build_group_algebra(symmetric_group_table(4))
 
 
 # Building blocks for random algebras: (constructor, dim, canonical trace).

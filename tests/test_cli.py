@@ -233,6 +233,24 @@ def test_cli_reports_the_first_failed_lookup(capsys, cmd, error, detail):
     assert (report["error"], report["detail"]) == (error, detail)
 
 
+@pytest.mark.parametrize(
+    "cmd,detail",
+    [
+        (["--tol-match", "-1", "validate", "z2"], "match_tol must be nonnegative"),
+        (["validate", "z2", "--tol-rank=-1e-3"], "rel_rank_tol must be nonnegative"),
+        (["weighted-sum", "x", "k_t1"], "bad weight 'x'"),
+        (["weighted-sum", "1", "k_t1", "1"],
+         "weighted-sum expects alternating WEIGHT KERNEL pairs"),
+    ],
+    ids=["negative-tol-match", "negative-tol-rank", "bad-weight", "odd-terms"],
+)
+def test_cli_bad_arguments_are_typed_errors(capsys, cmd, detail):
+    code, report = run_in_process(capsys, *cmd, workspace=FIXTURES / "z2.json")
+    assert code == 2
+    assert report["status"] == "error"
+    assert (report["error"], report["detail"]) == ("BadArgument", detail)
+
+
 def test_cli_reports_are_byte_identical():
     commands = [
         ("gns", "z2", "rho_t0"),

@@ -257,6 +257,42 @@ def test_cone_morphism_audit_examples():
         cone_morphism_audit(z2, [1, 2.0], [1, 0], 1.0)
 
 
+def count_eigensolves(monkeypatch, run):
+    """``run()``'s result and the sizes of the eigensolves it made."""
+    import starrep.kernels
+    import starrep.numerics
+
+    sizes = []
+    solve = starrep.numerics.hermitian_eigen
+
+    def counted(m, *args, **kwargs):
+        sizes.append(len(m))
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", counted)
+    monkeypatch.setattr(starrep.kernels, "hermitian_eigen", counted)
+    return run(), sizes
+
+
+def test_functional_to_kernel_eigendecomposes_the_gram_matrix_once(monkeypatch):
+    m2 = build_matrix_algebra(2)
+    kernel, sizes = count_eigensolves(monkeypatch, lambda: functional_to_kernel(m2, TRACE2))
+    assert sizes == [4]
+    assert kernel.rank == 4
+    assert np.array_equal(kernel.matrix, np.eye(4))
+
+
+def test_cone_morphism_audit_makes_four_eigensolves(monkeypatch):
+    # one per kernel, one for rho2 - rho1 and one for kernel_leq
+    m2 = build_matrix_algebra(2)
+    report, sizes = count_eigensolves(
+        monkeypatch, lambda: cone_morphism_audit(m2, E11, TRACE2, 1.0))
+    assert report.passed
+    assert sizes == [4, 4, 4, 4]
+    with pytest.raises(NotPositive, match="^cone_morphism_audit requires positive functionals$"):
+        cone_morphism_audit(m2, E11, -TRACE2, 1.0)
+
+
 @pytest.mark.parametrize(
     "rho1,rho2,ordered",
     [(E11, TRACE2, True), (TRACE2, E11, False), (E11, E22, False)],

@@ -5,6 +5,7 @@ import pytest
 
 from starrep import (
     GNSRepresentation,
+    build_group_algebra,
     build_matrix_algebra,
     commutant,
     decompose,
@@ -20,11 +21,14 @@ from starrep import (
 from starrep.errors import NotEquivalent, NotPositive, ZeroFunctional
 
 from conftest import (
+    cyclic_group_table,
     random_algebra,
     random_positive_functional,
     random_unitary,
     s3_algebra,
+    s4_algebra,
     z2_algebra,
+    z3_algebra,
 )
 
 TRACE2 = np.array([1.0, 0, 0, 1.0])
@@ -184,6 +188,80 @@ def test_commutant_dimensions():
     assert dim == 2
 
 
+def kron_sum_normal_matrix(mats1, mats2):
+    """The commutant normal matrix summed from explicit Kronecker products."""
+    d1, d2 = mats1.shape[1], mats2.shape[1]
+    normal = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    for a, b in zip(mats1, mats2):
+        k = np.kron(np.eye(d2), a.T) - np.kron(b, np.eye(d1))
+        normal += k.conj().T @ k
+    return normal
+
+
+def test_closed_form_normal_matrix_matches_kron_sum():
+    from starrep.gns import _flatten_commutant_system
+
+    rng = np.random.default_rng(35)
+    unequal = 0
+    for _ in range(25):
+        a, _ = random_algebra(rng)
+        rep1 = gns_construct(a, random_positive_functional(a, rng))
+        rep2 = gns_construct(a, random_positive_functional(a, rng))
+        if rep1.rep_dim == 0 or rep2.rep_dim == 0:
+            continue
+        unequal += rep1.rep_dim != rep2.rep_dim
+        for m1, m2 in [(rep1.matrices, rep1.matrices), (rep1.matrices, rep2.matrices),
+                       (rep2.matrices, rep1.matrices)]:
+            oracle = kron_sum_normal_matrix(m1, m2)
+            closed = _flatten_commutant_system(m1, m2)
+            assert closed.shape == oracle.shape
+            scale = max(float(np.max(np.abs(oracle))), 1.0)
+            assert np.max(np.abs(closed - oracle)) <= 1e-12 * scale
+    assert unequal >= 5
+
+
+def matrix_state(weights):
+    """Values on the matrix units of tr(D .) with D = diag(weights)."""
+    return np.diag(np.asarray(weights, dtype=float)).ravel()
+
+
+@pytest.mark.parametrize(
+    "algebra,rho,dim",
+    [
+        (s3_algebra(), np.eye(6)[0], 6),
+        (build_matrix_algebra(3), matrix_state([1, 2, 3]) / 6, 9),
+        (build_matrix_algebra(4), matrix_state([1, 2, 3, 4]) / 10, 16),
+        (s4_algebra(), np.eye(24)[0], 1 + 1 + 4 + 9 + 9),
+    ],
+    ids=["S3-regular", "M3-faithful", "M4-faithful", "S4-delta"],
+)
+def test_commutant_dimension_and_basis(algebra, rho, dim):
+    rep = gns_construct(algebra, rho)
+    basis, comm_dim = commutant(rep)
+    assert comm_dim == dim
+    assert basis.shape == (dim, rep.rep_dim, rep.rep_dim)
+    residual = basis[:, None] @ rep.matrices[None] - rep.matrices[None] @ basis[:, None]
+    assert np.max(np.abs(residual)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "algebra,order", [(s4_algebra(), 24), (build_group_algebra(cyclic_group_table(5)), 5)],
+    ids=["S4", "Z5"],
+)
+def test_one_dimensional_components_are_irreducible(algebra, order):
+    # the normal matrix of a one-dimensional representation against itself
+    # is zero; the closed form must not leave a roundoff residue that reads
+    # as rank 1 (the characters split off by decompose carry roundoff)
+    for seed in range(4):
+        dec = decompose(algebra, np.eye(order)[0], seed=seed)
+        characters = [c for c in dec.components if c.representation.rep_dim == 1]
+        assert characters
+        for c in characters:
+            assert commutant(c.representation)[1] == 1
+            assert representations_equivalent(c.representation, c.representation)
+            assert is_extremal(algebra, c.functional)
+
+
 def test_commutant_basis_commutes():
     m2 = build_matrix_algebra(2)
     rep = gns_construct(m2, TRACE2)
@@ -318,3 +396,95 @@ def test_decompose_rejects_bad_input():
         decompose(z2, [1, 2.0])
     with pytest.raises(ZeroFunctional):
         decompose(z2, [0, 0])
+
+
+@pytest.mark.parametrize(
+    "call,zero",
+    [(decompose, "cannot decompose the zero functional"),
+     (is_extremal, "the zero functional is not in scope")],
+    ids=["decompose", "is_extremal"],
+)
+def test_errors_keep_their_messages(call, zero):
+    z2 = z2_algebra()
+    not_positive = f"^{call.__name__} requires a positive functional$"
+    with pytest.raises(NotPositive, match=not_positive):
+        call(z2, [1, 2.0])
+    with pytest.raises(NotPositive, match=not_positive):
+        call(z2, [1, 1j])
+    with pytest.raises(ZeroFunctional, match=f"^{zero}$"):
+        call(z2, [0, 0])
+
+
+def gram_eigensolves(monkeypatch, run):
+    """Run ``run()`` and count, per Gram matrix built, the eigensolves of it."""
+    import starrep.duality
+    import starrep.gns
+    import starrep.numerics
+
+    grams, solved = [], []
+    build, solve = starrep.duality.gram_matrix, starrep.numerics.hermitian_eigen
+
+    def recorded_gram(*args):
+        grams.append(build(*args))
+        return grams[-1]
+
+    def recorded_solve(m, *args, **kwargs):
+        solved.append(np.array(m))
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(starrep.duality, "gram_matrix", recorded_gram)
+    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", recorded_solve)
+    monkeypatch.setattr(starrep.gns, "hermitian_eigen", recorded_solve)
+    run()
+    return [sum(m.shape == g.shape and np.array_equal(m, g) for m in solved) for g in grams]
+
+
+def test_decompose_eigendecomposes_each_gram_matrix_once(monkeypatch):
+    # the whole state, then one Gram matrix per piece split off
+    counts = gram_eigensolves(monkeypatch, lambda: decompose(z2_algebra(), [1, 0], seed=0))
+    assert counts == [1, 1, 1]
+    counts = gram_eigensolves(
+        monkeypatch, lambda: decompose(build_matrix_algebra(2), TRACE2, seed=7))
+    assert counts == [1, 1, 1]
+
+
+def test_is_extremal_eigendecomposes_the_gram_matrix_once(monkeypatch):
+    assert gram_eigensolves(monkeypatch, lambda: is_extremal(z2_algebra(), [1, 0])) == [1]
+    assert gram_eigensolves(
+        monkeypatch, lambda: is_extremal(build_matrix_algebra(2), [1.0, 0, 0, 0])) == [1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decompose_z3_delta_into_its_three_characters(seed):
+    # the real part of a commutant combination cannot separate the two
+    # complex-conjugate characters of Z_3; the phased hermitization does
+    z3 = z3_algebra()
+    delta = np.eye(3)[0]
+    dec = decompose(z3, delta, seed=seed)
+    assert [c.representation.rep_dim for c in dec.components] == [1, 1, 1]
+    assert sorted(len(c) for c in dec.multiplicity_classes) == [1, 1, 1]
+    assert np.allclose([c.weight for c in dec.components], 1 / 3, atol=1e-10)
+    omega = np.exp(2j * np.pi / 3)
+    characters = sorted(np.round(c.functional[1], 10) for c in dec.components)
+    assert np.allclose(characters, sorted(np.round([1, omega, omega**2], 10)), atol=1e-9)
+    rebuilt = sum(c.weight * c.functional for c in dec.components)
+    assert np.max(np.abs(rebuilt - delta)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decompose_matrix_plus_z4_delta(seed):
+    # 1/2 tr/2 on M_2 plus 1/2 delta_e on Z_4: two copies of the defining
+    # representation of M_2 with weight 1/4 each, and the four characters of
+    # Z_4 with weight (1/2)(1/4) each
+    z4 = build_group_algebra(cyclic_group_table(4))
+    algebra = direct_sum_algebra(build_matrix_algebra(2), z4)
+    rho = np.concatenate([0.5 * TRACE2 / 2, 0.5 * np.eye(4)[0]])
+    dec = decompose(algebra, rho, seed=seed)
+    dims = sorted(c.representation.rep_dim for c in dec.components)
+    assert dims == [1, 1, 1, 1, 2, 2]
+    assert sorted(len(c) for c in dec.multiplicity_classes) == [1, 1, 1, 1, 2]
+    for c in dec.components:
+        expected = 1 / 4 if c.representation.rep_dim == 2 else 1 / 8
+        assert c.weight == pytest.approx(expected, abs=1e-10)
+    rebuilt = sum(c.weight * c.functional for c in dec.components)
+    assert np.max(np.abs(rebuilt - rho)) < 1e-10
