@@ -43,9 +43,9 @@ def evaluate(algebra: FiniteStarAlgebra, functional, x) -> complex:
 def gram_matrix(algebra: FiniteStarAlgebra, functional) -> np.ndarray:
     """Matrix G[i, j] = rho(e_i^* e_j) of the sesquilinear form induced by rho."""
     r = _check_vector(algebra, functional, "functional")
-    return np.einsum(
-        "ip,pjk,k->ij", algebra.involution, algebra.structure_constants, r
-    )
+    n = algebra.dim
+    products = algebra.structure_constants.reshape(n * n, n) @ r  # rho(e_p e_j)
+    return algebra.involution @ products.reshape(n, n)
 
 
 def is_positive(

@@ -29,13 +29,15 @@ __all__ = [
     "pseudo_inverse",
     "psd_check",
     "psd_rank",
+    "index_blocks",
 ]
 
 # Off-diagonal Frobenius mass below this fraction of ||M||_F counts as
 # diagonal; quadratic convergence of Jacobi makes the sweep cap generous.
 _JACOBI_REL_THRESHOLD = 1e-14
 _JACOBI_MAX_SWEEPS = 100
-# Entries per temporary of a batched rotation (256 KiB of complex numbers).
+# Entries per temporary of a batched rotation or of one block of a law check
+# (256 KiB of complex numbers).
 _BLOCK_ENTRIES = 1 << 14
 
 # Eigenvalues closer than this (relative) are treated as a tie and their
@@ -124,6 +126,17 @@ def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
             f"asymmetry {asym:.3e} exceeds match_tol {pol.match_tol:.1e} times the largest entry"
         )
     return (a + a.conj().T) / 2.0
+
+
+def index_blocks(n: int, entries_per_index: int) -> list[slice]:
+    """Consecutive slices covering range(n), for work done a block at a time.
+
+    A block holds as many indices as fit in _BLOCK_ENTRIES entries at
+    ``entries_per_index`` each, and at least one, so that a temporary of
+    ``len(block) * entries_per_index`` entries stays bounded whatever n is.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(1, entries_per_index))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -287,17 +300,25 @@ def hermitian_eigen(
     return _canonical_columns(values, vectors)
 
 
-def psd_rank(values: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:
+def psd_rank(
+    values: np.ndarray,
+    pol: TolerancePolicy = DEFAULT_POLICY,
+    scale: float | None = None,
+) -> tuple[bool, int]:
     """The PSD verdict and the numerical rank read off descending eigenvalues.
 
     The matrix is PSD when its least eigenvalue is at least
     ``-psd_tol * (1 + lambda_max)``.  ``rank`` counts the eigenvalues above
-    ``rel_rank_tol * lambda_max``, so they are ``values[:rank]``; the cutoff
-    is relative so that uniformly scaled matrices keep their rank.
+    ``rel_rank_tol * scale``, so they are ``values[:rank]``; the cutoff
+    is relative so that uniformly scaled matrices keep their rank.  ``scale``
+    defaults to lambda_max; a caller that knows the size of the data the
+    matrix was built from passes that instead, so that a matrix made of
+    roundoff alone has rank 0.
     """
     lam_max = max(float(values[0]), 0.0)
     is_psd = bool(values[-1] >= -pol.psd_tol * (1.0 + lam_max))
-    rank = int(np.count_nonzero(values > pol.rel_rank_tol * lam_max))
+    cutoff = pol.rel_rank_tol * (lam_max if scale is None else scale)
+    rank = int(np.count_nonzero(values > cutoff))
     return is_psd, rank
 
 

@@ -89,15 +89,38 @@ def _decode_complex(value, path: str) -> complex:
     return complex(value[0], value[1])
 
 
+def _decode_pairs(value, ndim: int) -> np.ndarray | None:
+    """The complex ndim-d array of nested [re, im] pairs in one numpy step.
+
+    None when ``value`` is not a nonempty, rectangular nest of numeric
+    pairs of that depth; the entry-by-entry decoders below then say where it
+    goes wrong.  The pairs are reinterpreted, not recomputed, as complex
+    numbers, so the result is bit for bit what ``complex(re, im)`` gives.
+    """
+    try:
+        a = np.array(value)
+    except (ValueError, TypeError):
+        return None
+    if a.dtype.kind not in "biuf" or a.ndim != ndim + 1 or a.shape[-1] != 2 or a.size == 0:
+        return None
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+
+
 def _decode_vector(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{path}: expected a nonempty array")
+    fast = _decode_pairs(value, 1)
+    if fast is not None:
+        return fast
     return np.array([_decode_complex(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
 def _decode_matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{path}: expected a nonempty 2-d array")
+    fast = _decode_pairs(value, 2)
+    if fast is not None:
+        return fast
     rows = [_decode_vector(row, f"{path}[{i}]") for i, row in enumerate(value)]
     widths = {row.shape[0] for row in rows}
     if len(widths) != 1:
@@ -108,6 +131,9 @@ def _decode_matrix(value, path: str) -> np.ndarray:
 def _decode_tensor(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{path}: expected a nonempty 3-d array")
+    fast = _decode_pairs(value, 3)
+    if fast is not None:
+        return fast
     slabs = [_decode_matrix(slab, f"{path}[{i}]") for i, slab in enumerate(value)]
     shapes = {slab.shape for slab in slabs}
     if len(shapes) != 1:

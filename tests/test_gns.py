@@ -175,6 +175,41 @@ def test_functional_equality_decides_equivalence():
             intertwiner(rep, gns_construct(a, perturbed))
 
 
+def test_equivalence_survives_roundoff_between_one_dimensional_copies():
+    # the normal matrix of two 1x1 representations is sum |a_i - b_i|^2; a
+    # cutoff relative to it alone read any residue as "no intertwiner"
+    z2 = z2_algebra()
+    rep = gns_construct(z2, [1.0, 1.0])
+    nudged = GNSRepresentation(
+        z2, rep.matrices + 2e-16, rep.cyclic_vector, rep.source_functional, rep.embedding
+    )
+    assert representations_equivalent(rep, nudged)
+    assert not representations_equivalent(rep, gns_construct(z2, [1.0, -1.0]))
+
+
+def test_like_characters_across_seeds_are_equivalent():
+    # the irreducible components of delta_e on S_4 from two seeds: a pair is
+    # equivalent exactly when the two have the same character
+    s4 = s4_algebra()
+    delta = np.eye(24)[0]
+    anchors = [
+        [dec.components[cls[0]].representation for cls in dec.multiplicity_classes]
+        for dec in (decompose(s4, delta, seed=0), decompose(s4, delta, seed=1))
+    ]
+    assert len(anchors[0]) == len(anchors[1]) == 5
+
+    def character(rep):
+        return np.trace(rep.matrices, axis1=1, axis2=2)
+
+    like = 0
+    for rep0 in anchors[0]:
+        for rep1 in anchors[1]:
+            same = np.allclose(character(rep0), character(rep1), atol=1e-8)
+            like += same
+            assert representations_equivalent(rep0, rep1) == same
+    assert like == 5
+
+
 def test_commutant_dimensions():
     c1 = build_matrix_algebra(1)
     _, dim = commutant(gns_construct(c1, [1.0]))

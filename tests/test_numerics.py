@@ -10,6 +10,7 @@ from starrep import (
     pseudo_inverse,
     psd_check,
 )
+from starrep.numerics import psd_rank
 from starrep.errors import NegativeEigenvalue, NonSquare, NotHermitian
 
 from conftest import random_hermitian, random_psd, s3_algebra
@@ -223,6 +224,13 @@ def test_psd_check_relative_rank_cutoff():
     assert psd_check(m) == (True, 1)
     assert psd_check(1e-12 * np.diag([1.0, 0.5, 0.0])) == (True, 2)
     assert psd_check(1e-13 * np.diag([1e-30, 1.0])) == (True, 1)
+
+
+def test_psd_rank_cutoff_relative_to_a_given_scale():
+    values = np.array([1e-30])
+    assert psd_rank(values) == (True, 1)
+    assert psd_rank(values, scale=1.0) == (True, 0)
+    assert psd_rank(np.array([2.0, 1e-10]), scale=1.0) == (True, 1)
 
 
 def test_policy_rejects_negative_tolerances():
