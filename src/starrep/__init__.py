@@ -33,9 +33,11 @@ from .duality import (
     is_positive,
 )
 from .gns import (
+    BlockData,
     Decomposition,
     DecompositionComponent,
     GNSRepresentation,
+    block_data,
     commutant,
     decompose,
     gns_construct,

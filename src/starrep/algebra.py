@@ -9,7 +9,7 @@ coordinates of the unit.  Elements are plain complex coordinate vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,10 @@ class FiniteStarAlgebra:
     involution: np.ndarray  # (n, n), e_i^* = sum_j S[i,j] e_j
     unit: np.ndarray  # (n,)
     labels: tuple[str, ...] | None = None
+    # Data other modules derive from the algebra on first use and keep for
+    # its lifetime, such as the Wedderburn blocks of ``gns.block_data``,
+    # keyed by what they were derived with.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.structure_constants, dtype=complex)

@@ -3,7 +3,9 @@
 Reports are machine-readable JSON on stdout (or a flat text rendering with
 ``--output text``); diagnostics go to stderr.  Exit status is 0 on success,
 1 when an operation fails for a domain reason (e.g. a difference that is not
-dominated), and 2 on usage or workspace errors.  Given the same workspace,
+dominated), 2 on usage or workspace errors, and 3 when an operation needs
+the Wedderburn blocks of an algebra that is not semisimple
+(``errors.StarRepError.exit_status``).  Given the same workspace,
 command, and seed, the emitted report is byte-identical across runs.
 
 Every verb is one entry of ``VERBS``: the names of its arguments and the
@@ -23,8 +25,7 @@ import numpy as np
 
 from . import correspondence as corr
 from . import gns, kernels
-from .algebra import validate_algebra
-from .errors import BadArgument, StarRepError, ValidationError, WorkspaceError
+from .errors import BadArgument, StarRepError, ValidationError
 from .kernels import Kernel
 from .numerics import TolerancePolicy
 from .workspace import WorkspaceFile, encode_matrix, parse_workspace
@@ -69,7 +70,7 @@ def _gns(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
 
 
 def _decompose(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
-    result = gns.decompose(v.algebra, v.functional, pol, seed=v.seed)
+    result = gns.decompose(v.algebra, v.functional, pol)
     return {
         "components": [
             {
@@ -116,7 +117,8 @@ class Verb(NamedTuple):
     """A verb's argument names, in command-line order, and its output builder.
 
     ``run(v, pol)`` gets the parsed command with every argument replaced by
-    what it names in the workspace (see ``_resolve``).
+    what it names in the workspace (see ``_resolve``), and the workspace
+    itself as ``v.ws``.
     """
 
     args: tuple[str, ...]
@@ -128,7 +130,7 @@ _KERNEL_PAIR = ("k1", "k2")
 
 # Listed in the order ``starrep --help`` shows them.
 VERBS: dict[str, Verb] = {
-    "validate": Verb(("algebra",), lambda v, pol: validate_algebra(v.algebra, pol).as_dict()),
+    "validate": Verb(("algebra",), lambda v, pol: v.ws.validation(v.algebra).as_dict()),
     "gns": Verb(_ON_FUNCTIONAL, _gns),
     "kernel": Verb(_ON_FUNCTIONAL, lambda v, pol: _matrix_rank(
         corr.functional_to_kernel(v.algebra, v.functional, pol))),
@@ -265,7 +267,7 @@ def run_command(ws: WorkspaceFile, args: argparse.Namespace, pol: TolerancePolic
     # that there is no algebra `nope`.
     names = sorted(map(_dest, verb.args), key=lambda name: name not in _FUNCTIONAL_ARGS)
     values = {name: _resolve(ws, args, name) for name in names}
-    outputs = verb.run(argparse.Namespace(**{**vars(args), **values}), pol)
+    outputs = verb.run(argparse.Namespace(**{**vars(args), **values, "ws": ws}), pol)
     return {
         "verb": args.verb,
         "inputs": {name: _echo(name, getattr(args, name), values[name]) for name in names},
@@ -319,7 +321,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(failure, indent=2, sort_keys=True))
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, WorkspaceError) else 1
+        return exc.exit_status
 
     if args.output == "json":
         print(json.dumps(report, indent=2, sort_keys=True))

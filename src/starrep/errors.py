@@ -1,8 +1,16 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each class carries ``exit_status``, the status the command line exits with
+when it reports that error: 1 for a domain error, 2 for a usage or
+workspace error, 3 for an algebra that is not semisimple.  A subclass
+inherits its base's status unless it sets its own.
+"""
 
 
 class StarRepError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_status = 1
 
 
 # -- numerics ---------------------------------------------------------------
@@ -37,6 +45,16 @@ class NotAGroup(StarRepError):
     pass
 
 
+class NotSemisimple(StarRepError):
+    """The algebra has no faithful trace, so it is not a direct sum of matrix algebras.
+
+    Raised when the Wedderburn block data is first needed, not at load: the
+    Gram-form operations work on any *-algebra.
+    """
+
+    exit_status = 3
+
+
 # -- duality / gns ----------------------------------------------------------
 
 class NotPositive(StarRepError):
@@ -56,10 +74,6 @@ class NotEquivalent(StarRepError):
 
 
 class InvalidRepresentation(StarRepError):
-    pass
-
-
-class SplitFailure(StarRepError):
     pass
 
 
@@ -103,6 +117,8 @@ class PullbackInvarianceFailure(StarRepError):
 
 class WorkspaceError(StarRepError):
     """Base class for workspace-file and command-dispatch errors."""
+
+    exit_status = 2
 
 
 class IoError(WorkspaceError):

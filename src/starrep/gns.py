@@ -2,9 +2,10 @@
 
 The construction quotients the algebra by the null space of the Gram form
 and rescales the surviving eigendirections so that the representation space
-carries the standard inner product on C^d.  Everything downstream
-(commutants, irreducibility, splitting into irreducible pieces) is plain
-matrix algebra on that space.
+carries the standard inner product on C^d.  Commutants, irreducibility,
+extremality, equivalence and the splitting into irreducible pieces are
+read in closed form off the algebra's Wedderburn block data
+(``block_data``), computed once per algebra.
 
 Inner products are written antilinear in the first argument throughout:
 ``(a, b) = sum_k conj(a_k) b_k``.  The defining reproduction identity is
@@ -14,16 +15,18 @@ Inner products are written antilinear in the first argument throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import FiniteStarAlgebra
-from .duality import hermitian_gram
+from .duality import _check_vector, hermitian_gram
 from .errors import (
     InvalidRepresentation,
+    NoConvergence,
     NotEquivalent,
     NotPositive,
-    SplitFailure,
+    NotSemisimple,
     ZeroFunctional,
 )
 from .numerics import (
@@ -32,6 +35,7 @@ from .numerics import (
     ValidationReport,
     hermitian_eigen,
     index_blocks,
+    is_hermitian,
     psd_check,
     psd_rank,
     pseudo_inverse,
@@ -39,10 +43,12 @@ from .numerics import (
 
 __all__ = [
     "GNSRepresentation",
+    "BlockData",
     "Decomposition",
     "DecompositionComponent",
     "gns_construct",
     "verify_star_rep",
+    "block_data",
     "intertwiner",
     "commutant",
     "is_irreducible",
@@ -51,11 +57,9 @@ __all__ = [
     "decompose",
 ]
 
-# Relative gap below which two eigenvalues of a splitting operator are
-# treated as one cluster; a draw whose spectrum forms a single cluster is
-# discarded and redrawn.
-_CLUSTER_GAP_TOL = 1e-7
-_MAX_SPLIT_RETRIES = 8
+# The generic elements that resolve an algebra into blocks are drawn from
+# this seed, so that the block data is a function of the algebra and policy.
+_BLOCK_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -138,30 +142,22 @@ def gns_construct(
     )
 
 
-def verify_star_rep(
-    rep: GNSRepresentation, pol: TolerancePolicy = DEFAULT_POLICY
-) -> ValidationReport:
-    """Report the worst violation of each defining law of the representation.
+def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, float]:
+    """Worst violations of the unit, product and adjoint laws by images of the basis.
 
-    Checked: the unit acts as the identity; multiplicativity on basis pairs;
-    the adjoint property pi(e_i^*) = pi(e_i)^dagger; cyclicity of the
-    distinguished vector; and reproduction of the source functional.  Each
-    violation is the exact maximum over all index tuples.  Multiplicativity,
-    n^2 d^2 entries, is checked a block of the first index at a time
-    (``index_blocks``) as two BLAS matmuls per block, so it costs
+    ``mats`` stacks candidate images pi(e_i), shape (n, d, d).
+    Multiplicativity, n^2 d^2 entries, is checked a block of the first index
+    at a time (``index_blocks``) as two BLAS matmuls per block, so it costs
     O(n^2 d^2 (n + d)) work in O(n d^2) memory; the other laws are matmuls.
     """
-    a = rep.algebra
-    mats = rep.matrices
-    xi = rep.cyclic_vector
-    n, d = a.dim, rep.rep_dim
-    c = a.structure_constants
+    n, d = algebra.dim, mats.shape[1]
+    c = algebra.structure_constants
     flat = mats.reshape(n, d * d)  # [k, (a, b)]
 
     def maxabs(x) -> float:
         return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
-    unit_dev = maxabs((a.unit @ flat).reshape(d, d) - np.eye(d))
+    unit_dev = maxabs((algebra.unit @ flat).reshape(d, d) - np.eye(d))
 
     # pi(e_i) pi(e_j) as [i, a, j, c] against sum_k c[i, j, k] pi(e_k) as
     # [i, j, a, c]
@@ -173,26 +169,185 @@ def verify_star_rep(
         table = (c[blk].reshape(rows * n, n) @ flat).reshape(rows, n, d, d)
         mult_dev = max(mult_dev, maxabs(products.transpose(0, 2, 1, 3) - table))
 
-    star_images = (a.involution @ flat).reshape(n, d, d)
+    star_images = (algebra.involution @ flat).reshape(n, d, d)
     star_dev = maxabs(star_images - np.conj(np.transpose(mats, (0, 2, 1))))
+    return {"unit": unit_dev, "multiplicativity": mult_dev, "star_property": star_dev}
+
+
+def verify_star_rep(
+    rep: GNSRepresentation, pol: TolerancePolicy = DEFAULT_POLICY
+) -> ValidationReport:
+    """Report the worst violation of each defining law of the representation.
+
+    Checked: the unit acts as the identity; multiplicativity on basis pairs;
+    the adjoint property pi(e_i^*) = pi(e_i)^dagger (all three by
+    ``_law_violations``); cyclicity of the distinguished vector; and
+    reproduction of the source functional.  Each violation is the exact
+    maximum over all index tuples.
+    """
+    mats = rep.matrices
+    xi = rep.cyclic_vector
+    d = rep.rep_dim
 
     t = rep.orbit_matrix()
     _, orbit_rank = psd_check(t @ t.conj().T, pol) if d else (True, 0)
     cyclic_dev = float(d - orbit_rank)
 
     reproduced = (mats @ xi) @ np.conj(xi)
-    repro_dev = maxabs(reproduced - rep.source_functional)
+    repro_dev = float(np.max(np.abs(reproduced - rep.source_functional)))
 
     return ValidationReport(
         violations={
-            "unit": unit_dev,
-            "multiplicativity": mult_dev,
-            "star_property": star_dev,
+            **_law_violations(rep.algebra, mats),
             "cyclicity": cyclic_dev,
             "reproduction": repro_dev,
         },
         tolerance=pol.match_tol,
     )
+
+
+def _block_slices(sizes: tuple[int, ...]) -> list[slice]:
+    ends = np.cumsum([k * k for k in sizes])
+    return [slice(int(end) - k * k, int(end)) for end, k in zip(ends, sizes)]
+
+
+class BlockData(NamedTuple):
+    """An algebra written as a direct sum of full matrix algebras, A = (+)_j M_{k_j}.
+
+    ``sizes`` are the k_j.  Column ``j0 + a k_j + b`` of ``units`` holds the
+    coordinates of the matrix unit E^j_ab, where block j owns the columns
+    ``slices[j]`` starting at j0.  ``coords`` inverts ``units``: the same
+    row of ``coords @ x`` is the (a, b) entry of block j of x.
+    ``blocks[j]`` stacks block j of every basis element, shape (n, k_j, k_j);
+    x -> block j of x runs over the irreducible *-representations, each once.
+    """
+
+    sizes: tuple[int, ...]
+    units: np.ndarray  # (n, n)
+    coords: np.ndarray  # (n, n)
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def slices(self) -> list[slice]:
+        return _block_slices(self.sizes)
+
+    def densities(self, functional: np.ndarray) -> list[np.ndarray]:
+        """The D_j with rho(x) = sum_j tr(D_j x_j), that is D_j[b, a] = rho(E^j_ab)."""
+        values = functional @ self.units
+        return [values[s].reshape(k, k).T for s, k in zip(self.slices, self.sizes)]
+
+    def central_projections(self) -> list[np.ndarray]:
+        """Coordinates of z_j = sum_a E^j_aa, the unit of block j."""
+        n = self.units.shape[0]
+        return [np.trace(self.units[:, s].reshape(n, k, k), axis1=1, axis2=2)
+                for s, k in zip(self.slices, self.sizes)]
+
+
+def block_data(
+    algebra: FiniteStarAlgebra, pol: TolerancePolicy = DEFAULT_POLICY
+) -> BlockData:
+    """The algebra's Wedderburn block data, built on first use.
+
+    It is kept on the algebra (``FiniteStarAlgebra.derived``), one build per
+    policy; see ``_build_block_data``.  NotSemisimple when the algebra has
+    no faithful trace.
+    """
+    key = ("block_data", pol)
+    if key not in algebra.derived:
+        algebra.derived[key] = _build_block_data(algebra, pol)
+    return algebra.derived[key]
+
+
+def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> BlockData:
+    """Resolve the algebra into matrix units from two generic elements.
+
+    The trace tau(x) = tr L_x, tau_k = sum_j c[k, j, j], is faithful
+    exactly when the algebra is semisimple; its GNS representation pi is
+    then the left-regular one, in a frame orthonormal for tau(x^* y).  The
+    eigenspaces of pi(h) for one generic hermitian h are the ranges of
+    minimal projections F_a, and F_a, F_b lie in one block exactly when
+    F_a Y F_b != 0 for a generic Y = pi(y) (the random-element block
+    diagonalisation of Murota, Kanno, Kojima & Kojima, 2010).  In a block
+    with projections F_1 .. F_k the matrix units are E_a1 = F_a Y F_1 /
+    sqrt(t), with t such that E_a1^H E_a1 = F_1, E_11 = F_1, and
+    E_ab = E_a1 E_b1^H.  An element X of pi(A) has coordinates
+    q^-1 (X xi).  The generic elements come from a fixed seed, and the
+    result is checked once: the blocks of the basis must reproduce the
+    unit, product and involution, and ``coords`` must invert ``units``,
+    within match_tol.
+    """
+    n = algebra.dim
+    tau = np.trace(algebra.structure_constants, axis1=1, axis2=2)
+    try:
+        regular = gns_construct(algebra, tau, pol)
+    except NotPositive:
+        raise NotSemisimple("the trace x -> tr L_x is not positive") from None
+    if regular.rep_dim < n:
+        raise NotSemisimple(
+            f"the trace x -> tr L_x is degenerate: its Gram form has rank "
+            f"{regular.rep_dim} < {n}"
+        )
+    q, xi = regular.embedding, regular.cyclic_vector
+    # q has orthogonal rows, so its inverse is its adjoint over their squared norms
+    q_inv = q.conj().T / np.sum(np.abs(q) ** 2, axis=1)
+
+    rng = np.random.default_rng(_BLOCK_SEED)
+    draws = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    x, y = ((draws @ q_inv.T) @ regular.matrices.reshape(n, n * n)).reshape(2, n, n)
+    values, vectors = hermitian_eigen((x + x.conj().T) / 2.0, pol)
+    gap = pol.match_tol * float(np.max(np.abs(values)))
+    cuts = np.flatnonzero(np.diff(values) < -gap) + 1
+    spaces = [vectors[:, idx] for idx in np.split(np.arange(n), cuts)]
+
+    groups: list[list[np.ndarray]] = []
+    linked = pol.match_tol * float(np.linalg.norm(y))
+    for v in spaces:
+        for group in groups:
+            if np.linalg.norm(v.conj().T @ y @ group[0]) > linked:
+                group.append(v)
+                break
+        else:
+            groups.append([v])
+
+    sizes = tuple(len(group) for group in groups)
+    if any(v.shape[1] != len(group) for group in groups for v in group):
+        raise NoConvergence(
+            f"eigenspaces of a generic element do not form matrix blocks: "
+            f"blocks {sizes}, eigenspaces {[v.shape[1] for v in spaces]}"
+        )
+    images = []  # E^j_ab xi, in column order (j, a, b)
+    for group in groups:
+        k, first = len(group), group[0]
+        # V_a M_a with M_a = V_a^H Y V_1 / sqrt(t) unitary, and M_1 = I
+        lifts = [first]
+        for v in group[1:]:
+            link = v.conj().T @ y @ first
+            lifts.append(v @ (link * (np.sqrt(k) / np.linalg.norm(link))))
+        # E_ab xi = (V_a M_a)(V_b M_b)^H xi
+        tails = np.stack([lift.conj().T @ xi for lift in lifts], axis=1)
+        images.extend(lift @ tails for lift in lifts)
+    images = np.hstack(images)
+    units = q_inv @ images
+    # the E_ab xi are orthogonal with squared norm tau(E_ba E_ab) = k_j
+    norms = np.repeat(sizes, [k * k for k in sizes])
+    coords = (images.conj().T @ q) / norms[:, None]
+
+    blocks = tuple(np.ascontiguousarray(coords[s].T).reshape(n, k, k)
+                   for s, k in zip(_block_slices(sizes), sizes))
+    worst = {"inverse": float(np.max(np.abs(coords @ units - np.eye(n))))}
+    for stack in blocks:
+        stack.setflags(write=False)
+        for law, dev in _law_violations(algebra, stack).items():
+            worst[law] = max(worst.get(law, 0.0), dev)
+    report = ValidationReport(violations=worst, tolerance=pol.match_tol)
+    if not report.passed:
+        law = max(worst, key=worst.get)
+        raise NoConvergence(
+            f"the blocks {sizes} miss the algebra: {law} deviates by {worst[law]:.3e}"
+        )
+    for a in (units, coords):
+        a.setflags(write=False)
+    return BlockData(sizes=sizes, units=units, coords=coords, blocks=blocks)
 
 
 def intertwiner(
@@ -233,41 +388,31 @@ def intertwiner(
     return u
 
 
-def _flatten_commutant_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
-    """Normal matrix of the linear system X pi1(e_i) = pi2(e_i) X (row-major vec).
+def _multiplicities(rep: GNSRepresentation, pol: TolerancePolicy) -> np.ndarray:
+    """How often rep holds the irreducible representation of each block.
 
-    With A_i = pi1(e_i) (d1 x d1), B_i = pi2(e_i) (d2 x d2) and the
-    constraint matrices K_i = I (x) A_i^T - B_i (x) I, the normal matrix
-    sum_i K_i^H K_i expands in closed form to
-
-        I (x) sum_i conj(A_i) A_i^T  +  sum_i B_i^H B_i (x) I  -  (X + X^H),
-
-    with X = sum_i B_i (x) conj(A_i), a single (d2^2 x n) by (n x d1^2)
-    product regrouped as (d2 d1) x (d2 d1).  That is O(n d1^2 d2^2) work and
-    no per-generator Kronecker products.
-
-    K_i does not change when A_i and B_i are shifted by the same multiple of
-    the identity, so each pair is first centred by the mean of their
-    normalised traces.  The expansion then cancels only the non-scalar
-    parts in floating point: a one-dimensional representation against
-    itself gives an exact zero, as the Kronecker form does.
+    m_j = tr pi(z_j) / k_j, z_j the block's central projection, read off
+    the character tr pi(e_i).  InvalidRepresentation when rep is empty,
+    some m_j is further than match_tol * d from an integer, or the m_j do
+    not add up to d (pi(1) is not the identity).
     """
-    n, d1, _ = mats1.shape
-    d2 = mats2.shape[1]
-    shift = (np.trace(mats1, axis1=1, axis2=2) / d1
-             + np.trace(mats2, axis1=1, axis2=2) / d2) / 2
-    mats1 = mats1 - shift[:, None, None] * np.eye(d1)
-    mats2 = mats2 - shift[:, None, None] * np.eye(d2)
-    a_bar = np.conj(mats1)
-    x = mats2.reshape(n, d2 * d2).T @ a_bar.reshape(n, d1 * d1)
-    x = x.reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3).reshape(d2 * d1, d2 * d1)
-    normal = -(x + x.conj().T)
-    # (row block, row within, column block, column within) view of normal
-    blocks = normal.reshape(d2, d1, d2, d1)
-    same1, same2 = np.arange(d1), np.arange(d2)
-    blocks[same2, :, same2, :] += np.einsum("iab,icb->ac", a_bar, mats1)
-    blocks[:, same1, :, same1] += np.einsum("iba,ibc->ac", np.conj(mats2), mats2)
-    return normal
+    d = rep.rep_dim
+    if d < 1:
+        raise InvalidRepresentation("the empty representation has no multiplicities")
+    data = block_data(rep.algebra, pol)
+    character = np.trace(rep.matrices, axis1=1, axis2=2)
+    counts = np.array([character @ z / k for z, k in
+                       zip(data.central_projections(), data.sizes)])
+    whole = np.rint(counts.real)
+    off = float(np.max(np.abs(counts - whole)))
+    if off > pol.match_tol * d:
+        raise InvalidRepresentation(
+            f"block multiplicities {np.round(counts.real, 6).tolist()} are {off:.3e} "
+            "from integers"
+        )
+    if int(whole @ data.sizes) != d:
+        raise InvalidRepresentation(f"block multiplicities {whole.tolist()} do not fill d = {d}")
+    return whole.astype(int)
 
 
 def commutant(
@@ -275,51 +420,38 @@ def commutant(
 ) -> tuple[np.ndarray, int]:
     """Orthonormal basis of {C : C pi(e_i) = pi(e_i) C for all i} and its dimension.
 
-    Computed as the null space of the stacked commutation constraints on d^2
-    unknowns; the basis (stacked as an array of d x d matrices) is the set of
-    null eigenvectors of the normal matrix, in canonical eigen order.  The
-    normal matrix is built in closed form (``_flatten_commutant_system``) in
-    O(n d^4) work; its d^2 x d^2 eigensolve dominates the cost.
+    The commutant is (+)_j M_{m_j}, m_j the multiplicity of block j, of
+    dimension sum_j m_j^2.  For each block with m_j > 0, W holds an
+    orthonormal basis of the range of pi(E^j_11) (one d x d eigensolve),
+    and the basis elements are sum_a pi(E^j_a1) W_s W_t^H pi(E^j_1a) /
+    sqrt(k_j), orthonormal in the Frobenius inner product, stacked as an
+    array of d x d matrices in the order (j, s, t).
     """
-    d = rep.rep_dim
-    if d < 1:
-        raise InvalidRepresentation("commutant requires a nonempty representation")
-    normal = _flatten_commutant_system(rep.matrices, rep.matrices)
-    values, vectors = hermitian_eigen(normal, pol)
-    _, rank = psd_rank(values, pol)
-    dim = values.size - rank
-    basis = vectors[:, rank:].T.reshape(dim, d, d)
-    return basis, dim
+    counts = _multiplicities(rep, pol)
+    data = block_data(rep.algebra, pol)
+    n, d = rep.algebra.dim, rep.rep_dim
+    flat = rep.matrices.reshape(n, d * d)
+    basis = []
+    for s, k, m in zip(data.slices, data.sizes, counts):
+        if m == 0:
+            continue
+        units = data.units[:, s].reshape(n, k, k)
+        down = (units[:, :, 0].T @ flat).reshape(k, d, d)  # pi(E_a1)
+        up = (units[:, 0, :].T @ flat).reshape(k, d, d)  # pi(E_1a)
+        corner = down[0]
+        _, vectors = hermitian_eigen((corner + corner.conj().T) / 2.0, pol)
+        w = vectors[:, :m]
+        left = (down @ w).transpose(2, 1, 0).reshape(m * d, k)  # [(s, row), a]
+        right = (w.conj().T @ up).reshape(k, m * d)  # [a, (t, col)]
+        block = (left @ right).reshape(m, d, m, d).transpose(0, 2, 1, 3)
+        basis.append(block.reshape(m * m, d, d) / np.sqrt(k))
+    basis = np.concatenate(basis)
+    return basis, basis.shape[0]
 
 
 def is_irreducible(rep: GNSRepresentation, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """A representation is irreducible exactly when its commutant is scalar."""
-    _, dim = commutant(rep, pol)
-    return dim == 1
-
-
-def _gns_of_positive(
-    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy, caller: str
-) -> GNSRepresentation:
-    """``gns_construct``, with its NotPositive reworded for the calling function."""
-    try:
-        return gns_construct(algebra, functional, pol)
-    except NotPositive:
-        raise NotPositive(f"{caller} requires a positive functional") from None
-
-
-def is_extremal(
-    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
-    """Whether the order interval [0, rho] consists of multiples of rho alone.
-
-    Decided through irreducibility of the attached representation; at finite
-    dimension the two notions coincide.
-    """
-    rep = _gns_of_positive(algebra, functional, pol, "is_extremal")
-    if float(np.max(np.abs(rep.source_functional))) == 0.0:
-        raise ZeroFunctional("the zero functional is not in scope")
-    return is_irreducible(rep, pol)
+    """Irreducible exactly when rep holds one block's representation once."""
+    return int(np.sum(_multiplicities(rep, pol))) == 1
 
 
 def representations_equivalent(
@@ -329,22 +461,14 @@ def representations_equivalent(
 ) -> bool:
     """Unitary equivalence of two representations, ignoring cyclic vectors.
 
-    Decided by the dimension of the space of intertwiners; for a pair of
-    irreducible representations that dimension is 1 when they are equivalent
-    and 0 otherwise.  The null-space cutoff is relative to
-    sum_i ||pi1(e_i)||_F^2 + ||pi2(e_i)||_F^2, the size of the constraints,
-    not to the normal matrix: for two copies of one character that differ
-    by roundoff the normal matrix is that roundoff alone.
+    Two representations are equivalent exactly when they hold every block's
+    irreducible representation equally often.
     """
     if rep1.rep_dim != rep2.rep_dim:
         return False
     if rep1.rep_dim == 0:
         return True
-    normal = _flatten_commutant_system(rep1.matrices, rep2.matrices)
-    values, _ = hermitian_eigen(normal, pol)
-    scale = sum(np.vdot(r.matrices, r.matrices).real for r in (rep1, rep2))
-    _, rank = psd_rank(values, pol, scale)
-    return rank < values.size
+    return bool(np.array_equal(_multiplicities(rep1, pol), _multiplicities(rep2, pol)))
 
 
 @dataclass(frozen=True)
@@ -362,105 +486,91 @@ class Decomposition:
     multiplicity_classes: tuple[tuple[int, ...], ...]
 
 
-def _eigenvalue_clusters(values: np.ndarray) -> list[np.ndarray]:
-    gap_tol = _CLUSTER_GAP_TOL * (1.0 + float(np.max(np.abs(values))))
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, values.size):
-        if values[k - 1] - values[k] <= gap_tol:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    return [np.asarray(c, dtype=int) for c in clusters]
+def _state_spectra(
+    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy, caller: str, zero: str
+) -> tuple[BlockData, list[tuple[np.ndarray, np.ndarray]], list[int]]:
+    """The block data, the eigenpairs of each density D_j of rho, and their ranks.
+
+    rho is positive exactly when every D_j is hermitian and PSD.  Both are
+    decided with one scale for all blocks: ``is_hermitian`` on the
+    block-diagonal matrix of the D_j, and ``psd_rank`` on all their
+    eigenvalues, each block's rank taken relative to the largest of them.
+    NotPositive names the calling function; ZeroFunctional carries ``zero``.
+    """
+    rho = _check_vector(algebra, functional, "functional")
+    data = block_data(algebra, pol)
+    densities = data.densities(rho)
+    diagonal = np.zeros((sum(data.sizes),) * 2, dtype=complex)
+    start = 0
+    for dens in densities:
+        stop = start + dens.shape[0]
+        diagonal[start:stop, start:stop] = dens
+        start = stop
+    if not is_hermitian(diagonal, pol):
+        raise NotPositive(f"{caller} requires a positive functional")
+    spectra = [hermitian_eigen((dens + dens.conj().T) / 2.0, pol) for dens in densities]
+    values = np.sort(np.concatenate([w for w, _ in spectra]))[::-1]
+    positive, _ = psd_rank(values, pol)
+    if not positive:
+        raise NotPositive(f"{caller} requires a positive functional")
+    if not np.any(rho):
+        raise ZeroFunctional(zero)
+    top = max(float(values[0]), 0.0)
+    return data, spectra, [psd_rank(w, pol, top)[1] for w, _ in spectra]
+
+
+def is_extremal(
+    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
+) -> bool:
+    """Whether the order interval [0, rho] consists of multiples of rho alone.
+
+    Exactly when rho is a vector state of one block: sum_j rank D_j = 1.
+    """
+    _, _, ranks = _state_spectra(
+        algebra, functional, pol, "is_extremal", "the zero functional is not in scope")
+    return sum(ranks) == 1
 
 
 def decompose(
     algebra: FiniteStarAlgebra,
     functional,
     pol: TolerancePolicy = DEFAULT_POLICY,
-    seed: int = 0,
+    *,
+    seed: int | None = None,
 ) -> Decomposition:
     """Split a positive functional into irreducible weighted pieces.
 
-    While the commutant of the current representation is larger than the
-    scalars, a random real combination C of its basis is hermitized with a
-    phase, ((1 - i) C + (1 + i) C^H) / 2 (the sum of the hermitian and
-    anti-hermitian parts of C, so complex-conjugate characters separate
-    too), eigendecomposed, and the space split along its eigenvalue
-    clusters; every cluster is invariant and inherits the projected cyclic
-    vector (the random-element splitting of Murota, Kanno, Kojima & Kojima,
-    2010).  Each piece contributes the normalized functional it reproduces,
-    weighted by the squared norm of the projected cyclic vector, so the
-    weighted pieces sum back to the input.  Components are finally grouped
-    into multiplicity classes by unitary equivalence of their
-    representations.
+    With rho(x) = sum_j tr(D_j x_j) over the algebra's blocks
+    (``block_data``), every kept eigenpair (mu, v) of a density D_j gives
+    one component: the vector state omega(x) = v^H x_j v of weight mu, with
+    the representation x -> x_j on C^{k_j} and cyclic vector v.  So the
+    weighted components sum back to rho, and the components of one block
+    form a multiplicity class.  Components come in block order, and by
+    descending weight within a block.
 
-    Fixed by the input alone: the component dimensions, the multiplicity
-    classes, and the weights of a tracial state (for delta_e on a group G,
-    dim(pi)/|G| per copy; for tr/m on M_m, 1/m per copy).
-    Not fixed: which vector state is picked inside a multiplicity class, and
-    so the weights and functionals of other states; they depend on the
-    commutant basis and can change between versions.  The contract is that
-    the same code, input and seed give the same result, bit for bit.  A draw
-    with a clusterless spectrum is retried up to 8 times before
-    SplitFailure.
+    Everything is fixed by the input: dimensions, classes, and the weights,
+    which are the eigenvalues of the D_j (for delta_e on a group G,
+    dim(pi)/|G| per copy; for tr/m on M_m, 1/m per copy).  Where a D_j has
+    a repeated eigenvalue, the vectors v are its canonical eigenvectors.
+    ``seed`` is accepted for callers written against the earlier random
+    splitting and has no effect.
     """
-    whole = _gns_of_positive(algebra, functional, pol, "decompose")
-    if float(np.max(np.abs(whole.source_functional))) == 0.0:
-        raise ZeroFunctional("cannot decompose the zero functional")
-
-    rng = np.random.default_rng(seed)
+    data, spectra, ranks = _state_spectra(
+        algebra, functional, pol, "decompose", "cannot decompose the zero functional")
     components: list[DecompositionComponent] = []
-
-    def split(weight: float, rep: GNSRepresentation) -> None:
-        basis, comm_dim = commutant(rep, pol)
-        if comm_dim <= 1:
-            components.append(DecompositionComponent(weight, rep.source_functional, rep))
-            return
-
-        clusters = None
-        eigvecs = None
-        for _ in range(_MAX_SPLIT_RETRIES):
-            coeffs = rng.standard_normal(comm_dim)
-            candidate = np.einsum("k,kab->ab", coeffs, basis)
-            # The phase mixes the hermitian and anti-hermitian parts of the
-            # combination; its real part alone cannot tell a character from
-            # its complex conjugate (Z_k, k >= 3).
-            candidate = ((1 - 1j) * candidate + (1 + 1j) * candidate.conj().T) / 2.0
-            w, v = hermitian_eigen(candidate, pol)
-            groups = _eigenvalue_clusters(w)
-            if len(groups) >= 2:
-                clusters, eigvecs = groups, v
-                break
-        if clusters is None:
-            raise SplitFailure(
-                f"no splitting direction found after {_MAX_SPLIT_RETRIES} draws"
+    classes: list[tuple[int, ...]] = []
+    for stack, (values, vectors), rank in zip(data.blocks, spectra, ranks):
+        first = len(components)
+        for mu, v in zip(values[:rank], vectors.T[:rank]):
+            orbit = stack @ v  # (n, k): row i is (e_i)_j v
+            rep = GNSRepresentation(
+                algebra=algebra,
+                matrices=stack,
+                cyclic_vector=v,
+                source_functional=orbit @ np.conj(v),
+                embedding=orbit.T,
             )
-
-        for idx in clusters:
-            block = eigvecs[:, idx]  # (d, m) orthonormal columns
-            xi_block = block.conj().T @ rep.cyclic_vector
-            lam = float(np.vdot(xi_block, xi_block).real)
-            if np.sqrt(lam) <= pol.rel_rank_tol:
-                raise SplitFailure("projected cyclic vector vanished in a block")
-            sub_mats = block.conj().T @ rep.matrices @ block
-            sub_values = (sub_mats @ xi_block) @ np.conj(xi_block) / lam
-            split(weight * lam, gns_construct(algebra, sub_values, pol))
-
-    split(1.0, whole)
-
-    classes: list[list[int]] = []
-    for k, comp in enumerate(components):
-        for cls in classes:
-            anchor = components[cls[0]]
-            if representations_equivalent(
-                anchor.representation, comp.representation, pol
-            ):
-                cls.append(k)
-                break
-        else:
-            classes.append([k])
-
-    return Decomposition(
-        components=tuple(components),
-        multiplicity_classes=tuple(tuple(c) for c in classes),
-    )
+            components.append(DecompositionComponent(float(mu), rep.source_functional, rep))
+        if rank:
+            classes.append(tuple(range(first, len(components))))
+    return Decomposition(components=tuple(components), multiplicity_classes=tuple(classes))

@@ -18,7 +18,7 @@ from .algebra import FiniteStarAlgebra, validate_algebra
 from .correspondence import StarHomomorphism, validate_star_homomorphism
 from .errors import IoError, ParseError, StarRepError, UnknownEntity, ValidationError
 from .kernels import Kernel, make_kernel
-from .numerics import DEFAULT_POLICY, TolerancePolicy
+from .numerics import DEFAULT_POLICY, TolerancePolicy, ValidationReport
 
 __all__ = [
     "FunctionalEntry",
@@ -57,11 +57,18 @@ class WorkspaceFile:
     functionals: dict[str, FunctionalEntry] = field(default_factory=dict)
     kernels: dict[str, KernelEntry] = field(default_factory=dict)
     homomorphisms: dict[str, HomomorphismEntry] = field(default_factory=dict)
+    # the report each algebra passed at load, by name
+    validations: dict[str, ValidationReport] = field(default_factory=dict)
 
     def algebra(self, name: str) -> FiniteStarAlgebra:
         if name not in self.algebras:
             raise UnknownEntity(f"no algebra named {name!r}")
         return self.algebras[name]
+
+    def validation(self, algebra: FiniteStarAlgebra) -> ValidationReport:
+        """The report one of this workspace's algebras passed at load."""
+        name = next(name for name, a in self.algebras.items() if a is algebra)
+        return self.validations[name]
 
     def functional(self, name: str) -> FunctionalEntry:
         if name not in self.functionals:
@@ -194,6 +201,7 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
                 f"({worst} deviates by {report.violations[worst]:.3e})"
             )
         ws.algebras[name] = algebra
+        ws.validations[name] = report
 
     for name, spec in (raw.get("functionals") or {}).items():
         base = f"functionals.{name}"

@@ -131,6 +131,18 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def change_basis(algebra, s: np.ndarray) -> FiniteStarAlgebra:
+    """The same algebra in the basis e'_i = sum_j s[j, i] e_j.
+
+    c' = (s (x) s) c s^-1, s' = s^H S s^-T and e' = s^-1 e; a functional
+    rho becomes s^T rho.
+    """
+    s_inv = np.linalg.inv(s)
+    c = np.einsum("ji,ml,jmp,kp->ilk", s, s, algebra.structure_constants, s_inv,
+                  optimize=True)
+    return FiniteStarAlgebra(c, s.conj().T @ algebra.involution @ s_inv.T, s_inv @ algebra.unit)
+
+
 def infimum_norm_oracle(h1: np.ndarray, h2: np.ndarray, xi: np.ndarray) -> float:
     """Constrained quadratic minimization reference for the two-kernel sum norm.
 

@@ -263,3 +263,49 @@ def test_cli_reports_are_byte_identical():
         second = run_cli(*cmd, workspace=FIXTURES / "z2.json")
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+def test_validate_runs_the_algebra_checks_once(capsys, monkeypatch):
+    # the verb prints the report the algebra passed when the workspace loaded
+    import starrep.algebra
+    import starrep.workspace
+
+    calls = []
+    check = starrep.algebra.validate_algebra
+
+    def counted(algebra, pol):
+        calls.append(algebra.dim)
+        return check(algebra, pol)
+
+    for module in (starrep.algebra, starrep.workspace, cli):
+        monkeypatch.setattr(module, "validate_algebra", counted, raising=False)
+    code, report = run_in_process(capsys, "validate", "s3", "--tol-match", "1e-6",
+                                  workspace=FIXTURES / "s3.json")
+    assert code == 0 and calls == [6]
+    s3 = parse_workspace(FIXTURES / "s3.json").algebras["s3"]
+    from starrep import TolerancePolicy
+    assert report["outputs"] == check(s3, TolerancePolicy(match_tol=1e-6)).as_dict()
+
+
+def test_not_semisimple_exits_with_its_own_status(tmp_path, capsys):
+    # C[eps]/eps^2, eps^* = eps: loads and validates, has GNS representations,
+    # but no Wedderburn blocks
+    c = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+         [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    doc = {
+        "algebras": {"dual": {
+            "structure_constants": c,
+            "involution": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            "unit": [[1.0, 0.0], [0.0, 0.0]],
+        }},
+        "functionals": {"point": {"algebra": "dual", "values": [[1.0, 0.0], [0.0, 0.0]]}},
+    }
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_in_process(capsys, "validate", "dual", workspace=path)
+    assert code == 0 and report["outputs"]["passed"] is True
+    code, report = run_in_process(capsys, "gns", "dual", "point", workspace=path)
+    assert code == 0 and report["outputs"]["rep_dim"] == 1
+    code, report = run_in_process(capsys, "decompose", "dual", "point", workspace=path)
+    assert code == 3
+    assert (report["status"], report["error"]) == ("error", "NotSemisimple")

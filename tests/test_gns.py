@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from starrep import (
+    DEFAULT_POLICY,
     GNSRepresentation,
+    TolerancePolicy,
     build_group_algebra,
     build_matrix_algebra,
     commutant,
@@ -223,6 +225,46 @@ def test_commutant_dimensions():
     assert dim == 2
 
 
+def flatten_commutant_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
+    """Normal matrix of the system X pi1(e_i) = pi2(e_i) X on d1 d2 unknowns (row-major vec).
+
+    The d^2-unknown system that ``commutant`` and ``representations_equivalent``
+    solved before they read the algebra's block data, kept as their oracle.
+    With A_i = pi1(e_i), B_i = pi2(e_i) and K_i = I (x) A_i^T - B_i (x) I,
+    sum_i K_i^H K_i is built in closed form as
+
+        I (x) sum_i conj(A_i) A_i^T  +  sum_i B_i^H B_i (x) I  -  (X + X^H),
+
+    X = sum_i B_i (x) conj(A_i), after centring each pair by the mean of
+    their normalised traces (which leaves every K_i unchanged).
+    """
+    n, d1, _ = mats1.shape
+    d2 = mats2.shape[1]
+    shift = (np.trace(mats1, axis1=1, axis2=2) / d1
+             + np.trace(mats2, axis1=1, axis2=2) / d2) / 2
+    mats1 = mats1 - shift[:, None, None] * np.eye(d1)
+    mats2 = mats2 - shift[:, None, None] * np.eye(d2)
+    a_bar = np.conj(mats1)
+    x = mats2.reshape(n, d2 * d2).T @ a_bar.reshape(n, d1 * d1)
+    x = x.reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3).reshape(d2 * d1, d2 * d1)
+    normal = -(x + x.conj().T)
+    blocks = normal.reshape(d2, d1, d2, d1)
+    same1, same2 = np.arange(d1), np.arange(d2)
+    blocks[same2, :, same2, :] += np.einsum("iab,icb->ac", a_bar, mats1)
+    blocks[:, same1, :, same1] += np.einsum("iba,ibc->ac", np.conj(mats2), mats2)
+    return normal
+
+
+def commutant_oracle(rep) -> np.ndarray:
+    """Orthonormal rows spanning the commutant: the null space of the d^2 system.
+
+    Solved with numpy's eigh; the cutoff is relative to sum_i ||pi(e_i)||_F^2.
+    """
+    values, vectors = np.linalg.eigh(flatten_commutant_system(rep.matrices, rep.matrices))
+    scale = 2 * np.vdot(rep.matrices, rep.matrices).real
+    return vectors[:, values <= 1e-9 * scale].T
+
+
 def kron_sum_normal_matrix(mats1, mats2):
     """The commutant normal matrix summed from explicit Kronecker products."""
     d1, d2 = mats1.shape[1], mats2.shape[1]
@@ -234,8 +276,6 @@ def kron_sum_normal_matrix(mats1, mats2):
 
 
 def test_closed_form_normal_matrix_matches_kron_sum():
-    from starrep.gns import _flatten_commutant_system
-
     rng = np.random.default_rng(35)
     unequal = 0
     for _ in range(25):
@@ -248,11 +288,38 @@ def test_closed_form_normal_matrix_matches_kron_sum():
         for m1, m2 in [(rep1.matrices, rep1.matrices), (rep1.matrices, rep2.matrices),
                        (rep2.matrices, rep1.matrices)]:
             oracle = kron_sum_normal_matrix(m1, m2)
-            closed = _flatten_commutant_system(m1, m2)
+            closed = flatten_commutant_system(m1, m2)
             assert closed.shape == oracle.shape
             scale = max(float(np.max(np.abs(oracle))), 1.0)
             assert np.max(np.abs(closed - oracle)) <= 1e-12 * scale
     assert unequal >= 5
+
+
+def commutant_cases():
+    rng = np.random.default_rng(36)
+    for _ in range(20):
+        a, _ = random_algebra(rng, max_dim=9)
+        yield gns_construct(a, random_positive_functional(a, rng))
+    yield gns_construct(s3_algebra(), np.eye(6)[0])
+    yield gns_construct(s4_algebra(), np.eye(24)[0])
+    yield gns_construct(build_matrix_algebra(3), matrix_state([1, 2, 3]) / 6)
+
+
+def test_commutant_matches_the_d2_system_oracle():
+    # same dimension, and the same subspace of the d x d matrices
+    checked = 0
+    for rep in commutant_cases():
+        d = rep.rep_dim
+        if d == 0:
+            continue
+        basis, dim = commutant(rep)
+        oracle = commutant_oracle(rep)
+        assert dim == oracle.shape[0]
+        rows = basis.reshape(dim, d * d)
+        assert np.max(np.abs(rows @ rows.conj().T - np.eye(dim))) < 1e-10
+        assert np.max(np.abs(rows.T @ rows.conj() - oracle.T @ oracle.conj())) < 1e-10
+        checked += 1
+    assert checked >= 20
 
 
 def matrix_state(weights):
@@ -365,12 +432,16 @@ def test_decompose_matrix_trace():
 
 
 def test_decompose_is_seed_deterministic():
-    m2 = build_matrix_algebra(2)
-    first = decompose(m2, TRACE2, seed=5)
-    second = decompose(m2, TRACE2, seed=5)
-    for c1, c2 in zip(first.components, second.components):
-        assert np.array_equal(c1.functional, c2.functional)
-        assert c1.weight == c2.weight
+    # the seed is accepted and has no effect: every run gives the same bits
+    s3 = s3_algebra()
+    first = decompose(s3, np.eye(6)[0], seed=5)
+    for again in (decompose(s3_algebra(), np.eye(6)[0], seed=5),
+                  decompose(s3_algebra(), np.eye(6)[0], seed=6),
+                  decompose(s3_algebra(), np.eye(6)[0])):
+        assert again.multiplicity_classes == first.multiplicity_classes
+        for c1, c2 in zip(first.components, again.components, strict=True):
+            assert np.array_equal(c1.functional, c2.functional)
+            assert c1.weight == c2.weight
 
 
 def test_decompose_soundness_random():
@@ -474,13 +545,85 @@ def gram_eigensolves(monkeypatch, run):
     return [sum(m.shape == g.shape and np.array_equal(m, g) for m in solved) for g in grams]
 
 
-def test_decompose_eigendecomposes_each_gram_matrix_once(monkeypatch):
-    # the whole state, then one Gram matrix per piece split off
-    counts = gram_eigensolves(monkeypatch, lambda: decompose(z2_algebra(), [1, 0], seed=0))
-    assert counts == [1, 1, 1]
-    counts = gram_eigensolves(
-        monkeypatch, lambda: decompose(build_matrix_algebra(2), TRACE2, seed=7))
-    assert counts == [1, 1, 1]
+def test_block_data_is_built_once_per_algebra_and_policy(monkeypatch):
+    import starrep.gns
+
+    builds = []
+    build = starrep.gns._build_block_data
+
+    def counted(algebra, pol):
+        builds.append(pol)
+        return build(algebra, pol)
+
+    monkeypatch.setattr(starrep.gns, "_build_block_data", counted)
+    s3 = s3_algebra()
+    delta = np.eye(6)[0]
+    for _ in range(2):
+        dec = decompose(s3, delta)
+        assert not is_extremal(s3, delta)
+        assert is_extremal(s3, dec.components[0].functional)
+        assert commutant(gns_construct(s3, delta))[1] == 6
+        reps = [c.representation for c in dec.components]
+        pair = next(cls for cls in dec.multiplicity_classes if len(cls) == 2)
+        assert representations_equivalent(reps[pair[0]], reps[pair[1]])
+        assert is_irreducible(reps[0])
+    assert builds == [DEFAULT_POLICY]
+    looser = TolerancePolicy(match_tol=1e-7)
+    decompose(s3, delta, looser)
+    is_extremal(s3, delta, looser)
+    decompose(s3, delta)
+    assert builds == [DEFAULT_POLICY, looser]
+
+
+@pytest.mark.parametrize(
+    "algebra,rho",
+    [
+        (s4_algebra(), np.eye(24)[0]),
+        (build_matrix_algebra(4), matrix_state([1, 2, 3, 4]) / 10),
+        (direct_sum_algebra(build_matrix_algebra(3), s3_algebra()),
+         np.concatenate([0.5 * np.eye(3).ravel() / 3, 0.5 * np.eye(6)[0]])),
+    ],
+    ids=["S4-delta", "M4-faithful", "M3+S3-trace"],
+)
+def test_no_eigensolve_is_larger_than_the_algebra(monkeypatch, algebra, rho):
+    # the d^2 x d^2 commutant system is gone: every matrix eigendecomposed
+    # is at most n x n (the algebra) or d x d (a representation, d <= n)
+    import starrep.gns
+    import starrep.numerics
+
+    sizes = []
+    solve = starrep.numerics.hermitian_eigen
+
+    def recorded(m, *args, **kwargs):
+        sizes.append(len(m))
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", recorded)
+    monkeypatch.setattr(starrep.gns, "hermitian_eigen", recorded)
+    rep = gns_construct(algebra, rho)
+    dec = decompose(algebra, rho)
+    is_extremal(algebra, rho)
+    commutant(rep)
+    for c in dec.components:
+        is_extremal(algebra, c.functional)
+        commutant(c.representation)
+        representations_equivalent(c.representation, dec.components[0].representation)
+    assert sizes and max(sizes) <= algebra.dim
+
+
+def test_decompose_reassembles_within_match_tol():
+    rng = np.random.default_rng(37)
+    cases = [(s4_algebra(), np.eye(24)[0]),
+             (build_matrix_algebra(5), matrix_state([3, 2, 1, 0, 0]) / 6)]
+    for _ in range(20):
+        a, _ = random_algebra(rng, max_dim=9)
+        cases.append((a, random_positive_functional(a, rng)))
+    for a, rho in cases:
+        if not np.any(np.abs(rho) > 1e-9):
+            continue
+        dec = decompose(a, rho)
+        rebuilt = sum(c.weight * c.functional for c in dec.components)
+        assert np.max(np.abs(rebuilt - rho)) <= DEFAULT_POLICY.match_tol
 
 
 def test_is_extremal_eigendecomposes_the_gram_matrix_once(monkeypatch):

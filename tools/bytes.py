@@ -1,0 +1,157 @@
+"""Compare the command-line reports of two source trees, byte for byte.
+
+    python tools/bytes.py OLD_TREE NEW_TREE [--list]
+
+Runs a fixed list of ``python -m starrep`` commands once against each
+tree's ``src`` and prints every command whose stdout or exit status
+differs, then a one-line summary.  The exit status is 0 when every command
+matches, 1 otherwise.  ``--list`` only prints the commands.
+
+The list is built from the workspace files in OLD_TREE's ``fixtures``
+directory, so both trees read the same inputs.  It covers every verb on
+every entity of every fixture it applies to (``decompose`` at seeds 0, 1
+and 7), ``--output text``, a tolerance override, and the error paths:
+unknown entities, entities on the wrong algebra, bad arguments, and broken
+workspace files (written to a temporary directory).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+CHAIN_RULES = ("constant", "geometric-decreasing", "geometric-increasing", "doubling")
+DECOMPOSE_SEEDS = (0, 1, 7)
+WORKERS = 2
+
+
+def fixture_commands(fixtures: Path) -> list[list[str]]:
+    """Every verb on every fixture entity it applies to, as ``-w FILE VERB ARGS``."""
+    cmds: list[list[str]] = []
+    for path in sorted(fixtures.glob("*.json")):
+        ws = ["-w", str(path)]
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        funcs = doc.get("functionals") or {}
+        kerns = doc.get("kernels") or {}
+        homs = doc.get("homomorphisms") or {}
+        for alg in doc.get("algebras") or {}:
+            cmds.append(ws + ["validate", alg])
+            on_alg = [f for f, spec in funcs.items() if spec["algebra"] == alg]
+            for f in on_alg:
+                cmds.append(ws + ["gns", alg, f])
+                cmds.append(ws + ["kernel", alg, f])
+                cmds.append(ws + ["roundtrip", alg, f])
+                for seed in DECOMPOSE_SEEDS:
+                    cmds.append(ws + ["decompose", alg, f, "--seed", str(seed)])
+            for f1 in on_alg:
+                for f2 in on_alg:
+                    cmds.append(ws + ["equiv", alg, f1, f2])
+                    cmds.append(ws + ["audit", alg, f1, f2, "0.5"])
+            for k, spec in kerns.items():
+                if spec["algebra"] == alg:
+                    cmds.append(ws + ["functional", alg, k])
+        for k in kerns:
+            cmds.append(ws + ["cone-scale", "2.5", k])
+            for rule in CHAIN_RULES:
+                cmds.append(ws + ["chain", k, "--rule", rule])
+        for k1, s1 in kerns.items():
+            for k2, s2 in kerns.items():
+                if s1["algebra"] != s2["algebra"]:
+                    continue
+                for verb in ("cone-sum", "cone-leq", "cone-diff", "exclude", "min-scale",
+                             "subrep"):
+                    cmds.append(ws + [verb, k1, k2])
+                cmds.append(ws + ["weighted-sum", "0.5", k1, "2", k2])
+        for h, spec in homs.items():
+            for k, ks in kerns.items():
+                if ks["algebra"] == spec["target"]:
+                    cmds.append(ws + ["pullback", h, k])
+    return cmds
+
+
+def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """Text output, a tolerance override and the error paths."""
+    z2 = ["-w", str(fixtures / "z2.json")]
+    m2 = ["-w", str(fixtures / "m2.json")]
+    empty = scratch / "empty.json"
+    empty.write_text("", encoding="utf-8")
+    not_object = scratch / "list.json"
+    not_object.write_text("[]", encoding="utf-8")
+    doc = json.loads((fixtures / "z2.json").read_text(encoding="utf-8"))
+    doc["algebras"]["z2"]["structure_constants"][0][0][0] = [2.0, 0.0]
+    broken = scratch / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    return [
+        z2 + ["--output", "text", "gns", "z2", "rho_t0"],
+        z2 + ["--output", "text", "validate", "z2"],
+        z2 + ["decompose", "z2", "rho_t0", "--output", "text"],
+        m2 + ["--output", "text", "decompose", "m2", "trace"],
+        z2 + ["--tol-match", "1e-6", "validate", "z2"],
+        z2 + ["--tol-rank", "1e-6", "--tol-psd", "1e-6", "gns", "z2", "rho_t1"],
+        z2 + ["--seed", "3", "decompose", "z2", "rho_t0"],
+        z2 + ["gns", "z2", "missing"],
+        z2 + ["gns", "nope", "rho_t0"],
+        z2 + ["validate", "nope"],
+        z2 + ["cone-sum", "k_t1", "missing"],
+        z2 + ["pullback", "missing", "k_t1"],
+        m2 + ["gns", "m2", "trace", "--tol-match", "-1"],
+        z2 + ["--tol-match", "-1", "validate", "z2"],
+        z2 + ["validate", "z2", "--tol-rank=-1e-3"],
+        z2 + ["weighted-sum", "x", "k_t1"],
+        z2 + ["weighted-sum", "1", "k_t1", "1"],
+        z2 + ["cone-diff", "k_t1", "k_sum"],
+        z2 + ["gns", "z2", "rho_t0", "--tol-psd", "1e-300"],
+        z2 + ["frobnicate", "z2"],
+        z2 + ["chain", "k_t1", "--rule", "sideways"],
+        ["validate", "z2"],
+        ["-w", str(scratch / "absent.json"), "validate", "z2"],
+        ["-w", str(empty), "validate", "z2"],
+        ["-w", str(not_object), "validate", "z2"],
+        ["-w", str(broken), "validate", "z2"],
+        ["-w", str(fixtures / "homs.json"), "pullback", "embed_z2_m2", "k_t1"],
+        ["-w", str(fixtures / "homs.json"), "functional", "m2", "k_t1"],
+    ]
+
+
+def run(tree: Path, argv: list[str]) -> tuple[int, str]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, "-m", "starrep", *argv], capture_output=True,
+                          text=True, env=env, cwd=tree)
+    return proc.returncode, proc.stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--list", action="store_true", help="print the commands and stop")
+    args = parser.parse_args(argv)
+    old, new = args.old.resolve(), args.new.resolve()
+    with tempfile.TemporaryDirectory() as scratch:
+        fixtures = old / "fixtures"
+        cmds = fixture_commands(fixtures) + variant_commands(fixtures, Path(scratch))
+        if args.list:
+            for cmd in cmds:
+                print(" ".join(cmd))
+            return 0
+        with ThreadPoolExecutor(WORKERS) as pool:
+            before = list(pool.map(lambda cmd: run(old, cmd), cmds))
+            after = list(pool.map(lambda cmd: run(new, cmd), cmds))
+    differ = 0
+    for cmd, (code0, out0), (code1, out1) in zip(cmds, before, after):
+        if (code0, out0) != (code1, out1):
+            differ += 1
+            status = "" if code0 == code1 else f" (exit {code0} -> {code1})"
+            print(f"DIFFERS{status}: starrep {' '.join(cmd)}")
+    print(f"{differ} of {len(cmds)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
