@@ -97,7 +97,7 @@ def _chain(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
     direction, factor = _CHAIN_RULES[v.rule]
 
     def gen(step: int) -> Kernel:
-        return kernels.make_kernel(factor(v.ratio, step) * v.kernel.matrix, pol)
+        return kernels.kernel_scale(factor(v.ratio, step), v.kernel, pol)
 
     return _matrix_rank(kernels.chain_limit(gen, direction, pol, max_steps=v.max_steps))
 

@@ -20,6 +20,7 @@ from .duality import gram_matrix, hermitian_gram, is_positive
 from .errors import (
     DimMismatch,
     InvalidRepresentation,
+    NegativeEigenvalue,
     NegativeScalar,
     NotPositive,
     NotStarInvariant,
@@ -33,7 +34,6 @@ from .numerics import (
     TolerancePolicy,
     ValidationReport,
     index_blocks,
-    psd_check,
 )
 
 __all__ = [
@@ -125,10 +125,12 @@ def functional_to_kernel(
     eigensolve of the Gram matrix decides positivity and gives the rank.
     """
     g = hermitian_gram(algebra, functional, pol)
-    positive, rank = psd_check(g, pol) if g is not None else (False, 0)
-    if not positive:
-        raise NotPositive("functional_to_kernel requires a positive functional")
-    return Kernel(matrix=(g + g.conj().T) / 2.0, rank=rank)
+    if g is not None:
+        try:
+            return make_kernel(g, pol)
+        except NegativeEigenvalue:
+            pass
+    raise NotPositive("functional_to_kernel requires a positive functional")
 
 
 def _invariance_residual(algebra: FiniteStarAlgebra, matrix: np.ndarray) -> float:

@@ -5,7 +5,10 @@ reproducing operator: a hermitian PSD matrix H acting on dual coordinates.
 Its elements are the vectors in range(H), carrying the squared norm
 ``phi^dagger H^+ phi``.  The cone operations (sum, nonnegative scaling,
 order, difference, exclusion, chains, weighted sums) all reduce to matrix
-arithmetic on the reproducing operators.
+arithmetic on the reproducing operators.  Each kernel carries the spectrum
+its constructor computed, and the operations read their operands' spectra
+instead of recomputing them: an operation eigensolves only the matrices it
+makes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     hermitian_eigen,
-    psd_check,
+    psd_rank,
 )
 
 __all__ = [
@@ -56,15 +59,24 @@ DEFAULT_MAJORIZATION_BOUND = 1e12
 
 @dataclass(frozen=True)
 class Kernel:
-    """Reproducing operator (hermitian PSD) with its numerical rank cached."""
+    """Reproducing operator (hermitian PSD) with its spectrum and rank cached.
+
+    ``values`` and ``vectors`` are the canonical eigendecomposition of
+    ``matrix`` (``hermitian_eigen``: descending values, fixed phases and tie
+    order), and ``rank`` counts the values above the rank cutoff, so that
+    ``vectors[:, :rank]`` spans the subspace.  Build kernels with
+    ``make_kernel``; the cone operations derive their results' spectra from
+    their own eigensolves.  All three arrays are read-only.
+    """
 
     matrix: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
     rank: int
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        for array in (self.matrix, self.values, self.vectors):
+            array.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -80,17 +92,40 @@ class SubspaceElement:
 
 
 def make_kernel(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
-    """Validate a matrix as a reproducing operator and cache its rank."""
+    """Validate a matrix as a reproducing operator and cache its spectrum.
+
+    One eigensolve gives the PSD verdict (``psd_rank``), the rank and the
+    spectrum the cone operations read.
+    """
     m = np.asarray(matrix, dtype=complex)
-    is_psd, rank = psd_check(m, pol)
+    values, vectors = hermitian_eigen(m, pol)
+    is_psd, rank = psd_rank(values, pol)
     if not is_psd:
         raise NegativeEigenvalue("a reproducing operator must be PSD")
-    return Kernel(matrix=(m + m.conj().T) / 2.0, rank=rank)
+    return Kernel((m + m.conj().T) / 2.0, values, vectors, rank)
 
 
 def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
     if k1.dim != k2.dim:
         raise DimMismatch(f"kernel dimensions differ: {k1.dim} vs {k2.dim}")
+
+
+def _order(
+    k1: Kernel, k2: Kernel, pol: TolerancePolicy
+) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+    """Whether k1 <= k2, with k2 - k1 and its spectrum.
+
+    The package's one kernel order rule: k1 <= k2 when the least eigenvalue
+    of k2 - k1 is at least ``-psd_tol`` times the larger top eigenvalue of
+    the two.  The floor scales with the operands, so kernels and their
+    common multiples get the same verdict.
+    """
+    _check_same_dim(k1, k2)
+    diff = k2.matrix - k1.matrix
+    values, vectors = hermitian_eigen(diff, pol)
+    top = max(float(k1.values[0]), float(k2.values[0]), 0.0)
+    ordered = bool(values[-1] >= -pol.psd_tol * top)
+    return ordered, diff, values, vectors
 
 
 def membership(
@@ -99,19 +134,19 @@ def membership(
     """Test whether phi lies in the subspace; if so return it with its norm.
 
     Membership is decided by the residual of phi against its projection onto
-    range(H); borderline vectors are rejected.  The squared norm of a member
-    is ``phi^dagger H^+ phi``.
+    range(H), read off the cached spectrum: phi is rejected when the
+    residual exceeds ``rel_rank_tol * |phi|``, a bound that scales with phi.
+    The squared norm of a member is ``phi^dagger H^+ phi``.
     """
     v = np.asarray(phi, dtype=complex)
     if v.shape != (kernel.dim,):
         raise DimMismatch(f"vector has shape {v.shape}, kernel dim {kernel.dim}")
-    values, vectors = hermitian_eigen(kernel.matrix, pol)
-    basis = vectors[:, : kernel.rank]
+    basis = kernel.vectors[:, : kernel.rank]
     coords = basis.conj().T @ v
     residual = float(np.linalg.norm(v - basis @ coords))
-    if residual >= pol.rel_rank_tol * (1.0 + float(np.linalg.norm(v))):
+    if residual > pol.rel_rank_tol * float(np.linalg.norm(v)):
         return None
-    norm_sq = float(np.sum(np.abs(coords) ** 2 / values[: kernel.rank]).real) if kernel.rank else 0.0
+    norm_sq = float(np.sum(np.abs(coords) ** 2 / kernel.values[: kernel.rank])) if kernel.rank else 0.0
     return SubspaceElement(vector=v, norm_sq=norm_sq)
 
 
@@ -122,28 +157,36 @@ def kernel_sum(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) ->
 
 
 def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
-    """Scale by a nonnegative real; member norms scale by 1/lam, 0 gives {0}."""
+    """Scale by a nonnegative real; member norms scale by 1/lam, 0 gives {0}.
+
+    A positive finite lam scales the cached eigenvalues and keeps the
+    eigenvectors and the rank.
+    """
     if lam < 0:
         raise NegativeScalar(f"scale factor must be nonnegative, got {lam}")
-    return make_kernel(lam * kernel.matrix, pol)
+    if not 0 < lam < np.inf:
+        # 0 gives the zero kernel; nan and inf fail make_kernel's finiteness check
+        return make_kernel(lam * kernel.matrix, pol)
+    return Kernel(lam * kernel.matrix, lam * kernel.values, kernel.vectors, kernel.rank)
 
 
 def kernel_leq(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Order relation: the difference of reproducing operators is PSD."""
-    _check_same_dim(k1, k2)
-    diff = k2.matrix - k1.matrix
-    is_psd, _ = psd_check(diff, pol)
-    return is_psd
+    """Order relation: k2 - k1 is PSD, by the scale-free rule of ``_order``."""
+    return _order(k1, k2, pol)[0]
 
 
 def kernel_difference(
     kernel: Kernel, k1: Kernel, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> Kernel:
-    """The unique complement with k1 + result = kernel; requires k1 <= kernel."""
-    _check_same_dim(kernel, k1)
-    if not kernel_leq(k1, kernel, pol):
+    """The unique complement with k1 + result = kernel; requires k1 <= kernel.
+
+    One eigensolve of kernel - k1 decides the order and is the result's
+    spectrum.
+    """
+    ordered, diff, values, vectors = _order(k1, kernel, pol)
+    if not ordered:
         raise NotDominated("subtrahend is not below the kernel")
-    return make_kernel(kernel.matrix - k1.matrix, pol)
+    return Kernel(diff, values, vectors, psd_rank(values, pol)[1])
 
 
 def mutually_excluding(
@@ -173,17 +216,15 @@ def min_dominating_scale(
     if k2.rank == 0:
         return None
 
-    values2, vectors2 = hermitian_eigen(k2.matrix, pol)
-    basis2 = vectors2[:, : k2.rank]
-    values1, vectors1 = hermitian_eigen(k1.matrix, pol)
-    basis1 = vectors1[:, : k1.rank]
+    basis2 = k2.vectors[:, : k2.rank]
+    basis1 = k1.vectors[:, : k1.rank]
 
     overflow = basis1 - basis2 @ (basis2.conj().T @ basis1)
     residuals = np.linalg.norm(overflow, axis=0)
     if np.any(residuals >= pol.rel_rank_tol * 2.0):
         return None
 
-    inv_sqrt = basis2 * (1.0 / np.sqrt(values2[: k2.rank]))[None, :]  # (n, r2)
+    inv_sqrt = basis2 * (1.0 / np.sqrt(k2.values[: k2.rank]))[None, :]  # (n, r2)
     compressed = inv_sqrt.conj().T @ k1.matrix @ inv_sqrt
     top, _ = hermitian_eigen(compressed, pol)
     return float(top[0])
@@ -195,13 +236,14 @@ def ordinary_subrep_check(
     """Whether k1 sits inside kernel as a direct summand.
 
     True exactly when k1 <= kernel and k1 excludes the complement
-    kernel - k1; rank additivity then certifies the direct-sum splitting.
+    kernel - k1: since k1 + (kernel - k1) is kernel, whose rank is cached,
+    rank additivity certifies the direct-sum splitting.  One eigensolve of
+    kernel - k1 gives both the order and the complement's rank.
     """
-    _check_same_dim(k1, kernel)
-    if not kernel_leq(k1, kernel, pol):
+    ordered, _, values, _ = _order(k1, kernel, pol)
+    if not ordered:
         return False
-    complement = make_kernel(kernel.matrix - k1.matrix, pol)
-    return mutually_excluding(k1, complement, pol)
+    return k1.rank + psd_rank(values, pol)[1] == kernel.rank
 
 
 def chain_limit(
@@ -213,7 +255,8 @@ def chain_limit(
 ) -> Kernel:
     """Limit of a monotone kernel chain produced by ``generator(step)``.
 
-    Monotonicity is checked between consecutive terms.  Increasing chains
+    Monotonicity is checked between consecutive terms by ``kernel_leq``,
+    whose rule is relative to the terms.  Increasing chains
     are monitored through their diagonal quadratic forms: growth past
     ``majorization_bound`` means the chain has no upper bound and
     NotMajorized is raised.  Convergence is entrywise agreement of

@@ -54,7 +54,9 @@ class TolerancePolicy:
         Eigenvalues below ``rel_rank_tol * lambda_max`` count as zero.
     psd_tol
         Eigenvalues above ``-psd_tol * (1 + lambda_max)`` still count as
-        nonnegative.
+        nonnegative (``psd_rank``).  The kernel order k1 <= k2 measures
+        the least eigenvalue of k2 - k1 against ``psd_tol`` times the larger
+        top eigenvalue of k1 and k2 instead, with no absolute floor.
     match_tol
         Generic agreement tolerance for identities checked entrywise, and
         the relative asymmetry bound of ``is_hermitian``.

@@ -143,6 +143,23 @@ def change_basis(algebra, s: np.ndarray) -> FiniteStarAlgebra:
     return FiniteStarAlgebra(c, s.conj().T @ algebra.involution @ s_inv.T, s_inv @ algebra.unit)
 
 
+def count_eigensolves(monkeypatch, run):
+    """``run()``'s result and the sizes of the eigensolves it made."""
+    import starrep.kernels
+    import starrep.numerics
+
+    sizes = []
+    solve = starrep.numerics.hermitian_eigen
+
+    def counted(m, *args, **kwargs):
+        sizes.append(len(m))
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", counted)
+    monkeypatch.setattr(starrep.kernels, "hermitian_eigen", counted)
+    return run(), sizes
+
+
 def infimum_norm_oracle(h1: np.ndarray, h2: np.ndarray, xi: np.ndarray) -> float:
     """Constrained quadratic minimization reference for the two-kernel sum norm.
 

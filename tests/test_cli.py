@@ -309,3 +309,22 @@ def test_not_semisimple_exits_with_its_own_status(tmp_path, capsys):
     code, report = run_in_process(capsys, "decompose", "dual", "point", workspace=path)
     assert code == 3
     assert (report["status"], report["error"]) == ("error", "NotSemisimple")
+
+
+def test_byte_comparison_covers_every_verb():
+    listing = subprocess.run(
+        [sys.executable, "tools/bytes.py", ".", ".", "--list"],
+        cwd=FIXTURES.parent, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    verbs = set()
+    for line in listing:
+        tokens = iter(line.split())
+        for token in tokens:
+            if not token.startswith("-"):
+                verbs.add(token)
+                break
+            if "=" not in token:
+                next(tokens)  # the option's value
+    assert set(cli.VERBS) <= verbs
+    for scale in ("1e-12", "1e+09"):
+        assert any(f"m2_kernels_{scale}.json cone-leq" in line for line in listing)

@@ -24,6 +24,7 @@ from starrep import (
 from starrep.errors import NotPositive, NotStarInvariant
 
 from conftest import (
+    count_eigensolves,
     random_algebra,
     random_positive_functional,
     random_unitary,
@@ -257,29 +258,15 @@ def test_cone_morphism_audit_examples():
         cone_morphism_audit(z2, [1, 2.0], [1, 0], 1.0)
 
 
-def count_eigensolves(monkeypatch, run):
-    """``run()``'s result and the sizes of the eigensolves it made."""
-    import starrep.kernels
-    import starrep.numerics
-
-    sizes = []
-    solve = starrep.numerics.hermitian_eigen
-
-    def counted(m, *args, **kwargs):
-        sizes.append(len(m))
-        return solve(m, *args, **kwargs)
-
-    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", counted)
-    monkeypatch.setattr(starrep.kernels, "hermitian_eigen", counted)
-    return run(), sizes
-
-
 def test_functional_to_kernel_eigendecomposes_the_gram_matrix_once(monkeypatch):
     m2 = build_matrix_algebra(2)
     kernel, sizes = count_eigensolves(monkeypatch, lambda: functional_to_kernel(m2, TRACE2))
     assert sizes == [4]
     assert kernel.rank == 4
     assert np.array_equal(kernel.matrix, np.eye(4))
+    # built by make_kernel, so it carries the spectrum of that eigensolve
+    assert np.array_equal(kernel.values, np.ones(4))
+    assert np.array_equal(kernel.vectors, np.eye(4))
 
 
 def test_cone_morphism_audit_makes_four_eigensolves(monkeypatch):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starrep import (
+    DEFAULT_POLICY,
+    Kernel,
     chain_limit,
     kernel_difference,
     kernel_leq,
@@ -14,6 +17,7 @@ from starrep import (
     min_dominating_scale,
     mutually_excluding,
     ordinary_subrep_check,
+    psd_check,
     pseudo_inverse,
     weighted_kernel_sum,
 )
@@ -28,7 +32,7 @@ from starrep.errors import (
     ZeroKernel,
 )
 
-from conftest import infimum_norm_oracle, random_psd
+from conftest import count_eigensolves, infimum_norm_oracle, random_psd, random_unitary
 
 IDENTITY2 = np.eye(2)
 ONES2 = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -84,6 +88,13 @@ def test_kernel_scale():
     assert zero.rank == 0
     with pytest.raises(NegativeScalar):
         kernel_scale(-1.0, k)
+    # a positive factor scales the cached eigenvalues; the matrix is the
+    # one make_kernel would build
+    k = split_family(seed=50, n=6)["ac"]
+    scaled = kernel_scale(3.0, k)
+    assert scaled.vectors is k.vectors and scaled.rank == k.rank
+    assert np.array_equal(scaled.values, 3.0 * k.values)
+    assert np.array_equal(scaled.matrix, make_kernel(3.0 * k.matrix).matrix)
 
 
 def test_scaling_law_is_exact():
@@ -285,3 +296,122 @@ def test_infimum_norm_against_oracle():
         direct = float(np.real(np.vdot(xi, pseudo_inverse(h1 + h2) @ xi)))
         reference = infimum_norm_oracle(h1, h2, xi)
         assert abs(direct - reference) <= 1e-6 * (1 + abs(reference))
+
+
+def assert_spectrum(k: Kernel) -> None:
+    """k's cached spectrum reproduces its matrix, and its rank is psd_check's."""
+    rebuilt = (k.vectors * k.values) @ k.vectors.conj().T
+    size = np.max(np.abs(k.matrix))
+    assert np.max(np.abs(rebuilt - k.matrix)) <= DEFAULT_POLICY.match_tol * size
+    assert k.rank == psd_check(k.matrix)[1]
+
+
+def split_family(seed: int, n: int, scale: float = 1.0) -> dict:
+    """Kernels A, C on a random range of rank r < n, B on its complement, all times scale.
+
+    Their eigenvalues on the range lie in [0.5, 2], so every order and
+    membership verdict below has a margin of order one against the
+    tolerances.  Also returns vectors of range(A) and off it, times scale.
+    """
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n))
+    u = random_unitary(rng, n)
+    q, q_perp = u[:, :r], u[:, r:]
+
+    def psd_on(basis):
+        return (basis * rng.uniform(0.5, 2.0, basis.shape[1])) @ basis.conj().T
+
+    a, c, b = psd_on(q), psd_on(q), psd_on(q_perp)
+    phi_in = a @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    phi_off = phi_in + q_perp @ random_unitary(rng, n - r)[:, 0]
+    return {
+        "r": r,
+        "a": make_kernel(scale * a),
+        "ac": make_kernel(scale * (a + c)),
+        "ab": make_kernel(scale * (a + b)),
+        "b": make_kernel(scale * b),
+        "phi_in": scale * phi_in,
+        "phi_off": scale * phi_off,
+    }
+
+
+@pytest.mark.parametrize(
+    "operation,solves",
+    [
+        (lambda f: make_kernel(f["ab"].matrix), 1),
+        (lambda f: membership(f["a"], f["phi_in"]), 0),
+        (lambda f: membership(f["a"], f["phi_off"]), 0),
+        (lambda f: kernel_scale(2.5, f["a"]), 0),
+        (lambda f: min_dominating_scale(f["a"], f["ac"]), 1),
+        (lambda f: min_dominating_scale(f["a"], f["b"]), 0),
+        (lambda f: kernel_difference(f["ab"], f["a"]), 1),
+        (lambda f: ordinary_subrep_check(f["a"], f["ab"]), 1),
+        (lambda f: ordinary_subrep_check(f["a"], f["ac"]), 1),
+    ],
+    ids=[
+        "make_kernel", "membership_in", "membership_off", "kernel_scale",
+        "min_dominating_scale", "min_dominating_scale_none", "kernel_difference",
+        "ordinary_subrep_check", "ordinary_subrep_check_false",
+    ],
+)
+def test_eigensolves_per_operation(monkeypatch, operation, solves):
+    # the operands' spectra are cached, so an operation eigensolves only
+    # the matrices it makes
+    family = split_family(seed=47, n=6)
+    result, sizes = count_eigensolves(monkeypatch, lambda: operation(family))
+    assert len(sizes) == solves
+    if isinstance(result, Kernel):
+        assert_spectrum(result)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_cone_operations_return_their_spectrum(scale):
+    f = split_family(seed=49, n=7, scale=scale)
+    results = [
+        f["a"],
+        kernel_sum(f["a"], f["b"]),
+        kernel_scale(2.5, f["a"]),
+        kernel_scale(0.0, f["a"]),
+        kernel_difference(f["ab"], f["a"]),
+        kernel_difference(f["a"], f["a"]),
+        weighted_kernel_sum([(0.5, f["a"]), (2.0, f["b"])])[0],
+        chain_limit(lambda i: kernel_scale(1.0 - 0.5**i, f["ac"]), "increasing"),
+    ]
+    for k in results:
+        assert_spectrum(k)
+        for array in (k.matrix, k.values, k.vectors):
+            assert not array.flags.writeable
+
+
+def verdicts(f: dict) -> dict:
+    a, ac, ab, b = f["a"], f["ac"], f["ab"], f["b"]
+    return {
+        "leq": (kernel_leq(a, ac), kernel_leq(ac, a), kernel_leq(a, ab), kernel_leq(ab, a)),
+        "member": (membership(a, f["phi_in"]) is not None,
+                   membership(a, f["phi_off"]) is not None),
+        "excluding": (mutually_excluding(a, b), mutually_excluding(a, ac)),
+        "subrep": (ordinary_subrep_check(a, ab), ordinary_subrep_check(a, ac)),
+        "ranks": (a.rank, ac.rank, ab.rank, b.rank),
+        "dominated": min_dominating_scale(a, b) is not None,
+    }
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16))
+def test_verdicts_do_not_depend_on_scale(seed, n):
+    expected = None
+    for scale in (1e-12, 1.0, 1e9):
+        f = split_family(seed, n, scale)
+        r = f["r"]
+        assert verdicts(f) == {
+            "leq": (True, False, True, False),
+            "member": (True, False),
+            "excluding": (True, False),
+            "subrep": (True, False),
+            "ranks": (r, r, n, n - r),
+            "dominated": False,
+        }
+        scales = (min_dominating_scale(f["a"], f["ac"]), min_dominating_scale(f["ac"], f["a"]))
+        if expected is None:
+            expected = scales
+        assert scales == pytest.approx(expected, rel=1e-9)

@@ -12,7 +12,10 @@ directory, so both trees read the same inputs.  It covers every verb on
 every entity of every fixture it applies to (``decompose`` at seeds 0, 1
 and 7), ``--output text``, a tolerance override, and the error paths:
 unknown entities, entities on the wrong algebra, bad arguments, and broken
-workspace files (written to a temporary directory).
+workspace files (written to a temporary directory).  The commands that
+name a kernel also run on copies of ``m2.json`` whose kernels are scaled by
+1e-12 and by 1e9 (written there too), where a verdict that depends on
+scale shows.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ from pathlib import Path
 
 CHAIN_RULES = ("constant", "geometric-decreasing", "geometric-increasing", "doubling")
 DECOMPOSE_SEEDS = (0, 1, 7)
+KERNEL_SCALES = (1e-12, 1e9)
 WORKERS = 2
 
 
-def fixture_commands(fixtures: Path) -> list[list[str]]:
-    """Every verb on every fixture entity it applies to, as ``-w FILE VERB ARGS``."""
+def fixture_commands(paths: list[Path]) -> list[list[str]]:
+    """Every verb on every entity of each workspace it applies to, as ``-w FILE VERB ARGS``."""
     cmds: list[list[str]] = []
-    for path in sorted(fixtures.glob("*.json")):
+    for path in paths:
         ws = ["-w", str(path)]
         doc = json.loads(path.read_text(encoding="utf-8"))
         funcs = doc.get("functionals") or {}
@@ -73,6 +77,28 @@ def fixture_commands(fixtures: Path) -> list[list[str]]:
                 if ks["algebra"] == spec["target"]:
                     cmds.append(ws + ["pullback", h, k])
     return cmds
+
+
+def _scaled(value, factor: float):
+    """An encoded array (nested lists of numbers) times factor."""
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    return value * factor
+
+
+def scaled_kernel_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """The commands naming a kernel, on copies of m2.json with its kernels times KERNEL_SCALES."""
+    doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
+    paths = []
+    for factor in KERNEL_SCALES:
+        copy = {**doc, "kernels": {
+            name: {**spec, "matrix": _scaled(spec["matrix"], factor)}
+            for name, spec in doc["kernels"].items()
+        }}
+        path = scratch / f"m2_kernels_{factor:g}.json"
+        path.write_text(json.dumps(copy), encoding="utf-8")
+        paths.append(path)
+    return [cmd for cmd in fixture_commands(paths) if set(cmd) & set(doc["kernels"])]
 
 
 def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
@@ -135,7 +161,9 @@ def main(argv=None) -> int:
     old, new = args.old.resolve(), args.new.resolve()
     with tempfile.TemporaryDirectory() as scratch:
         fixtures = old / "fixtures"
-        cmds = fixture_commands(fixtures) + variant_commands(fixtures, Path(scratch))
+        cmds = (fixture_commands(sorted(fixtures.glob("*.json")))
+                + variant_commands(fixtures, Path(scratch))
+                + scaled_kernel_commands(fixtures, Path(scratch)))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
