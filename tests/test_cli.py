@@ -1,6 +1,7 @@
 """Tests for workspace parsing and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,12 @@ from starrep.workspace import parse_workspace, workspace_to_json
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def run_cli(*args, workspace):
+def run_cli(*args, workspace, env=None):
     return subprocess.run(
         [sys.executable, "-m", "starrep", "--workspace", str(workspace), *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -263,6 +265,21 @@ def test_cli_reports_are_byte_identical():
         second = run_cli(*cmd, workspace=FIXTURES / "z2.json")
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize(
+    "fixture,cmd",
+    [("s3", ("gns", "s3", "std_character")), ("m2", ("decompose", "m2", "trace"))],
+)
+def test_reports_do_not_depend_on_the_blas_thread_count(fixture, cmd):
+    # both have tied eigenvalues, where the eigenspace basis is LAPACK's
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        result = run_cli(*cmd, workspace=FIXTURES / f"{fixture}.json", env=env)
+        assert result.returncode == 0
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_validate_runs_the_algebra_checks_once(capsys, monkeypatch):

@@ -258,6 +258,14 @@ def test_cone_morphism_audit_examples():
         cone_morphism_audit(z2, [1, 2.0], [1, 0], 1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_cone_morphism_audit_is_scale_free(scale):
+    # delta_11 <= tr on M_2 on both sides of the bijection, at every scale
+    report = cone_morphism_audit(build_matrix_algebra(2), scale * TRACE2, scale * E11, 0.5)
+    assert report.passed
+    assert report.violations["order_agreement"] == 0.0
+
+
 def test_functional_to_kernel_eigendecomposes_the_gram_matrix_once(monkeypatch):
     m2 = build_matrix_algebra(2)
     kernel, sizes = count_eigensolves(monkeypatch, lambda: functional_to_kernel(m2, TRACE2))

@@ -67,6 +67,15 @@ def test_is_positive_hermiticity_is_relative(scale):
     assert is_positive(m2, scale * np.array([1, 1e-6j, 0, 1])) == (False, 0)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_is_positive_floor_is_relative(scale):
+    # -delta_11 + delta_22 on M_2 is indefinite at every scale; no absolute
+    # floor lets a small multiple pass, and the zero functional stays positive
+    m2 = build_matrix_algebra(2)
+    assert is_positive(m2, scale * np.array([-1.0, 0, 0, 1.0])) == (False, 2)
+    assert is_positive(m2, scale * np.zeros(4)) == (True, 0)
+
+
 def test_hilbert_bound():
     z2 = z2_algebra()
     for t in (-1.0, 0.0, 1.0):

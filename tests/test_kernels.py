@@ -47,6 +47,12 @@ def test_make_kernel_rejects_indefinite():
         make_kernel([[1, 2], [2, 1]])
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_make_kernel_rejects_negative_multiples_of_the_identity(scale):
+    with pytest.raises(NegativeEigenvalue):
+        make_kernel(-scale * np.eye(3))
+
+
 def test_membership_identity_kernel():
     member = membership(kernel(IDENTITY2), [3.0, 4.0])
     assert member is not None

@@ -11,7 +11,7 @@ from starrep import (
     psd_check,
 )
 from starrep.numerics import psd_rank
-from starrep.errors import NegativeEigenvalue, NonSquare, NotHermitian
+from starrep.errors import NegativeEigenvalue, NoConvergence, NonSquare, NotHermitian
 
 from conftest import random_hermitian, random_psd, s3_algebra
 
@@ -172,6 +172,15 @@ def test_eigen_rejects_bad_input():
         hermitian_eigen([[0, 1], [5, 0]])
     with pytest.raises(ValueError):
         hermitian_eigen([[np.nan, 0], [0, 1]])
+
+
+def test_eigen_failure_is_no_convergence(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="Eigenvalues did not converge"):
+        hermitian_eigen(np.eye(2))
 
 
 def test_pinv_diagonal():
