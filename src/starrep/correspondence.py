@@ -192,7 +192,7 @@ def rep_to_kernel(
     report = verify_star_rep(rep, pol)
     if not report.passed:
         raise InvalidRepresentation(
-            f"representation fails verification: {report.violations}"
+            f"representation fails verification: {dict(report.violations)}"
         )
     t = rep.orbit_matrix()
     return make_kernel(t.conj().T @ t, pol)

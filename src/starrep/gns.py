@@ -14,12 +14,12 @@ Inner products are written antilinear in the first argument throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import FiniteStarAlgebra
+from .algebra import FiniteStarAlgebra, _real_if_real
 from .duality import _check_vector, hermitian_gram
 from .errors import (
     InvalidRepresentation,
@@ -39,6 +39,7 @@ from .numerics import (
     psd_check,
     psd_rank,
     pseudo_inverse,
+    relative_gap,
 )
 
 __all__ = [
@@ -69,7 +70,9 @@ class GNSRepresentation:
     ``matrices`` stacks the images of the basis elements, shape (n, d, d);
     ``embedding`` maps algebra coordinates onto representation-space
     coordinates (the class of an element x is ``embedding @ x``), and the
-    cyclic vector is the class of the unit.
+    cyclic vector is the class of the unit.  Its verification report is
+    computed on first use and kept in ``derived``, one per policy, as an
+    algebra keeps its block data.
     """
 
     algebra: FiniteStarAlgebra
@@ -77,6 +80,8 @@ class GNSRepresentation:
     cyclic_vector: np.ndarray  # (d,)
     source_functional: np.ndarray  # (n,)
     embedding: np.ndarray  # (d, n)
+    # The reports of ``verify_star_rep``, keyed by what they were checked with.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.matrices, dtype=complex)
@@ -149,10 +154,15 @@ def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, f
     Multiplicativity, n^2 d^2 entries, is checked a block of the first index
     at a time (``index_blocks``) as two BLAS matmuls per block, so it costs
     O(n^2 d^2 (n + d)) work in O(n d^2) memory; the other laws are matmuls.
+    Real structure constants build the product table as a real matmul on
+    the real and imaginary parts of the pi(e_k), half the work of a complex
+    one.
     """
     n, d = algebra.dim, mats.shape[1]
-    c = algebra.structure_constants
-    flat = mats.reshape(n, d * d)  # [k, (a, b)]
+    c = _real_if_real(algebra.structure_constants)
+    flat = np.ascontiguousarray(mats.reshape(n, d * d))  # [k, (a, b)]
+    # the table's right operand: flat itself, or its (re, im) pairs as reals
+    table_rhs = flat if np.iscomplexobj(c) else flat.view(float)
 
     def maxabs(x) -> float:
         return float(np.max(np.abs(x))) if np.size(x) else 0.0
@@ -166,7 +176,8 @@ def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, f
     for blk in index_blocks(n, n * d * d):
         rows = blk.stop - blk.start
         products = (mats[blk].reshape(rows * d, d) @ by_row).reshape(rows, d, n, d)
-        table = (c[blk].reshape(rows * n, n) @ flat).reshape(rows, n, d, d)
+        table = (c[blk].reshape(rows * n, n) @ table_rhs).view(complex)
+        table = table.reshape(rows, n, d, d)
         mult_dev = max(mult_dev, maxabs(products.transpose(0, 2, 1, 3) - table))
 
     star_images = (algebra.involution @ flat).reshape(n, d, d)
@@ -182,9 +193,20 @@ def verify_star_rep(
     Checked: the unit acts as the identity; multiplicativity on basis pairs;
     the adjoint property pi(e_i^*) = pi(e_i)^dagger (all three by
     ``_law_violations``); cyclicity of the distinguished vector; and
-    reproduction of the source functional.  Each violation is the exact
-    maximum over all index tuples.
+    reproduction of the source functional, max|rho_hat - rho| relative to
+    the larger of max|rho_hat| and max|rho| (``relative_gap``).  Each
+    violation is the exact maximum over all index tuples.  The report is
+    computed on the first call for a representation and policy and kept on
+    the representation (``GNSRepresentation.derived``); later calls return
+    the kept report.
     """
+    key = ("verify_star_rep", pol)
+    if key not in rep.derived:
+        rep.derived[key] = _check_star_rep(rep, pol)
+    return rep.derived[key]
+
+
+def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationReport:
     mats = rep.matrices
     xi = rep.cyclic_vector
     d = rep.rep_dim
@@ -194,7 +216,7 @@ def verify_star_rep(
     cyclic_dev = float(d - orbit_rank)
 
     reproduced = (mats @ xi) @ np.conj(xi)
-    repro_dev = float(np.max(np.abs(reproduced - rep.source_functional)))
+    repro_dev = relative_gap(reproduced, rep.source_functional)
 
     return ValidationReport(
         violations={

@@ -12,7 +12,9 @@ the solver's.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "pseudo_inverse",
     "psd_check",
     "psd_rank",
+    "relative_gap",
     "index_blocks",
 ]
 
@@ -57,7 +60,9 @@ class TolerancePolicy:
         matrix and its positive multiples get the same verdict.
     match_tol
         Generic agreement tolerance for identities checked entrywise, and
-        the relative asymmetry bound of ``is_hermitian``.
+        the relative asymmetry bound of ``is_hermitian``.  A residual that
+        scales with its operands is measured against their size
+        (``relative_gap``).
     """
 
     rel_rank_tol: float = 1e-9
@@ -75,10 +80,17 @@ DEFAULT_POLICY = TolerancePolicy()
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Named maximum violations of a family of laws, plus a pass threshold."""
+    """Named maximum violations of a family of laws, plus a pass threshold.
 
-    violations: dict[str, float]
+    ``violations`` is a read-only mapping, so a report can be kept and
+    shared (``gns.verify_star_rep`` keeps one per representation).
+    """
+
+    violations: Mapping[str, float]
     tolerance: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "violations", MappingProxyType(dict(self.violations)))
 
     @property
     def max_violation(self) -> float:
@@ -213,6 +225,17 @@ def psd_rank(
     is_psd = bool(values[-1] >= -pol.psd_tol * size)
     rank = int(np.count_nonzero(values > pol.rel_rank_tol * size))
     return is_psd, rank
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """max|got - want| over the larger of max|got| and max|want|; 0 when both are 0.
+
+    The package's rule for an entrywise residual between two arrays that
+    scale together, so that a functional and its positive multiples get the
+    same verdict.  A zero array against a nonzero one reads 1.
+    """
+    size = float(max(np.max(np.abs(got), initial=0.0), np.max(np.abs(want), initial=0.0)))
+    return float(np.max(np.abs(got - want))) / size if size else 0.0
 
 
 def psd_check(m, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:

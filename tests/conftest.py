@@ -160,6 +160,21 @@ def count_eigensolves(monkeypatch, run):
     return run(), sizes
 
 
+def count_law_checks(monkeypatch) -> list[int]:
+    """A list that gains the representation dimension of each ``gns._law_violations`` call."""
+    import starrep.gns
+
+    dims = []
+    check = starrep.gns._law_violations
+
+    def counted(algebra, mats):
+        dims.append(mats.shape[1])
+        return check(algebra, mats)
+
+    monkeypatch.setattr(starrep.gns, "_law_violations", counted)
+    return dims
+
+
 def infimum_norm_oracle(h1: np.ndarray, h2: np.ndarray, xi: np.ndarray) -> float:
     """Constrained quadratic minimization reference for the two-kernel sum norm.
 

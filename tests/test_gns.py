@@ -18,11 +18,14 @@ from starrep import (
     is_irreducible,
     is_positive,
     representations_equivalent,
+    rep_to_kernel,
     verify_star_rep,
 )
 from starrep.errors import NotEquivalent, NotPositive, ZeroFunctional
 
 from conftest import (
+    change_basis,
+    count_law_checks,
     cyclic_group_table,
     random_algebra,
     random_positive_functional,
@@ -121,6 +124,59 @@ def test_verify_detects_broken_multiplicativity():
     report = verify_star_rep(broken)
     assert not report.passed
     assert report.violations["multiplicativity"] == pytest.approx(3.0)
+
+
+def test_a_representation_is_verified_once_per_policy(monkeypatch):
+    checks = count_law_checks(monkeypatch)
+    rep = gns_construct(build_matrix_algebra(2), TRACE2)
+    assert checks == []
+    report = verify_star_rep(rep)
+    rep_to_kernel(rep)
+    assert checks == [4]
+    assert verify_star_rep(rep, TolerancePolicy()) is report
+    rep_to_kernel(rep, TolerancePolicy())
+    assert checks == [4]
+    looser = TolerancePolicy(match_tol=1e-7)
+    assert verify_star_rep(rep, looser).tolerance == 1e-7
+    rep_to_kernel(rep, looser)
+    assert checks == [4, 4]
+
+
+def test_kept_report_is_read_only():
+    report = verify_star_rep(gns_construct(build_matrix_algebra(2), TRACE2))
+    with pytest.raises(TypeError):
+        report.violations["reproduction"] = 1.0
+
+
+# rho = tr(diag(2, 1) .) on M_2 in the matrix-unit basis E11, E12, E21, E22
+DIAG21 = np.array([2.0, 0, 0, 1.0])
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_reproduction_is_scale_free_in_matrix_units(scale):
+    m2 = build_matrix_algebra(2)
+    rep = gns_construct(m2, scale * DIAG21)
+    report = verify_star_rep(rep)
+    assert report.passed, dict(report.violations)
+    assert report.violations["reproduction"] < 1e-15
+    np.testing.assert_allclose(
+        rep_to_kernel(rep).matrix / scale, rep_to_kernel(gns_construct(m2, DIAG21)).matrix,
+        atol=1e-14,
+    )
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9])
+def test_reproduction_is_scale_free_in_a_scrambled_basis(scale):
+    s = random_unitary(np.random.default_rng(11), 9)
+    m3 = change_basis(build_matrix_algebra(3), s)
+    # tr(diag(3, 2, 1) .) / 6 in the matrix-unit basis, carried through s
+    rho = s.T @ (np.diag([3.0, 2.0, 1.0]).ravel() / 6.0)
+    rep = gns_construct(m3, scale * rho)
+    report = verify_star_rep(rep)
+    assert rep.rep_dim == 9
+    assert report.passed, dict(report.violations)
+    assert report.violations["reproduction"] < 1e-13
+    rep_to_kernel(rep)
 
 
 def test_gns_round_trip_random():

@@ -31,7 +31,13 @@ from starrep import (
 )
 from starrep.correspondence import _invariance_residual
 
-from conftest import random_algebra, random_positive_functional, s3_algebra
+from conftest import (
+    change_basis,
+    random_algebra,
+    random_positive_functional,
+    random_unitary,
+    s3_algebra,
+)
 
 # A budget of 1 puts each index in its own block; 200 gives blocks of a few
 # indices, the last one often short; the default keeps the small algebras
@@ -71,11 +77,13 @@ def rep_oracle(rep: GNSRepresentation) -> dict:
     prod_table = np.einsum("ijk,kab->ijab", a.structure_constants, mats)
     star_images = np.einsum("ij,jab->iab", a.involution, mats)
     reproduced = np.einsum("a,iab,b->i", np.conj(xi), mats, xi)
+    # reproduction is relative to the larger of the two functionals
+    size = max(maxabs(reproduced), maxabs(rep.source_functional))
     return {
         "unit": maxabs(np.einsum("i,iab->ab", a.unit, mats) - np.eye(d)),
         "multiplicativity": maxabs(np.einsum("iab,jbc->ijac", mats, mats) - prod_table),
         "star_property": maxabs(star_images - np.conj(mats.transpose(0, 2, 1))),
-        "reproduction": maxabs(reproduced - rep.source_functional),
+        "reproduction": maxabs(reproduced - rep.source_functional) / size if size else 0.0,
     }
 
 
@@ -151,6 +159,24 @@ def test_verify_star_rep_matches_oracle(budget, seed):
     assert min(v for k, v in report.violations.items() if k != "cyclicity") > 1e-3
     assert_matches(report, rep_oracle(bad))
     assert report.violations["cyclicity"] == verify_star_rep(rep).violations["cyclicity"]
+
+
+@pytest.mark.parametrize("scrambled", [False, True], ids=["real", "complex"])
+def test_kept_report_matches_oracle(budget, scrambled):
+    # M_3 in the matrix-unit basis has real structure constants and builds
+    # the product table in real arithmetic; a random unitary change of basis
+    # makes them complex
+    rng = np.random.default_rng(400)
+    a = build_matrix_algebra(3)
+    rho = np.diag([3.0, 2.0, 1.0]).ravel() / 6.0
+    if scrambled:
+        s = random_unitary(rng, a.dim)
+        a, rho = change_basis(a, s), s.T @ rho
+    assert np.any(a.structure_constants.imag) == scrambled
+    for rep in (gns_construct(a, rho), perturbed_rep(gns_construct(a, rho), rng)):
+        report = verify_star_rep(rep)
+        assert verify_star_rep(rep) is report
+        assert_matches(report, rep_oracle(rep))
 
 
 @pytest.mark.parametrize("seed", range(6))

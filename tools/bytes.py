@@ -14,8 +14,9 @@ and 7), ``--output text``, a tolerance override, and the error paths:
 unknown entities, entities on the wrong algebra, bad arguments, and broken
 workspace files (written to a temporary directory).  The commands that
 name a kernel also run on copies of ``m2.json`` whose kernels are scaled by
-1e-12 and by 1e9 (written there too), where a verdict that depends on
-scale shows.
+1e-12 and by 1e9, and the commands that name a functional on copies whose
+functionals are scaled by the same factors (written there too), where a
+verdict that depends on scale shows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 
 CHAIN_RULES = ("constant", "geometric-decreasing", "geometric-increasing", "doubling")
 DECOMPOSE_SEEDS = (0, 1, 7)
-KERNEL_SCALES = (1e-12, 1e9)
+SCALES = (1e-12, 1e9)
 WORKERS = 2
 
 
@@ -86,19 +87,19 @@ def _scaled(value, factor: float):
     return value * factor
 
 
-def scaled_kernel_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
-    """The commands naming a kernel, on copies of m2.json with its kernels times KERNEL_SCALES."""
+def scaled_commands(fixtures: Path, scratch: Path, section: str, key: str) -> list[list[str]]:
+    """The commands naming an entry of m2.json's ``section``, with its ``key`` times SCALES."""
     doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
     paths = []
-    for factor in KERNEL_SCALES:
-        copy = {**doc, "kernels": {
-            name: {**spec, "matrix": _scaled(spec["matrix"], factor)}
-            for name, spec in doc["kernels"].items()
+    for factor in SCALES:
+        copy = {**doc, section: {
+            name: {**spec, key: _scaled(spec[key], factor)}
+            for name, spec in doc[section].items()
         }}
-        path = scratch / f"m2_kernels_{factor:g}.json"
+        path = scratch / f"m2_{section}_{factor:g}.json"
         path.write_text(json.dumps(copy), encoding="utf-8")
         paths.append(path)
-    return [cmd for cmd in fixture_commands(paths) if set(cmd) & set(doc["kernels"])]
+    return [cmd for cmd in fixture_commands(paths) if set(cmd) & set(doc[section])]
 
 
 def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
@@ -163,7 +164,8 @@ def main(argv=None) -> int:
         fixtures = old / "fixtures"
         cmds = (fixture_commands(sorted(fixtures.glob("*.json")))
                 + variant_commands(fixtures, Path(scratch))
-                + scaled_kernel_commands(fixtures, Path(scratch)))
+                + scaled_commands(fixtures, Path(scratch), "kernels", "matrix")
+                + scaled_commands(fixtures, Path(scratch), "functionals", "values"))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
