@@ -119,12 +119,12 @@ def validate_algebra(
     for blk in index_blocks(n, n ** 3):
         left = c[blk].reshape(-1, n) @ c_rows
         right = np.matmul(c_pairs, c[blk])
-        assoc = max(assoc, float(np.max(np.abs(left.reshape(right.shape) - right))))
+        assoc = np.maximum(assoc, np.max(np.abs(left.reshape(right.shape) - right)))
 
     eye = np.eye(n)
     unit_left = (e @ c_rows).reshape(n, n)
     unit_right = np.matmul(e, c)
-    unit_dev = float(max(np.max(np.abs(unit_left - eye)), np.max(np.abs(unit_right - eye))))
+    unit_dev = np.maximum(np.max(np.abs(unit_left - eye)), np.max(np.abs(unit_right - eye)))
 
     involutive = float(np.max(np.abs(s.T @ np.conj(s.T) - eye)))
 
@@ -137,8 +137,8 @@ def validate_algebra(
 
     return ValidationReport(
         violations={
-            "associativity": assoc,
-            "unit": unit_dev,
+            "associativity": float(assoc),
+            "unit": float(unit_dev),
             "involution_involutive": involutive,
             "involution_antimultiplicative": antimult,
         },

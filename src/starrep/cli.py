@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -64,7 +65,7 @@ def _gns(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
     return {
         "rep_dim": rep.rep_dim,
         "cyclic_vector": encode_matrix(rep.cyclic_vector),
-        "matrices": [encode_matrix(m) for m in rep.matrices],
+        "matrices": encode_matrix(rep.matrices),
         "verification": report.as_dict(),
     }
 
@@ -207,8 +208,10 @@ def _weighted_terms(ws: WorkspaceFile, verb: str, terms: list[str]) -> list[tupl
     for weight, name in zip(terms[::2], terms[1::2]):
         try:
             w = float(weight)
-        except ValueError as exc:
-            raise BadArgument(f"bad weight {weight!r}") from exc
+        except ValueError:
+            w = math.nan
+        if not math.isfinite(w):
+            raise BadArgument(f"bad weight {weight!r}")
         resolved.append((w, ws.kernel(name).kernel))
     return resolved
 
@@ -218,7 +221,8 @@ def _resolve(ws: WorkspaceFile, args: argparse.Namespace, name: str):
 
     A functional or kernel must live on the command's algebra: its
     ``algebra`` argument, or else its homomorphism's target.  Arguments that
-    name nothing (numbers, chain settings) come back as parsed.
+    name nothing (numbers, chain settings) come back as parsed; a number
+    must be finite.
     """
     raw = getattr(args, name)
     if name == "algebra":
@@ -231,6 +235,8 @@ def _resolve(ws: WorkspaceFile, args: argparse.Namespace, name: str):
         kind, entry = "functional", ws.functional(raw)
     elif name in _KERNEL_ARGS:
         kind, entry = "kernel", ws.kernel(raw)
+    elif isinstance(raw, float) and not math.isfinite(raw):
+        raise BadArgument(f"{name} must be finite, got {raw}")
     else:
         return raw
     value = entry.values if kind == "functional" else entry.kernel

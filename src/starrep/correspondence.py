@@ -11,6 +11,7 @@ test that characterizes which kernels arise this way, and transport along
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     InvalidRepresentation,
     NegativeEigenvalue,
     NegativeScalar,
+    NonFiniteScalar,
     NotPositive,
     NotStarInvariant,
     PullbackInvarianceFailure,
@@ -95,8 +97,8 @@ def validate_star_homomorphism(
         prod_src = a1.structure_constants[blk].reshape(rows * n1, n1) @ m.T
         left = (m[:, blk].T @ c2_rows).reshape(rows, n2, n2)  # alpha(e_i) e_b
         prod_tgt = m.T @ left
-        mult_dev = max(
-            mult_dev, float(np.max(np.abs(prod_src.reshape(prod_tgt.shape) - prod_tgt)))
+        mult_dev = np.maximum(
+            mult_dev, np.max(np.abs(prod_src.reshape(prod_tgt.shape) - prod_tgt))
         )
 
     star_src = m @ a1.involution.T  # column i = image of e_i^*
@@ -107,7 +109,7 @@ def validate_star_homomorphism(
 
     return ValidationReport(
         violations={
-            "multiplicativity": mult_dev,
+            "multiplicativity": float(mult_dev),
             "star_compatibility": star_dev,
             "unit": unit_dev,
         },
@@ -146,8 +148,8 @@ def _invariance_residual(algebra: FiniteStarAlgebra, matrix: np.ndarray) -> floa
         star_mults = (algebra.involution[blk] @ flat).reshape(-1, n, n)
         lhs = np.conj(star_mults.transpose(0, 2, 1)) @ matrix
         rhs = matrix @ left_mults[blk]
-        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
-    return residual
+        residual = np.maximum(residual, np.max(np.abs(lhs - rhs)))
+    return float(residual)
 
 
 def is_star_invariant(
@@ -215,7 +217,7 @@ def pullback(
         raise NotStarInvariant("input kernel is not invariant on the target algebra")
     pulled = hom.matrix.conj().T @ kernel.matrix @ hom.matrix
     residual = _invariance_residual(hom.source, pulled)
-    if residual > 10.0 * pol.match_tol:
+    if not residual <= 10.0 * pol.match_tol:
         raise PullbackInvarianceFailure(
             f"pulled-back kernel fails invariance by {residual:.3e}"
         )
@@ -240,6 +242,8 @@ def cone_morphism_audit(
     r2 = np.asarray(rho2, dtype=complex)
     if lam < 0:
         raise NegativeScalar(f"scale factor must be nonnegative, got {lam}")
+    if not math.isfinite(lam):
+        raise NonFiniteScalar(f"scale factor must be finite, got {lam}")
     try:
         k1 = functional_to_kernel(algebra, r1, pol)
         k2 = functional_to_kernel(algebra, r2, pol)

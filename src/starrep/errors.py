@@ -91,6 +91,10 @@ class NegativeWeight(StarRepError):
     pass
 
 
+class NonFiniteScalar(StarRepError):
+    """A scale factor or weight that is NaN or infinite."""
+
+
 class ZeroKernel(StarRepError):
     pass
 

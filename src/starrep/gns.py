@@ -178,11 +178,11 @@ def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, f
         products = (mats[blk].reshape(rows * d, d) @ by_row).reshape(rows, d, n, d)
         table = (c[blk].reshape(rows * n, n) @ table_rhs).view(complex)
         table = table.reshape(rows, n, d, d)
-        mult_dev = max(mult_dev, maxabs(products.transpose(0, 2, 1, 3) - table))
+        mult_dev = np.maximum(mult_dev, maxabs(products.transpose(0, 2, 1, 3) - table))
 
     star_images = (algebra.involution @ flat).reshape(n, d, d)
     star_dev = maxabs(star_images - np.conj(np.transpose(mats, (0, 2, 1))))
-    return {"unit": unit_dev, "multiplicativity": mult_dev, "star_property": star_dev}
+    return {"unit": unit_dev, "multiplicativity": float(mult_dev), "star_property": star_dev}
 
 
 def verify_star_rep(
@@ -360,10 +360,10 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     for stack in blocks:
         stack.setflags(write=False)
         for law, dev in _law_violations(algebra, stack).items():
-            worst[law] = max(worst.get(law, 0.0), dev)
+            worst[law] = float(np.maximum(worst.get(law, 0.0), dev))
     report = ValidationReport(violations=worst, tolerance=pol.match_tol)
     if not report.passed:
-        law = max(worst, key=worst.get)
+        law = report.worst
         raise NoConvergence(
             f"the blocks {sizes} miss the algebra: {law} deviates by {worst[law]:.3e}"
         )

@@ -13,6 +13,7 @@ makes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,7 @@ from .errors import (
     NegativeEigenvalue,
     NegativeScalar,
     NegativeWeight,
+    NonFiniteScalar,
     NoConvergence,
     NotDominated,
     NotMajorized,
@@ -164,8 +166,9 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
     """
     if lam < 0:
         raise NegativeScalar(f"scale factor must be nonnegative, got {lam}")
-    if not 0 < lam < np.inf:
-        # 0 gives the zero kernel; nan and inf fail make_kernel's finiteness check
+    if not math.isfinite(lam):
+        raise NonFiniteScalar(f"scale factor must be finite, got {lam}")
+    if lam == 0:  # the zero kernel
         return make_kernel(lam * kernel.matrix, pol)
     return Kernel(lam * kernel.matrix, lam * kernel.values, kernel.vectors, kernel.rank)
 
@@ -317,6 +320,8 @@ def weighted_kernel_sum(
     for weight, kernel in terms:
         if weight < 0:
             raise NegativeWeight(f"weights must be nonnegative, got {weight}")
+        if not math.isfinite(weight):
+            raise NonFiniteScalar(f"weights must be finite, got {weight}")
         if kernel.dim != dim:
             raise DimMismatch("kernels in a weighted sum must share a dimension")
         total = total + weight * kernel.matrix

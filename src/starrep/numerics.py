@@ -12,6 +12,7 @@ the solver's.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -71,7 +72,7 @@ class TolerancePolicy:
 
     def __post_init__(self) -> None:
         for name in ("rel_rank_tol", "psd_tol", "match_tol"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN too
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -83,7 +84,9 @@ class ValidationReport:
     """Named maximum violations of a family of laws, plus a pass threshold.
 
     ``violations`` is a read-only mapping, so a report can be kept and
-    shared (``gns.verify_star_rep`` keeps one per representation).
+    shared (``gns.verify_star_rep`` keeps one per representation).  A NaN
+    violation, a law whose check produced no number, counts as the worst
+    and fails the report.
     """
 
     violations: Mapping[str, float]
@@ -94,7 +97,15 @@ class ValidationReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.violations.values(), default=0.0)
+        values = self.violations.values()
+        # max drops a NaN that is not listed first; the sum keeps it
+        return math.nan if math.isnan(sum(values)) else max(values, default=0.0)
+
+    @property
+    def worst(self) -> str:
+        """The name of the largest violation, a NaN one first."""
+        v = self.violations
+        return max(v, key=lambda law: (math.isnan(v[law]), v[law]))
 
     @property
     def passed(self) -> bool:

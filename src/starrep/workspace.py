@@ -2,9 +2,13 @@
 
 The on-disk format is JSON.  Complex scalars are two-element arrays
 ``[re, im]``, matrices are row-major nested arrays, and structure constants
-are n x n x n nested arrays.  Every named entry that refers to an algebra
-does so by name; all references must resolve, and every algebra must pass
-validation at load time.
+are n x n x n nested arrays.  Each ``re`` and ``im`` is a number, integer
+or float (``true`` and ``false`` read as 1 and 0), that is finite as a
+float: ``NaN``, ``Infinity`` and integers beyond the float range are
+rejected, as are strings, ``null``, pairs of another length, empty arrays
+and ragged rows, each with the path of the field.  Every named entry that
+refers to an algebra does so by name; all references must resolve, and
+every algebra must pass validation at load time.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "WorkspaceFile",
     "parse_workspace",
     "workspace_to_json",
-    "encode_complex",
     "encode_matrix",
 ]
 
@@ -86,77 +89,43 @@ class WorkspaceFile:
         return self.homomorphisms[name]
 
 
-def _decode_complex(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
-        raise ParseError(f"{path}: expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+def _decode_array(value, ndim: int, path: str):
+    """The complex ndim-d array (a scalar for 0) a nest of [re, im] pairs encodes.
 
-
-def _decode_pairs(value, ndim: int) -> np.ndarray | None:
-    """The complex ndim-d array of nested [re, im] pairs in one numpy step.
-
-    None when ``value`` is not a nonempty, rectangular nest of numeric
-    pairs of that depth; the entry-by-entry decoders below then say where it
-    goes wrong.  The pairs are reinterpreted, not recomputed, as complex
-    numbers, so the result is bit for bit what ``complex(re, im)`` gives.
+    A well-formed nest is read in one numpy step, its pairs reinterpreted,
+    not recomputed, as complex numbers, so the result is bit for bit what
+    ``complex(re, im)`` gives.  Anything else is decoded part by part, which
+    names the first bad field and reads integers numpy keeps as objects
+    (2**64 and up).  Numbers must be finite as floats.
     """
     try:
         a = np.array(value)
-    except (ValueError, TypeError):
-        return None
-    if a.dtype.kind not in "biuf" or a.ndim != ndim + 1 or a.shape[-1] != 2 or a.size == 0:
-        return None
-    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
-
-
-def _decode_vector(value, path: str) -> np.ndarray:
+    except (ValueError, TypeError):  # a ragged nest
+        a = np.array(None)
+    if a.dtype.kind in "biuf" and a.ndim == ndim + 1 and a.shape[-1] == 2 and np.isfinite(a).all():
+        return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    if ndim == 0:
+        if not (isinstance(value, list) and len(value) == 2
+                and all(isinstance(v, (int, float)) for v in value)):
+            raise ParseError(f"{path}: expected a [re, im] pair, got {value!r}")
+        try:
+            if np.isfinite(z := complex(*value)):
+                return z
+        except OverflowError:  # an integer beyond the float range
+            pass
+        raise ParseError(f"{path}: expected finite numbers, got {value!r}")
     if not isinstance(value, list) or not value:
-        raise ParseError(f"{path}: expected a nonempty array")
-    fast = _decode_pairs(value, 1)
-    if fast is not None:
-        return fast
-    return np.array([_decode_complex(v, f"{path}[{i}]") for i, v in enumerate(value)])
+        raise ParseError(f"{path}: expected a nonempty {'' if ndim == 1 else f'{ndim}-d '}array")
+    parts = [_decode_array(v, ndim - 1, f"{path}[{i}]") for i, v in enumerate(value)]
+    if len({np.shape(p) for p in parts}) != 1:
+        raise ParseError(f"{path}: ragged {'rows' if ndim == 2 else 'slabs'}")
+    return np.array(parts)
 
 
-def _decode_matrix(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ParseError(f"{path}: expected a nonempty 2-d array")
-    fast = _decode_pairs(value, 2)
-    if fast is not None:
-        return fast
-    rows = [_decode_vector(row, f"{path}[{i}]") for i, row in enumerate(value)]
-    widths = {row.shape[0] for row in rows}
-    if len(widths) != 1:
-        raise ParseError(f"{path}: ragged rows")
-    return np.stack(rows)
-
-
-def _decode_tensor(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ParseError(f"{path}: expected a nonempty 3-d array")
-    fast = _decode_pairs(value, 3)
-    if fast is not None:
-        return fast
-    slabs = [_decode_matrix(slab, f"{path}[{i}]") for i, slab in enumerate(value)]
-    shapes = {slab.shape for slab in slabs}
-    if len(shapes) != 1:
-        raise ParseError(f"{path}: ragged slabs")
-    return np.stack(slabs)
-
-
-def encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def encode_matrix(m: np.ndarray) -> list:
-    a = np.asarray(m)
-    if a.ndim == 1:
-        return [encode_complex(z) for z in a]
-    return [encode_matrix(row) for row in a]
+def encode_matrix(m) -> list:
+    """A complex array as nested [re, im] pairs, the form ``_decode_array`` reads."""
+    a = np.asarray(m, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> WorkspaceFile:
@@ -170,6 +139,8 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
 
@@ -179,11 +150,11 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
         base = f"algebras.{name}"
         if not isinstance(spec, dict):
             raise ParseError(f"{base}: expected an object")
-        tensor = _decode_tensor(
-            spec.get("structure_constants"), f"{base}.structure_constants"
+        tensor = _decode_array(
+            spec.get("structure_constants"), 3, f"{base}.structure_constants"
         )
-        involution = _decode_matrix(spec.get("involution"), f"{base}.involution")
-        unit = _decode_vector(spec.get("unit"), f"{base}.unit")
+        involution = _decode_array(spec.get("involution"), 2, f"{base}.involution")
+        unit = _decode_array(spec.get("unit"), 1, f"{base}.unit")
         try:
             algebra = FiniteStarAlgebra(
                 structure_constants=tensor,
@@ -195,7 +166,7 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
             raise ParseError(f"{base}: {exc}") from exc
         report = validate_algebra(algebra, pol)
         if not report.passed:
-            worst = max(report.violations, key=report.violations.get)
+            worst = report.worst
             raise ValidationError(
                 f"{base}: algebra axioms violated "
                 f"({worst} deviates by {report.violations[worst]:.3e})"
@@ -210,7 +181,7 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
         algebra_name = spec["algebra"]
         if algebra_name not in ws.algebras:
             raise ValidationError(f"{base}: unresolved algebra {algebra_name!r}")
-        values = _decode_vector(spec.get("values"), f"{base}.values")
+        values = _decode_array(spec.get("values"), 1, f"{base}.values")
         if values.shape != (ws.algebras[algebra_name].dim,):
             raise ValidationError(
                 f"{base}: values length {values.shape[0]} mismatches algebra dim"
@@ -224,7 +195,7 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
         algebra_name = spec["algebra"]
         if algebra_name not in ws.algebras:
             raise ValidationError(f"{base}: unresolved algebra {algebra_name!r}")
-        matrix = _decode_matrix(spec.get("matrix"), f"{base}.matrix")
+        matrix = _decode_array(spec.get("matrix"), 2, f"{base}.matrix")
         dim = ws.algebras[algebra_name].dim
         if matrix.shape != (dim, dim):
             raise ValidationError(f"{base}: matrix shape {matrix.shape} mismatches dim")
@@ -242,7 +213,7 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
         for ref in (src, tgt):
             if ref not in ws.algebras:
                 raise ValidationError(f"{base}: unresolved algebra {ref!r}")
-        matrix = _decode_matrix(spec.get("matrix"), f"{base}.matrix")
+        matrix = _decode_array(spec.get("matrix"), 2, f"{base}.matrix")
         try:
             hom = StarHomomorphism(
                 source=ws.algebras[src], target=ws.algebras[tgt], matrix=matrix
@@ -251,7 +222,7 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
             raise ValidationError(f"{base}: {exc}") from exc
         report = validate_star_homomorphism(hom, pol)
         if not report.passed:
-            worst = max(report.violations, key=report.violations.get)
+            worst = report.worst
             raise ValidationError(
                 f"{base}: not a *-homomorphism "
                 f"({worst} deviates by {report.violations[worst]:.3e})"

@@ -243,8 +243,17 @@ def test_cli_reports_the_first_failed_lookup(capsys, cmd, error, detail):
         (["weighted-sum", "x", "k_t1"], "bad weight 'x'"),
         (["weighted-sum", "1", "k_t1", "1"],
          "weighted-sum expects alternating WEIGHT KERNEL pairs"),
+        (["--tol-match", "nan", "validate", "z2"], "match_tol must be nonnegative"),
+        (["cone-scale", "nan", "k_t1"], "factor must be finite, got nan"),
+        (["cone-scale", "inf", "k_t1"], "factor must be finite, got inf"),
+        (["weighted-sum", "nan", "k_t1"], "bad weight 'nan'"),
+        (["weighted-sum", "1", "k_t1", "inf", "k_t1"], "bad weight 'inf'"),
+        (["chain", "k_t1", "--rule", "geometric-decreasing", "--ratio", "nan"],
+         "ratio must be finite, got nan"),
+        (["audit", "z2", "rho_t0", "rho_t1", "nan"], "factor must be finite, got nan"),
     ],
-    ids=["negative-tol-match", "negative-tol-rank", "bad-weight", "odd-terms"],
+    ids=["negative-tol-match", "negative-tol-rank", "bad-weight", "odd-terms", "nan-tol-match",
+         "nan-factor", "inf-factor", "nan-weight", "inf-weight", "nan-ratio", "nan-audit-factor"],
 )
 def test_cli_bad_arguments_are_typed_errors(capsys, cmd, detail):
     code, report = run_in_process(capsys, *cmd, workspace=FIXTURES / "z2.json")

@@ -21,7 +21,7 @@ from starrep import (
     rep_to_kernel,
     validate_star_homomorphism,
 )
-from starrep.errors import NotPositive, NotStarInvariant
+from starrep.errors import NonFiniteScalar, NotPositive, NotStarInvariant
 
 from conftest import (
     count_eigensolves,
@@ -256,6 +256,10 @@ def test_cone_morphism_audit_examples():
 
     with pytest.raises(NotPositive):
         cone_morphism_audit(z2, [1, 2.0], [1, 0], 1.0)
+    # a NaN factor used to give a NaN "scale" violation and pass
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteScalar):
+            cone_morphism_audit(z2, [1, 0], [1, 1], bad)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])

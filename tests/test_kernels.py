@@ -27,6 +27,7 @@ from starrep.errors import (
     NegativeScalar,
     NegativeWeight,
     NoConvergence,
+    NonFiniteScalar,
     NotDominated,
     NotMajorized,
     ZeroKernel,
@@ -94,6 +95,9 @@ def test_kernel_scale():
     assert zero.rank == 0
     with pytest.raises(NegativeScalar):
         kernel_scale(-1.0, k)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteScalar):
+            kernel_scale(bad, k)
     # a positive factor scales the cached eigenvalues; the matrix is the
     # one make_kernel would build
     k = split_family(seed=50, n=6)["ac"]
@@ -256,6 +260,9 @@ def test_weighted_sum_basic():
 
     with pytest.raises(NegativeWeight):
         weighted_kernel_sum([(-0.5, k)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteScalar):
+            weighted_kernel_sum([(1.0, k), (bad, k)])
 
 
 def test_weighted_sum_trapezoid_quadrature():

@@ -30,6 +30,7 @@ from starrep import (
     verify_star_rep,
 )
 from starrep.correspondence import _invariance_residual
+from starrep.gns import _law_violations
 
 from conftest import (
     change_basis,
@@ -285,6 +286,26 @@ def test_planted_homomorphism_violation_in_last_slice(budget):
     per_i = np.abs(prod_src - prod_tgt).reshape(4, -1).max(axis=1)
     assert worst_index(per_i) == 3
     assert validate_star_homomorphism(hom).violations["multiplicativity"] == per_i[3]
+
+
+def test_a_nan_in_the_last_slice_reaches_the_report(budget):
+    # a running maximum that starts at 0.0 and uses Python's max drops NaN
+    a = s3_algebra()
+    n = a.dim
+    m = np.eye(n, dtype=complex)
+    m[n - 1, n - 1] = np.nan
+    report = validate_star_homomorphism(StarHomomorphism(a, a, m))
+    assert np.isnan(report.violations["multiplicativity"])
+    assert np.isnan(report.violations["star_compatibility"])
+    assert not report.passed
+
+    h = np.eye(n, dtype=complex)
+    h[n - 1, n - 1] = np.nan
+    assert np.isnan(_invariance_residual(a, h))
+
+    mats = a.basis_left_mult().astype(complex)
+    mats[n - 1, 0, 0] = np.nan
+    assert np.isnan(_law_violations(a, mats)["multiplicativity"])
 
 
 def traced_peak_mb(check) -> tuple[object, float]:

@@ -10,7 +10,7 @@ from starrep import (
     pseudo_inverse,
     psd_check,
 )
-from starrep.numerics import psd_rank
+from starrep.numerics import ValidationReport, psd_rank
 from starrep.errors import NegativeEigenvalue, NoConvergence, NonSquare, NotHermitian
 
 from conftest import random_hermitian, random_psd, s3_algebra
@@ -243,5 +243,16 @@ def test_psd_rank_cutoff_relative_to_a_given_scale():
 
 
 def test_policy_rejects_negative_tolerances():
-    with pytest.raises(ValueError):
-        TolerancePolicy(rel_rank_tol=-1.0)
+    for value in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            TolerancePolicy(rel_rank_tol=value)
+
+
+@pytest.mark.parametrize("order", [("a", "nan", "b"), ("nan", "a", "b"), ("a", "b", "nan")])
+def test_a_nan_violation_fails_the_report(order):
+    # Python's max drops a NaN that is not listed first
+    values = {"a": 0.0, "b": 1e-12, "nan": float("nan")}
+    report = ValidationReport({law: values[law] for law in order}, tolerance=1e-8)
+    assert np.isnan(report.max_violation)
+    assert report.worst == "nan"
+    assert not report.passed and report.as_dict()["passed"] is False

@@ -11,12 +11,14 @@ The list is built from the workspace files in OLD_TREE's ``fixtures``
 directory, so both trees read the same inputs.  It covers every verb on
 every entity of every fixture it applies to (``decompose`` at seeds 0, 1
 and 7), ``--output text``, a tolerance override, and the error paths:
-unknown entities, entities on the wrong algebra, bad arguments, and broken
-workspace files (written to a temporary directory).  The commands that
-name a kernel also run on copies of ``m2.json`` whose kernels are scaled by
-1e-12 and by 1e9, and the commands that name a functional on copies whose
-functionals are scaled by the same factors (written there too), where a
-verdict that depends on scale shows.
+unknown entities, entities on the wrong algebra, bad and non-finite
+arguments, and broken workspace files (written to a temporary directory).
+Those include arrays with ragged rows, a string entry, a short pair, no
+entries, the integer 2**70 (which loads), 10**400 and NaN.  The commands
+that name a kernel also run on copies of ``m2.json`` whose kernels are
+scaled by 1e-12 and by 1e9, and the commands that name a functional on
+copies whose functionals are scaled by the same factors (written there
+too), where a verdict that depends on scale shows.
 """
 
 from __future__ import annotations
@@ -102,6 +104,35 @@ def scaled_commands(fixtures: Path, scratch: Path, section: str, key: str) -> li
     return [cmd for cmd in fixture_commands(paths) if set(cmd) & set(doc[section])]
 
 
+def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """A command on each copy of a fixture with one array broken or out of range."""
+    rho = ("functionals", "rho_t0", "values")
+    gns = ["gns", "z2", "rho_t0"]
+    # (fixture, the keys down to the replaced value, the value, the command)
+    cases = [
+        ("z2", ("kernels", "k_t1", "matrix", 0), [[1.0, 0.0]], ["cone-scale", "2", "k_t1"]),
+        ("z2", (*rho, 0), ["1", 0], gns),
+        ("z2", (*rho, 0), [1.0], gns),
+        ("z2", rho, [], gns),
+        ("z2", (*rho, 0), [2**70, 0], gns),
+        ("z2", (*rho, 0), [10**400, 0], gns),
+        ("z2", (*rho, 0), [float("nan"), 0], gns),
+        ("homs", ("homomorphisms", "embed_z2_m2", "matrix", 0, 0), [float("nan"), 0.0],
+         ["pullback", "embed_z2_m2", "gram_trace"]),
+    ]
+    cmds = []
+    for i, (fixture, keys, value, cmd) in enumerate(cases):
+        doc = json.loads((fixtures / f"{fixture}.json").read_text(encoding="utf-8"))
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = scratch / f"malformed_{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        cmds.append(["-w", str(path), *cmd])
+    return cmds
+
+
 def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     """Text output, a tolerance override and the error paths."""
     z2 = ["-w", str(fixtures / "z2.json")]
@@ -132,6 +163,12 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         z2 + ["validate", "z2", "--tol-rank=-1e-3"],
         z2 + ["weighted-sum", "x", "k_t1"],
         z2 + ["weighted-sum", "1", "k_t1", "1"],
+        z2 + ["weighted-sum", "nan", "k_t1"],
+        z2 + ["cone-scale", "nan", "k_t1"],
+        z2 + ["cone-scale", "inf", "k_t1"],
+        z2 + ["chain", "k_t1", "--rule", "geometric-decreasing", "--ratio", "nan"],
+        z2 + ["audit", "z2", "rho_t0", "rho_t1", "nan"],
+        z2 + ["--tol-match", "nan", "validate", "z2"],
         z2 + ["cone-diff", "k_t1", "k_sum"],
         z2 + ["gns", "z2", "rho_t0", "--tol-psd", "1e-300"],
         z2 + ["frobnicate", "z2"],
@@ -143,6 +180,7 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         ["-w", str(broken), "validate", "z2"],
         ["-w", str(fixtures / "homs.json"), "pullback", "embed_z2_m2", "k_t1"],
         ["-w", str(fixtures / "homs.json"), "functional", "m2", "k_t1"],
+        *malformed_arrays(fixtures, scratch),
     ]
 
 
