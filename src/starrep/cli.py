@@ -44,12 +44,15 @@ _CHAIN_RULES: dict[str, tuple[str, Callable[[float, int], float]]] = {
 
 # argparse settings of the verb arguments that are not plain strings.
 _ARG_OPTIONS: dict[str, dict] = {
-    "factor": {"type": float},
     "terms": {"nargs": "+", "help": "alternating WEIGHT KERNEL pairs"},
     "--rule": {"choices": tuple(_CHAIN_RULES), "required": True},
-    "--ratio": {"type": float, "default": 0.5},
-    "--max-steps": {"type": int, "default": 50},
+    "--ratio": {"default": 0.5},
+    "--max-steps": {"default": 50},
 }
+
+# The arguments that are numbers, and the type each is read as.  ``_resolve``
+# reads them, so that a bad one gets a report and not a usage error.
+_NUMBER_ARGS: dict[str, type] = {"factor": float, "ratio": float, "max_steps": int}
 
 _FUNCTIONAL_ARGS = ("functional", "f1", "f2")
 _KERNEL_ARGS = ("kernel", "k1", "k2")
@@ -168,6 +171,26 @@ def _dest(arg: str) -> str:
     return arg.lstrip("-").replace("-", "_")
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every token ``float`` accepts as a value.
+
+    argparse takes a token that starts with ``-`` for an option unless it is
+    a plain decimal such as ``-1`` or ``-0.5``, so ``-1e-3`` and ``-inf``
+    would be usage errors; as values they reach ``_resolve``.
+    """
+
+    def _parse_optional(self, arg_string):
+        return None if _is_number(arg_string) else super()._parse_optional(arg_string)
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workspace", "-w", help="workspace JSON file")
     parser.add_argument("--tol-rank", type=float)
@@ -178,7 +201,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="starrep",
         description="Operations on finite-dimensional *-algebras, functionals, "
         "kernels, and their representations.",
@@ -216,15 +239,28 @@ def _weighted_terms(ws: WorkspaceFile, verb: str, terms: list[str]) -> list[tupl
     return resolved
 
 
+def _number(name: str, raw, kind: type):
+    """The finite number ``raw`` reads as, or BadArgument."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise BadArgument(f"bad {name} {raw!r}") from None
+    if not math.isfinite(value):
+        raise BadArgument(f"{name} must be finite, got {value}")
+    return value
+
+
 def _resolve(ws: WorkspaceFile, args: argparse.Namespace, name: str):
     """What the argument ``name`` of a parsed command names in the workspace.
 
     A functional or kernel must live on the command's algebra: its
-    ``algebra`` argument, or else its homomorphism's target.  Arguments that
-    name nothing (numbers, chain settings) come back as parsed; a number
-    must be finite.
+    ``algebra`` argument, or else its homomorphism's target.  A number
+    (``_NUMBER_ARGS``) must be finite.  Other arguments that name nothing
+    (the chain rule) come back as parsed.
     """
     raw = getattr(args, name)
+    if name in _NUMBER_ARGS:
+        return _number(name, raw, _NUMBER_ARGS[name])
     if name == "algebra":
         return ws.algebra(raw)
     if name == "homomorphism":
@@ -235,8 +271,6 @@ def _resolve(ws: WorkspaceFile, args: argparse.Namespace, name: str):
         kind, entry = "functional", ws.functional(raw)
     elif name in _KERNEL_ARGS:
         kind, entry = "kernel", ws.kernel(raw)
-    elif isinstance(raw, float) and not math.isfinite(raw):
-        raise BadArgument(f"{name} must be finite, got {raw}")
     else:
         return raw
     value = entry.values if kind == "functional" else entry.kernel
@@ -255,13 +289,16 @@ def _resolve(ws: WorkspaceFile, args: argparse.Namespace, name: str):
 def _echo(name: str, raw, value):
     """How the report's ``inputs`` shows an argument.
 
-    A verb's ``functional`` shows the functional's values; a weighted sum
-    shows its parsed weights; every other argument shows as given.
+    A verb's ``functional`` shows the functional's values; numbers and the
+    weights of a weighted sum show as parsed; every other argument shows as
+    given.
     """
     if name == "functional":
         return encode_matrix(value)
     if name == "terms":
         return [{"weight": w, "kernel": k} for (w, _), k in zip(value, raw[1::2])]
+    if name in _NUMBER_ARGS:
+        return value
     return raw
 
 

@@ -92,7 +92,7 @@ class NegativeWeight(StarRepError):
 
 
 class NonFiniteScalar(StarRepError):
-    """A scale factor or weight that is NaN or infinite."""
+    """A scale factor or weight that is NaN or infinite, or that overflows a kernel."""
 
 
 class ZeroKernel(StarRepError):

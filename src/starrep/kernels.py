@@ -96,15 +96,16 @@ class SubspaceElement:
 def make_kernel(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
     """Validate a matrix as a reproducing operator and cache its spectrum.
 
-    One eigensolve gives the PSD verdict (``psd_rank``), the rank and the
-    spectrum the cone operations read.
+    One eigensolve gives the hermitized matrix the kernel keeps, the PSD
+    verdict (``psd_rank``), the rank and the spectrum the cone operations
+    read.
     """
-    m = np.asarray(matrix, dtype=complex)
-    values, vectors = hermitian_eigen(m, pol)
+    eigen = hermitian_eigen(matrix, pol)
+    values, vectors = eigen
     is_psd, rank = psd_rank(values, pol)
     if not is_psd:
         raise NegativeEigenvalue("a reproducing operator must be PSD")
-    return Kernel((m + m.conj().T) / 2.0, values, vectors, rank)
+    return Kernel(eigen.matrix, values, vectors, rank)
 
 
 def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
@@ -162,7 +163,8 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
     """Scale by a nonnegative real; member norms scale by 1/lam, 0 gives {0}.
 
     A positive finite lam scales the cached eigenvalues and keeps the
-    eigenvectors and the rank.
+    eigenvectors and the rank; NonFiniteScalar is raised when the scaled
+    entries overflow.
     """
     if lam < 0:
         raise NegativeScalar(f"scale factor must be nonnegative, got {lam}")
@@ -170,7 +172,11 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
         raise NonFiniteScalar(f"scale factor must be finite, got {lam}")
     if lam == 0:  # the zero kernel
         return make_kernel(lam * kernel.matrix, pol)
-    return Kernel(lam * kernel.matrix, lam * kernel.values, kernel.vectors, kernel.rank)
+    with np.errstate(over="ignore"):
+        matrix, values = lam * kernel.matrix, lam * kernel.values
+    if not (np.isfinite(matrix).all() and np.isfinite(values).all()):
+        raise NonFiniteScalar(f"scaling by {lam} overflows the kernel")
+    return Kernel(matrix, values, kernel.vectors, kernel.rank)
 
 
 def kernel_leq(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -317,15 +323,18 @@ def weighted_kernel_sum(
     dim = terms[0][1].dim
     total = np.zeros((dim, dim), dtype=complex)
     rank_sum = 0
-    for weight, kernel in terms:
-        if weight < 0:
-            raise NegativeWeight(f"weights must be nonnegative, got {weight}")
-        if not math.isfinite(weight):
-            raise NonFiniteScalar(f"weights must be finite, got {weight}")
-        if kernel.dim != dim:
-            raise DimMismatch("kernels in a weighted sum must share a dimension")
-        total = total + weight * kernel.matrix
-        if weight > 0:
-            rank_sum += kernel.rank
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, kernel in terms:
+            if weight < 0:
+                raise NegativeWeight(f"weights must be nonnegative, got {weight}")
+            if not math.isfinite(weight):
+                raise NonFiniteScalar(f"weights must be finite, got {weight}")
+            if kernel.dim != dim:
+                raise DimMismatch("kernels in a weighted sum must share a dimension")
+            total = total + weight * kernel.matrix
+            if weight > 0:
+                rank_sum += kernel.rank
+    if not np.isfinite(total).all():
+        raise NonFiniteScalar("the weighted sum overflows")
     combined = make_kernel(total, pol)
     return combined, rank_sum == combined.rank

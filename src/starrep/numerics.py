@@ -124,7 +124,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.size == 0:
         raise NonSquare(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -135,20 +135,22 @@ def is_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     The bound is relative to the largest entry, so a matrix and its multiples
     get the same verdict.
     """
-    asym = float(np.max(np.abs(a - a.conj().T)))
-    return asym <= pol.match_tol * float(np.max(np.abs(a)))
+    asym = float(np.abs(a - a.conj().T).max())
+    return asym <= pol.match_tol * float(np.abs(a).max())
 
 
 def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {a.shape}")
-    if not is_hermitian(a, pol):
-        asym = float(np.max(np.abs(a - a.conj().T)))
+    ah = a.conj().T
+    asym, size = float(np.abs(a - ah).max()), float(np.abs(a).max())
+    if not asym <= pol.match_tol * size:  # the rule of is_hermitian
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds match_tol {pol.match_tol:.1e} times the largest entry"
         )
-    return (a + a.conj().T) / 2.0
+    # halved first where a + ah could overflow; the same bits below that
+    return a / 2.0 + ah / 2.0 if size > 2.0**1022 else (a + ah) / 2.0
 
 
 def index_blocks(n: int, entries_per_index: int) -> list[slice]:
@@ -164,37 +166,41 @@ def index_blocks(n: int, entries_per_index: int) -> list[slice]:
 
 def _canonical_columns(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fix descending order, column phases, and tie ordering deterministically."""
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        z = col[idx]
-        if abs(z) > 0.0:
-            vectors[:, k] = col * (np.conj(z) / abs(z))
-
-    # Within a tie cluster the eigenbasis is not canonical; order the columns
-    # by (descending) lexicographic comparison of their rounded coordinates.
+    # eigh's values ascend.  Reversed, equal values come in the opposite order
+    # to a stable descending sort, but they share a tie cluster, whose order
+    # below depends on its columns alone.
+    values = values[::-1].copy()
+    vectors = np.asfortranarray(vectors[:, ::-1])
     n = values.size
-    tie_tol = _TIE_REL_TOL * (np.max(np.abs(values)) if n else 0.0)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop - 1] - values[stop] <= tie_tol:
-            stop += 1
-        if stop - start > 1:
-            # Keys: real then imaginary part of each rounded coordinate, first
-            # coordinate first.  lexsort is stable and takes its primary key
-            # last; negated keys sort descending.
-            block = np.round(vectors[:, start:stop], _KEY_DECIMALS)
-            keys = np.stack([block.real, block.imag], axis=1).reshape(2 * n, -1)
-            perm = start + np.lexsort(-keys[::-1])
-            values[start:stop] = values[perm]
-            vectors[:, start:stop] = vectors[:, perm]
-        start = stop
+
+    # Each column times the phase that makes its largest-magnitude entry real
+    # positive.  np.hypot is the scalar abs(z) bit for bit, np.abs on an
+    # array is not.  A column of an orthonormal matrix is never zero.
+    z = vectors[np.abs(vectors).argmax(axis=0), np.arange(n)]
+    vectors *= z.conj() / np.hypot(z.real, z.imag)
+
+    # Tie clusters are the runs of neighbours at most tie_tol apart, found
+    # where ``tied`` changes value.  Within one the eigenbasis is not
+    # canonical; order its columns by (descending) lexicographic comparison
+    # of their rounded coordinates.
+    tied = values[:-1] - values[1:] <= _TIE_REL_TOL * max(values[0], -values[-1])
+    if not tied.any():
+        return values, vectors
+    edges = np.flatnonzero(np.diff(tied, prepend=False, append=False))
+    for start, stop in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+        # Keys: real then imaginary part of each rounded coordinate, first
+        # coordinate first.  lexsort is stable and takes its primary key
+        # last; negated keys sort descending.
+        block = np.round(vectors[:, start:stop], _KEY_DECIMALS)
+        keys = np.stack([block.real, block.imag], axis=1).reshape(2 * n, -1)
+        perm = start + np.lexsort(-keys[::-1])
+        values[start:stop] = values[perm]
+        vectors[:, start:stop] = vectors[:, perm]
     return values, vectors
+
+
+class _Eigensystem(tuple):
+    """``(values, vectors)``; ``matrix`` is the hermitized matrix they diagonalize."""
 
 
 def hermitian_eigen(
@@ -206,14 +212,17 @@ def hermitian_eigen(
     and orthonormal eigenvector columns.  Column phases are normalized
     (largest-magnitude entry real positive) and tied eigenvalues are ordered
     by their eigenvectors' rounded coordinates, so repeated calls are
-    bit-identical for a given numpy build.
+    bit-identical for a given numpy build.  The pair also carries, as
+    ``.matrix``, the hermitized (A + A^H) / 2 that was diagonalized.
     """
     a = _require_square_hermitian(m, pol)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
-    return _canonical_columns(values, vectors)
+    result = _Eigensystem(_canonical_columns(values, vectors))
+    result.matrix = a
+    return result
 
 
 def psd_rank(

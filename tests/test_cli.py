@@ -251,15 +251,60 @@ def test_cli_reports_the_first_failed_lookup(capsys, cmd, error, detail):
         (["chain", "k_t1", "--rule", "geometric-decreasing", "--ratio", "nan"],
          "ratio must be finite, got nan"),
         (["audit", "z2", "rho_t0", "rho_t1", "nan"], "factor must be finite, got nan"),
+        # numbers are read by the verb, not by argparse, which takes a token
+        # that starts with "-" and is not a plain decimal for an option
+        (["cone-scale", "x", "k_t1"], "bad factor 'x'"),
+        (["weighted-sum", "1", "k_t1", "-inf", "k_t1"], "bad weight '-inf'"),
+        (["chain", "k_t1", "--rule", "doubling", "--ratio", "-inf"],
+         "ratio must be finite, got -inf"),
+        (["chain", "k_t1", "--rule", "doubling", "--ratio", "x"], "bad ratio 'x'"),
+        (["chain", "k_t1", "--rule", "doubling", "--max-steps", "x"], "bad max_steps 'x'"),
     ],
     ids=["negative-tol-match", "negative-tol-rank", "bad-weight", "odd-terms", "nan-tol-match",
-         "nan-factor", "inf-factor", "nan-weight", "inf-weight", "nan-ratio", "nan-audit-factor"],
+         "nan-factor", "inf-factor", "nan-weight", "inf-weight", "nan-ratio", "nan-audit-factor",
+         "bad-factor", "minus-inf-weight", "minus-inf-ratio", "bad-ratio", "bad-max-steps"],
 )
 def test_cli_bad_arguments_are_typed_errors(capsys, cmd, detail):
     code, report = run_in_process(capsys, *cmd, workspace=FIXTURES / "z2.json")
     assert code == 2
     assert report["status"] == "error"
     assert (report["error"], report["detail"]) == ("BadArgument", detail)
+
+
+@pytest.mark.parametrize(
+    "cmd,error,detail",
+    [
+        (["weighted-sum", "-1e-3", "k_t1"], "NegativeWeight",
+         "weights must be nonnegative, got -0.001"),
+        (["weighted-sum", "1", "k_t1", "-1E3", "k_t1"], "NegativeWeight",
+         "weights must be nonnegative, got -1000.0"),
+        (["cone-scale", "-1e-3", "k_t1"], "NegativeScalar",
+         "scale factor must be nonnegative, got -0.001"),
+    ],
+    ids=["exponent-weight", "second-weight", "exponent-factor"],
+)
+def test_cli_negative_numbers_reach_the_verb(capsys, cmd, error, detail):
+    code, report = run_in_process(capsys, *cmd, workspace=FIXTURES / "z2.json")
+    assert code == 1
+    assert (report["error"], report["detail"]) == (error, detail)
+
+
+def test_cli_overflow_is_a_typed_error(tmp_path):
+    # big = 1e300·I and huge = 1e308·I are finite PSD kernels, and load
+    doc = json.loads((FIXTURES / "z2.json").read_text())
+    for name, size in (("big", 1e300), ("huge", 1e308)):
+        doc["kernels"][name] = {
+            "algebra": "z2", "matrix": [[[size, 0.0], [0.0, 0.0]], [[0.0, 0.0], [size, 0.0]]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for cmd in (["cone-scale", "1e10", "big"], ["weighted-sum", "1e10", "big"]):
+        result = run_cli(*cmd, workspace=path)
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"] == "NonFiniteScalar"
+        assert result.stderr == f"error: NonFiniteScalar: {json.loads(result.stdout)['detail']}\n"
+    result = run_cli("cone-scale", "1", "huge", workspace=path)
+    assert result.returncode == 0 and result.stderr == ""
+    assert json.loads(result.stdout)["outputs"]["matrix"][0][0] == [1e308, 0.0]
 
 
 def test_cli_reports_are_byte_identical():

@@ -107,6 +107,24 @@ def test_kernel_scale():
     assert np.array_equal(scaled.matrix, make_kernel(3.0 * k.matrix).matrix)
 
 
+@pytest.mark.parametrize("size", [1e300, 1e308])
+def test_overflowing_scale_or_weighted_sum_is_a_typed_error(size):
+    # a finite factor or weight whose product with a finite kernel overflows
+    big = kernel(size * IDENTITY2)
+    assert np.array_equal(big.matrix, size * IDENTITY2)
+    with pytest.raises(NonFiniteScalar, match="overflows the kernel"):
+        kernel_scale(1e10, big)
+    with pytest.raises(NonFiniteScalar, match="weighted sum overflows"):
+        weighted_kernel_sum([(1e10, big)])
+    with pytest.raises(NonFiniteScalar, match="weighted sum overflows"):
+        weighted_kernel_sum([(1e308 / size, big), (1e308 / size, big)])
+    # zero weights and factors, and ones that stay finite, still work
+    assert kernel_scale(0.0, big).rank == 0
+    assert np.array_equal(kernel_scale(0.5, big).matrix, 0.5 * size * IDENTITY2)
+    combined, direct = weighted_kernel_sum([(0.0, big), (1.0, kernel(ONES2))])
+    assert np.array_equal(combined.matrix, ONES2) and direct
+
+
 def test_scaling_law_is_exact():
     rng = np.random.default_rng(41)
     h = random_psd(rng, 4, 3)

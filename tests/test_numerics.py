@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from starrep import (
     TolerancePolicy,
@@ -10,6 +11,7 @@ from starrep import (
     pseudo_inverse,
     psd_check,
 )
+from starrep import numerics
 from starrep.numerics import ValidationReport, psd_rank
 from starrep.errors import NegativeEigenvalue, NoConvergence, NonSquare, NotHermitian
 
@@ -256,3 +258,106 @@ def test_a_nan_violation_fails_the_report(order):
     assert np.isnan(report.max_violation)
     assert report.worst == "nan"
     assert not report.passed and report.as_dict()["passed"] is False
+
+
+def canonical_columns_oracle(values, vectors):
+    """The per-column form of ``numerics._canonical_columns`` that the array form replaced."""
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        idx = int(np.argmax(np.abs(col)))
+        z = col[idx]
+        if abs(z) > 0.0:
+            vectors[:, k] = col * (np.conj(z) / abs(z))
+
+    n = values.size
+    tie_tol = numerics._TIE_REL_TOL * (np.max(np.abs(values)) if n else 0.0)
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and values[stop - 1] - values[stop] <= tie_tol:
+            stop += 1
+        if stop - start > 1:
+            block = np.round(vectors[:, start:stop], numerics._KEY_DECIMALS)
+            keys = np.stack([block.real, block.imag], axis=1).reshape(2 * n, -1)
+            perm = start + np.lexsort(-keys[::-1])
+            values[start:stop] = values[perm]
+            vectors[:, start:stop] = vectors[:, perm]
+        start = stop
+    return values, vectors
+
+
+def oracle_matrix(seed: int, n: int, kind: str, is_complex: bool, scale: float) -> np.ndarray:
+    """A hermitian n x n matrix of the given kind, times scale."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    if is_complex:
+        g = g + 1j * rng.standard_normal((n, n))
+    if kind == "random":
+        m = g + g.conj().T
+    elif kind == "rank-deficient":
+        b = g[:, : int(rng.integers(0, n + 1))]
+        m = b @ b.conj().T
+    elif kind == "kron":  # for even n each eigenvalue of the PSD h exactly twice
+        h = g[: (n + 1) // 2, : (n + 1) // 2]
+        m = np.kron(np.eye(2), h @ h.conj().T)[:n, :n]
+    elif kind == "integer":  # small integer entries: many near and exact ties
+        m = np.round(g.real / 2)
+        m = m + m.T
+    elif kind == "identity":
+        m = np.eye(n)
+    else:
+        m = np.zeros((n, n))
+    return scale * m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 64),
+    kind=st.sampled_from(["random", "rank-deficient", "kron", "integer", "identity", "zero"]),
+    is_complex=st.booleans(),
+    scale=st.sampled_from([1e-12, 1.0, 1e9, -1.0]),
+)
+@example(seed=0, n=1, kind="random", is_complex=False, scale=1.0)
+@example(seed=0, n=64, kind="kron", is_complex=True, scale=1e9)
+@example(seed=0, n=8, kind="kron", is_complex=False, scale=1e-12)
+@example(seed=0, n=12, kind="kron", is_complex=True, scale=-1.0)
+@example(seed=0, n=5, kind="identity", is_complex=False, scale=1.0)
+@example(seed=0, n=7, kind="zero", is_complex=True, scale=1.0)
+@example(seed=3, n=33, kind="rank-deficient", is_complex=True, scale=1e-12)
+def test_canonical_columns_match_the_per_column_oracle(seed, n, kind, is_complex, scale):
+    m = oracle_matrix(seed, n, kind, is_complex, scale)
+    w, v = hermitian_eigen(m)
+    values, vectors = np.linalg.eigh(numerics._require_square_hermitian(m, TolerancePolicy()))
+    w0, v0 = canonical_columns_oracle(values, vectors)
+    assert w.tobytes() == w0.tobytes()
+    assert v.tobytes() == v0.tobytes()
+
+
+@pytest.mark.parametrize("size", [1e-290, 1e-12, 1.0, 1e9, 1.5 * 2.0**1022])
+def test_hermitization_is_the_plain_mean(size):
+    # halving before adding, as entries above 2**1022 are, changes nothing
+    # while the entries and their halves are normal floats
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    a = g + g.conj().T + 1e-10 * g  # asymmetric within match_tol
+    a = a * (size / np.abs(a).max())
+    h = numerics._require_square_hermitian(a, TolerancePolicy())
+    assert h.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+    assert hermitian_eigen(a).matrix.tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize(
+    "m", [1e308 * np.eye(3), np.array([[1e308, 5e307j], [-5e307j, 1e308]])], ids=["diag", "full"]
+)
+def test_hermitization_does_not_overflow(m):
+    # (A + A^H) / 2 overflows above about 9e307; the halves do not
+    h = numerics._require_square_hermitian(m, TolerancePolicy())
+    assert np.array_equal(h, m)
+    w, _ = hermitian_eigen(m)
+    assert np.all(np.isfinite(w))
+    assert psd_check(m) == (True, m.shape[0])

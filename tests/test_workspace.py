@@ -26,6 +26,18 @@ def parse_error(tmp_path, doc_or_text) -> str:
     return str(info.value)
 
 
+def test_a_kernel_near_the_float_limit_loads(tmp_path):
+    # the hermitization (A + A^H) / 2 of 1e308·I would overflow to inf
+    doc = z2_doc()
+    doc["kernels"]["huge"] = {
+        "algebra": "z2", "matrix": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    huge = parse_workspace(path).kernel("huge").kernel
+    assert np.array_equal(huge.matrix, 1e308 * np.eye(2))
+    assert np.array_equal(huge.values, [1e308, 1e308]) and huge.rank == 2
+
+
 def set_at(doc: dict, keys: tuple, value) -> dict:
     node = doc
     for key in keys[:-1]:

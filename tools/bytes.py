@@ -18,7 +18,8 @@ entries, the integer 2**70 (which loads), 10**400 and NaN.  The commands
 that name a kernel also run on copies of ``m2.json`` whose kernels are
 scaled by 1e-12 and by 1e9, and the commands that name a functional on
 copies whose functionals are scaled by the same factors (written there
-too), where a verdict that depends on scale shows.
+too), where a verdict that depends on scale shows.  Copies of ``z2.json``
+with a kernel 1e300·I or 1e308·I exercise overflow in the cone operations.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def fixture_commands(paths: list[Path]) -> list[list[str]]:
                     cmds.append(ws + ["functional", alg, k])
         for k in kerns:
             cmds.append(ws + ["cone-scale", "2.5", k])
+            cmds.append(ws + ["cone-scale", "0", k])
             for rule in CHAIN_RULES:
                 cmds.append(ws + ["chain", k, "--rule", rule])
         for k1, s1 in kerns.items():
@@ -75,6 +77,7 @@ def fixture_commands(paths: list[Path]) -> list[list[str]]:
                              "subrep"):
                     cmds.append(ws + [verb, k1, k2])
                 cmds.append(ws + ["weighted-sum", "0.5", k1, "2", k2])
+                cmds.append(ws + ["weighted-sum", "0", k1, "1", k2])
         for h, spec in homs.items():
             for k, ks in kerns.items():
                 if ks["algebra"] == spec["target"]:
@@ -133,6 +136,31 @@ def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
     return cmds
 
 
+def huge_kernels(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """Cone commands on copies of z2.json with a kernel 1e300·I and one 1e308·I.
+
+    Both load; scaling or summing them can overflow.
+    """
+    cmds = []
+    for name, size in (("big", 1e300), ("huge", 1e308)):
+        doc = json.loads((fixtures / "z2.json").read_text(encoding="utf-8"))
+        doc["kernels"][name] = {"algebra": "z2", "matrix": [
+            [[size, 0.0], [0.0, 0.0]], [[0.0, 0.0], [size, 0.0]]]}
+        path = scratch / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        ws = ["-w", str(path)]
+        cmds += [
+            ws + ["cone-scale", "0", name],
+            ws + ["cone-scale", "0.5", name],
+            ws + ["cone-scale", "1e10", name],
+            ws + ["weighted-sum", "0", name, "1", "k_t1"],
+            ws + ["weighted-sum", "0.5", name, "1", "k_t1"],
+            ws + ["weighted-sum", "1e10", name],
+            ws + ["cone-leq", "k_t1", name],
+        ]
+    return cmds
+
+
 def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     """Text output, a tolerance override and the error paths."""
     z2 = ["-w", str(fixtures / "z2.json")]
@@ -166,6 +194,11 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         z2 + ["weighted-sum", "nan", "k_t1"],
         z2 + ["cone-scale", "nan", "k_t1"],
         z2 + ["cone-scale", "inf", "k_t1"],
+        z2 + ["cone-scale", "x", "k_t1"],
+        z2 + ["cone-scale", "-1e-3", "k_t1"],
+        z2 + ["weighted-sum", "1", "k_t1", "-inf", "k_t1"],
+        z2 + ["weighted-sum", "-1e-3", "k_t1"],
+        z2 + ["chain", "k_t1", "--rule", "doubling", "--max-steps", "x"],
         z2 + ["chain", "k_t1", "--rule", "geometric-decreasing", "--ratio", "nan"],
         z2 + ["audit", "z2", "rho_t0", "rho_t1", "nan"],
         z2 + ["--tol-match", "nan", "validate", "z2"],
@@ -181,6 +214,7 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         ["-w", str(fixtures / "homs.json"), "pullback", "embed_z2_m2", "k_t1"],
         ["-w", str(fixtures / "homs.json"), "functional", "m2", "k_t1"],
         *malformed_arrays(fixtures, scratch),
+        *huge_kernels(fixtures, scratch),
     ]
 
 
