@@ -67,6 +67,7 @@ from .numerics import (
     TolerancePolicy,
     ValidationReport,
     hermitian_eigen,
+    hermitian_eigvals,
     pseudo_inverse,
     psd_check,
 )

@@ -31,6 +31,14 @@ class NoConvergence(StarRepError):
     pass
 
 
+class NonFiniteScalar(StarRepError):
+    """A non-finite number where a finite one is needed.
+
+    A scale factor or weight that is NaN or infinite, a kernel entry that
+    overflows, or an eigenvalue of a finite matrix beyond the float range.
+    """
+
+
 # -- algebra ----------------------------------------------------------------
 
 class DimMismatch(StarRepError):
@@ -89,10 +97,6 @@ class NegativeScalar(StarRepError):
 
 class NegativeWeight(StarRepError):
     pass
-
-
-class NonFiniteScalar(StarRepError):
-    """A scale factor or weight that is NaN or infinite, or that overflows a kernel."""
 
 
 class ZeroKernel(StarRepError):

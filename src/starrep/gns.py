@@ -34,6 +34,7 @@ from .numerics import (
     TolerancePolicy,
     ValidationReport,
     hermitian_eigen,
+    hermitian_eigvals,
     index_blocks,
     is_hermitian,
     psd_check,
@@ -508,16 +509,15 @@ class Decomposition:
     multiplicity_classes: tuple[tuple[int, ...], ...]
 
 
-def _state_spectra(
-    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy, caller: str, zero: str
-) -> tuple[BlockData, list[tuple[np.ndarray, np.ndarray]], list[int]]:
-    """The block data, the eigenpairs of each density D_j of rho, and their ranks.
+def _state_densities(
+    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy, caller: str
+) -> tuple[BlockData, np.ndarray, list[np.ndarray]]:
+    """The block data, rho as an array, and the hermitized densities D_j of rho.
 
-    rho is positive exactly when every D_j is hermitian and PSD.  Both are
-    decided with one scale for all blocks: ``is_hermitian`` on the
-    block-diagonal matrix of the D_j, and ``psd_rank`` on all their
-    eigenvalues, each block's rank taken relative to the largest of them.
-    NotPositive names the calling function; ZeroFunctional carries ``zero``.
+    rho is positive exactly when every D_j is hermitian and PSD.  The first
+    is decided here with one scale for all blocks, by ``is_hermitian`` on
+    the block-diagonal matrix of the D_j; the second by ``_state_ranks``.
+    NotPositive names the calling function.
     """
     rho = _check_vector(algebra, functional, "functional")
     data = block_data(algebra, pol)
@@ -530,15 +530,27 @@ def _state_spectra(
         start = stop
     if not is_hermitian(diagonal, pol):
         raise NotPositive(f"{caller} requires a positive functional")
-    spectra = [hermitian_eigen((dens + dens.conj().T) / 2.0, pol) for dens in densities]
-    values = np.sort(np.concatenate([w for w, _ in spectra]))[::-1]
+    return data, rho, [(dens + dens.conj().T) / 2.0 for dens in densities]
+
+
+def _state_ranks(
+    rho: np.ndarray, spectra: list[np.ndarray], pol: TolerancePolicy, caller: str, zero: str
+) -> list[int]:
+    """The rank of each density D_j of rho, given the descending eigenvalues of each.
+
+    The D_j are PSD, and rho positive, by ``psd_rank`` on all their
+    eigenvalues at once, and each block's rank is taken relative to the
+    largest of them.  NotPositive names the calling function;
+    ZeroFunctional carries ``zero``.
+    """
+    values = np.sort(np.concatenate(spectra))[::-1]
     positive, _ = psd_rank(values, pol)
     if not positive:
         raise NotPositive(f"{caller} requires a positive functional")
     if not np.any(rho):
         raise ZeroFunctional(zero)
     top = max(float(values[0]), 0.0)
-    return data, spectra, [psd_rank(w, pol, top)[1] for w, _ in spectra]
+    return [psd_rank(w, pol, top)[1] for w in spectra]
 
 
 def is_extremal(
@@ -546,10 +558,12 @@ def is_extremal(
 ) -> bool:
     """Whether the order interval [0, rho] consists of multiples of rho alone.
 
-    Exactly when rho is a vector state of one block: sum_j rank D_j = 1.
+    Exactly when rho is a vector state of one block: sum_j rank D_j = 1,
+    read off the eigenvalues of the D_j alone.
     """
-    _, _, ranks = _state_spectra(
-        algebra, functional, pol, "is_extremal", "the zero functional is not in scope")
+    _, rho, densities = _state_densities(algebra, functional, pol, "is_extremal")
+    spectra = [hermitian_eigvals(dens, pol) for dens in densities]
+    ranks = _state_ranks(rho, spectra, pol, "is_extremal", "the zero functional is not in scope")
     return sum(ranks) == 1
 
 
@@ -577,8 +591,10 @@ def decompose(
     ``seed`` is accepted for callers written against the earlier random
     splitting and has no effect.
     """
-    data, spectra, ranks = _state_spectra(
-        algebra, functional, pol, "decompose", "cannot decompose the zero functional")
+    data, rho, densities = _state_densities(algebra, functional, pol, "decompose")
+    spectra = [hermitian_eigen(dens, pol) for dens in densities]
+    ranks = _state_ranks(rho, [values for values, _ in spectra], pol, "decompose",
+                         "cannot decompose the zero functional")
     components: list[DecompositionComponent] = []
     classes: list[tuple[int, ...]] = []
     for stack, (values, vectors), rank in zip(data.blocks, spectra, ranks):

@@ -8,7 +8,10 @@ order, difference, exclusion, chains, weighted sums) all reduce to matrix
 arithmetic on the reproducing operators.  Each kernel carries the spectrum
 its constructor computed, and the operations read their operands' spectra
 instead of recomputing them: an operation eigensolves only the matrices it
-makes.
+makes.  A result kernel (a sum, a difference) gets the full canonical
+eigensolve (``hermitian_eigen``); a verdict (the order, exclusion, the
+direct-summand test, the least dominating scale) reads eigenvalues alone
+(``hermitian_eigvals``).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     hermitian_eigen,
+    hermitian_eigvals,
     psd_rank,
 )
 
@@ -113,22 +117,38 @@ def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
         raise DimMismatch(f"kernel dimensions differ: {k1.dim} vs {k2.dim}")
 
 
-def _order(
-    k1: Kernel, k2: Kernel, pol: TolerancePolicy
-) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
-    """Whether k1 <= k2, with k2 - k1 and its spectrum.
+def _sum(k1: Kernel, k2: Kernel) -> np.ndarray:
+    """k1 + k2 as a matrix; NonFiniteScalar when an entry overflows."""
+    _check_same_dim(k1, k2)
+    with np.errstate(over="ignore"):
+        total = k1.matrix + k2.matrix
+    if not np.isfinite(total).all():
+        raise NonFiniteScalar("the kernel sum overflows")
+    return total
+
+
+def _difference(k1: Kernel, k2: Kernel) -> np.ndarray:
+    """k2 - k1 as a matrix.
+
+    With ``psd_tol`` small it does not overflow: a kernel's eigenvalues are
+    finite, and nonnegative up to ``psd_tol`` times the top one, so its
+    diagonal entries are about nonnegative and those off the diagonal at
+    most about half its top eigenvalue in modulus.
+    """
+    _check_same_dim(k1, k2)
+    return k2.matrix - k1.matrix
+
+
+def _ordered(k1: Kernel, k2: Kernel, values: np.ndarray, pol: TolerancePolicy) -> bool:
+    """Whether k1 <= k2, given the descending eigenvalues of k2 - k1.
 
     The package's one kernel order rule: k1 <= k2 when the least eigenvalue
     of k2 - k1 is at least ``-psd_tol`` times the larger top eigenvalue of
     the two.  The floor scales with the operands, so kernels and their
     common multiples get the same verdict.
     """
-    _check_same_dim(k1, k2)
-    diff = k2.matrix - k1.matrix
-    values, vectors = hermitian_eigen(diff, pol)
     top = max(float(k1.values[0]), float(k2.values[0]), 0.0)
-    ordered = bool(values[-1] >= -pol.psd_tol * top)
-    return ordered, diff, values, vectors
+    return bool(values[-1] >= -pol.psd_tol * top)
 
 
 def membership(
@@ -154,9 +174,11 @@ def membership(
 
 
 def kernel_sum(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
-    """Subspace sum; elements carry the infimum norm over all splittings."""
-    _check_same_dim(k1, k2)
-    return make_kernel(k1.matrix + k2.matrix, pol)
+    """Subspace sum; elements carry the infimum norm over all splittings.
+
+    NonFiniteScalar is raised when the summed entries overflow.
+    """
+    return make_kernel(_sum(k1, k2), pol)
 
 
 def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
@@ -180,8 +202,8 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
 
 
 def kernel_leq(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Order relation: k2 - k1 is PSD, by the scale-free rule of ``_order``."""
-    return _order(k1, k2, pol)[0]
+    """Order relation: k2 - k1 is PSD, by the scale-free rule of ``_ordered``."""
+    return _ordered(k1, k2, hermitian_eigvals(_difference(k1, k2), pol), pol)
 
 
 def kernel_difference(
@@ -192,8 +214,9 @@ def kernel_difference(
     One eigensolve of kernel - k1 decides the order and is the result's
     spectrum.
     """
-    ordered, diff, values, vectors = _order(k1, kernel, pol)
-    if not ordered:
+    diff = _difference(k1, kernel)
+    values, vectors = hermitian_eigen(diff, pol)
+    if not _ordered(k1, kernel, values, pol):
         raise NotDominated("subtrahend is not below the kernel")
     return Kernel(diff, values, vectors, psd_rank(values, pol)[1])
 
@@ -203,11 +226,15 @@ def mutually_excluding(
 ) -> bool:
     """Trivial intersection of the two subspaces, i.e. their sum is direct.
 
-    At finite dimension this is exactly additivity of ranks under the sum.
+    At finite dimension this is exactly additivity of ranks under the sum,
+    read off the eigenvalues of the sum, which must be PSD as
+    ``make_kernel`` requires.  NonFiniteScalar is raised when the summed
+    entries overflow.
     """
-    _check_same_dim(k1, k2)
-    total = make_kernel(k1.matrix + k2.matrix, pol)
-    return k1.rank + k2.rank == total.rank
+    is_psd, rank = psd_rank(hermitian_eigvals(_sum(k1, k2), pol), pol)
+    if not is_psd:
+        raise NegativeEigenvalue("a reproducing operator must be PSD")
+    return k1.rank + k2.rank == rank
 
 
 def min_dominating_scale(
@@ -235,8 +262,7 @@ def min_dominating_scale(
 
     inv_sqrt = basis2 * (1.0 / np.sqrt(k2.values[: k2.rank]))[None, :]  # (n, r2)
     compressed = inv_sqrt.conj().T @ k1.matrix @ inv_sqrt
-    top, _ = hermitian_eigen(compressed, pol)
-    return float(top[0])
+    return float(hermitian_eigvals(compressed, pol)[0])
 
 
 def ordinary_subrep_check(
@@ -247,10 +273,11 @@ def ordinary_subrep_check(
     True exactly when k1 <= kernel and k1 excludes the complement
     kernel - k1: since k1 + (kernel - k1) is kernel, whose rank is cached,
     rank additivity certifies the direct-sum splitting.  One eigensolve of
-    kernel - k1 gives both the order and the complement's rank.
+    kernel - k1 (values alone) gives both the order and the complement's
+    rank.
     """
-    ordered, _, values, _ = _order(k1, kernel, pol)
-    if not ordered:
+    values = hermitian_eigvals(_difference(k1, kernel), pol)
+    if not _ordered(k1, kernel, values, pol):
         return False
     return k1.rank + psd_rank(values, pol)[1] == kernel.rank
 

@@ -1,13 +1,23 @@
 """Dense complex linear algebra primitives with a shared rank/tolerance policy.
 
 Every module in the package funnels its spectral work through the
-primitives here (``hermitian_eigen``, ``pseudo_inverse``, ``psd_check`` and
-the PSD/rank rule ``psd_rank``) so that rank decisions and eigenbasis
-conventions are made exactly once.  The eigensolver is LAPACK's, through
-``np.linalg.eigh``; ``hermitian_eigen`` fixes the order, phases and tie
-order of its output, so results are deterministic for a given numpy build,
-across runs and BLAS thread counts.  Within a tied eigenspace the basis is
-the solver's.
+primitives here (``hermitian_eigen``, ``hermitian_eigvals``,
+``pseudo_inverse``, ``psd_check`` and the PSD/rank rule ``psd_rank``) so
+that rank decisions and eigenbasis conventions are made exactly once.  The
+eigensolver is LAPACK's.  ``hermitian_eigen`` calls ``np.linalg.eigh`` and
+fixes the order, phases and tie order of its output, so results are
+deterministic for a given numpy build, across runs and BLAS thread counts.
+Within a tied eigenspace the basis is the solver's.
+
+``hermitian_eigvals`` calls ``np.linalg.eigvalsh`` and returns the values
+alone, descending.  It serves every decision that reads eigenvalues only:
+``psd_check`` (positivity, and the cyclicity of a representation), the
+kernel order, rank additivity, the least dominating scale and
+extremality.  Its values can differ from ``hermitian_eigen``'s in the last
+bits, so a verdict read from it can differ from one read from the full
+spectrum only for an eigenvalue within a few ulps of its cutoff.  Both
+solvers validate alike and raise ``NonFiniteScalar`` when an eigenvalue of
+a finite matrix lies beyond the float range.
 """
 
 from __future__ import annotations
@@ -19,7 +29,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NegativeEigenvalue, NoConvergence, NonSquare, NotHermitian
+from .errors import (
+    NegativeEigenvalue,
+    NoConvergence,
+    NonFiniteScalar,
+    NonSquare,
+    NotHermitian,
+)
 
 __all__ = [
     "TolerancePolicy",
@@ -28,6 +44,7 @@ __all__ = [
     "as_complex_matrix",
     "is_hermitian",
     "hermitian_eigen",
+    "hermitian_eigvals",
     "pseudo_inverse",
     "psd_check",
     "psd_rank",
@@ -135,8 +152,15 @@ def is_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     The bound is relative to the largest entry, so a matrix and its multiples
     get the same verdict.
     """
-    asym = float(np.abs(a - a.conj().T).max())
-    return asym <= pol.match_tol * float(np.abs(a).max())
+    size = float(np.abs(a).max())
+    return _asymmetry(a, a.conj().T, size) <= pol.match_tol * size
+
+
+def _asymmetry(a: np.ndarray, ah: np.ndarray, size: float) -> float:
+    """max|A - A^H|, given A^H and max|A|, without overflow (inf past the float range)."""
+    if size > 2.0**1022:  # a - ah could overflow, the halves cannot
+        return 2.0 * float(np.abs(a / 2.0 - ah / 2.0).max())
+    return float(np.abs(a - ah).max())
 
 
 def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
@@ -144,7 +168,8 @@ def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {a.shape}")
     ah = a.conj().T
-    asym, size = float(np.abs(a - ah).max()), float(np.abs(a).max())
+    size = float(np.abs(a).max())
+    asym = _asymmetry(a, ah, size)
     if not asym <= pol.match_tol * size:  # the rule of is_hermitian
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds match_tol {pol.match_tol:.1e} times the largest entry"
@@ -199,6 +224,12 @@ def _canonical_columns(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndar
     return values, vectors
 
 
+def _require_finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise NonFiniteScalar("an eigenvalue lies beyond the float range")
+    return values
+
+
 class _Eigensystem(tuple):
     """``(values, vectors)``; ``matrix`` is the hermitized matrix they diagonalize."""
 
@@ -220,9 +251,23 @@ def hermitian_eigen(
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
-    result = _Eigensystem(_canonical_columns(values, vectors))
+    result = _Eigensystem(_canonical_columns(_require_finite(values), vectors))
     result.matrix = a
     return result
+
+
+def hermitian_eigvals(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Eigenvalues of a hermitian matrix in descending order, by ``np.linalg.eigvalsh``.
+
+    Validated as ``hermitian_eigen`` validates, but with no eigenvectors,
+    and so no phase or tie rule: for the decisions that read values alone.
+    """
+    a = _require_square_hermitian(m, pol)
+    try:
+        values = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigvalsh did not converge: {exc}") from exc
+    return _require_finite(values)[::-1]
 
 
 def psd_rank(
@@ -261,10 +306,10 @@ def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
 def psd_check(m, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:
     """Decide positive semidefiniteness and the numerical rank of ``m``.
 
-    The rule is ``psd_rank``'s, applied to the eigenvalues of ``m``.
+    The rule is ``psd_rank``'s, applied to the eigenvalues of ``m``
+    (``hermitian_eigvals``).
     """
-    values, _ = hermitian_eigen(m, pol)
-    return psd_rank(values, pol)
+    return psd_rank(hermitian_eigvals(m, pol), pol)
 
 
 def pseudo_inverse(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -143,20 +143,32 @@ def change_basis(algebra, s: np.ndarray) -> FiniteStarAlgebra:
     return FiniteStarAlgebra(c, s.conj().T @ algebra.involution @ s_inv.T, s_inv @ algebra.unit)
 
 
-def count_eigensolves(monkeypatch, run):
-    """``run()``'s result and the sizes of the eigensolves it made."""
+def record_eigensolves(monkeypatch, record) -> None:
+    """Call ``record(m)`` on the matrix of every eigensolve, full or value-only.
+
+    Both solvers are replaced in every module that calls them.
+    """
+    import starrep.gns
     import starrep.kernels
     import starrep.numerics
 
+    def recorded(solve):
+        def solve_recorded(m, *args, **kwargs):
+            record(m)
+            return solve(m, *args, **kwargs)
+
+        return solve_recorded
+
+    for name in ("hermitian_eigen", "hermitian_eigvals"):
+        wrapper = recorded(getattr(starrep.numerics, name))
+        for module in (starrep.numerics, starrep.kernels, starrep.gns):
+            monkeypatch.setattr(module, name, wrapper)
+
+
+def count_eigensolves(monkeypatch, run):
+    """``run()``'s result and the sizes of the eigensolves it made."""
     sizes = []
-    solve = starrep.numerics.hermitian_eigen
-
-    def counted(m, *args, **kwargs):
-        sizes.append(len(m))
-        return solve(m, *args, **kwargs)
-
-    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", counted)
-    monkeypatch.setattr(starrep.kernels, "hermitian_eigen", counted)
+    record_eigensolves(monkeypatch, lambda m: sizes.append(len(m)))
     return run(), sizes
 
 

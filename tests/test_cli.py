@@ -305,6 +305,28 @@ def test_cli_overflow_is_a_typed_error(tmp_path):
     result = run_cli("cone-scale", "1", "huge", workspace=path)
     assert result.returncode == 0 and result.stderr == ""
     assert json.loads(result.stdout)["outputs"]["matrix"][0][0] == [1e308, 0.0]
+    for cmd in (["cone-sum", "huge", "huge"], ["exclude", "huge", "huge"]):
+        result = run_cli(*cmd, workspace=path)
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"] == "NonFiniteScalar"
+        assert result.stderr == "error: NonFiniteScalar: the kernel sum overflows\n"
+
+
+def test_cli_refuses_a_workspace_with_an_overflowing_eigenvalue(tmp_path):
+    # P and M are finite and PSD, but each has the eigenvalue 2e308
+    doc = json.loads((FIXTURES / "z2.json").read_text())
+    for name, sign in (("p", 1.0), ("m", -1.0)):
+        doc["kernels"][name] = {"algebra": "z2", "matrix": [
+            [[1e308, 0.0], [sign * 1e308, 0.0]], [[sign * 1e308, 0.0], [1e308, 0.0]]]}
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(doc))
+    for cmd in (["cone-scale", "1", "p"], ["cone-leq", "p", "m"], ["subrep", "p", "m"],
+                ["cone-diff", "p", "m"]):
+        result = run_cli(*cmd, workspace=path)
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["error"] == "ValidationError"
+        assert "eigenvalue lies beyond the float range" in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
 
 
 def test_cli_reports_are_byte_identical():

@@ -25,11 +25,13 @@ from starrep.errors import NotEquivalent, NotPositive, ZeroFunctional
 
 from conftest import (
     change_basis,
+    count_eigensolves,
     count_law_checks,
     cyclic_group_table,
     random_algebra,
     random_positive_functional,
     random_unitary,
+    record_eigensolves,
     s3_algebra,
     s4_algebra,
     z2_algebra,
@@ -87,19 +89,8 @@ def test_gns_requires_hermitian_gram():
 
 
 def test_gns_eigendecomposes_the_gram_matrix_once(monkeypatch):
-    import starrep.gns
-    import starrep.numerics
-
-    sizes = []
-    solve = starrep.numerics.hermitian_eigen
-
-    def counted(m, *args, **kwargs):
-        sizes.append(len(m))
-        return solve(m, *args, **kwargs)
-
-    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", counted)
-    monkeypatch.setattr(starrep.gns, "hermitian_eigen", counted)
-    rep = gns_construct(build_matrix_algebra(2), TRACE2)
+    rep, sizes = count_eigensolves(
+        monkeypatch, lambda: gns_construct(build_matrix_algebra(2), TRACE2))
     assert rep.rep_dim == 4
     assert sizes == [4]
 
@@ -580,23 +571,16 @@ def test_errors_keep_their_messages(call, zero):
 def gram_eigensolves(monkeypatch, run):
     """Run ``run()`` and count, per Gram matrix built, the eigensolves of it."""
     import starrep.duality
-    import starrep.gns
-    import starrep.numerics
 
     grams, solved = [], []
-    build, solve = starrep.duality.gram_matrix, starrep.numerics.hermitian_eigen
+    build = starrep.duality.gram_matrix
 
     def recorded_gram(*args):
         grams.append(build(*args))
         return grams[-1]
 
-    def recorded_solve(m, *args, **kwargs):
-        solved.append(np.array(m))
-        return solve(m, *args, **kwargs)
-
     monkeypatch.setattr(starrep.duality, "gram_matrix", recorded_gram)
-    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", recorded_solve)
-    monkeypatch.setattr(starrep.gns, "hermitian_eigen", recorded_solve)
+    record_eigensolves(monkeypatch, lambda m: solved.append(np.array(m)))
     run()
     return [sum(m.shape == g.shape and np.array_equal(m, g) for m in solved) for g in grams]
 
@@ -644,18 +628,8 @@ def test_block_data_is_built_once_per_algebra_and_policy(monkeypatch):
 def test_no_eigensolve_is_larger_than_the_algebra(monkeypatch, algebra, rho):
     # the d^2 x d^2 commutant system is gone: every matrix eigendecomposed
     # is at most n x n (the algebra) or d x d (a representation, d <= n)
-    import starrep.gns
-    import starrep.numerics
-
     sizes = []
-    solve = starrep.numerics.hermitian_eigen
-
-    def recorded(m, *args, **kwargs):
-        sizes.append(len(m))
-        return solve(m, *args, **kwargs)
-
-    monkeypatch.setattr(starrep.numerics, "hermitian_eigen", recorded)
-    monkeypatch.setattr(starrep.gns, "hermitian_eigen", recorded)
+    record_eigensolves(monkeypatch, lambda m: sizes.append(len(m)))
     rep = gns_construct(algebra, rho)
     dec = decompose(algebra, rho)
     is_extremal(algebra, rho)

@@ -1,5 +1,7 @@
 """Tests for reproducing operators and the cone calculus on them."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,28 @@ ONES2 = np.array([[1.0, 1.0], [1.0, 1.0]])
 
 def kernel(matrix):
     return make_kernel(matrix)
+
+
+def test_overflowing_sum_is_a_typed_error():
+    # 1e308·I is a finite PSD kernel; the entries of its double overflow
+    huge = kernel(1e308 * IDENTITY2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for operation in (kernel_sum, mutually_excluding):
+            with pytest.raises(NonFiniteScalar, match="^the kernel sum overflows$"):
+                operation(huge, huge)
+        # finite entries whose sum has an eigenvalue past the float range
+        near = kernel(np.full((2, 2), 0.6e308))
+        for operation in (kernel_sum, mutually_excluding):
+            with pytest.raises(NonFiniteScalar, match="beyond the float range"):
+                operation(near, near)
+
+
+def test_mutually_excluding_rejects_a_sum_that_is_not_psd():
+    # as make_kernel would; only a Kernel built by hand can give such a sum
+    negative = Kernel(-IDENTITY2, -np.ones(2), np.eye(2, dtype=complex), 0)
+    with pytest.raises(NegativeEigenvalue, match="must be PSD"):
+        mutually_excluding(negative, negative)
 
 
 def test_make_kernel_rejects_indefinite():

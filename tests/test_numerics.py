@@ -1,5 +1,7 @@
 """Tests for the shared linear-algebra kit."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +15,13 @@ from starrep import (
 )
 from starrep import numerics
 from starrep.numerics import ValidationReport, psd_rank
-from starrep.errors import NegativeEigenvalue, NoConvergence, NonSquare, NotHermitian
+from starrep.errors import (
+    NegativeEigenvalue,
+    NoConvergence,
+    NonFiniteScalar,
+    NonSquare,
+    NotHermitian,
+)
 
 from conftest import random_hermitian, random_psd, s3_algebra
 
@@ -361,3 +369,50 @@ def test_hermitization_does_not_overflow(m):
     w, _ = hermitian_eigen(m)
     assert np.all(np.isfinite(w))
     assert psd_check(m) == (True, m.shape[0])
+
+
+SOLVERS = [hermitian_eigen, numerics.hermitian_eigvals]
+
+
+@pytest.mark.parametrize("solve", SOLVERS, ids=["eigen", "eigvals"])
+def test_the_asymmetry_test_does_not_overflow(solve):
+    # A - A^H overflows for entries of opposite sign past about 9e307; the
+    # halves do not, and the verdict is the same either side of 2**1022
+    far = np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+    near = np.array([[1e308, 5e307j], [-5e307j * (1 + 1e-10), 1e308]])
+    off = np.array([[1e308, 5e307j], [-5e307j * (1 + 1e-6), 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match="^asymmetry inf exceeds"):
+            solve(far)
+        with pytest.raises(NotHermitian):
+            solve(off)
+        solve(near)
+        assert not numerics.is_hermitian(far) and not numerics.is_hermitian(off)
+        assert numerics.is_hermitian(near)
+
+
+@pytest.mark.parametrize("solve", SOLVERS, ids=["eigen", "eigvals"])
+def test_an_eigenvalue_past_the_float_range_is_a_typed_error(solve):
+    # finite entries, and an eigenvalue 2e308: both solvers refuse the matrix
+    # rather than return inf (which psd_rank would read as rank 0)
+    p = np.full((2, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (p, -p, np.array([[1e308, -1e308], [-1e308, 1e308]])):
+            with pytest.raises(NonFiniteScalar, match="^an eigenvalue lies beyond the float range$"):
+                solve(m)
+    with pytest.raises(NonFiniteScalar):
+        psd_check(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_eigvals_are_the_full_spectrum_descending(n, scale):
+    rng = np.random.default_rng(n)
+    for m in (scale * random_hermitian(rng, n), scale * random_psd(rng, n, max(1, n // 2))):
+        values = numerics.hermitian_eigvals(m)
+        full, _ = hermitian_eigen(m)
+        assert values.shape == (n,) and np.all(np.diff(values) <= 0)
+        assert np.abs(values - full).max() <= 4 * n * np.finfo(float).eps * np.abs(full).max()
+        assert psd_check(m) == psd_rank(full)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from starrep.errors import ParseError
+from starrep.errors import ParseError, ValidationError
 from starrep.workspace import encode_matrix, parse_workspace, workspace_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -36,6 +36,16 @@ def test_a_kernel_near_the_float_limit_loads(tmp_path):
     huge = parse_workspace(path).kernel("huge").kernel
     assert np.array_equal(huge.matrix, 1e308 * np.eye(2))
     assert np.array_equal(huge.values, [1e308, 1e308]) and huge.rank == 2
+
+
+def test_a_kernel_whose_top_eigenvalue_overflows_does_not_load(tmp_path):
+    # finite entries, PSD, rank 1, but its eigenvalue 2e308 is not a float
+    doc = z2_doc()
+    doc["kernels"]["p"] = {"algebra": "z2", "matrix": [[[1e308, 0.0]] * 2] * 2}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="eigenvalue lies beyond the float range"):
+        parse_workspace(path)
 
 
 def set_at(doc: dict, keys: tuple, value) -> dict:

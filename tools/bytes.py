@@ -19,7 +19,9 @@ that name a kernel also run on copies of ``m2.json`` whose kernels are
 scaled by 1e-12 and by 1e9, and the commands that name a functional on
 copies whose functionals are scaled by the same factors (written there
 too), where a verdict that depends on scale shows.  Copies of ``z2.json``
-with a kernel 1e300·I or 1e308·I exercise overflow in the cone operations.
+with a kernel 1e300·I or 1e308·I exercise overflow in the cone operations,
+and one with the finite PSD kernels [[1, ±1], [±1, 1]]·1e308, whose top
+eigenvalue 2e308 is past the float range, a workspace that does not load.
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
 def huge_kernels(fixtures: Path, scratch: Path) -> list[list[str]]:
     """Cone commands on copies of z2.json with a kernel 1e300·I and one 1e308·I.
 
-    Both load; scaling or summing them can overflow.
+    Both load; scaling or summing them can overflow.  A third copy holds
+    P = [[1, 1], [1, 1]]·1e308 and M = [[1, -1], [-1, 1]]·1e308, finite and
+    PSD, whose eigenvalue 2e308 overflows, so it does not load.
     """
     cmds = []
     for name, size in (("big", 1e300), ("huge", 1e308)):
@@ -158,6 +162,16 @@ def huge_kernels(fixtures: Path, scratch: Path) -> list[list[str]]:
             ws + ["weighted-sum", "1e10", name],
             ws + ["cone-leq", "k_t1", name],
         ]
+    cmds += [ws + ["cone-sum", "huge", "huge"], ws + ["exclude", "huge", "huge"]]
+    doc = json.loads((fixtures / "z2.json").read_text(encoding="utf-8"))
+    for name, sign in (("p", 1.0), ("m", -1.0)):
+        doc["kernels"][name] = {"algebra": "z2", "matrix": [
+            [[1e308, 0.0], [sign * 1e308, 0.0]], [[sign * 1e308, 0.0], [1e308, 0.0]]]}
+    path = scratch / "pm.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ws = ["-w", str(path)]
+    cmds += [ws + ["cone-scale", "1", "p"], ws + ["cone-leq", "p", "m"],
+             ws + ["subrep", "p", "m"], ws + ["cone-diff", "p", "m"]]
     return cmds
 
 
