@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteStarAlgebra
-from .duality import gram_matrix, hermitian_gram, is_positive
+from .duality import gram_matrix, is_positive
 from .errors import (
     DimMismatch,
     InvalidRepresentation,
     NegativeEigenvalue,
     NegativeScalar,
     NonFiniteScalar,
+    NotHermitian,
     NotPositive,
     NotStarInvariant,
     PullbackInvarianceFailure,
@@ -36,6 +37,8 @@ from .numerics import (
     TolerancePolicy,
     ValidationReport,
     index_blocks,
+    relative_gap,
+    within_tol,
 )
 
 __all__ = [
@@ -124,15 +127,13 @@ def functional_to_kernel(
 
     This is the Gram matrix itself, read as an operator on dual coordinates;
     it satisfies the orientation identity rho(x) = <e | H x>.  One
-    eigensolve of the Gram matrix decides positivity and gives the rank.
+    eigensolve of the Gram matrix decides hermiticity and positivity and
+    gives the rank.
     """
-    g = hermitian_gram(algebra, functional, pol)
-    if g is not None:
-        try:
-            return make_kernel(g, pol)
-        except NegativeEigenvalue:
-            pass
-    raise NotPositive("functional_to_kernel requires a positive functional")
+    try:
+        return make_kernel(gram_matrix(algebra, functional), pol)
+    except (NotHermitian, NegativeEigenvalue, ValueError):  # ValueError: NaN entries
+        raise NotPositive("functional_to_kernel requires a positive functional") from None
 
 
 def _invariance_residual(algebra: FiniteStarAlgebra, matrix: np.ndarray) -> float:
@@ -152,17 +153,37 @@ def _invariance_residual(algebra: FiniteStarAlgebra, matrix: np.ndarray) -> floa
     return float(residual)
 
 
+def _invariant(
+    algebra: FiniteStarAlgebra, matrix: np.ndarray, pol: TolerancePolicy
+) -> tuple[bool, float]:
+    """The entrywise rule on the module identity, and its residual.
+
+    Both products pi(e_i) H and H L_{e_i} pair entries of H with structure
+    constants, so the residual is measured against max|H| * max|c|, read
+    off the operands rather than the products; max|c| is kept on the
+    algebra (``FiniteStarAlgebra.derived``).
+    """
+    residual = _invariance_residual(algebra, matrix)
+    if "max|c|" not in algebra.derived:
+        algebra.derived["max|c|"] = float(np.abs(algebra.structure_constants).max())
+    size = float(np.abs(matrix).max()) * algebra.derived["max|c|"]
+    return bool(within_tol(residual, size, pol)), residual
+
+
 def is_star_invariant(
     algebra: FiniteStarAlgebra, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
     """Whether the dual regular action restricts to the kernel's subspace.
 
     Tested as the module identity pi(e_i) H = H L_{e_i} on every basis
-    element; by linearity this settles all of the algebra.
+    element; by linearity this settles all of the algebra.  The residual is
+    measured by the entrywise rule (``within_tol``) against max|H| times
+    the largest structure constant, so a kernel and its positive multiples
+    get the same verdict.
     """
     if kernel.dim != algebra.dim:
         raise DimMismatch(f"kernel dim {kernel.dim} vs algebra dim {algebra.dim}")
-    return _invariance_residual(algebra, kernel.matrix) < pol.match_tol
+    return _invariant(algebra, kernel.matrix, pol)[0]
 
 
 def kernel_to_functional(
@@ -216,8 +237,8 @@ def pullback(
     if not is_star_invariant(hom.target, kernel, pol):
         raise NotStarInvariant("input kernel is not invariant on the target algebra")
     pulled = hom.matrix.conj().T @ kernel.matrix @ hom.matrix
-    residual = _invariance_residual(hom.source, pulled)
-    if not residual <= 10.0 * pol.match_tol:
+    invariant, residual = _invariant(hom.source, pulled, pol)
+    if not invariant:
         raise PullbackInvarianceFailure(
             f"pulled-back kernel fails invariance by {residual:.3e}"
         )
@@ -234,7 +255,8 @@ def cone_morphism_audit(
     """Audit that functional -> kernel respects sums, scaling, and order.
 
     Reports the deviation of the kernel of rho1 + rho2 from the sum of
-    kernels, likewise for scaling by lam, and whether the two order
+    kernels, likewise for scaling by lam, each relative to the larger of
+    the two matrices compared (``relative_gap``), and whether the two order
     relations agree: rho1 <= rho2 as functionals (rho2 - rho1 positive) and
     k1 <= k2 as kernels (k2 - k1 PSD).
     """
@@ -252,8 +274,8 @@ def cone_morphism_audit(
 
     g1 = gram_matrix(algebra, r1)
     g2 = gram_matrix(algebra, r2)
-    sum_dev = float(np.max(np.abs(gram_matrix(algebra, r1 + r2) - (g1 + g2))))
-    scale_dev = float(np.max(np.abs(gram_matrix(algebra, lam * r1) - lam * g1)))
+    sum_dev = relative_gap(gram_matrix(algebra, r1 + r2), g1 + g2)
+    scale_dev = relative_gap(gram_matrix(algebra, lam * r1), lam * g1)
 
     functional_order, _ = is_positive(algebra, r2 - r1, pol)
     kernel_order = kernel_leq(k1, k2, pol)

@@ -13,13 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FiniteStarAlgebra
-from .errors import DimMismatch, NonRealUnitValue, NotPositive
-from .numerics import DEFAULT_POLICY, TolerancePolicy, is_hermitian, psd_check
+from .errors import DimMismatch, NonRealUnitValue, NotHermitian, NotPositive
+from .numerics import DEFAULT_POLICY, TolerancePolicy, psd_check, within_tol
 
 __all__ = [
     "evaluate",
     "gram_matrix",
-    "hermitian_gram",
     "is_positive",
     "hilbert_bound",
     "dual_regular_action",
@@ -55,23 +54,14 @@ def is_positive(
 
     Returns ``(positive, gram_rank)``; the rank is the dimension of the
     quotient by the null space of the Gram form (the degenerate directions).
+    The eigensolve checks hermiticity, and the Gram matrix of a positive
+    functional is hermitian, so NotHermitian rules positivity out, as does
+    the ValueError of a Gram matrix with NaN entries.
     """
-    g = hermitian_gram(algebra, functional, pol)
-    if g is None:
+    try:
+        return psd_check(gram_matrix(algebra, functional), pol)
+    except (NotHermitian, ValueError):
         return False, 0
-    return psd_check(g, pol)
-
-
-def hermitian_gram(
-    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
-) -> np.ndarray | None:
-    """The Gram matrix of rho, or None when it is not hermitian (``is_hermitian``).
-
-    The Gram matrix of a positive functional is hermitian, so None already
-    rules positivity out.
-    """
-    g = gram_matrix(algebra, functional)
-    return g if is_hermitian(g, pol) else None
 
 
 def hilbert_bound(
@@ -82,7 +72,7 @@ def hilbert_bound(
     if not positive:
         raise NotPositive("hilbert_bound requires a positive functional")
     value = evaluate(algebra, functional, algebra.unit)
-    if abs(value.imag) > pol.match_tol * (1.0 + abs(value)):
+    if not within_tol(abs(value.imag), abs(value), pol):
         raise NonRealUnitValue(f"rho(e) = {value} is not real")
     return float(value.real)
 

@@ -20,11 +20,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import FiniteStarAlgebra, _real_if_real
-from .duality import _check_vector, hermitian_gram
+from . import duality
+from .duality import _check_vector
 from .errors import (
     InvalidRepresentation,
     NoConvergence,
     NotEquivalent,
+    NotHermitian,
     NotPositive,
     NotSemisimple,
     ZeroFunctional,
@@ -33,6 +35,7 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    entrywise_gap,
     hermitian_eigen,
     hermitian_eigvals,
     index_blocks,
@@ -41,6 +44,7 @@ from .numerics import (
     psd_rank,
     pseudo_inverse,
     relative_gap,
+    within_tol,
 )
 
 __all__ = [
@@ -124,10 +128,10 @@ def gns_construct(
     empty representation (d = 0).
     """
     rho = np.asarray(functional, dtype=complex)
-    g = hermitian_gram(algebra, rho, pol)
-    if g is None:
-        raise NotPositive("gns_construct requires a positive functional")
-    values, vectors = hermitian_eigen(g, pol)
+    try:  # the Gram matrix of a positive functional is hermitian and finite
+        values, vectors = hermitian_eigen(duality.gram_matrix(algebra, rho), pol)
+    except (NotHermitian, ValueError):
+        raise NotPositive("gns_construct requires a positive functional") from None
     positive, d = psd_rank(values, pol)
     if not positive:
         raise NotPositive("gns_construct requires a positive functional")
@@ -297,7 +301,10 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     q^-1 (X xi).  The generic elements come from a fixed seed, and the
     result is checked once: the blocks of the basis must reproduce the
     unit, product and involution, and ``coords`` must invert ``units``,
-    within match_tol.
+    within match_tol.  Eigenvalues of x split into eigenspaces where
+    neighbours fail the entrywise rule (``within_tol``) against max|x's
+    eigenvalues|, and two eigenspaces are linked where their block of y
+    fails it against |y|.
     """
     n = algebra.dim
     tau = np.trace(algebra.structure_constants, axis1=1, axis2=2)
@@ -318,15 +325,15 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     draws = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     x, y = ((draws @ q_inv.T) @ regular.matrices.reshape(n, n * n)).reshape(2, n, n)
     values, vectors = hermitian_eigen((x + x.conj().T) / 2.0, pol)
-    gap = pol.match_tol * float(np.max(np.abs(values)))
-    cuts = np.flatnonzero(np.diff(values) < -gap) + 1
+    spread = float(np.max(np.abs(values)))
+    cuts = np.flatnonzero(~within_tol(-np.diff(values), spread, pol)) + 1
     spaces = [vectors[:, idx] for idx in np.split(np.arange(n), cuts)]
 
     groups: list[list[np.ndarray]] = []
-    linked = pol.match_tol * float(np.linalg.norm(y))
+    y_size = float(np.linalg.norm(y))
     for v in spaces:
         for group in groups:
-            if np.linalg.norm(v.conj().T @ y @ group[0]) > linked:
+            if not within_tol(np.linalg.norm(v.conj().T @ y @ group[0]), y_size, pol):
                 group.append(v)
                 break
         else:
@@ -382,12 +389,15 @@ def intertwiner(
 
     Such a unitary exists exactly when the two source functionals coincide;
     otherwise NotEquivalent is raised.  U is recovered from the two orbit
-    matrices as ``T2 T1^+`` and then checked against its contract.
+    matrices as ``T2 T1^+`` and then checked against its contract.  Each
+    check is the entrywise rule (``within_tol``): the functionals against
+    the larger of them, U T1 against T2 likewise, and the unitarity and
+    intertwining residuals against 1, the norm of a unitary.
     """
     if rep1.algebra.dim != rep2.algebra.dim:
         raise NotEquivalent("representations live over different algebras")
-    gap = float(np.max(np.abs(rep1.source_functional - rep2.source_functional)))
-    if gap > pol.match_tol:
+    gap, size = entrywise_gap(rep1.source_functional, rep2.source_functional)
+    if not within_tol(gap, size, pol):
         raise NotEquivalent(f"source functionals differ by {gap:.3e}")
     if rep1.rep_dim != rep2.rep_dim:
         raise NotEquivalent(
@@ -401,13 +411,13 @@ def intertwiner(
     t2 = rep2.orbit_matrix()
     u = t2 @ t1.conj().T @ pseudo_inverse(t1 @ t1.conj().T, pol)
 
-    residual = max(
-        float(np.max(np.abs(u @ t1 - t2))),
+    orbit, size = entrywise_gap(u @ t1, t2)
+    unitary = max(
         float(np.max(np.abs(u.conj().T @ u - np.eye(d)))),
         float(np.max(np.abs(u @ rep1.matrices - rep2.matrices @ u))),
     )
-    if residual > pol.match_tol:
-        raise NotEquivalent(f"intertwining residual {residual:.3e}")
+    if not (within_tol(orbit, size, pol) and within_tol(unitary, 1.0, pol)):
+        raise NotEquivalent(f"intertwining residual {max(orbit, unitary):.3e}")
     return u
 
 

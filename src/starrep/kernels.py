@@ -37,9 +37,11 @@ from .errors import (
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    entrywise_gap,
     hermitian_eigen,
     hermitian_eigvals,
     psd_rank,
+    within_tol,
 )
 
 __all__ = [
@@ -58,9 +60,10 @@ __all__ = [
     "weighted_kernel_sum",
 ]
 
-# Ceiling on the diagonal quadratic forms of an increasing chain; growth past
-# it is the finite surrogate for an unbounded family.
-DEFAULT_MAJORIZATION_BOUND = 1e12
+# Growth of an increasing chain's diagonal forms over its first nonzero term
+# past which the chain counts as unbounded: the finite surrogate for an
+# unbounded family, scale-free like every other verdict.
+_MAJORIZATION_GROWTH = 1e12
 
 
 @dataclass(frozen=True)
@@ -117,38 +120,41 @@ def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
         raise DimMismatch(f"kernel dimensions differ: {k1.dim} vs {k2.dim}")
 
 
+def _combined(k1: Kernel, k2: Kernel, op: Callable, what: str) -> np.ndarray:
+    """op(k1.matrix, k2.matrix); NonFiniteScalar when an entry overflows.
+
+    A hermitian matrix's entries are at most its largest |eigenvalue|, the
+    larger of its first and minus its last, so while both kernels' spectra
+    stay below 2**1022 in modulus no entry can overflow and the check is
+    skipped.
+    """
+    _check_same_dim(k1, k2)
+    if max(k1.values[0], k2.values[0], -k1.values[-1], -k2.values[-1]) < 2.0**1022:
+        return op(k1.matrix, k2.matrix)
+    with np.errstate(over="ignore"):
+        result = op(k1.matrix, k2.matrix)
+    if not np.isfinite(result).all():
+        raise NonFiniteScalar(f"the kernel {what} overflows")
+    return result
+
+
 def _sum(k1: Kernel, k2: Kernel) -> np.ndarray:
     """k1 + k2 as a matrix; NonFiniteScalar when an entry overflows."""
-    _check_same_dim(k1, k2)
-    with np.errstate(over="ignore"):
-        total = k1.matrix + k2.matrix
-    if not np.isfinite(total).all():
-        raise NonFiniteScalar("the kernel sum overflows")
-    return total
+    return _combined(k1, k2, np.add, "sum")
 
 
 def _difference(k1: Kernel, k2: Kernel) -> np.ndarray:
-    """k2 - k1 as a matrix.
+    """k2 - k1 as a matrix; NonFiniteScalar when an entry overflows."""
+    return _combined(k1, k2, lambda m1, m2: m2 - m1, "difference")
 
-    With ``psd_tol`` small it does not overflow: a kernel's eigenvalues are
-    finite, and nonnegative up to ``psd_tol`` times the top one, so its
-    diagonal entries are about nonnegative and those off the diagonal at
-    most about half its top eigenvalue in modulus.
+
+def _top(k1: Kernel, k2: Kernel) -> float:
+    """The larger top eigenvalue of two kernels, the size their order is measured against.
+
+    k1 <= k2 is ``psd_rank``'s PSD verdict on k2 - k1 at this scale, so
+    kernels and their common multiples get the same verdict.
     """
-    _check_same_dim(k1, k2)
-    return k2.matrix - k1.matrix
-
-
-def _ordered(k1: Kernel, k2: Kernel, values: np.ndarray, pol: TolerancePolicy) -> bool:
-    """Whether k1 <= k2, given the descending eigenvalues of k2 - k1.
-
-    The package's one kernel order rule: k1 <= k2 when the least eigenvalue
-    of k2 - k1 is at least ``-psd_tol`` times the larger top eigenvalue of
-    the two.  The floor scales with the operands, so kernels and their
-    common multiples get the same verdict.
-    """
-    top = max(float(k1.values[0]), float(k2.values[0]), 0.0)
-    return bool(values[-1] >= -pol.psd_tol * top)
+    return max(float(k1.values[0]), float(k2.values[0]), 0.0)
 
 
 def membership(
@@ -202,8 +208,8 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
 
 
 def kernel_leq(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Order relation: k2 - k1 is PSD, by the scale-free rule of ``_ordered``."""
-    return _ordered(k1, k2, hermitian_eigvals(_difference(k1, k2), pol), pol)
+    """Order relation: k2 - k1 is PSD by ``psd_rank`` at the scale of ``_top``."""
+    return psd_rank(hermitian_eigvals(_difference(k1, k2), pol), pol, _top(k1, k2))[0]
 
 
 def kernel_difference(
@@ -216,7 +222,7 @@ def kernel_difference(
     """
     diff = _difference(k1, kernel)
     values, vectors = hermitian_eigen(diff, pol)
-    if not _ordered(k1, kernel, values, pol):
+    if not psd_rank(values, pol, _top(k1, kernel))[0]:
         raise NotDominated("subtrahend is not below the kernel")
     return Kernel(diff, values, vectors, psd_rank(values, pol)[1])
 
@@ -277,7 +283,7 @@ def ordinary_subrep_check(
     rank.
     """
     values = hermitian_eigvals(_difference(k1, kernel), pol)
-    if not _ordered(k1, kernel, values, pol):
+    if not psd_rank(values, pol, _top(k1, kernel))[0]:
         return False
     return k1.rank + psd_rank(values, pol)[1] == kernel.rank
 
@@ -287,26 +293,29 @@ def chain_limit(
     direction: str,
     pol: TolerancePolicy = DEFAULT_POLICY,
     max_steps: int = 50,
-    majorization_bound: float = DEFAULT_MAJORIZATION_BOUND,
 ) -> Kernel:
     """Limit of a monotone kernel chain produced by ``generator(step)``.
 
     Monotonicity is checked between consecutive terms by ``kernel_leq``,
-    whose rule is relative to the terms.  Increasing chains
-    are monitored through their diagonal quadratic forms: growth past
-    ``majorization_bound`` means the chain has no upper bound and
-    NotMajorized is raised.  Convergence is entrywise agreement of
-    consecutive terms within match_tol times the largest entry the chain
-    has reached, so a chain and its multiples stop at the same step;
-    exhausting max_steps while still moving raises NoConvergence.
+    whose rule is relative to the terms.  Increasing chains are monitored
+    through their diagonal quadratic forms: growth by more than a factor
+    1e12 over the first nonzero term means the chain has no upper bound
+    and NotMajorized is raised.  Convergence is the entrywise rule
+    (``within_tol``) on consecutive terms, measured against the largest
+    entry the chain has reached.  Both are relative, so a chain and its
+    positive multiples get the same verdict at the same step; exhausting
+    max_steps while still moving raises NoConvergence.
     """
     if direction not in ("decreasing", "increasing"):
         raise ValueError(f"direction must be 'decreasing' or 'increasing', got {direction!r}")
+    first = 0.0  # the diagonal form of the first nonzero term
 
     def check_bound(k: Kernel, step: int) -> None:
+        nonlocal first
         if direction == "increasing":
             top = float(np.max(np.diag(k.matrix).real))
-            if top > majorization_bound:
+            first = first or max(top, 0.0)
+            if top > _MAJORIZATION_GROWTH * first:
                 raise NotMajorized(
                     f"diagonal form reached {top:.3e} at step {step}; chain unbounded"
                 )
@@ -329,8 +338,9 @@ def chain_limit(
         if not ordered:
             raise MonotonicityViolation(f"chain not {direction} at step {step}")
         check_bound(cur, step)
-        size = max(size, float(np.max(np.abs(cur.matrix))))
-        if float(np.max(np.abs(cur.matrix - prev.matrix))) <= pol.match_tol * size:
+        moved, reached = entrywise_gap(cur.matrix, prev.matrix)
+        size = max(size, reached)
+        if within_tol(moved, size, pol):
             return cur
         prev = cur
     raise NoConvergence(f"chain still moving after {max_steps} steps")

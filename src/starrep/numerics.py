@@ -9,6 +9,15 @@ fixes the order, phases and tie order of its output, so results are
 deterministic for a given numpy build, across runs and BLAS thread counts.
 Within a tied eigenspace the basis is the solver's.
 
+The package decides with two tolerance rules, each written once here.  The
+spectral rule is ``psd_rank``: eigenvalues are measured against the top
+eigenvalue or a scale the caller gives.  The entrywise rule is
+``within_tol``: a residual between arrays that should agree is measured
+against ``match_tol`` times the size it scales with, and ``entrywise_gap``
+gives both numbers for two arrays without overflow.  Neither has an
+absolute floor, so a functional and its positive multiples get the same
+verdict.
+
 ``hermitian_eigvals`` calls ``np.linalg.eigvalsh`` and returns the values
 alone, descending.  It serves every decision that reads eigenvalues only:
 ``psd_check`` (positivity, and the cyclicity of a representation), the
@@ -41,13 +50,14 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "ValidationReport",
-    "as_complex_matrix",
     "is_hermitian",
     "hermitian_eigen",
     "hermitian_eigvals",
     "pseudo_inverse",
     "psd_check",
     "psd_rank",
+    "within_tol",
+    "entrywise_gap",
     "relative_gap",
     "index_blocks",
 ]
@@ -77,10 +87,15 @@ class TolerancePolicy:
         the larger top eigenvalue of k1 and k2.  No floor is absolute, so a
         matrix and its positive multiples get the same verdict.
     match_tol
-        Generic agreement tolerance for identities checked entrywise, and
-        the relative asymmetry bound of ``is_hermitian``.  A residual that
-        scales with its operands is measured against their size
-        (``relative_gap``).
+        The entrywise rule (``within_tol``): a residual between arrays that
+        should agree passes when it is at most ``match_tol * size``, with
+        ``size`` the magnitude it scales with (for two arrays, the larger
+        of their largest entries, ``entrywise_gap``).  Hermiticity, the
+        *-invariance of a kernel, the equality of functionals and the
+        convergence of a chain are decided so.  The law checks of an
+        algebra, a representation and a homomorphism compare their
+        violations with ``match_tol`` directly (``ValidationReport``):
+        their inputs do not scale with a functional.
     """
 
     rel_rank_tol: float = 1e-9
@@ -136,46 +151,68 @@ class ValidationReport:
         }
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting empty or non-finite input."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.size == 0:
-        raise NonSquare(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
+def within_tol(residual, size, pol: TolerancePolicy = DEFAULT_POLICY):
+    """The package's entrywise rule: ``residual <= match_tol * size``.
+
+    ``size`` is the magnitude the residual scales with, so a residual and
+    its operands scaled together get the same verdict.  A NaN residual
+    fails.  Elementwise on arrays.
+    """
+    return residual <= pol.match_tol * size
+
+
+def entrywise_gap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """``(max|a - b|, size)`` for two arrays that should agree, size the larger max|entry|.
+
+    Above 2**1022 the difference is taken of halves, where ``a - b`` could
+    overflow and the halves cannot (inf past the float range); below, the
+    bits are those of ``a - b``.  A NaN entry gives a NaN residual, which
+    fails the rule.
+    """
+    size = float(max(np.abs(a).max(), np.abs(b).max()))
+    if size <= 2.0**1022:
+        return float(np.abs(a - b).max()), size
+    with np.errstate(invalid="ignore"):  # inf - inf reads NaN
+        return 2.0 * float(np.abs(a / 2.0 - b / 2.0).max()), size
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """``entrywise_gap``'s residual over its size, 0 when both arrays are 0.
+
+    The form of the entrywise rule a ``ValidationReport`` holds.  A zero
+    array against a nonzero one reads 1.
+    """
+    residual, size = entrywise_gap(got, want)
+    return residual / size if size else 0.0
 
 
 def is_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """The package's one hermiticity rule: max|A - A^H| <= match_tol * max|A|.
-
-    The bound is relative to the largest entry, so a matrix and its multiples
-    get the same verdict.
-    """
-    size = float(np.abs(a).max())
-    return _asymmetry(a, a.conj().T, size) <= pol.match_tol * size
-
-
-def _asymmetry(a: np.ndarray, ah: np.ndarray, size: float) -> float:
-    """max|A - A^H|, given A^H and max|A|, without overflow (inf past the float range)."""
-    if size > 2.0**1022:  # a - ah could overflow, the halves cannot
-        return 2.0 * float(np.abs(a / 2.0 - ah / 2.0).max())
-    return float(np.abs(a - ah).max())
+    """The package's one hermiticity rule: A against A^H by ``within_tol``."""
+    return bool(within_tol(*entrywise_gap(a, a.conj().T), pol))
 
 
 def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {a.shape}")
+    """m as a nonempty square complex matrix, hermitized; hermitian by ``is_hermitian``'s rule.
+
+    Finite entries give a finite size, so the entries are checked one by
+    one only when it is not (an entry's modulus can pass the float range).
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
+        raise NonSquare(f"expected a nonempty square matrix, got shape {a.shape}")
     ah = a.conj().T
-    size = float(np.abs(a).max())
-    asym = _asymmetry(a, ah, size)
-    if not asym <= pol.match_tol * size:  # the rule of is_hermitian
+    asym, size = entrywise_gap(a, ah)
+    if not math.isfinite(size) and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if not within_tol(asym, size, pol):
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds match_tol {pol.match_tol:.1e} times the largest entry"
         )
-    # halved first where a + ah could overflow; the same bits below that
-    return a / 2.0 + ah / 2.0 if size > 2.0**1022 else (a + ah) / 2.0
+    if size > 2.0**1022:  # halved first where a + ah could overflow
+        return a / 2.0 + ah / 2.0
+    herm = a + ah
+    herm /= 2.0  # in place: the bits of (a + ah) / 2.0 without a second array
+    return herm
 
 
 def index_blocks(n: int, entries_per_index: int) -> list[slice]:
@@ -207,8 +244,11 @@ def _canonical_columns(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndar
     # Tie clusters are the runs of neighbours at most tie_tol apart, found
     # where ``tied`` changes value.  Within one the eigenbasis is not
     # canonical; order its columns by (descending) lexicographic comparison
-    # of their rounded coordinates.
-    tied = values[:-1] - values[1:] <= _TIE_REL_TOL * max(values[0], -values[-1])
+    # of their rounded coordinates.  Above 2**1022 the gaps are taken of
+    # halves, which cannot overflow; below, halving is skipped to keep the bits.
+    spread = max(values[0], -values[-1])
+    half = 0.5 if spread > 2.0**1022 else 1.0
+    tied = half * values[:-1] - half * values[1:] <= _TIE_REL_TOL * half * spread
     if not tied.any():
         return values, vectors
     edges = np.flatnonzero(np.diff(tied, prepend=False, append=False))
@@ -287,20 +327,9 @@ def psd_rank(
     roundoff alone has rank 0.
     """
     size = max(float(values[0]), 0.0) if scale is None else scale
-    is_psd = bool(values[-1] >= -pol.psd_tol * size)
+    is_psd = float(values[-1]) >= -pol.psd_tol * size
     rank = int(np.count_nonzero(values > pol.rel_rank_tol * size))
     return is_psd, rank
-
-
-def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
-    """max|got - want| over the larger of max|got| and max|want|; 0 when both are 0.
-
-    The package's rule for an entrywise residual between two arrays that
-    scale together, so that a functional and its positive multiples get the
-    same verdict.  A zero array against a nonzero one reads 1.
-    """
-    size = float(max(np.max(np.abs(got), initial=0.0), np.max(np.abs(want), initial=0.0)))
-    return float(np.max(np.abs(got - want))) / size if size else 0.0
 
 
 def psd_check(m, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:

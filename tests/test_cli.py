@@ -312,6 +312,20 @@ def test_cli_overflow_is_a_typed_error(tmp_path):
         assert result.stderr == "error: NonFiniteScalar: the kernel sum overflows\n"
 
 
+def test_cli_overflowing_difference_is_a_typed_error(tmp_path):
+    # --tol-psd 1 loads the indefinite a = diag(1e308, -1e308) and b = -a
+    doc = json.loads((FIXTURES / "z2.json").read_text())
+    for name, sign in (("a", 1.0), ("b", -1.0)):
+        doc["kernels"][name] = {"algebra": "z2", "matrix": [
+            [[sign * 1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-sign * 1e308, 0.0]]]}
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("--tol-psd", "1", "cone-diff", "a", "b", workspace=path)
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["error"] == "NonFiniteScalar"
+    assert result.stderr == "error: NonFiniteScalar: the kernel difference overflows\n"
+
+
 def test_cli_refuses_a_workspace_with_an_overflowing_eigenvalue(tmp_path):
     # P and M are finite and PSD, but each has the eigenvalue 2e308
     doc = json.loads((FIXTURES / "z2.json").read_text())

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from starrep import (
     DEFAULT_POLICY,
     Kernel,
+    TolerancePolicy,
     chain_limit,
     kernel_difference,
     kernel_leq,
@@ -43,6 +44,17 @@ ONES2 = np.array([[1.0, 1.0], [1.0, 1.0]])
 
 def kernel(matrix):
     return make_kernel(matrix)
+
+
+def test_overflowing_difference_is_a_typed_error():
+    # a loose psd_tol admits the indefinite a = diag(1e308, -1e308); the
+    # entries of -a - a overflow
+    pol = TolerancePolicy(psd_tol=1.0)
+    a = make_kernel(np.diag([1e308, -1e308]), pol)
+    b = make_kernel(np.diag([-1e308, 1e308]), pol)
+    for operation in (kernel_leq, kernel_difference, ordinary_subrep_check):
+        with pytest.raises(NonFiniteScalar, match="^the kernel difference overflows$"):
+            operation(a, b, pol)
 
 
 def test_overflowing_sum_is_a_typed_error():
@@ -269,7 +281,8 @@ def test_chain_convergence_is_scale_free():
         assert np.max(np.abs(limit.matrix - c * IDENTITY2)) < 1e-8 * c
         return len(calls)
 
-    assert steps(1e9) == steps(1.0) == steps(1e-6)
+    # majorization reads growth over the first nonzero term, not the diagonal's size
+    assert steps(1e13) == steps(1e9) == steps(1.0) == steps(1e-6) == steps(1e-12)
 
 
 def test_chain_unbounded_raises():

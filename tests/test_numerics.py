@@ -392,6 +392,14 @@ def test_the_asymmetry_test_does_not_overflow(solve):
         assert numerics.is_hermitian(near)
 
 
+def test_the_tie_test_does_not_overflow():
+    # the gap between eigenvalues 1e308 and -1e308 is past the float range;
+    # tier 1 turns the overflow warning of the tie test into an error
+    values, vectors = hermitian_eigen(np.diag([1e308, -1e308]))
+    assert values.tolist() == [1e308, -1e308]
+    assert np.array_equal(vectors, np.eye(2))
+
+
 @pytest.mark.parametrize("solve", SOLVERS, ids=["eigen", "eigvals"])
 def test_an_eigenvalue_past_the_float_range_is_a_typed_error(solve):
     # finite entries, and an eigenvalue 2e308: both solvers refuse the matrix

@@ -149,7 +149,7 @@ NUMBERS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pairs=st.lists(st.tuples(NUMBERS, NUMBERS).map(list), min_size=6, max_size=6))
 def test_workspace_round_trip_is_bit_exact(tmp_path, pairs):
@@ -185,7 +185,7 @@ def recursive_encode(m) -> list:
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=st.one_of(
     hnp.arrays(np.complex128, SHAPES),
     hnp.arrays(np.float64, SHAPES),

@@ -18,10 +18,15 @@ entries, the integer 2**70 (which loads), 10**400 and NaN.  The commands
 that name a kernel also run on copies of ``m2.json`` whose kernels are
 scaled by 1e-12 and by 1e9, and the commands that name a functional on
 copies whose functionals are scaled by the same factors (written there
-too), where a verdict that depends on scale shows.  Copies of ``z2.json``
-with a kernel 1e300·I or 1e308·I exercise overflow in the cone operations,
-and one with the finite PSD kernels [[1, ±1], [±1, 1]]·1e308, whose top
-eigenvalue 2e308 is past the float range, a workspace that does not load.
+too), where a verdict that depends on scale shows.  The same commands run
+on a copy of ``m2.json`` moved to the basis of a fixed seeded random
+unitary, where the arithmetic is inexact, scaled by 1e-12, 1 and 1e9.
+Copies of ``z2.json`` with a kernel 1e300·I or 1e308·I exercise overflow in
+the cone operations, and one with the finite PSD kernels
+[[1, ±1], [±1, 1]]·1e308, whose top eigenvalue 2e308 is past the float
+range, a workspace that does not load.  One with the indefinite kernels
+a = diag(1e308, -1e308) and b = -a, loaded under ``--tol-psd 1``, has a
+spectrum whose gaps and a kernel difference whose entries overflow.
 """
 
 from __future__ import annotations
@@ -35,9 +40,13 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 CHAIN_RULES = ("constant", "geometric-decreasing", "geometric-increasing", "doubling")
 DECOMPOSE_SEEDS = (0, 1, 7)
 SCALES = (1e-12, 1e9)
+SCRAMBLED_SCALES = (1e-12, 1.0, 1e9)
+SCRAMBLE_SEED = 2007
 WORKERS = 2
 
 
@@ -94,19 +103,57 @@ def _scaled(value, factor: float):
     return value * factor
 
 
-def scaled_commands(fixtures: Path, scratch: Path, section: str, key: str) -> list[list[str]]:
-    """The commands naming an entry of m2.json's ``section``, with its ``key`` times SCALES."""
-    doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
+def scaled_commands(source: Path, scratch: Path, section: str, key: str,
+                    scales=SCALES) -> list[list[str]]:
+    """The commands naming an entry of ``source``'s ``section``, with its ``key`` times scales."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
     paths = []
-    for factor in SCALES:
+    for factor in scales:
         copy = {**doc, section: {
             name: {**spec, key: _scaled(spec[key], factor)}
             for name, spec in doc[section].items()
         }}
-        path = scratch / f"m2_{section}_{factor:g}.json"
+        path = scratch / f"{source.stem}_{section}_{factor:g}.json"
         path.write_text(json.dumps(copy), encoding="utf-8")
         paths.append(path)
     return [cmd for cmd in fixture_commands(paths) if set(cmd) & set(doc[section])]
+
+
+def _decode(value) -> np.ndarray:
+    a = np.asarray(value, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
+
+
+def _encode(a: np.ndarray) -> list:
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def scrambled_m2(fixtures: Path, scratch: Path) -> Path:
+    """A copy of m2.json in the basis e'_i = sum_j s[j, i] e_j, s a seeded random unitary.
+
+    c' = (s (x) s) c s^-1, the involution becomes s^H S s^-T and the unit
+    s^-1 e; a functional rho becomes s^T rho and a kernel H becomes s^H H s.
+    """
+    doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
+    rng = np.random.default_rng(SCRAMBLE_SEED)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    s = q * (np.diag(r) / np.abs(np.diag(r)))
+    s_inv = np.linalg.inv(s)
+    alg = doc["algebras"]["m2"]
+    c = np.einsum("ji,ml,jmp,kp->ilk", s, s, _decode(alg["structure_constants"]), s_inv)
+    doc["algebras"]["m2"] = {
+        **alg,
+        "structure_constants": _encode(c),
+        "involution": _encode(s.conj().T @ _decode(alg["involution"]) @ s_inv.T),
+        "unit": _encode(s_inv @ _decode(alg["unit"])),
+    }
+    for spec in doc["functionals"].values():
+        spec["values"] = _encode(s.T @ _decode(spec["values"]))
+    for spec in doc["kernels"].values():
+        spec["matrix"] = _encode(s.conj().T @ _decode(spec["matrix"]) @ s)
+    path = scratch / "m2_scrambled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
@@ -143,7 +190,10 @@ def huge_kernels(fixtures: Path, scratch: Path) -> list[list[str]]:
 
     Both load; scaling or summing them can overflow.  A third copy holds
     P = [[1, 1], [1, 1]]·1e308 and M = [[1, -1], [-1, 1]]·1e308, finite and
-    PSD, whose eigenvalue 2e308 overflows, so it does not load.
+    PSD, whose eigenvalue 2e308 overflows, so it does not load.  A fourth
+    holds a = diag(1e308, -1e308) and b = -a, which load under
+    ``--tol-psd 1``: the gap 2e308 in a's spectrum and the entries of b - a
+    are past the float range.
     """
     cmds = []
     for name, size in (("big", 1e300), ("huge", 1e308)):
@@ -172,6 +222,14 @@ def huge_kernels(fixtures: Path, scratch: Path) -> list[list[str]]:
     ws = ["-w", str(path)]
     cmds += [ws + ["cone-scale", "1", "p"], ws + ["cone-leq", "p", "m"],
              ws + ["subrep", "p", "m"], ws + ["cone-diff", "p", "m"]]
+    doc = json.loads((fixtures / "z2.json").read_text(encoding="utf-8"))
+    for name, sign in (("a", 1.0), ("b", -1.0)):
+        doc["kernels"][name] = {"algebra": "z2", "matrix": [
+            [[sign * 1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-sign * 1e308, 0.0]]]}
+    path = scratch / "indefinite.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ws = ["-w", str(path), "--tol-psd", "1"]
+    cmds += [ws + ["cone-scale", "1", "a"], ws + ["cone-diff", "a", "b"]]
     return cmds
 
 
@@ -247,11 +305,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
     with tempfile.TemporaryDirectory() as scratch:
-        fixtures = old / "fixtures"
+        fixtures, scratch = old / "fixtures", Path(scratch)
+        m2, scrambled = fixtures / "m2.json", scrambled_m2(fixtures, scratch)
         cmds = (fixture_commands(sorted(fixtures.glob("*.json")))
-                + variant_commands(fixtures, Path(scratch))
-                + scaled_commands(fixtures, Path(scratch), "kernels", "matrix")
-                + scaled_commands(fixtures, Path(scratch), "functionals", "values"))
+                + variant_commands(fixtures, scratch)
+                + scaled_commands(m2, scratch, "kernels", "matrix")
+                + scaled_commands(m2, scratch, "functionals", "values")
+                + scaled_commands(scrambled, scratch, "kernels", "matrix", SCRAMBLED_SCALES)
+                + scaled_commands(scrambled, scratch, "functionals", "values",
+                                  SCRAMBLED_SCALES))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
