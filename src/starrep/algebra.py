@@ -32,8 +32,10 @@ class FiniteStarAlgebra:
     unit: np.ndarray  # (n,)
     labels: tuple[str, ...] | None = None
     # Data other modules derive from the algebra on first use and keep for
-    # its lifetime, such as the Wedderburn blocks of ``gns.block_data``,
-    # keyed by what they were derived with.
+    # its lifetime, keyed by what they were derived with: the Wedderburn
+    # blocks of ``gns.block_data``, and the dual action stacks and max|c|
+    # of the invariance test (``correspondence._invariant``).  None of it
+    # is built with the algebra.
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -22,13 +22,11 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import correspondence as corr
 from . import gns, kernels
 from .errors import BadArgument, StarRepError, ValidationError
 from .kernels import Kernel
-from .numerics import TolerancePolicy
+from .numerics import TolerancePolicy, relative_gap
 from .workspace import WorkspaceFile, encode_matrix, parse_workspace
 
 __all__ = ["main", "run_command", "build_parser"]
@@ -93,7 +91,7 @@ def _roundtrip(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
     recovered = corr.kernel_to_functional(v.algebra, corr.rep_to_kernel(rep, pol), pol)
     return {
         "recovered": encode_matrix(recovered),
-        "max_error": float(np.max(np.abs(recovered - v.functional))),
+        "max_error": relative_gap(recovered, v.functional),
     }
 
 

@@ -7,7 +7,9 @@ that rank decisions and eigenbasis conventions are made exactly once.  The
 eigensolver is LAPACK's.  ``hermitian_eigen`` calls ``np.linalg.eigh`` and
 fixes the order, phases and tie order of its output, so results are
 deterministic for a given numpy build, across runs and BLAS thread counts.
-Within a tied eigenspace the basis is the solver's.
+Within a tied eigenspace the basis is the solver's.  Ties are common (the
+Gram matrix of a state on M_m is I_m (x) D^T), so the columns of all tie
+clusters are ordered together, in one stable sort.
 
 The package decides with two tolerance rules, each written once here.  The
 spectral rule is ``psd_rank``: eigenvalues are measured against the top
@@ -155,10 +157,10 @@ def within_tol(residual, size, pol: TolerancePolicy = DEFAULT_POLICY):
     """The package's entrywise rule: ``residual <= match_tol * size``.
 
     ``size`` is the magnitude the residual scales with, so a residual and
-    its operands scaled together get the same verdict.  A NaN residual
-    fails.  Elementwise on arrays.
+    its operands scaled together get the same verdict.  A NaN or infinite
+    residual fails, even against an infinite size.  Elementwise on arrays.
     """
-    return residual <= pol.match_tol * size
+    return (residual <= pol.match_tol * size) & (residual < math.inf)
 
 
 def entrywise_gap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -170,10 +172,19 @@ def entrywise_gap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     fails the rule.
     """
     size = float(max(np.abs(a).max(), np.abs(b).max()))
+    return _gap(a, b, size), size
+
+
+def _gap(a: np.ndarray, b: np.ndarray, size: float) -> float:
+    """``entrywise_gap``'s residual, given its size.
+
+    A caller that knows the size passes it, so max|entry| is not read
+    twice: for a matrix and its adjoint it is max|A| alone.
+    """
     if size <= 2.0**1022:
-        return float(np.abs(a - b).max()), size
+        return float(np.abs(a - b).max())
     with np.errstate(invalid="ignore"):  # inf - inf reads NaN
-        return 2.0 * float(np.abs(a / 2.0 - b / 2.0).max()), size
+        return 2.0 * float(np.abs(a / 2.0 - b / 2.0).max())
 
 
 def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
@@ -187,8 +198,12 @@ def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """The package's one hermiticity rule: A against A^H by ``within_tol``."""
-    return bool(within_tol(*entrywise_gap(a, a.conj().T), pol))
+    """The package's one hermiticity rule: A against A^H by ``within_tol``.
+
+    The size is max|A|, which is max|A^H| too.
+    """
+    size = float(np.abs(a).max())
+    return bool(within_tol(_gap(a, a.conj().T, size), size, pol))
 
 
 def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
@@ -201,7 +216,8 @@ def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
     if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"expected a nonempty square matrix, got shape {a.shape}")
     ah = a.conj().T
-    asym, size = entrywise_gap(a, ah)
+    size = float(np.abs(a).max())  # max|A^H| too
+    asym = _gap(a, ah, size)
     if not math.isfinite(size) and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if not within_tol(asym, size, pol):
@@ -241,26 +257,32 @@ def _canonical_columns(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndar
     z = vectors[np.abs(vectors).argmax(axis=0), np.arange(n)]
     vectors *= z.conj() / np.hypot(z.real, z.imag)
 
-    # Tie clusters are the runs of neighbours at most tie_tol apart, found
-    # where ``tied`` changes value.  Within one the eigenbasis is not
-    # canonical; order its columns by (descending) lexicographic comparison
-    # of their rounded coordinates.  Above 2**1022 the gaps are taken of
-    # halves, which cannot overflow; below, halving is skipped to keep the bits.
+    # Tie clusters are the runs of neighbours at most tie_tol apart.  Within
+    # one the eigenbasis is not canonical; order its columns by (descending)
+    # lexicographic comparison of their rounded coordinates.  Above 2**1022
+    # the gaps are taken of halves, which cannot overflow; below, halving is
+    # skipped to keep the bits.
     spread = max(values[0], -values[-1])
     half = 0.5 if spread > 2.0**1022 else 1.0
     tied = half * values[:-1] - half * values[1:] <= _TIE_REL_TOL * half * spread
     if not tied.any():
         return values, vectors
-    edges = np.flatnonzero(np.diff(tied, prepend=False, append=False))
-    for start, stop in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
-        # Keys: real then imaginary part of each rounded coordinate, first
-        # coordinate first.  lexsort is stable and takes its primary key
-        # last; negated keys sort descending.
-        block = np.round(vectors[:, start:stop], _KEY_DECIMALS)
-        keys = np.stack([block.real, block.imag], axis=1).reshape(2 * n, -1)
-        perm = start + np.lexsort(-keys[::-1])
-        values[start:stop] = values[perm]
-        vectors[:, start:stop] = vectors[:, perm]
+    # One stable lexsort over the clustered columns alone orders every
+    # cluster at once.  lexsort takes its primary key last: the cluster
+    # index, then the real and imaginary part of each rounded coordinate,
+    # first coordinate first, negated to sort descending.  So the rows are
+    # laid out last coordinate first, imaginary before real.
+    tied_back = np.append(False, tied)  # column k tied to column k - 1
+    cols = np.flatnonzero(tied_back | np.append(tied, False))
+    block = np.round(vectors[::-1, cols], _KEY_DECIMALS)
+    keys = np.empty((2 * n + 1, cols.size))
+    pairs = keys[:-1].reshape(n, 2, -1)
+    np.negative(block.imag, out=pairs[:, 0])
+    np.negative(block.real, out=pairs[:, 1])
+    np.cumsum(~tied_back[cols], out=keys[-1])  # a cluster starts where a tie does not
+    perm = cols[np.lexsort(keys)]
+    values[cols] = values[perm]
+    vectors[:, cols] = vectors[:, perm]
     return values, vectors
 
 

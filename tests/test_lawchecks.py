@@ -6,7 +6,9 @@ work a block of the first basis index at a time with BLAS matmuls.  The
 einsum forms they replaced are kept here as oracles: each check must report
 the same worst violation, on valid data, on perturbed data whose violations
 are far from zero, and with the block budget cut down so that every check
-runs over many blocks.
+runs over many blocks.  The invariance residual is also checked against
+its earlier blocked complex form, which rebuilt the dual action on every
+call.
 """
 
 import tracemalloc
@@ -20,22 +22,26 @@ from starrep import (
     StarHomomorphism,
     build_matrix_algebra,
     direct_sum_algebra,
+    functional_to_kernel,
     gns_construct,
     gram_matrix,
     is_star_invariant,
     make_kernel,
     numerics,
+    pullback,
     validate_algebra,
     validate_star_homomorphism,
     verify_star_rep,
 )
 from starrep.correspondence import _invariance_residual
+from starrep.errors import PullbackInvarianceFailure
 from starrep.gns import _law_violations
 
 from conftest import (
     change_basis,
     random_algebra,
     random_positive_functional,
+    random_psd,
     random_unitary,
     s3_algebra,
 )
@@ -218,6 +224,113 @@ def test_invariance_and_gram_match_oracles(budget, seed):
     kernel = make_kernel((g + g.conj().T) / 2)
     assert is_star_invariant(a, kernel) == (invariance_oracle(a, kernel.matrix) < 1e-8)
     assert is_star_invariant(a, kernel)
+
+
+def invariance_residual_oracle(a: FiniteStarAlgebra, h: np.ndarray) -> float:
+    """The blocked complex form of ``_invariance_residual`` that the kept stacks replaced.
+
+    It builds L_{e_i^*}^H from the structure constants on every call and
+    multiplies in complex arithmetic.
+    """
+    n = a.dim
+    left_mults = a.basis_left_mult()
+    flat = left_mults.reshape(n, n * n)
+    residual = 0.0
+    for blk in numerics.index_blocks(n, n * n):
+        star_mults = (a.involution[blk] @ flat).reshape(-1, n, n)
+        lhs = np.conj(star_mults.transpose(0, 2, 1)) @ h
+        rhs = h @ left_mults[blk]
+        residual = np.maximum(residual, np.max(np.abs(lhs - rhs)))
+    return float(residual)
+
+
+INVARIANCE_ALGEBRAS = {
+    "m2": lambda: build_matrix_algebra(2),
+    "m3": lambda: build_matrix_algebra(3),
+    "s3": s3_algebra,
+    "m2+s3": lambda: direct_sum_algebra(build_matrix_algebra(2), s3_algebra()),
+}
+
+
+def assert_residual_matches_oracle(a: FiniteStarAlgebra, h) -> tuple[float, float]:
+    """The residual against the oracle's, and the size the entrywise rule reads.
+
+    A residual far from zero agrees to a few ulps of itself; one made of
+    roundoff alone agrees to a few ulps of the size.
+    """
+    got, want = _invariance_residual(a, h), invariance_residual_oracle(a, h)
+    size = float(np.abs(h).max()) * float(np.abs(a.structure_constants).max())
+    eps = np.finfo(float).eps
+    assert abs(got - want) <= 4 * eps * max(want, a.dim * size), (got, want, size)
+    return want, size
+
+
+@pytest.mark.parametrize("name", INVARIANCE_ALGEBRAS)
+@pytest.mark.parametrize("scrambled", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_kept_dual_action_matches_the_complex_oracle(budget, name, scrambled, scale):
+    # matrix units and group elements give real stacks, a random unitary
+    # change of basis complex ones; each verdict is the oracle's
+    rng = np.random.default_rng(500)
+    a = INVARIANCE_ALGEBRAS[name]()
+    rho = random_positive_functional(a, rng)
+    if scrambled:
+        s = random_unitary(rng, a.dim)
+        a, rho = change_basis(a, s), s.T @ rho
+    invariant = functional_to_kernel(a, scale * rho)
+    wild = make_kernel(scale * random_psd(rng, a.dim))
+    for kernel, expected in ((invariant, True), (wild, False)):
+        want, size = assert_residual_matches_oracle(a, kernel.matrix)
+        assert bool(numerics.within_tol(want, size)) == expected
+        assert is_star_invariant(a, kernel) == expected
+    assert all(np.iscomplexobj(stack) == scrambled for stack in a.derived["dual action"])
+
+
+def m2_in_m4() -> StarHomomorphism:
+    """x -> x (x) I_2 from M_2 into M_4, on matrix-unit coordinates."""
+    m = np.zeros((16, 4), dtype=complex)
+    for p in range(2):
+        for q in range(2):
+            for r in range(2):
+                m[(2 * p + r) * 4 + 2 * q + r, 2 * p + q] = 1.0
+    return StarHomomorphism(build_matrix_algebra(2), build_matrix_algebra(4), m)
+
+
+@pytest.mark.parametrize("scrambled", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+def test_pullback_source_side_matches_the_complex_oracle(budget, scrambled, scale):
+    # the source side of pullback tests alpha^H H alpha on the source
+    # algebra's stacks; a map that is not a homomorphism breaks it
+    rng = np.random.default_rng(501)
+    hom = m2_in_m4()
+    if scrambled:  # the source M_2 in a random unitary basis: alpha becomes alpha s
+        s = random_unitary(rng, 4)
+        hom = StarHomomorphism(change_basis(hom.source, s), hom.target, hom.matrix @ s)
+    kernel = functional_to_kernel(hom.target, scale * random_positive_functional(hom.target, rng))
+    pulled = hom.matrix.conj().T @ kernel.matrix @ hom.matrix
+    want, size = assert_residual_matches_oracle(hom.source, pulled)
+    assert numerics.within_tol(want, size)
+    assert is_star_invariant(hom.source, pullback(hom, kernel))
+
+    skewed = StarHomomorphism(hom.source, hom.target, hom.matrix @ random_unitary(rng, 4))
+    pulled = skewed.matrix.conj().T @ kernel.matrix @ skewed.matrix
+    want, size = assert_residual_matches_oracle(skewed.source, pulled)
+    assert not numerics.within_tol(want, size)
+    with pytest.raises(PullbackInvarianceFailure):
+        pullback(skewed, kernel)
+
+
+def test_the_stacks_are_built_on_the_first_test_and_kept():
+    # not when the algebra is built; a second test reuses them
+    a = s3_algebra()
+    assert "dual action" not in a.derived
+    kernel = functional_to_kernel(a, np.eye(6)[0])
+    assert is_star_invariant(a, kernel)
+    stacks = a.derived["dual action"]
+    assert is_star_invariant(a, kernel)
+    assert a.derived["dual action"] is stacks
+    assert [stack.dtype for stack in stacks] == [np.float64, np.float64]
+    assert [stack.shape for stack in stacks] == [(36, 6), (36, 6)]
 
 
 def worst_index(per_index: np.ndarray) -> int:

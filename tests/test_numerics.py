@@ -175,6 +175,19 @@ def test_hermiticity_rule_is_relative():
             hermitian_eigen(scale * np.array([[1.0, 1e-6], [0.0, 1.0]]))
 
 
+def test_an_infinite_residual_fails_the_entrywise_rule():
+    # inf <= match_tol * inf holds; the rule fails an infinite residual as
+    # it fails a NaN one, so a matrix with an infinite entry is not hermitian
+    assert not numerics.within_tol(np.inf, np.inf)
+    assert not numerics.within_tol(np.nan, 1.0)
+    assert numerics.within_tol(np.array([0.0, 1e-9, np.inf, np.nan]), 1.0).tolist() == [
+        True, True, False, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in ([[0, np.inf], [0, 0]], [[0, np.inf], [np.inf, 0]], [[np.inf, 0], [0, 1]]):
+            assert not numerics.is_hermitian(np.array(m))
+
+
 def test_eigen_rejects_bad_input():
     with pytest.raises(NonSquare):
         hermitian_eigen(np.ones((2, 3)))
@@ -299,7 +312,7 @@ def canonical_columns_oracle(values, vectors):
 
 
 def oracle_matrix(seed: int, n: int, kind: str, is_complex: bool, scale: float) -> np.ndarray:
-    """A hermitian n x n matrix of the given kind, times scale."""
+    """A hermitian n x n matrix of the given kind, times scale ("kron-m": at most n x n)."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n))
     if is_complex:
@@ -312,6 +325,20 @@ def oracle_matrix(seed: int, n: int, kind: str, is_complex: bool, scale: float) 
     elif kind == "kron":  # for even n each eigenvalue of the PSD h exactly twice
         h = g[: (n + 1) // 2, : (n + 1) // 2]
         m = np.kron(np.eye(2), h @ h.conj().T)[:n, :n]
+    elif kind == "kron-m":
+        # I_m (x) H, the Gram form I_m (x) D^T of a state on M_m: each
+        # eigenvalue of the complex PSD H, possibly rank-deficient, m times
+        copies = int(rng.integers(2, 9))
+        k = max(1, n // copies)
+        b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        b = b[:, : int(rng.integers(0, k + 1))]
+        m = np.kron(np.eye(copies), b @ b.conj().T)
+    elif kind == "cluster":  # one cluster of near ties among well-separated singletons
+        values = np.cumsum(1.0 + rng.random(n))
+        start = int(rng.integers(0, n))
+        values[start : start + int(rng.integers(2, n + 2))] = values[start]
+        q, _ = np.linalg.qr(g)
+        m = (q * values) @ q.conj().T
     elif kind == "integer":  # small integer entries: many near and exact ties
         m = np.round(g.real / 2)
         m = m + m.T
@@ -322,11 +349,13 @@ def oracle_matrix(seed: int, n: int, kind: str, is_complex: bool, scale: float) 
     return scale * m
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 64),
-    kind=st.sampled_from(["random", "rank-deficient", "kron", "integer", "identity", "zero"]),
+    kind=st.sampled_from(
+        ["random", "rank-deficient", "kron", "kron-m", "integer", "identity", "cluster", "zero"]
+    ),
     is_complex=st.booleans(),
     scale=st.sampled_from([1e-12, 1.0, 1e9, -1.0]),
 )
@@ -337,6 +366,9 @@ def oracle_matrix(seed: int, n: int, kind: str, is_complex: bool, scale: float) 
 @example(seed=0, n=5, kind="identity", is_complex=False, scale=1.0)
 @example(seed=0, n=7, kind="zero", is_complex=True, scale=1.0)
 @example(seed=3, n=33, kind="rank-deficient", is_complex=True, scale=1e-12)
+@example(seed=1, n=64, kind="kron-m", is_complex=True, scale=1.0)
+@example(seed=2, n=36, kind="identity", is_complex=True, scale=1e9)
+@example(seed=4, n=36, kind="cluster", is_complex=True, scale=1.0)
 def test_canonical_columns_match_the_per_column_oracle(seed, n, kind, is_complex, scale):
     m = oracle_matrix(seed, n, kind, is_complex, scale)
     w, v = hermitian_eigen(m)

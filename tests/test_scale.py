@@ -9,6 +9,8 @@ the operands, so scaling rho by a positive factor changes no verdict.
 
 from __future__ import annotations
 
+from argparse import Namespace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from starrep import (
     rep_to_kernel,
     verify_star_rep,
 )
+from starrep import cli
 from starrep.errors import NotMajorized, NotStarInvariant
 from starrep.gns import _multiplicities
 from starrep.numerics import relative_gap
@@ -57,6 +60,16 @@ def test_triple_bijection_at_every_scale(m, scrambled, scale):
     assert is_star_invariant(algebra, functional_to_kernel(algebra, rho))
     kernel = rep_to_kernel(gns_construct(algebra, rho))
     assert relative_gap(kernel_to_functional(algebra, kernel), rho) < 1e-12
+
+
+@pytest.mark.parametrize("m, scrambled", CASES)
+def test_the_roundtrip_error_is_relative(m, scrambled):
+    # the roundtrip verb reports max|recovered - rho| over max|rho|, so
+    # scaling rho leaves it at roundoff
+    algebra, rho = faithful_state(m, scrambled)
+    for scale in SCALES:
+        args = Namespace(algebra=algebra, functional=scale * rho)
+        assert cli._roundtrip(args, DEFAULT_POLICY)["max_error"] < 1e-13
 
 
 @pytest.mark.parametrize("m, scrambled", CASES)

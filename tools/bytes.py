@@ -27,6 +27,13 @@ the cone operations, and one with the finite PSD kernels
 range, a workspace that does not load.  One with the indefinite kernels
 a = diag(1e308, -1e308) and b = -a, loaded under ``--tol-psd 1``, has a
 spectrum whose gaps and a kernel difference whose entries overflow.
+
+The fixtures stop at n = 9, so an M_4 workspace (n = 16) is written there
+too, with the trace, a faithful state with a complex density and a vector
+state, and their Gram matrices as kernels.  Their Gram matrices have tied
+eigenvalues: one cluster of 16, four clusters of 4, and two clusters.
+``validate``, ``gns``, ``kernel``, ``functional``, ``roundtrip``,
+``decompose``, ``equiv`` and ``audit`` run on it.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ DECOMPOSE_SEEDS = (0, 1, 7)
 SCALES = (1e-12, 1e9)
 SCRAMBLED_SCALES = (1e-12, 1.0, 1e9)
 SCRAMBLE_SEED = 2007
+M4_VERBS = ("validate", "gns", "kernel", "functional", "roundtrip", "decompose", "equiv", "audit")
 WORKERS = 2
 
 
@@ -154,6 +162,44 @@ def scrambled_m2(fixtures: Path, scratch: Path) -> Path:
     path = scratch / "m2_scrambled.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def m4_commands(scratch: Path) -> list[list[str]]:
+    """The functional and kernel verbs on an M_4 workspace (n = 16), written with numpy.
+
+    M_4 is in the matrix-unit basis.  Its three states are the trace, whose
+    Gram matrix I_16 is one tie cluster of 16; tr(D .) with a seeded complex
+    D > 0, whose Gram matrix I_4 (x) D^T has four clusters of 4; and a
+    vector state.  Each kernel is its state's Gram matrix.
+    """
+    m, n = 4, 16
+    c, s = np.zeros((n, n, n)), np.zeros((n, n))
+    for p in range(m):
+        for q in range(m):
+            s[p * m + q, q * m + p] = 1.0
+            for r in range(m):
+                c[p * m + q, q * m + r, p * m + r] = 1.0
+    rng = np.random.default_rng(SCRAMBLE_SEED)
+    b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    densities = {
+        "trace": np.eye(m),
+        "faithful": b @ b.conj().T + np.eye(m),
+        "vector": np.outer(v, v.conj()) / np.vdot(v, v).real,
+    }
+    doc = {"algebras": {"m4": {
+        "structure_constants": _encode(c.astype(complex)),
+        "involution": _encode(s.astype(complex)),
+        "unit": _encode(np.eye(m, dtype=complex).ravel()),
+    }}, "functionals": {}, "kernels": {}}
+    for name, density in densities.items():
+        rho = density.T.ravel()  # rho(E_pq) = D[q, p]
+        gram = np.einsum("ip,pjk,k->ij", s, c, rho)  # rho(e_i^* e_j)
+        doc["functionals"][name] = {"algebra": "m4", "values": _encode(rho)}
+        doc["kernels"][f"gram_{name}"] = {"algebra": "m4", "matrix": _encode(gram)}
+    path = scratch / "m4.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return [cmd for cmd in fixture_commands([path]) if cmd[2] in M4_VERBS]
 
 
 def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
@@ -313,7 +359,8 @@ def main(argv=None) -> int:
                 + scaled_commands(m2, scratch, "functionals", "values")
                 + scaled_commands(scrambled, scratch, "kernels", "matrix", SCRAMBLED_SCALES)
                 + scaled_commands(scrambled, scratch, "functionals", "values",
-                                  SCRAMBLED_SCALES))
+                                  SCRAMBLED_SCALES)
+                + m4_commands(scratch))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
