@@ -63,10 +63,10 @@ class FiniteStarAlgebra:
     def dim(self) -> int:
         return self.unit.shape[0]
 
-    def _check_element(self, x) -> np.ndarray:
+    def _check_element(self, x, what: str = "element") -> np.ndarray:
         v = np.asarray(x, dtype=complex)
         if v.shape != (self.dim,):
-            raise DimMismatch(f"element has shape {v.shape}, algebra dim {self.dim}")
+            raise DimMismatch(f"{what} has shape {v.shape}, algebra dim {self.dim}")
         return v
 
     def multiply(self, x, y) -> np.ndarray:

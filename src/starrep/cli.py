@@ -101,7 +101,10 @@ def _chain(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
     def gen(step: int) -> Kernel:
         return kernels.kernel_scale(factor(v.ratio, step), v.kernel, pol)
 
-    return _matrix_rank(kernels.chain_limit(gen, direction, pol, max_steps=v.max_steps))
+    try:
+        return _matrix_rank(kernels.chain_limit(gen, direction, pol, max_steps=v.max_steps))
+    except ValueError as exc:  # a max_steps below 1; the rules fix the direction
+        raise BadArgument(str(exc)) from None
 
 
 def _weighted_sum(v: argparse.Namespace, pol: TolerancePolicy) -> dict:

@@ -11,27 +11,22 @@ test that characterizes which kernels arise this way, and transport along
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import FiniteStarAlgebra, _real_if_real
-from .duality import gram_matrix, is_positive
+from .duality import functional_to_kernel, gram_matrix, is_positive
 from .errors import (
     DimMismatch,
     InvalidRepresentation,
-    NegativeEigenvalue,
-    NegativeScalar,
-    NonFiniteScalar,
-    NotHermitian,
     NotPositive,
     NotStarInvariant,
     PullbackInvarianceFailure,
     ShapeMismatch,
 )
-from .gns import GNSRepresentation, gns_construct, verify_star_rep
-from .kernels import Kernel, kernel_leq, make_kernel
+from .gns import GNSRepresentation, _represent, verify_star_rep
+from .kernels import Kernel, _check_scale, kernel_leq, make_kernel
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -118,22 +113,6 @@ def validate_star_homomorphism(
         },
         tolerance=pol.match_tol,
     )
-
-
-def functional_to_kernel(
-    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
-) -> Kernel:
-    """Reproducing operator of the subspace attached to a positive functional.
-
-    This is the Gram matrix itself, read as an operator on dual coordinates;
-    it satisfies the orientation identity rho(x) = <e | H x>.  One
-    eigensolve of the Gram matrix decides hermiticity and positivity and
-    gives the rank.
-    """
-    try:
-        return make_kernel(gram_matrix(algebra, functional), pol)
-    except (NotHermitian, NegativeEigenvalue, ValueError):  # ValueError: NaN entries
-        raise NotPositive("functional_to_kernel requires a positive functional") from None
 
 
 def _dual_action(algebra: FiniteStarAlgebra) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +204,6 @@ def kernel_to_functional(
     algebra: FiniteStarAlgebra, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
     """Functional r_j = <e | H e_j> recovered from an invariant kernel."""
-    if kernel.dim != algebra.dim:
-        raise DimMismatch(f"kernel dim {kernel.dim} vs algebra dim {algebra.dim}")
     if not is_star_invariant(algebra, kernel, pol):
         raise NotStarInvariant("kernel is not invariant under the dual action")
     return np.conj(algebra.unit) @ kernel.matrix
@@ -235,8 +212,12 @@ def kernel_to_functional(
 def kernel_to_rep(
     algebra: FiniteStarAlgebra, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> GNSRepresentation:
-    """The cyclic *-representation carried by an invariant kernel's subspace."""
-    return gns_construct(algebra, kernel_to_functional(algebra, kernel, pol), pol)
+    """The cyclic *-representation carried by an invariant kernel's subspace.
+
+    Read off the kernel's kept spectrum (``gns._represent``), so its dimension
+    is the rank the kernel was made with; on rho's kernel it is gns_construct(rho).
+    """
+    return _represent(algebra, kernel_to_functional(algebra, kernel, pol), kernel)
 
 
 def rep_to_kernel(
@@ -297,10 +278,7 @@ def cone_morphism_audit(
     """
     r1 = np.asarray(rho1, dtype=complex)
     r2 = np.asarray(rho2, dtype=complex)
-    if lam < 0:
-        raise NegativeScalar(f"scale factor must be nonnegative, got {lam}")
-    if not math.isfinite(lam):
-        raise NonFiniteScalar(f"scale factor must be finite, got {lam}")
+    _check_scale(lam)
     try:
         k1 = functional_to_kernel(algebra, r1, pol)
         k2 = functional_to_kernel(algebra, r2, pol)

@@ -13,38 +13,57 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FiniteStarAlgebra
-from .errors import DimMismatch, NonRealUnitValue, NotHermitian, NotPositive
+from .errors import NegativeEigenvalue, NonRealUnitValue, NotHermitian, NotPositive
+from .kernels import Kernel, make_kernel
 from .numerics import DEFAULT_POLICY, TolerancePolicy, psd_check, within_tol
 
 __all__ = [
     "evaluate",
     "gram_matrix",
+    "functional_to_kernel",
     "is_positive",
     "hilbert_bound",
     "dual_regular_action",
 ]
 
 
-def _check_vector(algebra: FiniteStarAlgebra, v, what: str) -> np.ndarray:
-    a = np.asarray(v, dtype=complex)
-    if a.shape != (algebra.dim,):
-        raise DimMismatch(f"{what} has shape {a.shape}, algebra dim {algebra.dim}")
-    return a
-
-
 def evaluate(algebra: FiniteStarAlgebra, functional, x) -> complex:
     """Value of the functional on the element x (linear extension)."""
-    r = _check_vector(algebra, functional, "functional")
-    xv = _check_vector(algebra, x, "element")
-    return complex(np.dot(xv, r))
+    r = algebra._check_element(functional, "functional")
+    return complex(np.dot(algebra._check_element(x), r))
 
 
 def gram_matrix(algebra: FiniteStarAlgebra, functional) -> np.ndarray:
     """Matrix G[i, j] = rho(e_i^* e_j) of the sesquilinear form induced by rho."""
-    r = _check_vector(algebra, functional, "functional")
+    r = algebra._check_element(functional, "functional")
     n = algebra.dim
     products = algebra.structure_constants.reshape(n * n, n) @ r  # rho(e_p e_j)
     return algebra.involution @ products.reshape(n, n)
+
+
+def _gram_kernel(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy, caller: str) -> Kernel:
+    """The Gram matrix of rho as a kernel, or NotPositive naming ``caller``.
+
+    The Gram matrix of a positive functional is hermitian, PSD and finite
+    (NaN entries raise ValueError), so a failed ``make_kernel`` rules rho out.
+    """
+    try:
+        return make_kernel(gram_matrix(algebra, rho), pol)
+    except (NotHermitian, NegativeEigenvalue, ValueError):
+        raise NotPositive(f"{caller} requires a positive functional") from None
+
+
+def functional_to_kernel(
+    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
+) -> Kernel:
+    """Reproducing operator of the subspace attached to a positive functional.
+
+    This is the Gram matrix itself, read as an operator on dual coordinates;
+    it satisfies the orientation identity rho(x) = <e | H x>.  Its one
+    eigensolve decides hermiticity and positivity and gives the rank and
+    the spectrum the kernel keeps, which ``gns_construct`` reads too.
+    """
+    return _gram_kernel(algebra, functional, pol, "functional_to_kernel")
 
 
 def is_positive(

@@ -21,16 +21,15 @@ import numpy as np
 
 from .algebra import FiniteStarAlgebra, _real_if_real
 from . import duality
-from .duality import _check_vector
 from .errors import (
     InvalidRepresentation,
     NoConvergence,
     NotEquivalent,
-    NotHermitian,
     NotPositive,
     NotSemisimple,
     ZeroFunctional,
 )
+from .kernels import Kernel
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -121,32 +120,28 @@ def gns_construct(
 ) -> GNSRepresentation:
     """Build the cyclic *-representation attached to a positive functional.
 
-    With G the Gram matrix, eigendecomposed as U diag(w) U^dagger, the kept
-    eigenpairs (those above the rank cutoff) define the quotient map
-    ``Q = diag(sqrt(w)) U^dagger`` and the representation matrices
-    ``pi(e_i) = Q L_i U diag(1/sqrt(w))``.  The zero functional yields the
-    empty representation (d = 0).
+    It is the one carried by rho's kernel, its Gram matrix, read off that
+    kernel's one eigensolve (``_represent``).  The zero functional yields
+    the empty representation (d = 0).
     """
     rho = np.asarray(functional, dtype=complex)
-    try:  # the Gram matrix of a positive functional is hermitian and finite
-        values, vectors = hermitian_eigen(duality.gram_matrix(algebra, rho), pol)
-    except (NotHermitian, ValueError):
-        raise NotPositive("gns_construct requires a positive functional") from None
-    positive, d = psd_rank(values, pol)
-    if not positive:
-        raise NotPositive("gns_construct requires a positive functional")
+    return _represent(algebra, rho, duality._gram_kernel(algebra, rho, pol, "gns_construct"))
 
-    u_r = vectors[:, :d]
-    sqrt_w = np.sqrt(values[:d])
+
+def _represent(algebra: FiniteStarAlgebra, rho: np.ndarray, kernel: Kernel) -> GNSRepresentation:
+    """The cyclic representation of rho on the range of its kernel, with no eigensolve.
+
+    The kernel's ``rank`` leading eigenpairs U diag(w) U^dagger give the quotient
+    map ``Q = diag(sqrt(w)) U^dagger`` and ``pi(e_i) = Q L_i U diag(1/sqrt(w))``.
+    """
+    u_r = kernel.vectors[:, : kernel.rank]
+    sqrt_w = np.sqrt(kernel.values[: kernel.rank])
     q = sqrt_w[:, None] * u_r.conj().T  # (d, n)
-    right = u_r * (1.0 / sqrt_w)[None, :] if d else u_r  # (n, d)
-
-    mats = q @ algebra.basis_left_mult() @ right
-    xi = q @ algebra.unit
+    right = u_r * (1.0 / sqrt_w)[None, :]  # (n, d)
     return GNSRepresentation(
         algebra=algebra,
-        matrices=mats,
-        cyclic_vector=xi,
+        matrices=q @ algebra.basis_left_mult() @ right,
+        cyclic_vector=q @ algebra.unit,
         source_functional=rho,
         embedding=q,
     )
@@ -529,7 +524,7 @@ def _state_densities(
     the block-diagonal matrix of the D_j; the second by ``_state_ranks``.
     NotPositive names the calling function.
     """
-    rho = _check_vector(algebra, functional, "functional")
+    rho = algebra._check_element(functional, "functional")
     data = block_data(algebra, pol)
     densities = data.densities(rho)
     diagonal = np.zeros((sum(data.sizes),) * 2, dtype=complex)

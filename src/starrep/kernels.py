@@ -187,6 +187,14 @@ def kernel_sum(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) ->
     return make_kernel(_sum(k1, k2), pol)
 
 
+def _check_scale(lam: float) -> None:
+    """NegativeScalar for a negative scale factor, then NonFiniteScalar for NaN or inf."""
+    if lam < 0:
+        raise NegativeScalar(f"scale factor must be nonnegative, got {lam}")
+    if not math.isfinite(lam):
+        raise NonFiniteScalar(f"scale factor must be finite, got {lam}")
+
+
 def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
     """Scale by a nonnegative real; member norms scale by 1/lam, 0 gives {0}.
 
@@ -194,10 +202,7 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
     eigenvectors and the rank; NonFiniteScalar is raised when the scaled
     entries overflow.
     """
-    if lam < 0:
-        raise NegativeScalar(f"scale factor must be nonnegative, got {lam}")
-    if not math.isfinite(lam):
-        raise NonFiniteScalar(f"scale factor must be finite, got {lam}")
+    _check_scale(lam)
     if lam == 0:  # the zero kernel
         return make_kernel(lam * kernel.matrix, pol)
     with np.errstate(over="ignore"):
@@ -304,10 +309,13 @@ def chain_limit(
     (``within_tol``) on consecutive terms, measured against the largest
     entry the chain has reached.  Both are relative, so a chain and its
     positive multiples get the same verdict at the same step; exhausting
-    max_steps while still moving raises NoConvergence.
+    max_steps while still moving raises NoConvergence.  A bad direction or
+    a max_steps below 1 raises ValueError.
     """
     if direction not in ("decreasing", "increasing"):
         raise ValueError(f"direction must be 'decreasing' or 'increasing', got {direction!r}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     first = 0.0  # the diagonal form of the first nonzero term
 
     def check_bound(k: Kernel, step: int) -> None:

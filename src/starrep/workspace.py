@@ -128,6 +128,41 @@ def encode_matrix(m) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
+# Each section's fields that name an algebra, and what its entries must be.
+_SECTIONS = {
+    "algebras": ((), "an object"),
+    "functionals": (("algebra",), "an object with an 'algebra' field"),
+    "kernels": (("algebra",), "an object with an 'algebra' field"),
+    "homomorphisms": (("source", "target"), "an object with 'source' and 'target'"),
+}
+
+
+def _entries(raw: dict, section: str, ws: WorkspaceFile):
+    """(name, path, spec) per entry of an object section; each reference names a loaded algebra."""
+    entries = raw.get(section)
+    if not isinstance(entries, (dict, type(None))):
+        raise ParseError(f"{section}: expected an object")
+    refs, expected = _SECTIONS[section]
+    for name, spec in (entries or {}).items():
+        base = f"{section}.{name}"
+        if not isinstance(spec, dict) or not all(ref in spec for ref in refs):
+            raise ParseError(f"{base}: expected {expected}")
+        for ref in refs:
+            if not isinstance(spec[ref], str):
+                raise ParseError(f"{base}.{ref}: expected an algebra name")
+            if spec[ref] not in ws.algebras:
+                raise ValidationError(f"{base}: unresolved algebra {spec[ref]!r}")
+        yield name, base, spec
+
+
+def _passed(report: ValidationReport, failure: str) -> ValidationReport:
+    """The report, or ValidationError: ``failure`` and the worst violation."""
+    if not report.passed:
+        worst = report.worst
+        raise ValidationError(f"{failure} ({worst} deviates by {report.violations[worst]:.3e})")
+    return report
+
+
 def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> WorkspaceFile:
     """Load and validate a workspace file, with field-precise diagnostics."""
     try:
@@ -146,87 +181,48 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
 
     ws = WorkspaceFile()
 
-    for name, spec in (raw.get("algebras") or {}).items():
-        base = f"algebras.{name}"
-        if not isinstance(spec, dict):
-            raise ParseError(f"{base}: expected an object")
-        tensor = _decode_array(
-            spec.get("structure_constants"), 3, f"{base}.structure_constants"
-        )
+    for name, base, spec in _entries(raw, "algebras", ws):
+        labels = spec.get("labels")
+        if labels is not None and not (
+                isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ParseError(f"{base}.labels: expected an array of strings")
+        tensor = _decode_array(spec.get("structure_constants"), 3, f"{base}.structure_constants")
         involution = _decode_array(spec.get("involution"), 2, f"{base}.involution")
         unit = _decode_array(spec.get("unit"), 1, f"{base}.unit")
         try:
             algebra = FiniteStarAlgebra(
-                structure_constants=tensor,
-                involution=involution,
-                unit=unit,
-                labels=tuple(spec["labels"]) if "labels" in spec else None,
-            )
+                tensor, involution, unit, None if labels is None else tuple(labels))
         except (ValueError, StarRepError) as exc:
             raise ParseError(f"{base}: {exc}") from exc
-        report = validate_algebra(algebra, pol)
-        if not report.passed:
-            worst = report.worst
-            raise ValidationError(
-                f"{base}: algebra axioms violated "
-                f"({worst} deviates by {report.violations[worst]:.3e})"
-            )
         ws.algebras[name] = algebra
-        ws.validations[name] = report
+        ws.validations[name] = _passed(
+            validate_algebra(algebra, pol), f"{base}: algebra axioms violated")
 
-    for name, spec in (raw.get("functionals") or {}).items():
-        base = f"functionals.{name}"
-        if not isinstance(spec, dict) or "algebra" not in spec:
-            raise ParseError(f"{base}: expected an object with an 'algebra' field")
-        algebra_name = spec["algebra"]
-        if algebra_name not in ws.algebras:
-            raise ValidationError(f"{base}: unresolved algebra {algebra_name!r}")
+    for name, base, spec in _entries(raw, "functionals", ws):
         values = _decode_array(spec.get("values"), 1, f"{base}.values")
-        if values.shape != (ws.algebras[algebra_name].dim,):
-            raise ValidationError(
-                f"{base}: values length {values.shape[0]} mismatches algebra dim"
-            )
-        ws.functionals[name] = FunctionalEntry(algebra=algebra_name, values=values)
+        if values.shape != (ws.algebras[spec["algebra"]].dim,):
+            raise ValidationError(f"{base}: values length {values.shape[0]} mismatches algebra dim")
+        ws.functionals[name] = FunctionalEntry(algebra=spec["algebra"], values=values)
 
-    for name, spec in (raw.get("kernels") or {}).items():
-        base = f"kernels.{name}"
-        if not isinstance(spec, dict) or "algebra" not in spec:
-            raise ParseError(f"{base}: expected an object with an 'algebra' field")
-        algebra_name = spec["algebra"]
-        if algebra_name not in ws.algebras:
-            raise ValidationError(f"{base}: unresolved algebra {algebra_name!r}")
+    for name, base, spec in _entries(raw, "kernels", ws):
         matrix = _decode_array(spec.get("matrix"), 2, f"{base}.matrix")
-        dim = ws.algebras[algebra_name].dim
+        dim = ws.algebras[spec["algebra"]].dim
         if matrix.shape != (dim, dim):
             raise ValidationError(f"{base}: matrix shape {matrix.shape} mismatches dim")
         try:
             kernel = make_kernel(matrix, pol)
         except (ValueError, StarRepError) as exc:
             raise ValidationError(f"{base}: not a reproducing operator: {exc}") from exc
-        ws.kernels[name] = KernelEntry(algebra=algebra_name, kernel=kernel)
+        ws.kernels[name] = KernelEntry(algebra=spec["algebra"], kernel=kernel)
 
-    for name, spec in (raw.get("homomorphisms") or {}).items():
-        base = f"homomorphisms.{name}"
-        if not isinstance(spec, dict) or "source" not in spec or "target" not in spec:
-            raise ParseError(f"{base}: expected an object with 'source' and 'target'")
+    for name, base, spec in _entries(raw, "homomorphisms", ws):
         src, tgt = spec["source"], spec["target"]
-        for ref in (src, tgt):
-            if ref not in ws.algebras:
-                raise ValidationError(f"{base}: unresolved algebra {ref!r}")
         matrix = _decode_array(spec.get("matrix"), 2, f"{base}.matrix")
         try:
-            hom = StarHomomorphism(
-                source=ws.algebras[src], target=ws.algebras[tgt], matrix=matrix
-            )
+            hom = StarHomomorphism(ws.algebras[src], ws.algebras[tgt], matrix)
         except (ValueError, StarRepError) as exc:
             raise ValidationError(f"{base}: {exc}") from exc
-        report = validate_star_homomorphism(hom, pol)
-        if not report.passed:
-            worst = report.worst
-            raise ValidationError(
-                f"{base}: not a *-homomorphism "
-                f"({worst} deviates by {report.violations[worst]:.3e})"
-            )
+        _passed(validate_star_homomorphism(hom, pol), f"{base}: not a *-homomorphism")
         ws.homomorphisms[name] = HomomorphismEntry(source=src, target=tgt, hom=hom)
 
     return ws

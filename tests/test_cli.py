@@ -259,16 +259,53 @@ def test_cli_reports_the_first_failed_lookup(capsys, cmd, error, detail):
          "ratio must be finite, got -inf"),
         (["chain", "k_t1", "--rule", "doubling", "--ratio", "x"], "bad ratio 'x'"),
         (["chain", "k_t1", "--rule", "doubling", "--max-steps", "x"], "bad max_steps 'x'"),
+        # chain_limit's own ValueError, not a chain that fails to converge
+        (["chain", "k_id", "--rule", "constant", "--max-steps", "0"],
+         "max_steps must be at least 1, got 0"),
+        (["chain", "k_id", "--rule", "constant", "--max-steps", "-3"],
+         "max_steps must be at least 1, got -3"),
     ],
     ids=["negative-tol-match", "negative-tol-rank", "bad-weight", "odd-terms", "nan-tol-match",
          "nan-factor", "inf-factor", "nan-weight", "inf-weight", "nan-ratio", "nan-audit-factor",
-         "bad-factor", "minus-inf-weight", "minus-inf-ratio", "bad-ratio", "bad-max-steps"],
+         "bad-factor", "minus-inf-weight", "minus-inf-ratio", "bad-ratio", "bad-max-steps",
+         "zero-max-steps", "negative-max-steps"],
 )
 def test_cli_bad_arguments_are_typed_errors(capsys, cmd, detail):
     code, report = run_in_process(capsys, *cmd, workspace=FIXTURES / "z2.json")
     assert code == 2
     assert report["status"] == "error"
     assert (report["error"], report["detail"]) == ("BadArgument", detail)
+
+
+@pytest.mark.parametrize(
+    "fixture,keys,value,detail",
+    [
+        ("z2", ("algebras",), [1], "algebras: expected an object"),
+        ("z2", ("kernels",), [1, 2], "kernels: expected an object"),
+        ("homs", ("homomorphisms",), [1], "homomorphisms: expected an object"),
+        ("z2", ("functionals",), "x", "functionals: expected an object"),
+        ("z2", ("functionals", "rho_t0", "algebra"), [1],
+         "functionals.rho_t0.algebra: expected an algebra name"),
+        ("homs", ("homomorphisms", "flip_z2", "source"), [1],
+         "homomorphisms.flip_z2.source: expected an algebra name"),
+        ("z2", ("algebras", "z2", "labels"), 5, "algebras.z2.labels: expected an array of strings"),
+        ("z2", ("algebras", "z2", "labels"), "ab",
+         "algebras.z2.labels: expected an array of strings"),
+    ],
+    ids=["algebras-array", "kernels-array", "homomorphisms-array", "functionals-string",
+         "algebra-reference-array", "source-reference-array", "labels-number", "labels-string"],
+)
+def test_cli_malformed_sections_are_parse_errors(tmp_path, capsys, fixture, keys, value, detail):
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_in_process(capsys, "validate", "z2", workspace=path)
+    assert code == 2
+    assert (report["status"], report["error"], report["detail"]) == ("error", "ParseError", detail)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from starrep import (
     pullback,
     rep_to_kernel,
     validate_star_homomorphism,
+    verify_star_rep,
 )
 from starrep.errors import NonFiniteScalar, NotPositive, NotStarInvariant
 
@@ -279,6 +280,17 @@ def test_functional_to_kernel_eigendecomposes_the_gram_matrix_once(monkeypatch):
     # built by make_kernel, so it carries the spectrum of that eigensolve
     assert np.array_equal(kernel.values, np.ones(4))
     assert np.array_equal(kernel.vectors, np.eye(4))
+
+
+def test_kernel_to_rep_reads_the_kernels_spectrum(monkeypatch):
+    # the kernel keeps the spectrum of its one eigensolve, so no other is made
+    m3 = build_matrix_algebra(3)
+    rho = random_positive_functional(m3, np.random.default_rng(55))
+    kernel = functional_to_kernel(m3, rho)
+    rep, sizes = count_eigensolves(monkeypatch, lambda: kernel_to_rep(m3, kernel))
+    assert sizes == []
+    assert rep.rep_dim == kernel.rank
+    assert verify_star_rep(rep).passed
 
 
 def test_cone_morphism_audit_makes_four_eigensolves(monkeypatch):

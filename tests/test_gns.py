@@ -12,16 +12,21 @@ from starrep import (
     commutant,
     decompose,
     direct_sum_algebra,
+    functional_to_kernel,
     gns_construct,
+    gram_matrix,
+    hermitian_eigen,
     intertwiner,
     is_extremal,
     is_irreducible,
     is_positive,
+    kernel_to_rep,
     representations_equivalent,
     rep_to_kernel,
     verify_star_rep,
 )
-from starrep.errors import NotEquivalent, NotPositive, ZeroFunctional
+from starrep.errors import NotEquivalent, NotHermitian, NotPositive, ZeroFunctional
+from starrep.numerics import psd_rank
 
 from conftest import (
     change_basis,
@@ -93,6 +98,77 @@ def test_gns_eigendecomposes_the_gram_matrix_once(monkeypatch):
         monkeypatch, lambda: gns_construct(build_matrix_algebra(2), TRACE2))
     assert rep.rep_dim == 4
     assert sizes == [4]
+
+
+def gns_construct_oracle(algebra, functional, pol=DEFAULT_POLICY):
+    """``gns_construct`` as it was before it read the functional's kernel: its own eigensolve.
+
+    Returns the matrices, the cyclic vector and the embedding.
+    """
+    rho = np.asarray(functional, dtype=complex)
+    try:
+        values, vectors = hermitian_eigen(gram_matrix(algebra, rho), pol)
+    except (NotHermitian, ValueError):
+        raise NotPositive("gns_construct requires a positive functional") from None
+    positive, d = psd_rank(values, pol)
+    if not positive:
+        raise NotPositive("gns_construct requires a positive functional")
+    u_r = vectors[:, :d]
+    sqrt_w = np.sqrt(values[:d])
+    q = sqrt_w[:, None] * u_r.conj().T
+    right = u_r * (1.0 / sqrt_w)[None, :] if d else u_r
+    return q @ algebra.basis_left_mult() @ right, q @ algebra.unit, q
+
+
+ORACLE_ALGEBRAS = {
+    "M2": lambda: build_matrix_algebra(2),
+    "M3": lambda: build_matrix_algebra(3),
+    "M4": lambda: build_matrix_algebra(4),
+    "S3": s3_algebra,
+    "M2+S3": lambda: direct_sum_algebra(build_matrix_algebra(2), s3_algebra()),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+@pytest.mark.parametrize("scrambled", [False, True], ids=["units", "scrambled"])
+@pytest.mark.parametrize("name", list(ORACLE_ALGEBRAS))
+def test_representations_match_the_own_eigensolve_oracle(name, scrambled, scale):
+    # Both paths read the kernel's spectrum, which is the oracle's eigensolve
+    # of the same Gram matrix, so all three agree bit for bit.  The states:
+    # the unit's coordinates (the trace: a Gram matrix I, one tie cluster), a
+    # random one, a vector state of it (rank-deficient), and zero.
+    rng = np.random.default_rng([list(ORACLE_ALGEBRAS).index(name), scrambled])
+    algebra = ORACLE_ALGEBRAS[name]()
+    n = algebra.dim
+    state = random_positive_functional(algebra, rng)
+    vector_state = decompose(algebra, state).components[0].functional
+    states = [algebra.unit, state, vector_state, np.zeros(n)]
+    if scrambled:
+        s = random_unitary(rng, n)
+        algebra = change_basis(algebra, s)
+        states = [s.T @ rho for rho in states]
+    for rho in states:
+        rho = scale * rho
+        mats, xi, q = gns_construct_oracle(algebra, rho)
+        for rep in (gns_construct(algebra, rho),
+                    kernel_to_rep(algebra, functional_to_kernel(algebra, rho))):
+            assert rep.matrices.tobytes() == mats.tobytes()
+            assert rep.cyclic_vector.tobytes() == xi.tobytes()
+            assert rep.embedding.tobytes() == q.tobytes()
+            assert verify_star_rep(rep).passed
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [[1, 2.0], [1, 1j], [np.nan, 0.0]],
+    ids=["not-psd", "not-hermitian", "nan"],
+)
+def test_a_failed_gram_eigensolve_names_its_caller(functional):
+    z2 = z2_algebra()
+    with pytest.raises(NotPositive, match="^gns_construct requires a positive functional$"):
+        gns_construct(z2, functional)
+    with pytest.raises(NotPositive, match="^functional_to_kernel requires a positive functional$"):
+        functional_to_kernel(z2, functional)
 
 
 def test_gns_zero_functional_gives_empty_rep():

@@ -301,6 +301,16 @@ def test_chain_no_convergence():
         chain_limit(lambda i: kernel((1 + 1 / (i + 1)) * IDENTITY2), "decreasing", max_steps=10)
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_chain_needs_a_step(max_steps):
+    # a bad argument, raised before the generator runs, not a chain that fails to converge
+    def generator(step):
+        raise AssertionError("the chain ran")
+
+    with pytest.raises(ValueError, match=f"^max_steps must be at least 1, got {max_steps}$"):
+        chain_limit(generator, "decreasing", max_steps=max_steps)
+
+
 def test_weighted_sum_basic():
     k = kernel(ONES2)
     total, direct = weighted_kernel_sum([(1.0, k)])

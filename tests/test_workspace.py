@@ -88,6 +88,20 @@ MALFORMED = [
     ((*K, 1), [], "kernels.k_t1.matrix[1]: expected a nonempty array"),
     (("homomorphisms",), {"h": {"source": "z2", "target": "z2", "matrix": [[[1, 0]], "x"]}},
      "homomorphisms.h.matrix[1]: expected a nonempty array"),
+    # sections and the fields other than arrays
+    (("algebras",), [1], "algebras: expected an object"),
+    (("kernels",), [1, 2], "kernels: expected an object"),
+    (("homomorphisms",), [1], "homomorphisms: expected an object"),
+    (("functionals",), "x", "functionals: expected an object"),
+    (("functionals", "rho_t0", "algebra"), [1],
+     "functionals.rho_t0.algebra: expected an algebra name"),
+    (("homomorphisms",), {"h": {"source": [1], "target": "z2", "matrix": [[[1, 0]]]}},
+     "homomorphisms.h.source: expected an algebra name"),
+    (("homomorphisms",), {"h": {"source": "z2", "target": None, "matrix": [[[1, 0]]]}},
+     "homomorphisms.h.target: expected an algebra name"),
+    (("algebras", "z2", "labels"), 5, "algebras.z2.labels: expected an array of strings"),
+    (("algebras", "z2", "labels"), "ab", "algebras.z2.labels: expected an array of strings"),
+    (("algebras", "z2", "labels"), ["e", 1], "algebras.z2.labels: expected an array of strings"),
 ]
 
 

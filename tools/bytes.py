@@ -12,9 +12,12 @@ directory, so both trees read the same inputs.  It covers every verb on
 every entity of every fixture it applies to (``decompose`` at seeds 0, 1
 and 7), ``--output text``, a tolerance override, and the error paths:
 unknown entities, entities on the wrong algebra, bad and non-finite
-arguments, and broken workspace files (written to a temporary directory).
-Those include arrays with ragged rows, a string entry, a short pair, no
-entries, the integer 2**70 (which loads), 10**400 and NaN.  The commands
+arguments, a ``chain --max-steps`` of 0 and of -3, and broken workspace
+files (written to a temporary directory).  Those include arrays with ragged
+rows, a string entry, a short pair, no entries, the integer 2**70 (which
+loads), 10**400 and NaN, and sections and fields of the wrong JSON type:
+sections that are arrays or strings, an ``algebra`` or ``source`` reference
+that is an array, and ``labels`` that are a number or a string.  The commands
 that name a kernel also run on copies of ``m2.json`` whose kernels are
 scaled by 1e-12 and by 1e9, and the commands that name a functional on
 copies whose functionals are scaled by the same factors (written there
@@ -203,9 +206,10 @@ def m4_commands(scratch: Path) -> list[list[str]]:
 
 
 def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
-    """A command on each copy of a fixture with one array broken or out of range."""
+    """A command on each copy of a fixture with one array, section or field broken."""
     rho = ("functionals", "rho_t0", "values")
     gns = ["gns", "z2", "rho_t0"]
+    validate = ["validate", "z2"]
     # (fixture, the keys down to the replaced value, the value, the command)
     cases = [
         ("z2", ("kernels", "k_t1", "matrix", 0), [[1.0, 0.0]], ["cone-scale", "2", "k_t1"]),
@@ -217,6 +221,14 @@ def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
         ("z2", (*rho, 0), [float("nan"), 0], gns),
         ("homs", ("homomorphisms", "embed_z2_m2", "matrix", 0, 0), [float("nan"), 0.0],
          ["pullback", "embed_z2_m2", "gram_trace"]),
+        ("z2", ("algebras",), [1], validate),
+        ("z2", ("kernels",), [1, 2], validate),
+        ("homs", ("homomorphisms",), [1], validate),
+        ("z2", ("functionals",), "x", validate),
+        ("z2", ("functionals", "rho_t0", "algebra"), [1], validate),
+        ("homs", ("homomorphisms", "flip_z2", "source"), [1], validate),
+        ("z2", ("algebras", "z2", "labels"), 5, validate),
+        ("z2", ("algebras", "z2", "labels"), "ab", validate),
     ]
     cmds = []
     for i, (fixture, keys, value, cmd) in enumerate(cases):
@@ -317,6 +329,8 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         z2 + ["weighted-sum", "1", "k_t1", "-inf", "k_t1"],
         z2 + ["weighted-sum", "-1e-3", "k_t1"],
         z2 + ["chain", "k_t1", "--rule", "doubling", "--max-steps", "x"],
+        z2 + ["chain", "k_id", "--rule", "constant", "--max-steps", "0"],
+        z2 + ["chain", "k_id", "--rule", "constant", "--max-steps", "-3"],
         z2 + ["chain", "k_t1", "--rule", "geometric-decreasing", "--ratio", "nan"],
         z2 + ["audit", "z2", "rho_t0", "rho_t1", "nan"],
         z2 + ["--tol-match", "nan", "validate", "z2"],
