@@ -103,7 +103,7 @@ def _chain(v: argparse.Namespace, pol: TolerancePolicy) -> dict:
 
     try:
         return _matrix_rank(kernels.chain_limit(gen, direction, pol, max_steps=v.max_steps))
-    except ValueError as exc:  # a max_steps below 1; the rules fix the direction
+    except ValueError as exc:  # a max_steps below 2; the rules fix the direction
         raise BadArgument(str(exc)) from None
 
 

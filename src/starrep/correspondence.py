@@ -20,6 +20,7 @@ from .duality import functional_to_kernel, gram_matrix, is_positive
 from .errors import (
     DimMismatch,
     InvalidRepresentation,
+    NonFiniteScalar,
     NotPositive,
     NotStarInvariant,
     PullbackInvarianceFailure,
@@ -31,6 +32,7 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _overflow_checked,
     index_blocks,
     relative_gap,
     within_tol,
@@ -244,7 +246,8 @@ def pullback(
 
     The pulled-back operator is ``alpha^dagger H alpha``; invariance on the
     source algebra is re-verified numerically (a failure indicates the map
-    was not a valid *-homomorphism).
+    was not a valid *-homomorphism).  NonFiniteScalar is raised when the
+    product overflows.
     """
     if kernel.dim != hom.target.dim:
         raise DimMismatch(
@@ -252,7 +255,10 @@ def pullback(
         )
     if not is_star_invariant(hom.target, kernel, pol):
         raise NotStarInvariant("input kernel is not invariant on the target algebra")
-    pulled = hom.matrix.conj().T @ kernel.matrix @ hom.matrix
+    overflow = "the pulled-back kernel overflows"
+    pulled = _overflow_checked(lambda: hom.matrix.conj().T @ kernel.matrix @ hom.matrix, overflow)
+    if not np.isfinite(pulled).all():  # BLAS threads may overflow unseen by numpy
+        raise NonFiniteScalar(overflow)
     invariant, residual = _invariant(hom.source, pulled, pol)
     if not invariant:
         raise PullbackInvarianceFailure(
@@ -274,7 +280,9 @@ def cone_morphism_audit(
     kernels, likewise for scaling by lam, each relative to the larger of
     the two matrices compared (``relative_gap``), and whether the two order
     relations agree: rho1 <= rho2 as functionals (rho2 - rho1 positive) and
-    k1 <= k2 as kernels (k2 - k1 PSD).
+    k1 <= k2 as kernels (k2 - k1 PSD).  NonFiniteScalar is raised when
+    rho1 + rho2, lam rho1 or rho2 - rho1, or the matching sum or multiple
+    of Gram matrices, overflows.
     """
     r1 = np.asarray(rho1, dtype=complex)
     r2 = np.asarray(rho2, dtype=complex)
@@ -287,10 +295,14 @@ def cone_morphism_audit(
 
     g1 = gram_matrix(algebra, r1)
     g2 = gram_matrix(algebra, r2)
-    sum_dev = relative_gap(gram_matrix(algebra, r1 + r2), g1 + g2)
-    scale_dev = relative_gap(gram_matrix(algebra, lam * r1), lam * g1)
+    sum_dev = relative_gap(*_overflow_checked(
+        lambda: (gram_matrix(algebra, r1 + r2), g1 + g2), "the functional sum overflows"))
+    scale_dev = relative_gap(*_overflow_checked(
+        lambda: (gram_matrix(algebra, lam * r1), lam * g1),
+        f"scaling by {lam} overflows the functional"))
 
-    functional_order, _ = is_positive(algebra, r2 - r1, pol)
+    diff = _overflow_checked(lambda: r2 - r1, "the functional difference overflows")
+    functional_order, _ = is_positive(algebra, diff, pol)
     kernel_order = kernel_leq(k1, k2, pol)
     order_dev = 0.0 if functional_order == kernel_order else 1.0
 

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import FiniteStarAlgebra
 from .errors import NegativeEigenvalue, NonRealUnitValue, NotHermitian, NotPositive
 from .kernels import Kernel, make_kernel
-from .numerics import DEFAULT_POLICY, TolerancePolicy, psd_check, within_tol
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _overflow_checked, psd_check, within_tol
 
 __all__ = [
     "evaluate",
@@ -86,11 +86,15 @@ def is_positive(
 def hilbert_bound(
     algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> float:
-    """The best constant B with |rho(x)|^2 <= B rho(x^*x); equals rho(e)."""
+    """The best constant B with |rho(x)|^2 <= B rho(x^*x); equals rho(e).
+
+    NonFiniteScalar is raised when rho(e) lies beyond the float range.
+    """
     positive, _ = is_positive(algebra, functional, pol)
     if not positive:
         raise NotPositive("hilbert_bound requires a positive functional")
-    value = evaluate(algebra, functional, algebra.unit)
+    value = _overflow_checked(lambda: evaluate(algebra, functional, algebra.unit),
+                              "rho(e) lies beyond the float range")
     if not within_tol(abs(value.imag), abs(value), pol):
         raise NonRealUnitValue(f"rho(e) = {value} is not real")
     return float(value.real)

@@ -34,8 +34,9 @@ class NoConvergence(StarRepError):
 class NonFiniteScalar(StarRepError):
     """A non-finite number where a finite one is needed.
 
-    A scale factor or weight that is NaN or infinite, a kernel entry that
-    overflows, or an eigenvalue of a finite matrix beyond the float range.
+    A scale factor or weight that is NaN or infinite, an entry of a sum,
+    multiple or product that overflows, or an eigenvalue of a finite matrix
+    beyond the float range.
     """
 
 

@@ -25,6 +25,7 @@ from .errors import (
     InvalidRepresentation,
     NoConvergence,
     NotEquivalent,
+    NotHermitian,
     NotPositive,
     NotSemisimple,
     ZeroFunctional,
@@ -34,11 +35,12 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _hermitized,
+    _require_square_hermitian,
     entrywise_gap,
     hermitian_eigen,
     hermitian_eigvals,
     index_blocks,
-    is_hermitian,
     psd_check,
     psd_rank,
     pseudo_inverse,
@@ -319,7 +321,7 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     rng = np.random.default_rng(_BLOCK_SEED)
     draws = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     x, y = ((draws @ q_inv.T) @ regular.matrices.reshape(n, n * n)).reshape(2, n, n)
-    values, vectors = hermitian_eigen((x + x.conj().T) / 2.0, pol)
+    values, vectors = hermitian_eigen(_hermitized(x, x.conj().T, float(np.abs(x).max())), pol)
     spread = float(np.max(np.abs(values)))
     cuts = np.flatnonzero(~within_tol(-np.diff(values), spread, pol)) + 1
     spaces = [vectors[:, idx] for idx in np.split(np.arange(n), cuts)]
@@ -466,8 +468,8 @@ def commutant(
         units = data.units[:, s].reshape(n, k, k)
         down = (units[:, :, 0].T @ flat).reshape(k, d, d)  # pi(E_a1)
         up = (units[:, 0, :].T @ flat).reshape(k, d, d)  # pi(E_1a)
-        corner = down[0]
-        _, vectors = hermitian_eigen((corner + corner.conj().T) / 2.0, pol)
+        # pi(E_11), a projection: hermitian, and hermitized by the eigensolver
+        _, vectors = hermitian_eigen(down[0], pol)
         w = vectors[:, :m]
         left = (down @ w).transpose(2, 1, 0).reshape(m * d, k)  # [(s, row), a]
         right = (w.conj().T @ up).reshape(k, m * d)  # [a, (t, col)]
@@ -520,22 +522,26 @@ def _state_densities(
     """The block data, rho as an array, and the hermitized densities D_j of rho.
 
     rho is positive exactly when every D_j is hermitian and PSD.  The first
-    is decided here with one scale for all blocks, by ``is_hermitian`` on
-    the block-diagonal matrix of the D_j; the second by ``_state_ranks``.
-    NotPositive names the calling function.
+    is decided here with one scale for all blocks: the block-diagonal matrix
+    of the D_j is checked and hermitized in one step, as an eigensolver's
+    input is (``_require_square_hermitian``), and the D_j are its diagonal
+    blocks.  The second is decided by ``_state_ranks``.  NotPositive names
+    the calling function.
     """
     rho = algebra._check_element(functional, "functional")
     data = block_data(algebra, pol)
-    densities = data.densities(rho)
     diagonal = np.zeros((sum(data.sizes),) * 2, dtype=complex)
-    start = 0
-    for dens in densities:
-        stop = start + dens.shape[0]
-        diagonal[start:stop, start:stop] = dens
-        start = stop
-    if not is_hermitian(diagonal, pol):
-        raise NotPositive(f"{caller} requires a positive functional")
-    return data, rho, [(dens + dens.conj().T) / 2.0 for dens in densities]
+    blocks, start = [], 0
+    for dens in data.densities(rho):
+        block = slice(start, start + dens.shape[0])
+        diagonal[block, block] = dens
+        blocks.append(block)
+        start = block.stop
+    try:
+        diagonal = _require_square_hermitian(diagonal, pol)
+    except (NotHermitian, ValueError):  # a ValueError for an entry past the float range
+        raise NotPositive(f"{caller} requires a positive functional") from None
+    return data, rho, [diagonal[block, block] for block in blocks]
 
 
 def _state_ranks(

@@ -37,6 +37,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _overflow_checked,
     entrywise_gap,
     hermitian_eigen,
     hermitian_eigvals,
@@ -120,32 +121,16 @@ def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
         raise DimMismatch(f"kernel dimensions differ: {k1.dim} vs {k2.dim}")
 
 
-def _combined(k1: Kernel, k2: Kernel, op: Callable, what: str) -> np.ndarray:
-    """op(k1.matrix, k2.matrix); NonFiniteScalar when an entry overflows.
-
-    A hermitian matrix's entries are at most its largest |eigenvalue|, the
-    larger of its first and minus its last, so while both kernels' spectra
-    stay below 2**1022 in modulus no entry can overflow and the check is
-    skipped.
-    """
-    _check_same_dim(k1, k2)
-    if max(k1.values[0], k2.values[0], -k1.values[-1], -k2.values[-1]) < 2.0**1022:
-        return op(k1.matrix, k2.matrix)
-    with np.errstate(over="ignore"):
-        result = op(k1.matrix, k2.matrix)
-    if not np.isfinite(result).all():
-        raise NonFiniteScalar(f"the kernel {what} overflows")
-    return result
-
-
 def _sum(k1: Kernel, k2: Kernel) -> np.ndarray:
     """k1 + k2 as a matrix; NonFiniteScalar when an entry overflows."""
-    return _combined(k1, k2, np.add, "sum")
+    _check_same_dim(k1, k2)
+    return _overflow_checked(lambda: k1.matrix + k2.matrix, "the kernel sum overflows")
 
 
 def _difference(k1: Kernel, k2: Kernel) -> np.ndarray:
     """k2 - k1 as a matrix; NonFiniteScalar when an entry overflows."""
-    return _combined(k1, k2, lambda m1, m2: m2 - m1, "difference")
+    _check_same_dim(k1, k2)
+    return _overflow_checked(lambda: k2.matrix - k1.matrix, "the kernel difference overflows")
 
 
 def _top(k1: Kernel, k2: Kernel) -> float:
@@ -205,10 +190,8 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
     _check_scale(lam)
     if lam == 0:  # the zero kernel
         return make_kernel(lam * kernel.matrix, pol)
-    with np.errstate(over="ignore"):
-        matrix, values = lam * kernel.matrix, lam * kernel.values
-    if not (np.isfinite(matrix).all() and np.isfinite(values).all()):
-        raise NonFiniteScalar(f"scaling by {lam} overflows the kernel")
+    matrix, values = _overflow_checked(lambda: (lam * kernel.matrix, lam * kernel.values),
+                                       f"scaling by {lam} overflows the kernel")
     return Kernel(matrix, values, kernel.vectors, kernel.rank)
 
 
@@ -310,12 +293,12 @@ def chain_limit(
     entry the chain has reached.  Both are relative, so a chain and its
     positive multiples get the same verdict at the same step; exhausting
     max_steps while still moving raises NoConvergence.  A bad direction or
-    a max_steps below 1 raises ValueError.
+    a max_steps below 2, too few terms to compare, raises ValueError.
     """
     if direction not in ("decreasing", "increasing"):
         raise ValueError(f"direction must be 'decreasing' or 'increasing', got {direction!r}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    if max_steps < 2:
+        raise ValueError(f"max_steps must be at least 2, got {max_steps}")
     first = 0.0  # the diagonal form of the first nonzero term
 
     def check_bound(k: Kernel, step: int) -> None:
@@ -366,20 +349,17 @@ def weighted_kernel_sum(
     if not terms:
         raise ValueError("weighted_kernel_sum needs at least one term")
     dim = terms[0][1].dim
-    total = np.zeros((dim, dim), dtype=complex)
-    rank_sum = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for weight, kernel in terms:
-            if weight < 0:
-                raise NegativeWeight(f"weights must be nonnegative, got {weight}")
-            if not math.isfinite(weight):
-                raise NonFiniteScalar(f"weights must be finite, got {weight}")
-            if kernel.dim != dim:
-                raise DimMismatch("kernels in a weighted sum must share a dimension")
-            total = total + weight * kernel.matrix
-            if weight > 0:
-                rank_sum += kernel.rank
-    if not np.isfinite(total).all():
-        raise NonFiniteScalar("the weighted sum overflows")
+    for weight, kernel in terms:
+        if weight < 0:
+            raise NegativeWeight(f"weights must be nonnegative, got {weight}")
+        if not math.isfinite(weight):
+            raise NonFiniteScalar(f"weights must be finite, got {weight}")
+        if kernel.dim != dim:
+            raise DimMismatch("kernels in a weighted sum must share a dimension")
+    total = _overflow_checked(
+        lambda: sum((weight * kernel.matrix for weight, kernel in terms),
+                    np.zeros((dim, dim), dtype=complex)),
+        "the weighted sum overflows",
+    )
     combined = make_kernel(total, pol)
-    return combined, rank_sum == combined.rank
+    return combined, sum(kernel.rank for weight, kernel in terms if weight > 0) == combined.rank

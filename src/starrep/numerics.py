@@ -29,12 +29,19 @@ bits, so a verdict read from it can differ from one read from the full
 spectrum only for an eigenvalue within a few ulps of its cutoff.  Both
 solvers validate alike and raise ``NonFiniteScalar`` when an eigenvalue of
 a finite matrix lies beyond the float range.
+
+Overflow is decided once too.  ``_overflow_checked`` runs a computation
+under numpy's overflow flag and turns the first overflow into
+``NonFiniteScalar``; the sums, multiples and products of kernels and
+functionals in the other modules go through it.  ``_hermitized`` is the
+one hermitization, (A + A^H) / 2, taken of halves above 2**1022, where
+the sum could overflow.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -224,11 +231,35 @@ def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds match_tol {pol.match_tol:.1e} times the largest entry"
         )
-    if size > 2.0**1022:  # halved first where a + ah could overflow
+    return _hermitized(a, ah, size)
+
+
+def _hermitized(a: np.ndarray, ah: np.ndarray, size: float) -> np.ndarray:
+    """(A + A^H) / 2 from A, its adjoint ``ah`` and ``size`` = max|A|.
+
+    Above 2**1022 the halves are added, where a + ah could overflow and the
+    halves cannot; below, the bits are those of (a + ah) / 2.0.
+    """
+    if size > 2.0**1022:
         return a / 2.0 + ah / 2.0
     herm = a + ah
     herm /= 2.0  # in place: the bits of (a + ah) / 2.0 without a second array
     return herm
+
+
+def _overflow_checked(compute: Callable, message: str):
+    """``compute()``, or NonFiniteScalar(message) when a numpy operation in it overflows.
+
+    numpy raises inside the ufunc that overflows (``np.errstate(over="raise")``),
+    so no result is scanned for infinities.  numpy does not see the flags of
+    a BLAS product whose threads overflow: such a product is checked with
+    ``np.isfinite`` as well.
+    """
+    with np.errstate(over="raise"):
+        try:
+            return compute()
+        except FloatingPointError:
+            raise NonFiniteScalar(message) from None
 
 
 def index_blocks(n: int, entries_per_index: int) -> list[slice]:

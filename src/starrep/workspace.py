@@ -1,14 +1,17 @@
 """Workspace files: named algebras, functionals, kernels, and homomorphisms.
 
-The on-disk format is JSON.  Complex scalars are two-element arrays
-``[re, im]``, matrices are row-major nested arrays, and structure constants
-are n x n x n nested arrays.  Each ``re`` and ``im`` is a number, integer
-or float (``true`` and ``false`` read as 1 and 0), that is finite as a
-float: ``NaN``, ``Infinity`` and integers beyond the float range are
-rejected, as are strings, ``null``, pairs of another length, empty arrays
-and ragged rows, each with the path of the field.  Every named entry that
-refers to an algebra does so by name; all references must resolve, and
-every algebra must pass validation at load time.
+The on-disk format is JSON: an object whose keys are among the four
+sections ``algebras``, ``functionals``, ``kernels`` and ``homomorphisms``,
+so that a misspelt section is an error, not an empty one.  Complex scalars
+are two-element arrays ``[re, im]``, matrices are row-major nested arrays,
+and structure constants are n x n x n nested arrays.  Each ``re`` and
+``im`` is a number, integer or float (``true`` and ``false`` read as 1 and
+0), that is finite as a float: ``NaN``, ``Infinity`` and integers beyond
+the float range are rejected, as are strings, ``null``, pairs of another
+length, empty arrays and ragged rows, each with the path of the field.
+Every named entry that refers to an algebra does so by name; all
+references must resolve, and every algebra must pass validation at load
+time.
 """
 
 from __future__ import annotations
@@ -178,6 +181,10 @@ def parse_workspace(path: str, pol: TolerancePolicy = DEFAULT_POLICY) -> Workspa
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
+    for key in raw:
+        if key not in _SECTIONS:
+            raise ParseError(f"{path}: unknown section {key!r}; the sections are "
+                             f"{', '.join(_SECTIONS)}")
 
     ws = WorkspaceFile()
 

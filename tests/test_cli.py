@@ -260,15 +260,17 @@ def test_cli_reports_the_first_failed_lookup(capsys, cmd, error, detail):
         (["chain", "k_t1", "--rule", "doubling", "--ratio", "x"], "bad ratio 'x'"),
         (["chain", "k_t1", "--rule", "doubling", "--max-steps", "x"], "bad max_steps 'x'"),
         # chain_limit's own ValueError, not a chain that fails to converge
+        (["chain", "k_id", "--rule", "constant", "--max-steps", "1"],
+         "max_steps must be at least 2, got 1"),
         (["chain", "k_id", "--rule", "constant", "--max-steps", "0"],
-         "max_steps must be at least 1, got 0"),
+         "max_steps must be at least 2, got 0"),
         (["chain", "k_id", "--rule", "constant", "--max-steps", "-3"],
-         "max_steps must be at least 1, got -3"),
+         "max_steps must be at least 2, got -3"),
     ],
     ids=["negative-tol-match", "negative-tol-rank", "bad-weight", "odd-terms", "nan-tol-match",
          "nan-factor", "inf-factor", "nan-weight", "inf-weight", "nan-ratio", "nan-audit-factor",
          "bad-factor", "minus-inf-weight", "minus-inf-ratio", "bad-ratio", "bad-max-steps",
-         "zero-max-steps", "negative-max-steps"],
+         "one-max-step", "zero-max-steps", "negative-max-steps"],
 )
 def test_cli_bad_arguments_are_typed_errors(capsys, cmd, detail):
     code, report = run_in_process(capsys, *cmd, workspace=FIXTURES / "z2.json")
@@ -306,6 +308,23 @@ def test_cli_malformed_sections_are_parse_errors(tmp_path, capsys, fixture, keys
     code, report = run_in_process(capsys, "validate", "z2", workspace=path)
     assert code == 2
     assert (report["status"], report["error"], report["detail"]) == ("error", "ParseError", detail)
+
+
+@pytest.mark.parametrize("cmd", [["validate", "z2"], ["cone-sum", "k_t1", "k_t1"]],
+                         ids=["validate", "cone-sum"])
+def test_cli_misspelt_section_is_a_parse_error(tmp_path, capsys, cmd):
+    # a misspelt "kernels" does not load as a workspace without kernels
+    doc = json.loads((FIXTURES / "z2.json").read_text())
+    doc["kernals"] = doc.pop("kernels")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_in_process(capsys, *cmd, workspace=path)
+    assert code == 2
+    assert (report["error"], report["detail"]) == (
+        "ParseError",
+        f"{path}: unknown section 'kernals'; the sections are algebras, functionals, kernels, "
+        "homomorphisms",
+    )
 
 
 @pytest.mark.parametrize(

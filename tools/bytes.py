@@ -12,7 +12,7 @@ directory, so both trees read the same inputs.  It covers every verb on
 every entity of every fixture it applies to (``decompose`` at seeds 0, 1
 and 7), ``--output text``, a tolerance override, and the error paths:
 unknown entities, entities on the wrong algebra, bad and non-finite
-arguments, a ``chain --max-steps`` of 0 and of -3, and broken workspace
+arguments, a ``chain --max-steps`` of 1, 0 and -3, and broken workspace
 files (written to a temporary directory).  Those include arrays with ragged
 rows, a string entry, a short pair, no entries, the integer 2**70 (which
 loads), 10**400 and NaN, and sections and fields of the wrong JSON type:
@@ -29,7 +29,12 @@ the cone operations, and one with the finite PSD kernels
 [[1, ±1], [±1, 1]]·1e308, whose top eigenvalue 2e308 is past the float
 range, a workspace that does not load.  One with the indefinite kernels
 a = diag(1e308, -1e308) and b = -a, loaded under ``--tol-psd 1``, has a
-spectrum whose gaps and a kernel difference whose entries overflow.
+spectrum whose gaps and a kernel difference whose entries overflow.  A copy
+of ``m2.json`` with the functional 1e308·tr, in the matrix-unit and the
+scrambled basis, runs ``gns``, ``decompose`` and ``audit``, whose sum
+overflows; a copy of ``homs.json`` with a kernel 1e308 times
+``gram_trace`` runs ``pullback``, whose product overflows; and a copy of
+``z2.json`` whose ``kernels`` section is misspelt ``kernals`` does not load.
 
 The fixtures stop at n = 9, so an M_4 workspace (n = 16) is written there
 too, with the trace, a faithful state with a complex density and a vector
@@ -139,13 +144,13 @@ def _encode(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def scrambled_m2(fixtures: Path, scratch: Path) -> Path:
-    """A copy of m2.json in the basis e'_i = sum_j s[j, i] e_j, s a seeded random unitary.
+def scrambled_m2(source: Path, scratch: Path) -> Path:
+    """A copy of an M_2 workspace in the basis e'_i = sum_j s[j, i] e_j, s a seeded random unitary.
 
     c' = (s (x) s) c s^-1, the involution becomes s^H S s^-T and the unit
     s^-1 e; a functional rho becomes s^T rho and a kernel H becomes s^H H s.
     """
-    doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
+    doc = json.loads(source.read_text(encoding="utf-8"))
     rng = np.random.default_rng(SCRAMBLE_SEED)
     q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     s = q * (np.diag(r) / np.abs(np.diag(r)))
@@ -162,7 +167,7 @@ def scrambled_m2(fixtures: Path, scratch: Path) -> Path:
         spec["values"] = _encode(s.T @ _decode(spec["values"]))
     for spec in doc["kernels"].values():
         spec["matrix"] = _encode(s.conj().T @ _decode(spec["matrix"]) @ s)
-    path = scratch / "m2_scrambled.json"
+    path = scratch / f"{source.stem}_scrambled.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
@@ -291,6 +296,42 @@ def huge_kernels(fixtures: Path, scratch: Path) -> list[list[str]]:
     return cmds
 
 
+def float_range_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """Commands whose sums, multiples or products reach past the float range, and a misspelt section.
+
+    A copy of m2.json with the functional big = 1e308·tr, also moved to the
+    scrambled basis (``scrambled_m2``): ``gns``, ``decompose`` and ``audit
+    big trace`` work on big, and ``audit big big`` overflows in big + big.
+    A copy of homs.json with the kernel huge = 1e308 times ``gram_trace``,
+    whose pullback overflows.  A copy of z2.json whose ``kernels`` section
+    is spelt ``kernals``, which does not load.
+    """
+    doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
+    doc["functionals"]["big"] = {"algebra": "m2", "values": _scaled(
+        doc["functionals"]["trace"]["values"], 1e308)}
+    big = scratch / "m2_big.json"
+    big.write_text(json.dumps(doc), encoding="utf-8")
+    cmds = []
+    for path in (big, scrambled_m2(big, scratch)):
+        ws = ["-w", str(path)]
+        cmds += [ws + ["gns", "m2", "big"], ws + ["decompose", "m2", "big"],
+                 ws + ["audit", "m2", "big", "big", "0.5"],
+                 ws + ["audit", "m2", "big", "trace", "0.5"]]
+    doc = json.loads((fixtures / "homs.json").read_text(encoding="utf-8"))
+    kernels = doc["kernels"]
+    kernels["huge"] = {**kernels["gram_trace"],
+                       "matrix": _scaled(kernels["gram_trace"]["matrix"], 1e308)}
+    path = scratch / "homs_huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cmds.append(["-w", str(path), "pullback", "embed_z2_m2", "huge"])
+    doc = json.loads((fixtures / "z2.json").read_text(encoding="utf-8"))
+    doc["kernals"] = doc.pop("kernels")
+    path = scratch / "kernals.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cmds += [["-w", str(path), "validate", "z2"], ["-w", str(path), "cone-sum", "k_t1", "k_t1"]]
+    return cmds
+
+
 def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     """Text output, a tolerance override and the error paths."""
     z2 = ["-w", str(fixtures / "z2.json")]
@@ -329,6 +370,7 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         z2 + ["weighted-sum", "1", "k_t1", "-inf", "k_t1"],
         z2 + ["weighted-sum", "-1e-3", "k_t1"],
         z2 + ["chain", "k_t1", "--rule", "doubling", "--max-steps", "x"],
+        z2 + ["chain", "k_id", "--rule", "constant", "--max-steps", "1"],
         z2 + ["chain", "k_id", "--rule", "constant", "--max-steps", "0"],
         z2 + ["chain", "k_id", "--rule", "constant", "--max-steps", "-3"],
         z2 + ["chain", "k_t1", "--rule", "geometric-decreasing", "--ratio", "nan"],
@@ -347,6 +389,7 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         ["-w", str(fixtures / "homs.json"), "functional", "m2", "k_t1"],
         *malformed_arrays(fixtures, scratch),
         *huge_kernels(fixtures, scratch),
+        *float_range_commands(fixtures, scratch),
     ]
 
 
@@ -366,7 +409,7 @@ def main(argv=None) -> int:
     old, new = args.old.resolve(), args.new.resolve()
     with tempfile.TemporaryDirectory() as scratch:
         fixtures, scratch = old / "fixtures", Path(scratch)
-        m2, scrambled = fixtures / "m2.json", scrambled_m2(fixtures, scratch)
+        m2, scrambled = fixtures / "m2.json", scrambled_m2(fixtures / "m2.json", scratch)
         cmds = (fixture_commands(sorted(fixtures.glob("*.json")))
                 + variant_commands(fixtures, scratch)
                 + scaled_commands(m2, scratch, "kernels", "matrix")
