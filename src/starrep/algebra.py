@@ -32,10 +32,11 @@ class FiniteStarAlgebra:
     unit: np.ndarray  # (n,)
     labels: tuple[str, ...] | None = None
     # Data other modules derive from the algebra on first use and keep for
-    # its lifetime, keyed by what they were derived with: the Wedderburn
-    # blocks of ``gns.block_data``, and the dual action stacks and max|c|
-    # of the invariance test (``correspondence._invariant``).  None of it
-    # is built with the algebra.
+    # its lifetime, keyed by what they were derived with: the real copies
+    # the law checks multiply (``_real_copies``), the Wedderburn blocks of
+    # ``gns.block_data``, and the dual action stacks and max|c| of the
+    # invariance test (``correspondence._invariant``).  None of it is built
+    # with the algebra.
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -91,7 +92,23 @@ class FiniteStarAlgebra:
 
 def _real_if_real(a: np.ndarray) -> np.ndarray:
     """A contiguous real copy of a when its imaginary part is zero, else a."""
-    return a if np.any(a.imag) else np.ascontiguousarray(a.real)
+    return a if a.imag.any() else np.ascontiguousarray(a.real)
+
+
+def _real_copies(algebra: FiniteStarAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The structure constants, involution and unit, each by ``_real_if_real``.
+
+    The law checks and the dual action multiply these.  They are made on
+    first use and kept on the algebra (``FiniteStarAlgebra.derived``), so
+    the imaginary parts are read once per algebra.
+    """
+    if "real copies" not in algebra.derived:
+        copies = tuple(_real_if_real(a) for a in
+                       (algebra.structure_constants, algebra.involution, algebra.unit))
+        for a in copies:
+            a.setflags(write=False)
+        algebra.derived["real copies"] = copies
+    return algebra.derived["real copies"]
 
 
 def validate_algebra(
@@ -105,13 +122,12 @@ def validate_algebra(
     tuples.  Associativity, the n^4 law, is checked a block of the first
     index at a time (``index_blocks``) as two BLAS matmuls per block, so it
     costs O(n^5) work in O(n^3) memory.  The other laws are matmuls on n^3
-    entries at most.  Real structure constants and involutions (group
-    algebras, matrix units) are multiplied as real arrays, a quarter of the
-    work of complex ones.
+    entries at most.  Real structure constants, involutions and units
+    (group algebras, matrix units) are multiplied as real arrays, a quarter
+    of the work of complex ones; the real copies are kept on the algebra
+    (``_real_copies``).
     """
-    c = _real_if_real(algebra.structure_constants)
-    s = _real_if_real(algebra.involution)
-    e = algebra.unit
+    c, s, e = _real_copies(algebra)
     n = algebra.dim
     c_rows = c.reshape(n, n * n)  # [i, (j, l)]
     c_pairs = c.reshape(n * n, n)  # [(i, j), l]

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteStarAlgebra, _real_if_real
+from .algebra import FiniteStarAlgebra, _real_copies, _real_if_real
 from .duality import functional_to_kernel, gram_matrix, is_positive
 from .errors import (
     DimMismatch,
     InvalidRepresentation,
-    NonFiniteScalar,
     NotPositive,
     NotStarInvariant,
     PullbackInvarianceFailure,
@@ -32,7 +31,9 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _finite_product,
     _overflow_checked,
+    _stack_times,
     index_blocks,
     relative_gap,
     within_tol,
@@ -85,27 +86,32 @@ def validate_star_homomorphism(
 
     Each violation is the exact maximum over all index tuples;
     multiplicativity is checked a block of the first index at a time
-    (``index_blocks``), as matmuls.
+    (``index_blocks``), as matmuls.  The two algebras' data and the matrix
+    are multiplied as real arrays where their imaginary parts are zero
+    (``_real_copies``, ``_real_if_real``), so a real map between real
+    algebras, such as an embedding of matrix units, is checked in real
+    arithmetic.
     """
-    a1, a2, m = hom.source, hom.target, hom.matrix
+    a1, a2, m = hom.source, hom.target, _real_if_real(hom.matrix)
     n1, n2 = a1.dim, a2.dim
-    c2_rows = a2.structure_constants.reshape(n2, n2 * n2)  # [a, (b, k)]
+    (c1, s1, e1), (c2, s2, e2) = _real_copies(a1), _real_copies(a2)
+    c2_rows = c2.reshape(n2, n2 * n2)  # [a, (b, k)]
     # alpha(e_i e_j) against alpha(e_i) alpha(e_j), both laid out as [i, j, k]
     mult_dev = 0.0
     for blk in index_blocks(n1, n2 * (n1 + n2)):
         rows = blk.stop - blk.start
-        prod_src = a1.structure_constants[blk].reshape(rows * n1, n1) @ m.T
+        prod_src = c1[blk].reshape(rows * n1, n1) @ m.T
         left = (m[:, blk].T @ c2_rows).reshape(rows, n2, n2)  # alpha(e_i) e_b
         prod_tgt = m.T @ left
         mult_dev = np.maximum(
             mult_dev, np.max(np.abs(prod_src.reshape(prod_tgt.shape) - prod_tgt))
         )
 
-    star_src = m @ a1.involution.T  # column i = image of e_i^*
-    star_tgt = a2.involution.T @ np.conj(m)
+    star_src = m @ s1.T  # column i = image of e_i^*
+    star_tgt = s2.T @ np.conj(m)
     star_dev = float(np.max(np.abs(star_src - star_tgt)))
 
-    unit_dev = float(np.max(np.abs(m @ a1.unit - a2.unit)))
+    unit_dev = float(np.max(np.abs(m @ e1 - e2)))
 
     return ValidationReport(
         violations={
@@ -124,26 +130,23 @@ def _dual_action(algebra: FiniteStarAlgebra) -> tuple[np.ndarray, np.ndarray]:
     slice c[i] of the structure constants.  Both depend on the algebra
     alone, so they are built on the first invariance test and kept on the
     algebra (``FiniteStarAlgebra.derived``).  Group algebras and matrix
-    units give real stacks, 2 n^3 reals (4 MB at n = 64); in a complex
-    basis pi is complex and the L^T stack is the structure constants
-    themselves.
+    units give real stacks, 2 n^3 reals (4 MB at n = 64), and the L^T
+    stack is the kept real copy of the structure constants
+    (``_real_copies``).  In a complex basis both are complex.  pi is made
+    real only where c is, so a real pi is never paired with a complex L^T.
     """
     if "dual action" not in algebra.derived:
         n = algebra.dim
-        c = _real_if_real(algebra.structure_constants).reshape(n, n * n)
+        c, s, _ = _real_copies(algebra)
+        c = c.reshape(n, n * n)
         # pi(e_i)[a, b] = sum_j conj(S[i, j] c[j, a, b]), as L_{e_j}^T = c[j]
-        pi = _real_if_real(algebra.involution) @ c
+        pi = s @ c
         np.conjugate(pi, out=pi)
         algebra.derived["dual action"] = (
-            _real_if_real(pi).reshape(n * n, n),
+            (_real_if_real(pi) if np.isrealobj(c) else pi).reshape(n * n, n),
             c.reshape(n * n, n),
         )
     return algebra.derived["dual action"]
-
-
-def _stack_times(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """stack @ m for a C-contiguous complex m; a real stack multiplies m's (re, im) pairs."""
-    return (stack @ (m if np.iscomplexobj(stack) else m.view(float))).view(complex)
 
 
 def _invariance_residual(algebra: FiniteStarAlgebra, matrix: np.ndarray) -> float:
@@ -151,13 +154,15 @@ def _invariance_residual(algebra: FiniteStarAlgebra, matrix: np.ndarray) -> floa
 
     pi(e_i), the dual regular action, is the adjoint of L_{e_i^*}.  Each
     block is two flat matmuls on the kept stacks (``_dual_action``):
-    pi(e_i) H and (H L_{e_i})^T = L_{e_i}^T H^T.  A real stack multiplies
-    the real and imaginary parts of H as one real matmul, half the work of
-    the complex product.
+    pi(e_i) H and (H L_{e_i})^T = L_{e_i}^T H^T.  A real H is multiplied
+    as a real array (``_real_if_real``): by a real stack in real
+    arithmetic, a quarter of the work of the complex product.  A real
+    stack multiplies the real and imaginary parts of a complex H as one
+    real matmul, half the work.
     """
     n = algebra.dim
     pi, left_t = _dual_action(algebra)
-    h = np.ascontiguousarray(matrix, dtype=complex)
+    h = _real_if_real(np.ascontiguousarray(matrix, dtype=complex))
     h_t = np.ascontiguousarray(h.T)
     residual = 0.0
     for blk in index_blocks(n, n * n):
@@ -255,10 +260,8 @@ def pullback(
         )
     if not is_star_invariant(hom.target, kernel, pol):
         raise NotStarInvariant("input kernel is not invariant on the target algebra")
-    overflow = "the pulled-back kernel overflows"
-    pulled = _overflow_checked(lambda: hom.matrix.conj().T @ kernel.matrix @ hom.matrix, overflow)
-    if not np.isfinite(pulled).all():  # BLAS threads may overflow unseen by numpy
-        raise NonFiniteScalar(overflow)
+    pulled = _finite_product(lambda: hom.matrix.conj().T @ kernel.matrix @ hom.matrix,
+                             "the pulled-back kernel overflows", hom.matrix, kernel.matrix)
     invariant, residual = _invariant(hom.source, pulled, pol)
     if not invariant:
         raise PullbackInvarianceFailure(

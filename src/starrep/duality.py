@@ -15,7 +15,14 @@ import numpy as np
 from .algebra import FiniteStarAlgebra
 from .errors import NegativeEigenvalue, NonRealUnitValue, NotHermitian, NotPositive
 from .kernels import Kernel, make_kernel
-from .numerics import DEFAULT_POLICY, TolerancePolicy, _overflow_checked, psd_check, within_tol
+from .numerics import (
+    DEFAULT_POLICY,
+    TolerancePolicy,
+    _finite_product,
+    _overflow_checked,
+    psd_check,
+    within_tol,
+)
 
 __all__ = [
     "evaluate",
@@ -34,18 +41,28 @@ def evaluate(algebra: FiniteStarAlgebra, functional, x) -> complex:
 
 
 def gram_matrix(algebra: FiniteStarAlgebra, functional) -> np.ndarray:
-    """Matrix G[i, j] = rho(e_i^* e_j) of the sesquilinear form induced by rho."""
+    """Matrix G[i, j] = rho(e_i^* e_j) of the sesquilinear form induced by rho.
+
+    NonFiniteScalar is raised when a finite rho has products
+    rho(e_i^* e_j) past the float range (``_finite_product``).
+    """
     r = algebra._check_element(functional, "functional")
     n = algebra.dim
-    products = algebra.structure_constants.reshape(n * n, n) @ r  # rho(e_p e_j)
-    return algebra.involution @ products.reshape(n, n)
+
+    def gram() -> np.ndarray:
+        products = algebra.structure_constants.reshape(n * n, n) @ r  # rho(e_p e_j)
+        return algebra.involution @ products.reshape(n, n)
+
+    return _finite_product(gram, "the Gram matrix overflows", r)
 
 
 def _gram_kernel(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy, caller: str) -> Kernel:
     """The Gram matrix of rho as a kernel, or NotPositive naming ``caller``.
 
     The Gram matrix of a positive functional is hermitian, PSD and finite
-    (NaN entries raise ValueError), so a failed ``make_kernel`` rules rho out.
+    (NaN entries raise ValueError), so a failed ``make_kernel`` rules rho
+    out.  A Gram matrix that overflows raises NonFiniteScalar
+    (``gram_matrix``).
     """
     try:
         return make_kernel(gram_matrix(algebra, rho), pol)
@@ -75,7 +92,8 @@ def is_positive(
     quotient by the null space of the Gram form (the degenerate directions).
     The eigensolve checks hermiticity, and the Gram matrix of a positive
     functional is hermitian, so NotHermitian rules positivity out, as does
-    the ValueError of a Gram matrix with NaN entries.
+    the ValueError of a Gram matrix with NaN entries.  A Gram matrix that
+    overflows raises NonFiniteScalar (``gram_matrix``).
     """
     try:
         return psd_check(gram_matrix(algebra, functional), pol)

@@ -14,12 +14,13 @@ Inner products are written antilinear in the first argument throughout:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import FiniteStarAlgebra, _real_if_real
+from .algebra import FiniteStarAlgebra, _real_copies, _real_if_real
 from . import duality
 from .errors import (
     InvalidRepresentation,
@@ -35,8 +36,10 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _finite_product,
     _hermitized,
     _require_square_hermitian,
+    _stack_times,
     entrywise_gap,
     hermitian_eigen,
     hermitian_eigvals,
@@ -156,20 +159,23 @@ def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, f
     Multiplicativity, n^2 d^2 entries, is checked a block of the first index
     at a time (``index_blocks``) as two BLAS matmuls per block, so it costs
     O(n^2 d^2 (n + d)) work in O(n d^2) memory; the other laws are matmuls.
-    Real structure constants build the product table as a real matmul on
-    the real and imaginary parts of the pi(e_k), half the work of a complex
-    one.
+    Every operand is multiplied as a real array when its imaginary part is
+    zero (``_real_if_real``; the algebra's copies are kept, ``_real_copies``):
+    real images of real structure constants (the trace and delta_e states
+    in matrix-unit and group bases) are checked in real arithmetic, a
+    quarter of the work.  Real structure constants build the table of
+    complex images as a real matmul on the real and imaginary parts of the
+    pi(e_k) (``_stack_times``), half the work of a complex one.
     """
     n, d = algebra.dim, mats.shape[1]
-    c = _real_if_real(algebra.structure_constants)
+    c, s, e = _real_copies(algebra)
+    mats = _real_if_real(mats)
     flat = np.ascontiguousarray(mats.reshape(n, d * d))  # [k, (a, b)]
-    # the table's right operand: flat itself, or its (re, im) pairs as reals
-    table_rhs = flat if np.iscomplexobj(c) else flat.view(float)
 
     def maxabs(x) -> float:
         return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
-    unit_dev = maxabs((algebra.unit @ flat).reshape(d, d) - np.eye(d))
+    unit_dev = maxabs((e @ flat).reshape(d, d) - np.eye(d))
 
     # pi(e_i) pi(e_j) as [i, a, j, c] against sum_k c[i, j, k] pi(e_k) as
     # [i, j, a, c]
@@ -178,11 +184,10 @@ def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, f
     for blk in index_blocks(n, n * d * d):
         rows = blk.stop - blk.start
         products = (mats[blk].reshape(rows * d, d) @ by_row).reshape(rows, d, n, d)
-        table = (c[blk].reshape(rows * n, n) @ table_rhs).view(complex)
-        table = table.reshape(rows, n, d, d)
+        table = _stack_times(c[blk].reshape(rows * n, n), flat).reshape(rows, n, d, d)
         mult_dev = np.maximum(mult_dev, maxabs(products.transpose(0, 2, 1, 3) - table))
 
-    star_images = (algebra.involution @ flat).reshape(n, d, d)
+    star_images = (s @ flat).reshape(n, d, d)
     star_dev = maxabs(star_images - np.conj(np.transpose(mats, (0, 2, 1))))
     return {"unit": unit_dev, "multiplicativity": float(mult_dev), "star_property": star_dev}
 
@@ -231,8 +236,9 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
 
 
 def _block_slices(sizes: tuple[int, ...]) -> list[slice]:
-    ends = np.cumsum([k * k for k in sizes])
-    return [slice(int(end) - k * k, int(end)) for end, k in zip(ends, sizes)]
+    # Python integers: np.cumsum costs more than the few blocks it would sum
+    ends = itertools.accumulate(k * k for k in sizes)
+    return [slice(end - k * k, end) for end, k in zip(ends, sizes)]
 
 
 class BlockData(NamedTuple):
@@ -256,8 +262,13 @@ class BlockData(NamedTuple):
         return _block_slices(self.sizes)
 
     def densities(self, functional: np.ndarray) -> list[np.ndarray]:
-        """The D_j with rho(x) = sum_j tr(D_j x_j), that is D_j[b, a] = rho(E^j_ab)."""
-        values = functional @ self.units
+        """The D_j with rho(x) = sum_j tr(D_j x_j), that is D_j[b, a] = rho(E^j_ab).
+
+        NonFiniteScalar is raised when a finite rho has a value rho(E^j_ab)
+        past the float range (``_finite_product``).
+        """
+        values = _finite_product(lambda: functional @ self.units,
+                                 "the densities of the functional overflow", functional)
         return [values[s].reshape(k, k).T for s, k in zip(self.slices, self.sizes)]
 
     def central_projections(self) -> list[np.ndarray]:
@@ -526,7 +537,8 @@ def _state_densities(
     of the D_j is checked and hermitized in one step, as an eigensolver's
     input is (``_require_square_hermitian``), and the D_j are its diagonal
     blocks.  The second is decided by ``_state_ranks``.  NotPositive names
-    the calling function.
+    the calling function; NonFiniteScalar is raised for densities past the
+    float range (``BlockData.densities``).
     """
     rho = algebra._check_element(functional, "functional")
     data = block_data(algebra, pol)
@@ -539,7 +551,7 @@ def _state_densities(
         start = block.stop
     try:
         diagonal = _require_square_hermitian(diagonal, pol)
-    except (NotHermitian, ValueError):  # a ValueError for an entry past the float range
+    except (NotHermitian, ValueError):  # a ValueError for a NaN functional
         raise NotPositive(f"{caller} requires a positive functional") from None
     return data, rho, [diagonal[block, block] for block in blocks]
 

@@ -33,9 +33,11 @@ a finite matrix lies beyond the float range.
 Overflow is decided once too.  ``_overflow_checked`` runs a computation
 under numpy's overflow flag and turns the first overflow into
 ``NonFiniteScalar``; the sums, multiples and products of kernels and
-functionals in the other modules go through it.  ``_hermitized`` is the
-one hermitization, (A + A^H) / 2, taken of halves above 2**1022, where
-the sum could overflow.
+functionals in the other modules go through it.  A BLAS product goes
+through ``_finite_product``, which also checks its result with
+``np.isfinite``, since numpy does not see the flags of BLAS threads.
+``_hermitized`` is the one hermitization, (A + A^H) / 2, taken of halves
+above 2**1022, where the sum could overflow.
 """
 
 from __future__ import annotations
@@ -252,14 +254,40 @@ def _overflow_checked(compute: Callable, message: str):
 
     numpy raises inside the ufunc that overflows (``np.errstate(over="raise")``),
     so no result is scanned for infinities.  numpy does not see the flags of
-    a BLAS product whose threads overflow: such a product is checked with
-    ``np.isfinite`` as well.
+    a BLAS product whose threads overflow: such a product goes through
+    ``_finite_product``.
     """
     with np.errstate(over="raise"):
         try:
             return compute()
         except FloatingPointError:
             raise NonFiniteScalar(message) from None
+
+
+def _finite_product(compute: Callable, message: str, *operands: np.ndarray) -> np.ndarray:
+    """``_overflow_checked(compute, message)`` for a BLAS product of ``operands``.
+
+    A result that is not finite raises NonFiniteScalar(message) as well,
+    for BLAS threads that overflow unseen by numpy, unless an operand
+    holds a NaN or an infinity already: that is not an overflow, and the
+    caller reports it as it would any bad input.
+    """
+    result = _overflow_checked(compute, message)
+    if not np.isfinite(result).all() and all(np.isfinite(a).all() for a in operands):
+        raise NonFiniteScalar(message)
+    return result
+
+
+def _stack_times(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """stack @ m for a C-contiguous matrix m, in the dtype of the two.
+
+    A real stack multiplies the real and imaginary parts of a complex m as
+    one real matmul on its (re, im) pairs, half the work of the complex
+    product.
+    """
+    if np.iscomplexobj(stack) or np.isrealobj(m):
+        return stack @ m
+    return (stack @ m.view(float)).view(complex)
 
 
 def index_blocks(n: int, entries_per_index: int) -> list[slice]:

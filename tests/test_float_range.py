@@ -5,7 +5,8 @@ sum, a multiple or a product must behave alike in all three pictures: where
 the result is finite the operation succeeds, and where it overflows it
 raises ``NonFiniteScalar``.  Tier 1 turns numpy's overflow warnings into
 errors (``filterwarnings = error``), so an untyped overflow fails here too.
-Each case runs on M_2 in the matrix-unit basis and in a scrambled one.
+Most cases run on M_2 in the matrix-unit basis and in a scrambled one; the
+Gram matrix and the densities overflow in the bases 2·E_pq and E_pq/2.
 """
 
 import json
@@ -18,9 +19,11 @@ from starrep import (
     build_matrix_algebra,
     cone_morphism_audit,
     decompose,
+    functional_to_kernel,
     gns_construct,
     hilbert_bound,
     is_extremal,
+    is_positive,
     make_kernel,
     pullback,
     verify_star_rep,
@@ -68,6 +71,34 @@ def test_decompose_and_extremality_at_1e308(basis):
     assert not is_extremal(algebra, rho)
     assert is_extremal(algebra, vector)
     assert verify_star_rep(gns_construct(algebra, rho)).passed
+
+
+def weights(algebra, rho) -> list[float]:
+    return [c.weight for c in decompose(algebra, rho).components]
+
+
+def test_an_overflowing_gram_matrix_is_a_typed_error():
+    # In the basis 2 E_pq, rho = 1.2e308 (1, 0, 0, 1), that is 0.6e308 tr,
+    # has Gram entries rho(e_i^* e_j) = 2.4e308 and finite densities 0.6e308
+    algebra = change_basis(build_matrix_algebra(2), 2.0 * np.eye(4))
+    rho = 1.2e308 * TRACE
+    for check in (gns_construct, functional_to_kernel, is_positive):
+        with pytest.raises(NonFiniteScalar, match="^the Gram matrix overflows$"):
+            check(algebra, rho)
+    assert np.allclose(weights(algebra, rho), 0.6e308, rtol=1e-12, atol=0)
+    assert is_positive(algebra, rho / 2) == (True, 4)
+
+
+def test_overflowing_densities_are_a_typed_error():
+    # In the basis E_pq / 2, rho = 1e308 (1, 0, 0, 1), that is 2e308 tr, has
+    # densities D = 2e308 I and finite Gram entries 0.5e308
+    algebra = change_basis(build_matrix_algebra(2), 0.5 * np.eye(4))
+    rho = BIG * TRACE
+    for check in (decompose, is_extremal):
+        with pytest.raises(NonFiniteScalar, match="^the densities of the functional overflow$"):
+            check(algebra, rho)
+    assert verify_star_rep(gns_construct(algebra, rho)).passed
+    assert np.allclose(weights(algebra, rho / 4), 0.5e308, rtol=1e-12, atol=0)
 
 
 @BASES

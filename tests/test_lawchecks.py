@@ -8,7 +8,9 @@ the same worst violation, on valid data, on perturbed data whose violations
 are far from zero, and with the block budget cut down so that every check
 runs over many blocks.  The invariance residual is also checked against
 its earlier blocked complex form, which rebuilt the dual action on every
-call.
+call.  Real representations, homomorphisms and kernels are multiplied as
+real arrays, so each check also runs on real inputs: the trace state on
+M_3 and S_3, an embedding of matrix units and a real kernel.
 """
 
 import tracemalloc
@@ -359,13 +361,15 @@ def test_planted_associativity_violation_in_last_slice(budget):
 def test_planted_multiplicativity_violation_in_last_slice(budget):
     # the regular representation of S_3 on C^6, all entries 0 or 1, over
     # structure constants that add e_0 / 4 to every product e_5 e_j: only
-    # the products pi(e_5) pi(e_j) miss the table, by 1/4 exactly
+    # the products pi(e_5) pi(e_j) miss the table, by 1/4 exactly.  The
+    # representation is real, so the real path must carry the violation
     a = s3_algebra()
     n = a.dim
     c = a.structure_constants.copy()
     c[n - 1, :, 0] += 0.25
     bad = FiniteStarAlgebra(c, a.involution, a.unit)
     mats = a.basis_left_mult()
+    assert not np.any(mats.imag)
     rep = GNSRepresentation(bad, mats, a.unit, np.eye(n)[0], np.eye(n, dtype=complex))
     prod = np.einsum("iab,jbc->ijac", mats, mats)
     table = np.einsum("ijk,kab->ijab", c, mats)
@@ -419,6 +423,104 @@ def test_a_nan_in_the_last_slice_reaches_the_report(budget):
     mats = a.basis_left_mult().astype(complex)
     mats[n - 1, 0, 0] = np.nan
     assert np.isnan(_law_violations(a, mats)["multiplicativity"])
+
+
+REAL_ALGEBRAS = {"m3": lambda: build_matrix_algebra(3), "s3": s3_algebra}
+
+
+def trace_state(a: FiniteStarAlgebra) -> np.ndarray:
+    """tau(x) = tr L_x / n, the normalized trace of the left-regular representation."""
+    return np.trace(a.structure_constants, axis1=1, axis2=2) / a.dim
+
+
+def real_noise(rng, shape, scale=0.1):
+    return scale * rng.standard_normal(shape) + 0j
+
+
+@pytest.mark.parametrize("name", REAL_ALGEBRAS)
+def test_real_representations_match_the_oracle(budget, name):
+    # the trace state in the matrix-unit and group bases has a real Gram
+    # matrix, so its representation is real and checked in real arithmetic;
+    # real noise keeps it real and makes every law fail
+    rng = np.random.default_rng(600)
+    a = REAL_ALGEBRAS[name]()
+    rep = gns_construct(a, trace_state(a))
+    assert rep.rep_dim == a.dim and not np.any(rep.matrices.imag)
+    assert_matches(verify_star_rep(rep), rep_oracle(rep))
+    bad = GNSRepresentation(a, rep.matrices + real_noise(rng, rep.matrices.shape),
+                            rep.cyclic_vector, rep.source_functional, rep.embedding)
+    violations = _law_violations(a, bad.matrices)
+    assert min(violations.values()) > 1e-3
+    assert_matches(verify_star_rep(bad), rep_oracle(bad))
+
+
+def test_a_tiny_imaginary_part_takes_the_complex_path(budget):
+    # the regular representation of S_3, all entries 0 or 1, satisfies every
+    # law exactly; an imaginary 1e-300 in one entry breaks the adjoint law
+    # by 1e-300 exactly, which a real check would drop
+    a = s3_algebra()
+    n = a.dim
+    mats = a.basis_left_mult().copy()
+    assert max(_law_violations(a, mats).values()) == 0.0
+    mats[n - 1, 0, n - 1] += 1e-300j
+    rep = GNSRepresentation(a, mats, a.unit, np.eye(n)[0], np.eye(n, dtype=complex))
+    violations, want = _law_violations(a, mats), rep_oracle(rep)
+    assert violations["star_property"] == want["star_property"] == 1e-300
+    for law in ("unit", "multiplicativity"):
+        np.testing.assert_allclose(violations[law], want[law], rtol=1e-12, atol=0)
+
+
+def test_real_homomorphisms_match_the_oracle(budget):
+    # x -> x (x) I_2 has real entries between real algebras; a real matrix of
+    # noise breaks every law
+    rng = np.random.default_rng(601)
+    hom = m2_in_m4()
+    assert not np.any(hom.matrix.imag)
+    report = validate_star_homomorphism(hom)
+    assert report.passed and report.violations["multiplicativity"] == 0.0
+    wild = StarHomomorphism(hom.source, hom.target, real_noise(rng, hom.matrix.shape, 1.0))
+    want = hom_multiplicativity_oracle(wild)
+    got = validate_star_homomorphism(wild).violations
+    assert want > 1e-3 and min(got.values()) > 1e-3
+    np.testing.assert_allclose(got["multiplicativity"], want, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(
+        got["star_compatibility"],
+        np.max(np.abs(wild.matrix @ hom.source.involution.T
+                      - hom.target.involution.T @ np.conj(wild.matrix))),
+        rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", REAL_ALGEBRAS)
+def test_real_kernels_match_the_oracle(budget, name):
+    # the trace state's Gram matrix is real and invariant; a real symmetric
+    # matrix of noise is not
+    rng = np.random.default_rng(602)
+    a = REAL_ALGEBRAS[name]()
+    g = gram_matrix(a, trace_state(a))
+    b = rng.standard_normal((a.dim, a.dim))
+    for h, expected in ((g, True), (b @ b.T + 0j, False)):
+        assert not np.any(h.imag)
+        want, size = assert_residual_matches_oracle(a, h)
+        assert bool(numerics.within_tol(want, size)) == expected
+        assert is_star_invariant(a, make_kernel(h)) == expected
+
+
+def test_one_real_copy_of_the_algebra_is_kept():
+    # validate_algebra, the law checks of a representation and the
+    # invariance test multiply the same real copies, made on first use
+    a = build_matrix_algebra(3)
+    assert "real copies" not in a.derived
+    validate_algebra(a)
+    copies = a.derived["real copies"]
+    assert [x.dtype for x in copies] == [np.float64] * 3
+    verify_star_rep(gns_construct(a, trace_state(a)))
+    assert is_star_invariant(a, functional_to_kernel(a, trace_state(a)))
+    assert a.derived["real copies"] is copies
+    assert np.shares_memory(a.derived["dual action"][1], copies[0])
+    s = random_unitary(np.random.default_rng(603), a.dim)
+    scrambled = change_basis(a, s)
+    validate_algebra(scrambled)
+    assert [x.dtype for x in scrambled.derived["real copies"]] == [np.complex128] * 3
 
 
 def traced_peak_mb(check) -> tuple[object, float]:

@@ -32,7 +32,9 @@ a = diag(1e308, -1e308) and b = -a, loaded under ``--tol-psd 1``, has a
 spectrum whose gaps and a kernel difference whose entries overflow.  A copy
 of ``m2.json`` with the functional 1e308·tr, in the matrix-unit and the
 scrambled basis, runs ``gns``, ``decompose`` and ``audit``, whose sum
-overflows; a copy of ``homs.json`` with a kernel 1e308 times
+overflows; copies of ``m2.json`` in the bases 2·E_pq and E_pq/2, with
+functionals whose Gram matrix and whose densities overflow, run ``gns``,
+``kernel`` and ``decompose``; a copy of ``homs.json`` with a kernel 1e308 times
 ``gram_trace`` runs ``pullback``, whose product overflows; and a copy of
 ``z2.json`` whose ``kernels`` section is misspelt ``kernals`` does not load.
 
@@ -144,16 +146,13 @@ def _encode(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def scrambled_m2(source: Path, scratch: Path) -> Path:
-    """A copy of an M_2 workspace in the basis e'_i = sum_j s[j, i] e_j, s a seeded random unitary.
+def rebased_m2(doc: dict, s: np.ndarray) -> dict:
+    """An M_2 workspace document moved to the basis e'_i = sum_j s[j, i] e_j.
 
     c' = (s (x) s) c s^-1, the involution becomes s^H S s^-T and the unit
     s^-1 e; a functional rho becomes s^T rho and a kernel H becomes s^H H s.
+    The document is changed in place and returned.
     """
-    doc = json.loads(source.read_text(encoding="utf-8"))
-    rng = np.random.default_rng(SCRAMBLE_SEED)
-    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    s = q * (np.diag(r) / np.abs(np.diag(r)))
     s_inv = np.linalg.inv(s)
     alg = doc["algebras"]["m2"]
     c = np.einsum("ji,ml,jmp,kp->ilk", s, s, _decode(alg["structure_constants"]), s_inv)
@@ -167,6 +166,15 @@ def scrambled_m2(source: Path, scratch: Path) -> Path:
         spec["values"] = _encode(s.T @ _decode(spec["values"]))
     for spec in doc["kernels"].values():
         spec["matrix"] = _encode(s.conj().T @ _decode(spec["matrix"]) @ s)
+    return doc
+
+
+def scrambled_m2(source: Path, scratch: Path) -> Path:
+    """A copy of an M_2 workspace in the basis of a seeded random unitary (``rebased_m2``)."""
+    rng = np.random.default_rng(SCRAMBLE_SEED)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    doc = rebased_m2(json.loads(source.read_text(encoding="utf-8")),
+                     q * (np.diag(r) / np.abs(np.diag(r))))
     path = scratch / f"{source.stem}_scrambled.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
@@ -302,9 +310,13 @@ def float_range_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     A copy of m2.json with the functional big = 1e308·tr, also moved to the
     scrambled basis (``scrambled_m2``): ``gns``, ``decompose`` and ``audit
     big trace`` work on big, and ``audit big big`` overflows in big + big.
-    A copy of homs.json with the kernel huge = 1e308 times ``gram_trace``,
-    whose pullback overflows.  A copy of z2.json whose ``kernels`` section
-    is spelt ``kernals``, which does not load.
+    Copies of m2.json in the bases 2·E_pq and E_pq/2 (``rebased_m2``), each
+    with a functional big whose coordinates there are 1.2e308·(1, 0, 0, 1)
+    and 1e308·(1, 0, 0, 1): in the first its Gram matrix overflows and its
+    densities do not, in the second the reverse; ``gns``, ``kernel`` and
+    ``decompose`` run on both.  A copy of homs.json with the kernel huge =
+    1e308 times ``gram_trace``, whose pullback overflows.  A copy of z2.json
+    whose ``kernels`` section is spelt ``kernals``, which does not load.
     """
     doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
     doc["functionals"]["big"] = {"algebra": "m2", "values": _scaled(
@@ -317,6 +329,14 @@ def float_range_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         cmds += [ws + ["gns", "m2", "big"], ws + ["decompose", "m2", "big"],
                  ws + ["audit", "m2", "big", "big", "0.5"],
                  ws + ["audit", "m2", "big", "trace", "0.5"]]
+    for factor, big in ((2.0, 1.2e308), (0.5, 1e308)):
+        doc = rebased_m2(json.loads((fixtures / "m2.json").read_text(encoding="utf-8")),
+                         factor * np.eye(4))
+        doc["functionals"]["big"] = {"algebra": "m2",
+                                     "values": _encode(big * np.array([1.0, 0.0, 0.0, 1.0]))}
+        path = scratch / f"m2_basis_{factor:g}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        cmds += [["-w", str(path), verb, "m2", "big"] for verb in ("gns", "kernel", "decompose")]
     doc = json.loads((fixtures / "homs.json").read_text(encoding="utf-8"))
     kernels = doc["kernels"]
     kernels["huge"] = {**kernels["gram_trace"],
