@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, NotAGroup, ShapeMismatch
-from .numerics import DEFAULT_POLICY, TolerancePolicy, ValidationReport, index_blocks
+from .numerics import DEFAULT_POLICY, TolerancePolicy, ValidationReport, _maxabs, index_blocks
 
 __all__ = [
     "FiniteStarAlgebra",
@@ -137,21 +137,21 @@ def validate_algebra(
     for blk in index_blocks(n, n ** 3):
         left = c[blk].reshape(-1, n) @ c_rows
         right = np.matmul(c_pairs, c[blk])
-        assoc = np.maximum(assoc, np.max(np.abs(left.reshape(right.shape) - right)))
+        assoc = np.maximum(assoc, _maxabs(left.reshape(right.shape) - right))
 
     eye = np.eye(n)
     unit_left = (e @ c_rows).reshape(n, n)
     unit_right = np.matmul(e, c)
-    unit_dev = np.maximum(np.max(np.abs(unit_left - eye)), np.max(np.abs(unit_right - eye)))
+    unit_dev = np.maximum(_maxabs(unit_left - eye), _maxabs(unit_right - eye))
 
-    involutive = float(np.max(np.abs(s.T @ np.conj(s.T) - eye)))
+    involutive = _maxabs(s.T @ np.conj(s.T) - eye)
 
     # (e_i e_j)^* against e_j^* e_i^*, both laid out as [i, j, l]; the right
     # side is s applied to the index of e_j, then to that of e_i
     lhs = np.conj(c_pairs) @ s
     star_j = (s @ c_rows).reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n)
     rhs = s @ star_j
-    antimult = float(np.max(np.abs(lhs.reshape(rhs.shape) - rhs)))
+    antimult = _maxabs(lhs.reshape(rhs.shape) - rhs)
 
     return ValidationReport(
         violations={

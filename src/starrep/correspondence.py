@@ -32,6 +32,7 @@ from .numerics import (
     TolerancePolicy,
     ValidationReport,
     _finite_product,
+    _maxabs,
     _overflow_checked,
     _stack_times,
     index_blocks,
@@ -103,15 +104,13 @@ def validate_star_homomorphism(
         prod_src = c1[blk].reshape(rows * n1, n1) @ m.T
         left = (m[:, blk].T @ c2_rows).reshape(rows, n2, n2)  # alpha(e_i) e_b
         prod_tgt = m.T @ left
-        mult_dev = np.maximum(
-            mult_dev, np.max(np.abs(prod_src.reshape(prod_tgt.shape) - prod_tgt))
-        )
+        mult_dev = np.maximum(mult_dev, _maxabs(prod_src.reshape(prod_tgt.shape) - prod_tgt))
 
     star_src = m @ s1.T  # column i = image of e_i^*
     star_tgt = s2.T @ np.conj(m)
-    star_dev = float(np.max(np.abs(star_src - star_tgt)))
+    star_dev = _maxabs(star_src - star_tgt)
 
-    unit_dev = float(np.max(np.abs(m @ e1 - e2)))
+    unit_dev = _maxabs(m @ e1 - e2)
 
     return ValidationReport(
         violations={
@@ -222,7 +221,10 @@ def kernel_to_rep(
     """The cyclic *-representation carried by an invariant kernel's subspace.
 
     Read off the kernel's kept spectrum (``gns._represent``), so its dimension
-    is the rank the kernel was made with; on rho's kernel it is gns_construct(rho).
+    is the rank the kernel was made with.  On rho's kernel it is unitarily
+    equivalent to gns_construct(rho), which reads the algebra's blocks, when
+    the two ranks agree: the kernel's rank is cut on the Gram matrix's
+    spectrum, which a change of basis moves, and the blocks' is not.
     """
     return _represent(algebra, kernel_to_functional(algebra, kernel, pol), kernel)
 

@@ -1,11 +1,19 @@
 """Cyclic *-representations built from positive functionals.
 
-The construction quotients the algebra by the null space of the Gram form
-and rescales the surviving eigendirections so that the representation space
-carries the standard inner product on C^d.  Commutants, irreducibility,
-extremality, equivalence and the splitting into irreducible pieces are
-read in closed form off the algebra's Wedderburn block data
-(``block_data``), computed once per algebra.
+The algebra's Wedderburn block data (``block_data``), computed once per
+algebra, writes it as a sum of full matrix algebras.  A positive
+functional is a density D_j per block, and its GNS representation is
+read off the D_j (``gns_construct``): block j of x acts on r_j copies of
+C^{k_j}, r_j the rank of D_j, so the dimension does not depend on the
+basis the algebra is written in.  Such a representation's unit, product
+and adjoint laws are those of the blocks, checked once as the blocks are
+built, and its verification report is kept as it is made.  Commutants,
+irreducibility, extremality, equivalence and the splitting into
+irreducible pieces are read in closed form off the block data too.  An
+algebra with no block data (NotSemisimple) gets the representation on the
+range of the functional's Gram form, the quotient of the algebra by the
+form's null space, rescaled so that the representation space carries the
+standard inner product on C^d.
 
 Inner products are written antilinear in the first argument throughout:
 ``(a, b) = sum_k conj(a_k) b_k``.  The defining reproduction identity is
@@ -15,7 +23,9 @@ Inner products are written antilinear in the first argument throughout:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +48,7 @@ from .numerics import (
     ValidationReport,
     _finite_product,
     _hermitized,
+    _maxabs,
     _require_square_hermitian,
     _stack_times,
     entrywise_gap,
@@ -80,8 +91,9 @@ class GNSRepresentation:
     ``embedding`` maps algebra coordinates onto representation-space
     coordinates (the class of an element x is ``embedding @ x``), and the
     cyclic vector is the class of the unit.  Its verification report is
-    computed on first use and kept in ``derived``, one per policy, as an
-    algebra keeps its block data.
+    kept in ``derived``, one per policy, as an algebra keeps its block
+    data: computed on first use, or by ``gns_construct`` as it builds the
+    representation.
     """
 
     algebra: FiniteStarAlgebra
@@ -125,12 +137,70 @@ def gns_construct(
 ) -> GNSRepresentation:
     """Build the cyclic *-representation attached to a positive functional.
 
-    It is the one carried by rho's kernel, its Gram matrix, read off that
-    kernel's one eigensolve (``_represent``).  The zero functional yields
-    the empty representation (d = 0).
+    On a semisimple algebra it is read off the block data (``block_data``),
+    as ``decompose`` reads its components: with rho(x) = sum_j tr(D_j x_j)
+    and D_j = V_j diag(mu) V_j^H of rank r_j (``_state_spectra``),
+    pi(x) = (+)_j x_j (x) I_{r_j} and the cyclic vector is
+    xi = (+)_j vec(V_j[:, :r_j] diag(sqrt(mu))).  So d = sum_j k_j r_j, a
+    number that does not depend on the basis, and the representation is
+    the sum of ``decompose``'s components, each weighted by sqrt(mu).  The
+    embedding is the orbit (pi(e_i) xi), and the zero functional yields the
+    empty representation (d = 0).  The verification report under ``pol``
+    is kept on the representation as it is built (``_kept_report``).
+
+    An algebra with no block data (NotSemisimple) gets the representation
+    on the range of rho's Gram matrix instead (``_gram_represent``), which
+    ``verify_star_rep`` checks in full.
     """
-    rho = np.asarray(functional, dtype=complex)
-    return _represent(algebra, rho, duality._gram_kernel(algebra, rho, pol, "gns_construct"))
+    try:
+        data, rho, spectra, ranks = _state_spectra(algebra, functional, pol, "gns_construct")
+    except NotSemisimple:
+        return _gram_represent(algebra, functional, pol, "gns_construct")
+    n = algebra.dim
+    d = sum(k * r for k, r in zip(data.sizes, ranks))
+    mats = np.zeros((n, d, d), dtype=complex)
+    parts, start = [], 0
+    for stack, (values, vectors), r in zip(data.blocks, spectra, ranks):
+        if r:
+            block = slice(start, start + stack.shape[1] * r)
+            mats[:, block, block] = np.kron(stack, np.eye(r))
+            parts.append((vectors[:, :r] * np.sqrt(values[:r])).ravel())
+            start = block.stop
+    xi = np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    orbit = mats @ xi  # (n, d): row i is pi(e_i) xi
+    rep = GNSRepresentation(algebra=algebra, matrices=mats, cyclic_vector=xi,
+                            source_functional=rho, embedding=orbit.T)
+    rep.derived[("verify_star_rep", pol)] = _kept_report(data, ranks, orbit @ np.conj(xi), rho, pol)
+    return rep
+
+
+def _kept_report(data: BlockData, ranks: list[int], reproduced: np.ndarray, rho: np.ndarray,
+                 pol: TolerancePolicy) -> ValidationReport:
+    """``verify_star_rep``'s report on a representation (+)_j x_j (x) I_{r_j}.
+
+    Its unit, product and adjoint violations are those of the blocks it
+    holds, kept on the block data (``BlockData.laws``): an entry of
+    pi(e_i) pi(e_l) is one of x_j y_j, or 0 off the blocks.  Only the
+    blocks with r_j > 0 count.  The vector is cyclic by construction, as
+    each V_j diag(sqrt(mu)) has full column rank.  Reproduction is checked
+    on the orbit, as ``_check_star_rep`` checks it.
+    """
+    held = [laws for laws, r in zip(data.laws, ranks) if r]
+    return ValidationReport(
+        violations={
+            **{law: max((laws[law] for laws in held), default=0.0) for law in _LAWS},
+            "cyclicity": 0.0,
+            "reproduction": relative_gap(reproduced, rho),
+        },
+        tolerance=pol.match_tol,
+    )
+
+
+def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy,
+                    caller: str) -> GNSRepresentation:
+    """The representation on the range of rho's Gram matrix, or NotPositive naming ``caller``."""
+    rho = np.asarray(rho, dtype=complex)
+    return _represent(algebra, rho, duality._gram_kernel(algebra, rho, pol, caller))
 
 
 def _represent(algebra: FiniteStarAlgebra, rho: np.ndarray, kernel: Kernel) -> GNSRepresentation:
@@ -150,6 +220,10 @@ def _represent(algebra: FiniteStarAlgebra, rho: np.ndarray, kernel: Kernel) -> G
         source_functional=rho,
         embedding=q,
     )
+
+
+# The laws of a representation that ``_law_violations`` checks.
+_LAWS = ("unit", "multiplicativity", "star_property")
 
 
 def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, float]:
@@ -172,10 +246,7 @@ def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, f
     mats = _real_if_real(mats)
     flat = np.ascontiguousarray(mats.reshape(n, d * d))  # [k, (a, b)]
 
-    def maxabs(x) -> float:
-        return float(np.max(np.abs(x))) if np.size(x) else 0.0
-
-    unit_dev = maxabs((e @ flat).reshape(d, d) - np.eye(d))
+    unit_dev = _maxabs((e @ flat).reshape(d, d) - np.eye(d))
 
     # pi(e_i) pi(e_j) as [i, a, j, c] against sum_k c[i, j, k] pi(e_k) as
     # [i, j, a, c]
@@ -185,10 +256,10 @@ def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, f
         rows = blk.stop - blk.start
         products = (mats[blk].reshape(rows * d, d) @ by_row).reshape(rows, d, n, d)
         table = _stack_times(c[blk].reshape(rows * n, n), flat).reshape(rows, n, d, d)
-        mult_dev = np.maximum(mult_dev, maxabs(products.transpose(0, 2, 1, 3) - table))
+        mult_dev = np.maximum(mult_dev, _maxabs(products.transpose(0, 2, 1, 3) - table))
 
     star_images = (s @ flat).reshape(n, d, d)
-    star_dev = maxabs(star_images - np.conj(np.transpose(mats, (0, 2, 1))))
+    star_dev = _maxabs(star_images - np.conj(np.transpose(mats, (0, 2, 1))))
     return {"unit": unit_dev, "multiplicativity": float(mult_dev), "star_property": star_dev}
 
 
@@ -206,6 +277,13 @@ def verify_star_rep(
     computed on the first call for a representation and policy and kept on
     the representation (``GNSRepresentation.derived``); later calls return
     the kept report.
+
+    ``gns_construct`` keeps the report for its policy as it builds the
+    representation from the algebra's blocks: the first three laws are the
+    blocks' own, cyclicity holds by construction, and only reproduction is
+    computed, at O(n d^2).  Any other policy, and any representation built
+    elsewhere, gets the full check, whose multiplicativity costs
+    O(n^2 d^2 (n + d)).
     """
     key = ("verify_star_rep", pol)
     if key not in rep.derived:
@@ -214,11 +292,23 @@ def verify_star_rep(
 
 
 def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationReport:
+    """The full check.  Cyclicity is the rank of T T^H, T the orbit of the matrix units.
+
+    The orbit pi(E^j_ab) xi over the matrix units (``BlockData.units``) has
+    a Gram form that does not depend on the basis the algebra is written
+    in, where the orbit over a badly conditioned basis can lose rank to the
+    cutoff.  An algebra with no block data (NotSemisimple) uses the orbit
+    over its basis.
+    """
     mats = rep.matrices
     xi = rep.cyclic_vector
     d = rep.rep_dim
 
     t = rep.orbit_matrix()
+    try:
+        t = t @ block_data(rep.algebra, pol).units
+    except NotSemisimple:
+        pass
     _, orbit_rank = psd_check(t @ t.conj().T, pol) if d else (True, 0)
     cyclic_dev = float(d - orbit_rank)
 
@@ -250,12 +340,16 @@ class BlockData(NamedTuple):
     row of ``coords @ x`` is the (a, b) entry of block j of x.
     ``blocks[j]`` stacks block j of every basis element, shape (n, k_j, k_j);
     x -> block j of x runs over the irreducible *-representations, each once.
+    ``laws[j]`` holds the worst violations of the unit, product and adjoint
+    laws by ``blocks[j]`` (``_law_violations``), measured as the blocks
+    were built; a representation built from blocks reads its own off them.
     """
 
     sizes: tuple[int, ...]
     units: np.ndarray  # (n, n)
     coords: np.ndarray  # (n, n)
     blocks: tuple[np.ndarray, ...]
+    laws: tuple[Mapping[str, float], ...]
 
     @property
     def slices(self) -> list[slice]:
@@ -317,7 +411,7 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     n = algebra.dim
     tau = np.trace(algebra.structure_constants, axis1=1, axis2=2)
     try:
-        regular = gns_construct(algebra, tau, pol)
+        regular = _gram_represent(algebra, tau, pol, "block_data")
     except NotPositive:
         raise NotSemisimple("the trace x -> tr L_x is not positive") from None
     if regular.rep_dim < n:
@@ -372,11 +466,12 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
 
     blocks = tuple(np.ascontiguousarray(coords[s].T).reshape(n, k, k)
                    for s, k in zip(_block_slices(sizes), sizes))
-    worst = {"inverse": float(np.max(np.abs(coords @ units - np.eye(n))))}
+    laws = []
     for stack in blocks:
         stack.setflags(write=False)
-        for law, dev in _law_violations(algebra, stack).items():
-            worst[law] = float(np.maximum(worst.get(law, 0.0), dev))
+        laws.append(MappingProxyType(_law_violations(algebra, stack)))
+    worst = {"inverse": float(np.max(np.abs(coords @ units - np.eye(n)))),
+             **{law: float(np.max([block[law] for block in laws])) for law in _LAWS}}
     report = ValidationReport(violations=worst, tolerance=pol.match_tol)
     if not report.passed:
         law = report.worst
@@ -385,7 +480,8 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
         )
     for a in (units, coords):
         a.setflags(write=False)
-    return BlockData(sizes=sizes, units=units, coords=coords, blocks=blocks)
+    return BlockData(sizes=sizes, units=units, coords=coords, blocks=blocks,
+                     laws=tuple(laws))
 
 
 def intertwiner(
@@ -557,23 +653,40 @@ def _state_densities(
 
 
 def _state_ranks(
-    rho: np.ndarray, spectra: list[np.ndarray], pol: TolerancePolicy, caller: str, zero: str
+    rho: np.ndarray, spectra: list[np.ndarray], pol: TolerancePolicy, caller: str,
+    zero: str | None,
 ) -> list[int]:
     """The rank of each density D_j of rho, given the descending eigenvalues of each.
 
     The D_j are PSD, and rho positive, by ``psd_rank`` on all their
     eigenvalues at once, and each block's rank is taken relative to the
-    largest of them.  NotPositive names the calling function;
-    ZeroFunctional carries ``zero``.
+    largest of them.  NotPositive names the calling function; the zero
+    functional raises ZeroFunctional carrying ``zero``, or has rank 0 in
+    every block when ``zero`` is None.
     """
     values = np.sort(np.concatenate(spectra))[::-1]
     positive, _ = psd_rank(values, pol)
     if not positive:
         raise NotPositive(f"{caller} requires a positive functional")
-    if not np.any(rho):
+    if zero is not None and not np.any(rho):
         raise ZeroFunctional(zero)
     top = max(float(values[0]), 0.0)
     return [psd_rank(w, pol, top)[1] for w in spectra]
+
+
+def _state_spectra(
+    algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy, caller: str,
+    zero: str | None = None,
+) -> tuple[BlockData, np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[int]]:
+    """The block data, rho, the eigensystem of each density D_j and the rank of each.
+
+    ``_state_densities``, one eigensolve per block, then ``_state_ranks``
+    with ``caller`` and ``zero``.
+    """
+    data, rho, densities = _state_densities(algebra, functional, pol, caller)
+    spectra = [hermitian_eigen(dens, pol) for dens in densities]
+    ranks = _state_ranks(rho, [values for values, _ in spectra], pol, caller, zero)
+    return data, rho, spectra, ranks
 
 
 def is_extremal(
@@ -614,10 +727,8 @@ def decompose(
     ``seed`` is accepted for callers written against the earlier random
     splitting and has no effect.
     """
-    data, rho, densities = _state_densities(algebra, functional, pol, "decompose")
-    spectra = [hermitian_eigen(dens, pol) for dens in densities]
-    ranks = _state_ranks(rho, [values for values, _ in spectra], pol, "decompose",
-                         "cannot decompose the zero functional")
+    data, _, spectra, ranks = _state_spectra(algebra, functional, pol, "decompose",
+                                             "cannot decompose the zero functional")
     components: list[DecompositionComponent] = []
     classes: list[tuple[int, ...]] = []
     for stack, (values, vectors), rank in zip(data.blocks, spectra, ranks):

@@ -82,10 +82,11 @@ def test_an_overflowing_gram_matrix_is_a_typed_error():
     # has Gram entries rho(e_i^* e_j) = 2.4e308 and finite densities 0.6e308
     algebra = change_basis(build_matrix_algebra(2), 2.0 * np.eye(4))
     rho = 1.2e308 * TRACE
-    for check in (gns_construct, functional_to_kernel, is_positive):
+    for check in (functional_to_kernel, is_positive):
         with pytest.raises(NonFiniteScalar, match="^the Gram matrix overflows$"):
             check(algebra, rho)
     assert np.allclose(weights(algebra, rho), 0.6e308, rtol=1e-12, atol=0)
+    assert verify_star_rep(gns_construct(algebra, rho)).passed
     assert is_positive(algebra, rho / 2) == (True, 4)
 
 
@@ -94,10 +95,10 @@ def test_overflowing_densities_are_a_typed_error():
     # densities D = 2e308 I and finite Gram entries 0.5e308
     algebra = change_basis(build_matrix_algebra(2), 0.5 * np.eye(4))
     rho = BIG * TRACE
-    for check in (decompose, is_extremal):
+    for check in (decompose, is_extremal, gns_construct):
         with pytest.raises(NonFiniteScalar, match="^the densities of the functional overflow$"):
             check(algebra, rho)
-    assert verify_star_rep(gns_construct(algebra, rho)).passed
+    assert is_positive(algebra, rho) == (True, 4)
     assert np.allclose(weights(algebra, rho / 4), 0.5e308, rtol=1e-12, atol=0)
 
 

@@ -7,6 +7,7 @@ from starrep import (
     DEFAULT_POLICY,
     GNSRepresentation,
     TolerancePolicy,
+    block_data,
     build_group_algebra,
     build_matrix_algebra,
     commutant,
@@ -93,11 +94,21 @@ def test_gns_requires_hermitian_gram():
         gns_construct(z2_algebra(), [1, 1j])
 
 
-def test_gns_eigendecomposes_the_gram_matrix_once(monkeypatch):
-    rep, sizes = count_eigensolves(
-        monkeypatch, lambda: gns_construct(build_matrix_algebra(2), TRACE2))
+def test_gns_eigendecomposes_each_density_once(monkeypatch):
+    # once the algebra's block data is built (the trace's Gram matrix and a
+    # generic element, n x n each), each block's density is eigendecomposed
+    # once, k_j x k_j, and no Gram matrix is
+    m2 = build_matrix_algebra(2)
+    rep, sizes = count_eigensolves(monkeypatch, lambda: gns_construct(m2, TRACE2))
     assert rep.rep_dim == 4
-    assert sizes == [4]
+    assert sizes == [4, 4, 2]
+    rep, sizes = count_eigensolves(monkeypatch, lambda: gns_construct(m2, TRACE2))
+    assert sizes == [2]
+    s3 = s3_algebra()
+    block_data(s3)
+    rep, sizes = count_eigensolves(monkeypatch, lambda: gns_construct(s3, np.eye(6)[0]))
+    assert rep.rep_dim == 6
+    assert sorted(sizes) == [1, 1, 2]
 
 
 def gns_construct_oracle(algebra, functional, pol=DEFAULT_POLICY):
@@ -129,14 +140,41 @@ ORACLE_ALGEBRAS = {
 }
 
 
+def weighted_components(algebra, rho):
+    """The direct sum of ``decompose``'s components, each cyclic vector times sqrt(weight).
+
+    In ``gns_construct``'s coordinate order: the r_j components of block j
+    fill C^{k_j} (x) C^{r_j}, coordinate a of component s at a r_j + s.
+    """
+    if not np.any(rho):
+        return np.zeros((algebra.dim, 0, 0)), np.zeros(0)
+    dec = decompose(algebra, rho)
+    reps = [c.representation for c in dec.components]
+    d = sum(rep.rep_dim for rep in reps)
+    mats = np.zeros((algebra.dim, d, d), dtype=complex)
+    xi = np.zeros(d, dtype=complex)
+    start = 0
+    for cls in dec.multiplicity_classes:
+        k, r = reps[cls[0]].rep_dim, len(cls)
+        for s, c in enumerate(cls):
+            at = slice(start + s, start + k * r, r)
+            mats[:, at, at] = reps[c].matrices
+            xi[at] = np.sqrt(dec.components[c].weight) * reps[c].cyclic_vector
+        start += k * r
+    return mats, xi
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
 @pytest.mark.parametrize("scrambled", [False, True], ids=["units", "scrambled"])
 @pytest.mark.parametrize("name", list(ORACLE_ALGEBRAS))
 def test_representations_match_the_own_eigensolve_oracle(name, scrambled, scale):
-    # Both paths read the kernel's spectrum, which is the oracle's eigensolve
-    # of the same Gram matrix, so all three agree bit for bit.  The states:
-    # the unit's coordinates (the trace: a Gram matrix I, one tie cluster), a
-    # random one, a vector state of it (rank-deficient), and zero.
+    # kernel_to_rep reads the kernel's spectrum, which is the oracle's
+    # eigensolve of the same Gram matrix, so the two agree bit for bit.
+    # gns_construct reads the block data: it is the sum of decompose's
+    # components weighted by sqrt(weight), and unitarily equivalent to the
+    # oracle.  The states: the unit's coordinates (the trace: a Gram matrix
+    # I, one tie cluster), a random one, a vector state of it
+    # (rank-deficient), and zero.
     rng = np.random.default_rng([list(ORACLE_ALGEBRAS).index(name), scrambled])
     algebra = ORACLE_ALGEBRAS[name]()
     n = algebra.dim
@@ -150,12 +188,21 @@ def test_representations_match_the_own_eigensolve_oracle(name, scrambled, scale)
     for rho in states:
         rho = scale * rho
         mats, xi, q = gns_construct_oracle(algebra, rho)
-        for rep in (gns_construct(algebra, rho),
-                    kernel_to_rep(algebra, functional_to_kernel(algebra, rho))):
-            assert rep.matrices.tobytes() == mats.tobytes()
-            assert rep.cyclic_vector.tobytes() == xi.tobytes()
-            assert rep.embedding.tobytes() == q.tobytes()
-            assert verify_star_rep(rep).passed
+        oracle = GNSRepresentation(algebra, mats, xi, rho, q)
+        rep = kernel_to_rep(algebra, functional_to_kernel(algebra, rho))
+        assert rep.matrices.tobytes() == mats.tobytes()
+        assert rep.cyclic_vector.tobytes() == xi.tobytes()
+        assert rep.embedding.tobytes() == q.tobytes()
+        assert verify_star_rep(rep).passed
+
+        built = gns_construct(algebra, rho)
+        assert verify_star_rep(built).passed
+        summed_mats, summed_xi = weighted_components(algebra, rho)
+        assert np.array_equal(built.matrices, summed_mats)
+        assert np.array_equal(built.cyclic_vector, summed_xi)
+        assert np.array_equal(built.embedding, built.orbit_matrix())
+        u = intertwiner(built, oracle)
+        assert u.shape == (oracle.rep_dim,) * 2
 
 
 @pytest.mark.parametrize(
@@ -194,19 +241,29 @@ def test_verify_detects_broken_multiplicativity():
 
 
 def test_a_representation_is_verified_once_per_policy(monkeypatch):
+    # gns_construct keeps the report for its policy, read off the blocks'
+    # law checks (one k = 2 block, checked as the block data is built); a
+    # representation built elsewhere, or another policy, gets the full
+    # check once
     checks = count_law_checks(monkeypatch)
-    rep = gns_construct(build_matrix_algebra(2), TRACE2)
-    assert checks == []
+    m2 = build_matrix_algebra(2)
+    rep = gns_construct(m2, TRACE2)
+    assert checks == [2]
     report = verify_star_rep(rep)
     rep_to_kernel(rep)
-    assert checks == [4]
     assert verify_star_rep(rep, TolerancePolicy()) is report
     rep_to_kernel(rep, TolerancePolicy())
-    assert checks == [4]
+    assert checks == [2]
     looser = TolerancePolicy(match_tol=1e-7)
     assert verify_star_rep(rep, looser).tolerance == 1e-7
     rep_to_kernel(rep, looser)
-    assert checks == [4, 4]
+    assert checks == [2, 2, 4]  # the blocks under the looser policy, then rep
+
+    outside = kernel_to_rep(m2, functional_to_kernel(m2, TRACE2))
+    report = verify_star_rep(outside)
+    rep_to_kernel(outside)
+    assert verify_star_rep(outside, TolerancePolicy()) is report
+    assert checks == [2, 2, 4, 4]
 
 
 def test_kept_report_is_read_only():
@@ -221,13 +278,20 @@ DIAG21 = np.array([2.0, 0, 0, 1.0])
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
 def test_reproduction_is_scale_free_in_matrix_units(scale):
+    # the block data's matrix units are complex, so rho is reproduced to a
+    # few ulps; the representation is the same at every scale, its cyclic
+    # vector scaled by sqrt(scale)
+    eps = np.finfo(float).eps
     m2 = build_matrix_algebra(2)
-    rep = gns_construct(m2, scale * DIAG21)
+    rep, unscaled = gns_construct(m2, scale * DIAG21), gns_construct(m2, DIAG21)
     report = verify_star_rep(rep)
     assert report.passed, dict(report.violations)
-    assert report.violations["reproduction"] < 1e-15
+    assert report.violations["reproduction"] < 8 * eps
+    assert np.array_equal(rep.matrices, unscaled.matrices)
+    np.testing.assert_allclose(rep.cyclic_vector / np.sqrt(scale), unscaled.cyclic_vector,
+                               rtol=8 * eps, atol=0)
     np.testing.assert_allclose(
-        rep_to_kernel(rep).matrix / scale, rep_to_kernel(gns_construct(m2, DIAG21)).matrix,
+        rep_to_kernel(rep).matrix / scale, rep_to_kernel(unscaled).matrix,
         atol=1e-14,
     )
 
@@ -649,13 +713,13 @@ def gram_eigensolves(monkeypatch, run):
     import starrep.duality
 
     grams, solved = [], []
-    build = starrep.duality.gram_matrix
+    build = starrep.duality._gram_product
 
     def recorded_gram(*args):
         grams.append(build(*args))
         return grams[-1]
 
-    monkeypatch.setattr(starrep.duality, "gram_matrix", recorded_gram)
+    monkeypatch.setattr(starrep.duality, "_gram_product", recorded_gram)
     record_eigensolves(monkeypatch, lambda m: solved.append(np.array(m)))
     run()
     return [sum(m.shape == g.shape and np.array_equal(m, g) for m in solved) for g in grams]

@@ -28,6 +28,7 @@ from starrep import (
     gns_construct,
     gram_matrix,
     is_star_invariant,
+    kernel_to_rep,
     make_kernel,
     numerics,
     pullback,
@@ -440,11 +441,11 @@ def real_noise(rng, shape, scale=0.1):
 @pytest.mark.parametrize("name", REAL_ALGEBRAS)
 def test_real_representations_match_the_oracle(budget, name):
     # the trace state in the matrix-unit and group bases has a real Gram
-    # matrix, so its representation is real and checked in real arithmetic;
-    # real noise keeps it real and makes every law fail
+    # matrix, so the representation on its range is real and checked in
+    # real arithmetic; real noise keeps it real and makes every law fail
     rng = np.random.default_rng(600)
     a = REAL_ALGEBRAS[name]()
-    rep = gns_construct(a, trace_state(a))
+    rep = kernel_to_rep(a, functional_to_kernel(a, trace_state(a)))
     assert rep.rep_dim == a.dim and not np.any(rep.matrices.imag)
     assert_matches(verify_star_rep(rep), rep_oracle(rep))
     bad = GNSRepresentation(a, rep.matrices + real_noise(rng, rep.matrices.shape),
@@ -535,9 +536,10 @@ def traced_peak_mb(check) -> tuple[object, float]:
 
 def test_law_checks_at_n64_in_cubic_memory():
     # M_8, n = 64: the old einsums built n^4 and n^2 d^2 temporaries
-    # (927 MB and 640 MB); the blocked checks stay near n^3
+    # (927 MB and 640 MB); the blocked checks stay near n^3.  The
+    # representation on the kernel's range gets the full check.
     m8 = build_matrix_algebra(8)
-    rep = gns_construct(m8, m8.unit / 8)
+    rep = kernel_to_rep(m8, functional_to_kernel(m8, m8.unit / 8))
     assert rep.rep_dim == 64
     for check in (lambda: validate_algebra(m8), lambda: verify_star_rep(rep)):
         report, peak = traced_peak_mb(check)

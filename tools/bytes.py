@@ -38,6 +38,11 @@ functionals whose Gram matrix and whose densities overflow, run ``gns``,
 ``gram_trace`` runs ``pullback``, whose product overflows; and a copy of
 ``z2.json`` whose ``kernels`` section is misspelt ``kernals`` does not load.
 
+A copy of ``m2.json`` in a seeded complex Gaussian basis of condition
+number 10, with the state tr(D·), D of eigenvalues 1 and 1e-8, runs ``gns``,
+``roundtrip``, ``decompose`` and ``kernel``: there a rank cut on the Gram
+matrix's spectrum and one on the block densities can disagree.
+
 The fixtures stop at n = 9, so an M_4 workspace (n = 16) is written there
 too, with the trace, a faithful state with a complex density and a vector
 state, and their Gram matrices as kernels.  Their Gram matrices have tied
@@ -65,6 +70,8 @@ SCALES = (1e-12, 1e9)
 SCRAMBLED_SCALES = (1e-12, 1.0, 1e9)
 SCRAMBLE_SEED = 2007
 M4_VERBS = ("validate", "gns", "kernel", "functional", "roundtrip", "decompose", "equiv", "audit")
+PROBE_VERBS = ("gns", "roundtrip", "decompose", "kernel")
+PROBE_EPS, PROBE_COND = 1e-8, 10.0
 WORKERS = 2
 
 
@@ -178,6 +185,27 @@ def scrambled_m2(source: Path, scratch: Path) -> Path:
     path = scratch / f"{source.stem}_scrambled.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def probe_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """``PROBE_VERBS`` on a nearly singular state of M_2 in a badly conditioned basis.
+
+    The basis is a seeded complex Gaussian matrix with its singular values
+    spaced geometrically from ``PROBE_COND`` down to 1 (``rebased_m2``); the
+    state is tr(D .) with D of eigenvalues 1 and ``PROBE_EPS`` in a seeded
+    random eigenbasis.
+    """
+    rng = np.random.default_rng(SCRAMBLE_SEED)
+    u, _, vh = np.linalg.svd(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    basis = (u * np.geomspace(PROBE_COND, 1.0, 4)) @ vh
+    w, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    density = (w * np.array([1.0, PROBE_EPS])) @ w.conj().T
+    doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
+    doc["functionals"] = {"probe": {"algebra": "m2", "values": _encode(density.T.ravel())}}
+    doc["kernels"] = {}
+    path = scratch / "m2_probe.json"
+    path.write_text(json.dumps(rebased_m2(doc, basis)), encoding="utf-8")
+    return [["-w", str(path), verb, "m2", "probe"] for verb in PROBE_VERBS]
 
 
 def m4_commands(scratch: Path) -> list[list[str]]:
@@ -437,6 +465,7 @@ def main(argv=None) -> int:
                 + scaled_commands(scrambled, scratch, "kernels", "matrix", SCRAMBLED_SCALES)
                 + scaled_commands(scrambled, scratch, "functionals", "values",
                                   SCRAMBLED_SCALES)
+                + probe_commands(fixtures, scratch)
                 + m4_commands(scratch))
         if args.list:
             for cmd in cmds:
