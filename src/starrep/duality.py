@@ -13,13 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FiniteStarAlgebra
-from .errors import (
-    NegativeEigenvalue,
-    NonFiniteScalar,
-    NonRealUnitValue,
-    NotHermitian,
-    NotPositive,
-)
+from .errors import NegativeEigenvalue, NonRealUnitValue, NotHermitian, NotPositive
 from .kernels import Kernel, make_kernel
 from .numerics import (
     DEFAULT_POLICY,
@@ -46,16 +40,6 @@ def evaluate(algebra: FiniteStarAlgebra, functional, x) -> complex:
     return complex(np.dot(algebra._check_element(x), r))
 
 
-_GRAM_OVERFLOWS = "the Gram matrix overflows"
-
-
-def _gram_product(algebra: FiniteStarAlgebra, r: np.ndarray) -> np.ndarray:
-    """G[i, j] = rho(e_i^* e_j) for the checked values r, two BLAS products."""
-    n = algebra.dim
-    products = algebra.structure_constants.reshape(n * n, n) @ r  # rho(e_p e_j)
-    return algebra.involution @ products.reshape(n, n)
-
-
 def gram_matrix(algebra: FiniteStarAlgebra, functional) -> np.ndarray:
     """Matrix G[i, j] = rho(e_i^* e_j) of the sesquilinear form induced by rho.
 
@@ -63,28 +47,27 @@ def gram_matrix(algebra: FiniteStarAlgebra, functional) -> np.ndarray:
     rho(e_i^* e_j) past the float range (``_finite_product``).
     """
     r = algebra._check_element(functional, "functional")
-    return _finite_product(lambda: _gram_product(algebra, r), _GRAM_OVERFLOWS, r)
+    n = algebra.dim
+
+    def gram() -> np.ndarray:
+        products = algebra.structure_constants.reshape(n * n, n) @ r  # rho(e_p e_j)
+        return algebra.involution @ products.reshape(n, n)
+
+    return _finite_product(gram, "the Gram matrix overflows", r)
 
 
 def _gram_kernel(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy, caller: str) -> Kernel:
     """The Gram matrix of rho as a kernel, or NotPositive naming ``caller``.
 
-    The Gram matrix of a positive functional is hermitian, PSD and finite,
-    so a failed ``make_kernel`` rules rho out.  Its eigensolve reads
-    max|G| and raises ValueError when that is not finite; for a finite rho
-    that is an overflow of the product, NonFiniteScalar as ``gram_matrix``
-    raises it, with no second scan of G.
+    The Gram matrix of a positive functional is hermitian, PSD and finite
+    (NaN entries raise ValueError), so a failed ``make_kernel`` rules rho
+    out.  A Gram matrix that overflows raises NonFiniteScalar
+    (``gram_matrix``).
     """
-    r = algebra._check_element(rho, "functional")
     try:
-        return make_kernel(_overflow_checked(lambda: _gram_product(algebra, r), _GRAM_OVERFLOWS),
-                           pol)
-    except (NotHermitian, NegativeEigenvalue):
-        pass
-    except ValueError:
-        if np.isfinite(r).all():
-            raise NonFiniteScalar(_GRAM_OVERFLOWS) from None
-    raise NotPositive(f"{caller} requires a positive functional")
+        return make_kernel(gram_matrix(algebra, rho), pol)
+    except (NotHermitian, NegativeEigenvalue, ValueError):
+        raise NotPositive(f"{caller} requires a positive functional") from None
 
 
 def functional_to_kernel(

@@ -148,14 +148,17 @@ def gns_construct(
     empty representation (d = 0).  The verification report under ``pol``
     is kept on the representation as it is built (``_kept_report``).
 
-    An algebra with no block data (NotSemisimple) gets the representation
-    on the range of rho's Gram matrix instead (``_gram_represent``), which
-    ``verify_star_rep`` checks in full.
+    An algebra with no block data gets the representation on the range of
+    rho's Gram matrix instead (``_gram_represent``), which
+    ``verify_star_rep`` checks in full: one that is not semisimple, or
+    whose blocks ``pol`` cannot resolve (NoConvergence, as at match_tol = 0
+    or a match_tol that merges the eigenspaces of a generic element).
     """
     try:
-        data, rho, spectra, ranks = _state_spectra(algebra, functional, pol, "gns_construct")
-    except NotSemisimple:
+        data = block_data(algebra, pol)
+    except (NotSemisimple, NoConvergence):
         return _gram_represent(algebra, functional, pol, "gns_construct")
+    _, rho, spectra, ranks = _state_spectra(algebra, functional, pol, "gns_construct")
     n = algebra.dim
     d = sum(k * r for k, r in zip(data.sizes, ranks))
     mats = np.zeros((n, d, d), dtype=complex)
@@ -297,8 +300,8 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
     The orbit pi(E^j_ab) xi over the matrix units (``BlockData.units``) has
     a Gram form that does not depend on the basis the algebra is written
     in, where the orbit over a badly conditioned basis can lose rank to the
-    cutoff.  An algebra with no block data (NotSemisimple) uses the orbit
-    over its basis.
+    cutoff.  An algebra with no block data under ``pol`` (NotSemisimple or
+    NoConvergence) uses the orbit over its basis.
     """
     mats = rep.matrices
     xi = rep.cyclic_vector
@@ -307,9 +310,13 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
     t = rep.orbit_matrix()
     try:
         t = t @ block_data(rep.algebra, pol).units
-    except NotSemisimple:
+    except (NotSemisimple, NoConvergence):
         pass
-    _, orbit_rank = psd_check(t @ t.conj().T, pol) if d else (True, 0)
+    # T T^H is hermitian by construction; its roundoff asymmetry would fail
+    # the eigensolver's check at match_tol = 0, so it is hermitized first
+    gram = t @ t.conj().T
+    gram = _hermitized(gram, gram.conj().T, _maxabs(gram))
+    _, orbit_rank = psd_check(gram, pol) if d else (True, 0)
     cyclic_dev = float(d - orbit_rank)
 
     reproduced = (mats @ xi) @ np.conj(xi)
@@ -379,12 +386,22 @@ def block_data(
 
     It is kept on the algebra (``FiniteStarAlgebra.derived``), one build per
     policy; see ``_build_block_data``.  NotSemisimple when the algebra has
-    no faithful trace.
+    no faithful trace, NoConvergence when ``pol`` cannot resolve its
+    blocks.  A failed build is kept too, as its error's type and message,
+    and raised again on each later call.
     """
     key = ("block_data", pol)
     if key not in algebra.derived:
-        algebra.derived[key] = _build_block_data(algebra, pol)
-    return algebra.derived[key]
+        try:
+            algebra.derived[key] = _build_block_data(algebra, pol)
+        except (NotSemisimple, NoConvergence) as exc:
+            algebra.derived[key] = (type(exc), exc.args)
+            raise
+    kept = algebra.derived[key]
+    if isinstance(kept, BlockData):
+        return kept
+    error, args = kept
+    raise error(*args)
 
 
 def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> BlockData:

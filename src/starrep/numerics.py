@@ -279,16 +279,8 @@ def _finite_product(compute: Callable, message: str, *operands: np.ndarray) -> n
 
 
 def _maxabs(x: np.ndarray) -> float:
-    """max|x|, 0 for an empty array; a NaN entry gives NaN.
-
-    A real x is read as max(max x, -min x), with no |x| temporary; ``abs``
-    turns the -0.0 of an array of -0.0 into the 0.0 that |x| would give.
-    """
-    if not x.size:
-        return 0.0
-    if np.isrealobj(x):
-        return abs(float(max(x.max(), -x.min())))
-    return float(np.abs(x).max())
+    """max|x|, 0 for an empty array; a NaN entry gives NaN."""
+    return float(np.abs(x).max()) if x.size else 0.0
 
 
 def _stack_times(stack: np.ndarray, m: np.ndarray) -> np.ndarray:

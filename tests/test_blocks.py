@@ -21,15 +21,18 @@ from starrep import (
     commutant,
     decompose,
     direct_sum_algebra,
+    functional_to_kernel,
     gns_construct,
     is_extremal,
     is_irreducible,
     is_positive,
+    kernel_to_rep,
     representations_equivalent,
     validate_algebra,
     verify_star_rep,
 )
-from starrep.errors import NotSemisimple
+from starrep.errors import NoConvergence, NotSemisimple
+from starrep.numerics import TolerancePolicy
 from starrep.workspace import parse_workspace
 
 from conftest import (
@@ -104,6 +107,57 @@ def test_dual_numbers_are_valid_but_not_semisimple():
     ):
         with pytest.raises(NotSemisimple, match="degenerate"):
             call()
+
+
+def test_a_failed_build_is_kept(monkeypatch):
+    # the build fails once per algebra and policy; later calls raise the
+    # kept error again without repeating its eigensolves
+    import starrep.gns
+
+    builds = []
+    build = starrep.gns._build_block_data
+
+    def counted(algebra, pol):
+        builds.append(pol)
+        return build(algebra, pol)
+
+    monkeypatch.setattr(starrep.gns, "_build_block_data", counted)
+    dual = dual_numbers()
+    reps = [gns_construct(dual, [1.0, 0.0]) for _ in range(3)]
+    assert all(verify_star_rep(rep).passed for rep in reps)
+    for call in (lambda: block_data(dual), lambda: decompose(dual, [1.0, 0.0])):
+        with pytest.raises(NotSemisimple, match="degenerate"):
+            call()
+    m2, exact = build_matrix_algebra(2), TolerancePolicy(match_tol=0.0)
+    for _ in range(2):
+        with pytest.raises(NoConvergence, match="miss the algebra"):
+            block_data(m2, exact)
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("match_tol", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["M2", "M3", "S3"])
+def test_a_policy_that_cannot_resolve_the_blocks_keeps_the_gram_path(name, match_tol):
+    # at match_tol = 0 the blocks cannot pass their own check, and at 0.5
+    # the eigenspaces of the generic element merge: block_data raises
+    # NoConvergence, and gns_construct and verify_star_rep fall back to the
+    # Gram path and the orbit over the basis
+    a = {"M2": lambda: build_matrix_algebra(2), "M3": lambda: build_matrix_algebra(3),
+         "S3": s3_algebra}[name]()
+    pol = TolerancePolicy(match_tol=match_tol)
+    rho = a.unit.conj() / a.dim if name != "S3" else np.eye(6)[0]
+    with pytest.raises(NoConvergence):
+        block_data(a, pol)
+    rep = gns_construct(a, rho, pol)
+    gram = kernel_to_rep(a, functional_to_kernel(a, rho, pol))
+    assert np.array_equal(rep.matrices, gram.matrices)
+    assert np.array_equal(rep.cyclic_vector, gram.cyclic_vector)
+    for r in (rep, gram, gns_construct(a, rho)):
+        report = verify_star_rep(r, pol)
+        assert report.tolerance == match_tol
+        assert report.violations["cyclicity"] == 0.0
+        assert report.max_violation < 1e-12
+        assert report.passed == (match_tol > 0)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -713,13 +713,13 @@ def gram_eigensolves(monkeypatch, run):
     import starrep.duality
 
     grams, solved = [], []
-    build = starrep.duality._gram_product
+    build = starrep.duality.gram_matrix
 
     def recorded_gram(*args):
         grams.append(build(*args))
         return grams[-1]
 
-    monkeypatch.setattr(starrep.duality, "_gram_product", recorded_gram)
+    monkeypatch.setattr(starrep.duality, "gram_matrix", recorded_gram)
     record_eigensolves(monkeypatch, lambda m: solved.append(np.array(m)))
     run()
     return [sum(m.shape == g.shape and np.array_equal(m, g) for m in solved) for g in grams]
