@@ -338,12 +338,21 @@ def _render_text(report: dict, stream) -> None:
 
 
 def _policy(args: argparse.Namespace) -> TolerancePolicy:
+    """The policy the flags give, or BadArgument.
+
+    ``--tol-match`` must be positive: a law check passes below its
+    tolerance (``ValidationReport.passed``), so at 0 not even an exact
+    algebra would load.
+    """
     try:
-        return TolerancePolicy(
+        pol = TolerancePolicy(
             rel_rank_tol=args.tol_rank, psd_tol=args.tol_psd, match_tol=args.tol_match
         )
     except ValueError as exc:
         raise BadArgument(str(exc)) from exc
+    if pol.match_tol == 0:
+        raise BadArgument(f"--tol-match must be positive, got {args.tol_match}")
+    return pol
 
 
 def main(argv=None) -> int:

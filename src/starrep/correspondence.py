@@ -220,8 +220,9 @@ def kernel_to_rep(
 ) -> GNSRepresentation:
     """The cyclic *-representation carried by an invariant kernel's subspace.
 
-    Read off the kernel's kept spectrum (``gns._represent``), so its dimension
-    is the rank the kernel was made with.  On rho's kernel it is unitarily
+    Read off the kernel's eigendecomposition (``gns._represent``), made on
+    the kernel's first read and kept, so its dimension is the rank the
+    kernel was made with.  On rho's kernel it is unitarily
     equivalent to gns_construct(rho), which reads the algebra's blocks, when
     the two ranks agree: the kernel's rank is cut on the Gram matrix's
     spectrum, which a change of basis moves, and the blocks' is not.

@@ -76,12 +76,14 @@ def functional_to_kernel(
     """Reproducing operator of the subspace attached to a positive functional.
 
     This is the Gram matrix itself, read as an operator on dual coordinates;
-    it satisfies the orientation identity rho(x) = <e | H x>.  Its one
-    eigensolve decides hermiticity and positivity and gives the rank and
-    the spectrum the kernel keeps, which ``kernel_to_rep`` reads.  The rank
-    is ``psd_rank``'s cut on the Gram matrix's spectrum, so near the cutoff
-    it can depend on the basis and differ from the dimension of
-    ``gns_construct``, which reads the ranks of the algebra's blocks.
+    it satisfies the orientation identity rho(x) = <e | H x>.  One
+    value-only eigensolve (``make_kernel``) decides hermiticity and
+    positivity and gives the rank; the eigenvectors that ``kernel_to_rep``
+    reads are made by the kernel's one full eigensolve, on their first
+    read.  The rank is ``psd_rank``'s cut on the Gram matrix's spectrum,
+    so near the cutoff it can depend on the basis and differ from the
+    dimension of ``gns_construct``, which reads the ranks of the algebra's
+    blocks.
     """
     return _gram_kernel(algebra, functional, pol, "functional_to_kernel")
 

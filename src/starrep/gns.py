@@ -207,10 +207,13 @@ def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy,
 
 
 def _represent(algebra: FiniteStarAlgebra, rho: np.ndarray, kernel: Kernel) -> GNSRepresentation:
-    """The cyclic representation of rho on the range of its kernel, with no eigensolve.
+    """The cyclic representation of rho on the range of its kernel.
 
     The kernel's ``rank`` leading eigenpairs U diag(w) U^dagger give the quotient
     map ``Q = diag(sqrt(w)) U^dagger`` and ``pi(e_i) = Q L_i U diag(1/sqrt(w))``.
+    Both come from the kernel's one full eigensolve, made on its first read
+    of ``vectors`` and kept, so a second representation of the same kernel
+    makes none.
     """
     u_r = kernel.vectors[:, : kernel.rank]
     sqrt_w = np.sqrt(kernel.values[: kernel.rank])
@@ -426,16 +429,17 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     fails it against |y|.
     """
     n = algebra.dim
-    tau = np.trace(algebra.structure_constants, axis1=1, axis2=2)
+    tau = np.asarray(np.trace(algebra.structure_constants, axis1=1, axis2=2), dtype=complex)
     try:
-        regular = _gram_represent(algebra, tau, pol, "block_data")
+        gram = duality._gram_kernel(algebra, tau, pol, "block_data")
     except NotPositive:
         raise NotSemisimple("the trace x -> tr L_x is not positive") from None
-    if regular.rep_dim < n:
+    if gram.rank < n:
         raise NotSemisimple(
             f"the trace x -> tr L_x is degenerate: its Gram form has rank "
-            f"{regular.rep_dim} < {n}"
+            f"{gram.rank} < {n}"
         )
+    regular = _represent(algebra, tau, gram)
     q, xi = regular.embedding, regular.cyclic_vector
     # q has orthogonal rows, so its inverse is its adjoint over their squared norms
     q_inv = q.conj().T / np.sum(np.abs(q) ** 2, axis=1)

@@ -5,19 +5,22 @@ reproducing operator: a hermitian PSD matrix H acting on dual coordinates.
 Its elements are the vectors in range(H), carrying the squared norm
 ``phi^dagger H^+ phi``.  The cone operations (sum, nonnegative scaling,
 order, difference, exclusion, chains, weighted sums) all reduce to matrix
-arithmetic on the reproducing operators.  Each kernel carries the spectrum
-its constructor computed, and the operations read their operands' spectra
-instead of recomputing them: an operation eigensolves only the matrices it
-makes.  A result kernel (a sum, a difference) gets the full canonical
-eigensolve (``hermitian_eigen``); a verdict (the order, exclusion, the
-direct-summand test, the least dominating scale) reads eigenvalues alone
-(``hermitian_eigvals``).
+arithmetic on the reproducing operators.  Every kernel, given or made by
+an operation (a sum, a difference, a chain's terms), is built by one
+value-only eigensolve (``hermitized_eigvals``), which decides hermiticity
+and the PSD verdict and gives the rank and the top eigenvalue; a verdict
+(the order, exclusion, the direct-summand test, the least dominating
+scale) likewise reads eigenvalues alone.  A kernel's eigenvectors are made
+by the full canonical eigensolve (``hermitian_eigen``) on their first read
+and kept, so each kernel is eigendecomposed at most once, and only when
+membership, the least dominating scale or a representation reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -41,6 +44,7 @@ from .numerics import (
     entrywise_gap,
     hermitian_eigen,
     hermitian_eigvals,
+    hermitized_eigvals,
     psd_rank,
     within_tol,
 )
@@ -69,28 +73,53 @@ _MAJORIZATION_GROWTH = 1e12
 
 @dataclass(frozen=True)
 class Kernel:
-    """Reproducing operator (hermitian PSD) with its spectrum and rank cached.
+    """Reproducing operator (hermitian PSD) with its top eigenvalue and rank.
 
-    ``values`` and ``vectors`` are the canonical eigendecomposition of
-    ``matrix`` (``hermitian_eigen``: descending values, fixed phases and tie
-    order), and ``rank`` counts the values above the rank cutoff, so that
-    ``vectors[:, :rank]`` spans the subspace.  Build kernels with
-    ``make_kernel``; the cone operations derive their results' spectra from
-    their own eigensolves.  All three arrays are read-only.
+    ``top``, the largest eigenvalue, and ``rank``, the count of eigenvalues
+    above the rank cutoff, come from the value-only eigensolve the kernel
+    was built with.  ``values`` and ``vectors`` are the canonical
+    eigendecomposition of ``matrix`` (``hermitian_eigen``: descending
+    values, fixed phases and tie order), made on first read and kept, so
+    that ``vectors[:, :rank]`` spans the subspace; a reader that pairs
+    vectors with values takes both from there.  A multiple lam * parent
+    (``kernel_scale``, which sets ``scaled_from``) reads lam times its
+    parent's values and the parent's vectors instead.  Build kernels with
+    ``make_kernel``.  All arrays are read-only.
     """
 
     matrix: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
+    top: float
     rank: int
+    scaled_from: tuple[float, Kernel] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for array in (self.matrix, self.values, self.vectors):
-            array.setflags(write=False)
+        self.matrix.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, vectors)``, made on first read and kept."""
+        if self.scaled_from is None:  # hermitian already, so any policy takes it
+            values, vectors = hermitian_eigen(self.matrix)
+        else:
+            lam, parent = self.scaled_from
+            values = _overflow_checked(lambda: lam * parent.values,
+                                       f"scaling by {lam} overflows the kernel")
+            vectors = parent.vectors
+        for array in (values, vectors):
+            array.setflags(write=False)
+        return values, vectors
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._eigen[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._eigen[1]
 
 
 @dataclass(frozen=True)
@@ -102,18 +131,17 @@ class SubspaceElement:
 
 
 def make_kernel(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
-    """Validate a matrix as a reproducing operator and cache its spectrum.
+    """Validate a matrix as a reproducing operator, keeping its rank and top eigenvalue.
 
-    One eigensolve gives the hermitized matrix the kernel keeps, the PSD
-    verdict (``psd_rank``), the rank and the spectrum the cone operations
-    read.
+    One value-only eigensolve (``hermitized_eigvals``) gives the hermitized
+    matrix the kernel keeps, the PSD verdict (``psd_rank``), the rank and
+    the top eigenvalue.  The eigenvectors are left to their first read.
     """
-    eigen = hermitian_eigen(matrix, pol)
-    values, vectors = eigen
+    a, values = hermitized_eigvals(matrix, pol)
     is_psd, rank = psd_rank(values, pol)
     if not is_psd:
         raise NegativeEigenvalue("a reproducing operator must be PSD")
-    return Kernel(eigen.matrix, values, vectors, rank)
+    return Kernel(a, float(values[0]), rank)
 
 
 def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
@@ -139,7 +167,7 @@ def _top(k1: Kernel, k2: Kernel) -> float:
     k1 <= k2 is ``psd_rank``'s PSD verdict on k2 - k1 at this scale, so
     kernels and their common multiples get the same verdict.
     """
-    return max(float(k1.values[0]), float(k2.values[0]), 0.0)
+    return max(k1.top, k2.top, 0.0)
 
 
 def membership(
@@ -148,8 +176,9 @@ def membership(
     """Test whether phi lies in the subspace; if so return it with its norm.
 
     Membership is decided by the residual of phi against its projection onto
-    range(H), read off the cached spectrum: phi is rejected when the
-    residual exceeds ``rel_rank_tol * |phi|``, a bound that scales with phi.
+    range(H), read off the kernel's eigendecomposition: phi is rejected when
+    the residual exceeds ``rel_rank_tol * |phi|``, a bound that scales with
+    phi.
     The squared norm of a member is ``phi^dagger H^+ phi``.
     """
     v = np.asarray(phi, dtype=complex)
@@ -183,16 +212,18 @@ def _check_scale(lam: float) -> None:
 def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
     """Scale by a nonnegative real; member norms scale by 1/lam, 0 gives {0}.
 
-    A positive finite lam scales the cached eigenvalues and keeps the
-    eigenvectors and the rank; NonFiniteScalar is raised when the scaled
-    entries overflow.
+    A positive finite lam scales the top eigenvalue and keeps the rank,
+    with no eigensolve; the result's eigendecomposition is lam times the
+    kernel's values and its vectors, read when first needed.
+    NonFiniteScalar is raised when the scaled entries or top eigenvalue
+    overflow.
     """
     _check_scale(lam)
     if lam == 0:  # the zero kernel
         return make_kernel(lam * kernel.matrix, pol)
-    matrix, values = _overflow_checked(lambda: (lam * kernel.matrix, lam * kernel.values),
-                                       f"scaling by {lam} overflows the kernel")
-    return Kernel(matrix, values, kernel.vectors, kernel.rank)
+    matrix, top = _overflow_checked(lambda: (lam * kernel.matrix, lam * np.float64(kernel.top)),
+                                    f"scaling by {lam} overflows the kernel")
+    return Kernel(matrix, float(top), kernel.rank, scaled_from=(lam, kernel))
 
 
 def kernel_leq(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -205,14 +236,13 @@ def kernel_difference(
 ) -> Kernel:
     """The unique complement with k1 + result = kernel; requires k1 <= kernel.
 
-    One eigensolve of kernel - k1 decides the order and is the result's
-    spectrum.
+    One value-only eigensolve of kernel - k1 decides the order and gives
+    the result's rank and top eigenvalue, as ``make_kernel``'s does.
     """
-    diff = _difference(k1, kernel)
-    values, vectors = hermitian_eigen(diff, pol)
+    a, values = hermitized_eigvals(_difference(k1, kernel), pol)
     if not psd_rank(values, pol, _top(k1, kernel))[0]:
         raise NotDominated("subtrahend is not below the kernel")
-    return Kernel(diff, values, vectors, psd_rank(values, pol)[1])
+    return Kernel(a, float(values[0]), psd_rank(values, pol)[1])
 
 
 def mutually_excluding(

@@ -24,9 +24,12 @@ verdict.
 alone, descending.  It serves every decision that reads eigenvalues only:
 ``psd_check`` (positivity, and the cyclicity of a representation), the
 kernel order, rank additivity, the least dominating scale and
-extremality.  Its values can differ from ``hermitian_eigen``'s in the last
-bits, so a verdict read from it can differ from one read from the full
-spectrum only for an eigenvalue within a few ulps of its cutoff.  Both
+extremality, and builds every kernel: ``hermitized_eigvals`` also hands
+back the hermitized matrix it solved, which the kernel keeps
+(``kernels.make_kernel``).  These values can differ from
+``hermitian_eigen``'s in the last bits, so a verdict read from them can
+differ from one read from the full spectrum only for an eigenvalue within
+a few ulps of its cutoff.  Both
 solvers validate alike and raise ``NonFiniteScalar`` when an eigenvalue of
 a finite matrix lies beyond the float range.
 
@@ -64,6 +67,7 @@ __all__ = [
     "is_hermitian",
     "hermitian_eigen",
     "hermitian_eigvals",
+    "hermitized_eigvals",
     "pseudo_inverse",
     "psd_check",
     "psd_rank",
@@ -356,10 +360,6 @@ def _require_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-class _Eigensystem(tuple):
-    """``(values, vectors)``; ``matrix`` is the hermitized matrix they diagonalize."""
-
-
 def hermitian_eigen(
     m, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -369,17 +369,14 @@ def hermitian_eigen(
     and orthonormal eigenvector columns.  Column phases are normalized
     (largest-magnitude entry real positive) and tied eigenvalues are ordered
     by their eigenvectors' rounded coordinates, so repeated calls are
-    bit-identical for a given numpy build.  The pair also carries, as
-    ``.matrix``, the hermitized (A + A^H) / 2 that was diagonalized.
+    bit-identical for a given numpy build.
     """
     a = _require_square_hermitian(m, pol)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
-    result = _Eigensystem(_canonical_columns(_require_finite(values), vectors))
-    result.matrix = a
-    return result
+    return _canonical_columns(_require_finite(values), vectors)
 
 
 def hermitian_eigvals(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -388,7 +385,22 @@ def hermitian_eigvals(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     Validated as ``hermitian_eigen`` validates, but with no eigenvectors,
     and so no phase or tie rule: for the decisions that read values alone.
     """
+    return _eigvalsh(_require_square_hermitian(m, pol))
+
+
+def hermitized_eigvals(
+    m, pol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, values)``: ``hermitian_eigvals`` with the hermitized A it solved.
+
+    For a caller that keeps the matrix, as ``kernels.make_kernel`` does.
+    """
     a = _require_square_hermitian(m, pol)
+    return a, _eigvalsh(a)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The descending eigenvalues of a validated, hermitized matrix."""
     try:
         values = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:

@@ -131,6 +131,13 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def gaussian_basis(rng, n: int, cond: float = 10.0) -> np.ndarray:
+    """A complex Gaussian matrix with its singular values spaced geometrically from cond to 1."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, _, vh = np.linalg.svd(g)
+    return (u * np.geomspace(cond, 1.0, n)) @ vh
+
+
 def change_basis(algebra, s: np.ndarray) -> FiniteStarAlgebra:
     """The same algebra in the basis e'_i = sum_j s[j, i] e_j.
 
@@ -143,10 +150,15 @@ def change_basis(algebra, s: np.ndarray) -> FiniteStarAlgebra:
     return FiniteStarAlgebra(c, s.conj().T @ algebra.involution @ s_inv.T, s_inv @ algebra.unit)
 
 
-def record_eigensolves(monkeypatch, record) -> None:
+# The value-only solvers; ``hermitian_eigen`` is the full one.
+VALUE_ONLY_SOLVERS = ("hermitian_eigvals", "hermitized_eigvals")
+
+
+def record_eigensolves(monkeypatch, record, full_only: bool = False) -> None:
     """Call ``record(m)`` on the matrix of every eigensolve, full or value-only.
 
-    Both solvers are replaced in every module that calls them.
+    Every solver is replaced in every module that calls it.  With
+    ``full_only`` only the full solves (``hermitian_eigen``) are recorded.
     """
     import starrep.gns
     import starrep.kernels
@@ -159,16 +171,18 @@ def record_eigensolves(monkeypatch, record) -> None:
 
         return solve_recorded
 
-    for name in ("hermitian_eigen", "hermitian_eigvals"):
+    solvers = ("hermitian_eigen",) if full_only else ("hermitian_eigen", *VALUE_ONLY_SOLVERS)
+    for name in solvers:
         wrapper = recorded(getattr(starrep.numerics, name))
         for module in (starrep.numerics, starrep.kernels, starrep.gns):
-            monkeypatch.setattr(module, name, wrapper)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
 
 
-def count_eigensolves(monkeypatch, run):
-    """``run()``'s result and the sizes of the eigensolves it made."""
+def count_eigensolves(monkeypatch, run, full_only: bool = False):
+    """``run()``'s result and the sizes of the eigensolves it made (``record_eigensolves``)."""
     sizes = []
-    record_eigensolves(monkeypatch, lambda m: sizes.append(len(m)))
+    record_eigensolves(monkeypatch, lambda m: sizes.append(len(m)), full_only)
     return run(), sizes
 
 

@@ -235,6 +235,17 @@ def test_cli_reports_the_first_failed_lookup(capsys, cmd, error, detail):
     assert (report["error"], report["detail"]) == (error, detail)
 
 
+@pytest.mark.parametrize("flag", ["0", "-0.0"])
+def test_cli_rejects_a_tolerance_that_no_law_check_can_pass(flag):
+    # a law check passes below match_tol, so at 0 even an exact algebra
+    # fails to load; the library's TolerancePolicy(match_tol=0) is kept
+    result = run_cli("--tol-match", flag, "gns", "m2", "trace", workspace=FIXTURES / "m2.json")
+    assert result.returncode == 2
+    report = json.loads(result.stdout)
+    assert (report["error"], report["detail"]) == (
+        "BadArgument", f"--tol-match must be positive, got {float(flag)}")
+
+
 @pytest.mark.parametrize(
     "cmd,detail",
     [

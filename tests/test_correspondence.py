@@ -273,24 +273,33 @@ def test_cone_morphism_audit_is_scale_free(scale):
 
 def test_functional_to_kernel_eigendecomposes_the_gram_matrix_once(monkeypatch):
     m2 = build_matrix_algebra(2)
+    # one value-only solve gives the rank; the eigenvectors are made once,
+    # by the full solve of the Gram matrix on their first read
     kernel, sizes = count_eigensolves(monkeypatch, lambda: functional_to_kernel(m2, TRACE2))
     assert sizes == [4]
     assert kernel.rank == 4
     assert np.array_equal(kernel.matrix, np.eye(4))
-    # built by make_kernel, so it carries the spectrum of that eigensolve
-    assert np.array_equal(kernel.values, np.ones(4))
-    assert np.array_equal(kernel.vectors, np.eye(4))
+    (values, vectors), sizes = count_eigensolves(
+        monkeypatch, lambda: (kernel.values, kernel.vectors), full_only=True)
+    assert sizes == [4]
+    assert np.array_equal(values, np.ones(4))
+    assert np.array_equal(vectors, np.eye(4))
+    assert count_eigensolves(monkeypatch, lambda: kernel.vectors)[1] == []
 
 
 def test_kernel_to_rep_reads_the_kernels_spectrum(monkeypatch):
-    # the kernel keeps the spectrum of its one eigensolve, so no other is made
+    # the first representation makes the kernel's one full eigensolve,
+    # which the kernel keeps, so a second makes none
     m3 = build_matrix_algebra(3)
     rho = random_positive_functional(m3, np.random.default_rng(55))
     kernel = functional_to_kernel(m3, rho)
     rep, sizes = count_eigensolves(monkeypatch, lambda: kernel_to_rep(m3, kernel))
-    assert sizes == []
+    assert sizes == [9]
     assert rep.rep_dim == kernel.rank
     assert verify_star_rep(rep).passed
+    again, sizes = count_eigensolves(monkeypatch, lambda: kernel_to_rep(m3, kernel))
+    assert sizes == []
+    assert np.array_equal(again.matrices, rep.matrices)
 
 
 def test_cone_morphism_audit_makes_four_eigensolves(monkeypatch):

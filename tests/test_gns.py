@@ -95,13 +95,14 @@ def test_gns_requires_hermitian_gram():
 
 
 def test_gns_eigendecomposes_each_density_once(monkeypatch):
-    # once the algebra's block data is built (the trace's Gram matrix and a
-    # generic element, n x n each), each block's density is eigendecomposed
-    # once, k_j x k_j, and no Gram matrix is
+    # once the algebra's block data is built (the trace's Gram matrix, by a
+    # value-only solve for its rank and a full one for the regular
+    # representation, and a generic element, n x n each), each block's
+    # density is eigendecomposed once, k_j x k_j, and no Gram matrix is
     m2 = build_matrix_algebra(2)
     rep, sizes = count_eigensolves(monkeypatch, lambda: gns_construct(m2, TRACE2))
     assert rep.rep_dim == 4
-    assert sizes == [4, 4, 2]
+    assert sizes == [4, 4, 4, 2]
     rep, sizes = count_eigensolves(monkeypatch, lambda: gns_construct(m2, TRACE2))
     assert sizes == [2]
     s3 = s3_algebra()
@@ -708,8 +709,8 @@ def test_errors_keep_their_messages(call, zero):
         call(z2, [0, 0])
 
 
-def gram_eigensolves(monkeypatch, run):
-    """Run ``run()`` and count, per Gram matrix built, the eigensolves of it."""
+def gram_eigensolves(monkeypatch, run, full_only: bool = False):
+    """Run ``run()`` and count, per Gram matrix built, the eigensolves of it (``record_eigensolves``)."""
     import starrep.duality
 
     grams, solved = [], []
@@ -720,7 +721,7 @@ def gram_eigensolves(monkeypatch, run):
         return grams[-1]
 
     monkeypatch.setattr(starrep.duality, "gram_matrix", recorded_gram)
-    record_eigensolves(monkeypatch, lambda m: solved.append(np.array(m)))
+    record_eigensolves(monkeypatch, lambda m: solved.append(np.array(m)), full_only)
     run()
     return [sum(m.shape == g.shape and np.array_equal(m, g) for m in solved) for g in grams]
 
@@ -797,9 +798,14 @@ def test_decompose_reassembles_within_match_tol():
 
 
 def test_is_extremal_eigendecomposes_the_gram_matrix_once(monkeypatch):
-    assert gram_eigensolves(monkeypatch, lambda: is_extremal(z2_algebra(), [1, 0])) == [1]
-    assert gram_eigensolves(
-        monkeypatch, lambda: is_extremal(build_matrix_algebra(2), [1.0, 0, 0, 0])) == [1]
+    # the trace's Gram kernel, built by a value-only solve, is eigendecomposed
+    # once, for the block data's regular representation
+    for full_only, solves in ((True, 1), (False, 2)):
+        assert gram_eigensolves(
+            monkeypatch, lambda: is_extremal(z2_algebra(), [1, 0]), full_only) == [solves]
+        assert gram_eigensolves(
+            monkeypatch, lambda: is_extremal(build_matrix_algebra(2), [1.0, 0, 0, 0]),
+            full_only) == [solves]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -36,7 +36,13 @@ from starrep.errors import (
     ZeroKernel,
 )
 
-from conftest import count_eigensolves, infimum_norm_oracle, random_psd, random_unitary
+from conftest import (
+    count_eigensolves,
+    infimum_norm_oracle,
+    random_psd,
+    random_unitary,
+    record_eigensolves,
+)
 
 IDENTITY2 = np.eye(2)
 ONES2 = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -74,7 +80,7 @@ def test_overflowing_sum_is_a_typed_error():
 
 def test_mutually_excluding_rejects_a_sum_that_is_not_psd():
     # as make_kernel would; only a Kernel built by hand can give such a sum
-    negative = Kernel(-IDENTITY2, -np.ones(2), np.eye(2, dtype=complex), 0)
+    negative = Kernel(-IDENTITY2, -1.0, 0)
     with pytest.raises(NegativeEigenvalue, match="must be PSD"):
         mutually_excluding(negative, negative)
 
@@ -415,17 +421,17 @@ def split_family(seed: int, n: int, scale: float = 1.0) -> dict:
 
 
 @pytest.mark.parametrize(
-    "operation,solves",
+    "operation,solves,full",
     [
-        (lambda f: make_kernel(f["ab"].matrix), 1),
-        (lambda f: membership(f["a"], f["phi_in"]), 0),
-        (lambda f: membership(f["a"], f["phi_off"]), 0),
-        (lambda f: kernel_scale(2.5, f["a"]), 0),
-        (lambda f: min_dominating_scale(f["a"], f["ac"]), 1),
-        (lambda f: min_dominating_scale(f["a"], f["b"]), 0),
-        (lambda f: kernel_difference(f["ab"], f["a"]), 1),
-        (lambda f: ordinary_subrep_check(f["a"], f["ab"]), 1),
-        (lambda f: ordinary_subrep_check(f["a"], f["ac"]), 1),
+        (lambda f: make_kernel(f["ab"].matrix), 1, 0),
+        (lambda f: membership(f["a"], f["phi_in"]), 1, 1),
+        (lambda f: membership(f["a"], f["phi_off"]), 1, 1),
+        (lambda f: kernel_scale(2.5, f["a"]), 0, 0),
+        (lambda f: min_dominating_scale(f["a"], f["ac"]), 3, 2),
+        (lambda f: min_dominating_scale(f["a"], f["b"]), 2, 2),
+        (lambda f: kernel_difference(f["ab"], f["a"]), 1, 0),
+        (lambda f: ordinary_subrep_check(f["a"], f["ab"]), 1, 0),
+        (lambda f: ordinary_subrep_check(f["a"], f["ac"]), 1, 0),
     ],
     ids=[
         "make_kernel", "membership_in", "membership_off", "kernel_scale",
@@ -433,12 +439,16 @@ def split_family(seed: int, n: int, scale: float = 1.0) -> dict:
         "ordinary_subrep_check", "ordinary_subrep_check_false",
     ],
 )
-def test_eigensolves_per_operation(monkeypatch, operation, solves):
-    # the operands' spectra are cached, so an operation eigensolves only
-    # the matrices it makes
+def test_eigensolves_per_operation(monkeypatch, operation, solves, full):
+    # an operation solves the matrices it makes for their values alone; the
+    # readers of an operand's vectors make its one full eigensolve on first
+    # read, so a second run makes only the value-only solves
     family = split_family(seed=47, n=6)
+    full_sizes = []
+    record_eigensolves(monkeypatch, full_sizes.append, full_only=True)
     result, sizes = count_eigensolves(monkeypatch, lambda: operation(family))
-    assert len(sizes) == solves
+    assert (len(sizes), len(full_sizes)) == (solves, full)
+    assert len(count_eigensolves(monkeypatch, lambda: operation(family))[1]) == solves - full
     if isinstance(result, Kernel):
         assert_spectrum(result)
 

@@ -388,7 +388,7 @@ def test_hermitization_is_the_plain_mean(size):
     a = a * (size / np.abs(a).max())
     h = numerics._require_square_hermitian(a, TolerancePolicy())
     assert h.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
-    assert hermitian_eigen(a).matrix.tobytes() == h.tobytes()
+    assert numerics.hermitized_eigvals(a)[0].tobytes() == h.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from starrep.numerics import relative_gap
 
 from conftest import (
     change_basis,
+    gaussian_basis,
     random_positive_functional,
     random_unitary,
     s3_algebra,
@@ -49,13 +50,6 @@ EPS = np.finfo(float).eps
 # the kept and the full report of one representation differ by the
 # roundoff of the wider products of the full check
 ULPS = 8
-
-
-def gaussian_basis(rng, n: int, cond: float = 10.0) -> np.ndarray:
-    """A complex Gaussian matrix with its singular values spaced geometrically from cond to 1."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    u, _, vh = np.linalg.svd(g)
-    return (u * np.geomspace(cond, 1.0, n)) @ vh
 
 
 @functools.cache

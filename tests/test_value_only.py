@@ -14,13 +14,13 @@ from starrep import (
     hermitian_eigvals,
     is_extremal,
     is_positive,
-    kernel_difference,
     kernel_leq,
     make_kernel,
     mutually_excluding,
     ordinary_subrep_check,
 )
-from starrep.errors import NotDominated
+from starrep.errors import NegativeEigenvalue
+from starrep.numerics import psd_rank
 
 from conftest import change_basis, random_unitary
 
@@ -42,28 +42,47 @@ def sparse_state(rng, unitaries) -> np.ndarray:
     return np.concatenate(values)
 
 
+def full_verdict(m, scale=None) -> tuple[bool, int | None]:
+    """``psd_rank``'s PSD verdict and rank of m, read off ``hermitian_eigen``; no rank if not PSD."""
+    is_psd, rank = psd_rank(hermitian_eigen(m)[0], scale=scale)
+    return is_psd, rank if is_psd else None
+
+
+def make_kernel_verdict(m) -> tuple[bool, int | None]:
+    """``make_kernel``'s PSD verdict and rank of m, from its value-only solve."""
+    try:
+        return True, make_kernel(m).rank
+    except NegativeEigenvalue:
+        return False, None
+
+
+def cone_matrices(algebra, states) -> list[np.ndarray]:
+    """The Gram matrices of the states, and the sum and difference of each pair of them."""
+    grams = [gram_matrix(algebra, rho) for rho in states]
+    return grams + [g for g1 in grams for g2 in grams for g in (g1 + g2, g2 - g1)]
+
+
 def full_spectrum_verdicts(algebra, states) -> dict:
-    """Each decision read off ``hermitian_eigen`` (inside the vector-using operations)."""
-    kernels = [functional_to_kernel(algebra, rho) for rho in states]
-    pairs = [(k1, k2) for k1 in kernels for k2 in kernels]
+    """Each decision read off ``hermitian_eigen`` (inside the block-reading operations)."""
+    mats = [functional_to_kernel(algebra, rho).matrix for rho in states]
+    ranks = [full_verdict(m)[1] for m in mats]
+    pairs = [(i, j) for i in range(len(mats)) for j in range(len(mats))]
 
-    def dominated(k1, k2):
-        try:
-            kernel_difference(k2, k1)
-        except NotDominated:
-            return False
-        return True
+    def dominated(i, j):
+        top = max(hermitian_eigen(mats[i])[0][0], hermitian_eigen(mats[j])[0][0], 0.0)
+        return full_verdict(mats[j] - mats[i], top)[0]
 
-    def summand(k1, k2):
-        return dominated(k1, k2) and k1.rank + kernel_difference(k2, k1).rank == k2.rank
+    def summand(i, j):
+        return dominated(i, j) and ranks[i] + full_verdict(mats[j] - mats[i])[1] == ranks[j]
 
     return {
         "rank": [gns_construct(algebra, rho).rep_dim for rho in states],
         "extremal": [len(decompose(algebra, rho).components) == 1 for rho in states],
-        "leq": [dominated(k1, k2) for k1, k2 in pairs],
-        "excluding": [k1.rank + k2.rank == make_kernel(k1.matrix + k2.matrix).rank
-                      for k1, k2 in pairs],
-        "subrep": [summand(k1, k2) for k1, k2 in pairs],
+        "leq": [dominated(i, j) for i, j in pairs],
+        "excluding": [ranks[i] + ranks[j] == full_verdict(mats[i] + mats[j])[1]
+                      for i, j in pairs],
+        "subrep": [summand(i, j) for i, j in pairs],
+        "make_kernel": [full_verdict(m) for m in cone_matrices(algebra, states)],
     }
 
 
@@ -78,6 +97,7 @@ def value_only_verdicts(algebra, states) -> dict:
         "leq": [kernel_leq(k1, k2) for k1, k2 in pairs],
         "excluding": [mutually_excluding(k1, k2) for k1, k2 in pairs],
         "subrep": [ordinary_subrep_check(k1, k2) for k1, k2 in pairs],
+        "make_kernel": [make_kernel_verdict(m) for m in cone_matrices(algebra, states)],
     }
 
 

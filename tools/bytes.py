@@ -12,11 +12,12 @@ directory, so both trees read the same inputs.  It covers every verb on
 every entity of every fixture it applies to (``decompose`` at seeds 0, 1
 and 7), ``--output text``, a tolerance override, and the error paths:
 unknown entities, entities on the wrong algebra, bad and non-finite
-arguments, a ``chain --max-steps`` of 1, 0 and -3, and broken workspace
-files (written to a temporary directory).  Those include arrays with ragged
-rows, a string entry, a short pair, no entries, the integer 2**70 (which
-loads), 10**400 and NaN, and sections and fields of the wrong JSON type:
-sections that are arrays or strings, an ``algebra`` or ``source`` reference
+arguments, a negative and a zero ``--tol-match``, a ``chain --max-steps``
+of 1, 0 and -3, and broken workspace files (written to a temporary
+directory).  Those include arrays with ragged rows, a string entry, a
+short pair, no entries, the integer 2**70 (which loads), 10**400 and NaN,
+and sections and fields of the wrong JSON type: sections that are arrays
+or strings, an ``algebra`` or ``source`` reference
 that is an array, and ``labels`` that are a number or a string.  The commands
 that name a kernel also run on copies of ``m2.json`` whose kernels are
 scaled by 1e-12 and by 1e9, and the commands that name a functional on
@@ -407,6 +408,7 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         z2 + ["pullback", "missing", "k_t1"],
         m2 + ["gns", "m2", "trace", "--tol-match", "-1"],
         z2 + ["--tol-match", "-1", "validate", "z2"],
+        m2 + ["--tol-match", "0", "gns", "m2", "trace"],
         z2 + ["validate", "z2", "--tol-rank=-1e-3"],
         z2 + ["weighted-sum", "x", "k_t1"],
         z2 + ["weighted-sum", "1", "k_t1", "1"],
