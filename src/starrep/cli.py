@@ -342,7 +342,9 @@ def _policy(args: argparse.Namespace) -> TolerancePolicy:
 
     ``--tol-match`` must be positive: a law check passes below its
     tolerance (``ValidationReport.passed``), so at 0 not even an exact
-    algebra would load.
+    algebra would load.  ``--tol-rank`` must be positive too: a rank cutoff
+    of 0 has no margin, so a roundoff eigenvalue counts toward a rank and
+    a kernel is not dominated by any multiple of itself.
     """
     try:
         pol = TolerancePolicy(
@@ -350,8 +352,9 @@ def _policy(args: argparse.Namespace) -> TolerancePolicy:
         )
     except ValueError as exc:
         raise BadArgument(str(exc)) from exc
-    if pol.match_tol == 0:
-        raise BadArgument(f"--tol-match must be positive, got {args.tol_match}")
+    for flag, value in (("--tol-match", args.tol_match), ("--tol-rank", args.tol_rank)):
+        if value == 0:
+            raise BadArgument(f"{flag} must be positive, got {value}")
     return pol
 
 

@@ -25,7 +25,7 @@ from .errors import (
     PullbackInvarianceFailure,
     ShapeMismatch,
 )
-from .gns import GNSRepresentation, _represent, verify_star_rep
+from .gns import GNSRepresentation, gns_construct, verify_star_rep
 from .kernels import Kernel, _check_scale, kernel_leq, make_kernel
 from .numerics import (
     DEFAULT_POLICY,
@@ -220,14 +220,13 @@ def kernel_to_rep(
 ) -> GNSRepresentation:
     """The cyclic *-representation carried by an invariant kernel's subspace.
 
-    Read off the kernel's eigendecomposition (``gns._represent``), made on
-    the kernel's first read and kept, so its dimension is the rank the
-    kernel was made with.  On rho's kernel it is unitarily
-    equivalent to gns_construct(rho), which reads the algebra's blocks, when
-    the two ranks agree: the kernel's rank is cut on the Gram matrix's
-    spectrum, which a change of basis moves, and the blocks' is not.
+    It is ``gns_construct`` of the functional the kernel reproduces
+    (``kernel_to_functional``), so on rho's kernel it is gns_construct(rho).
+    Its dimension is sum_j k_j r_j, read off the algebra's blocks; near the
+    rank cutoff in a badly conditioned basis that can differ from
+    ``kernel.rank``, which is cut on the Gram matrix's spectrum.
     """
-    return _represent(algebra, kernel_to_functional(algebra, kernel, pol), kernel)
+    return gns_construct(algebra, kernel_to_functional(algebra, kernel, pol), pol)
 
 
 def rep_to_kernel(

@@ -56,20 +56,6 @@ def gram_matrix(algebra: FiniteStarAlgebra, functional) -> np.ndarray:
     return _finite_product(gram, "the Gram matrix overflows", r)
 
 
-def _gram_kernel(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy, caller: str) -> Kernel:
-    """The Gram matrix of rho as a kernel, or NotPositive naming ``caller``.
-
-    The Gram matrix of a positive functional is hermitian, PSD and finite
-    (NaN entries raise ValueError), so a failed ``make_kernel`` rules rho
-    out.  A Gram matrix that overflows raises NonFiniteScalar
-    (``gram_matrix``).
-    """
-    try:
-        return make_kernel(gram_matrix(algebra, rho), pol)
-    except (NotHermitian, NegativeEigenvalue, ValueError):
-        raise NotPositive(f"{caller} requires a positive functional") from None
-
-
 def functional_to_kernel(
     algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> Kernel:
@@ -78,14 +64,17 @@ def functional_to_kernel(
     This is the Gram matrix itself, read as an operator on dual coordinates;
     it satisfies the orientation identity rho(x) = <e | H x>.  One
     value-only eigensolve (``make_kernel``) decides hermiticity and
-    positivity and gives the rank; the eigenvectors that ``kernel_to_rep``
-    reads are made by the kernel's one full eigensolve, on their first
-    read.  The rank is ``psd_rank``'s cut on the Gram matrix's spectrum,
-    so near the cutoff it can depend on the basis and differ from the
-    dimension of ``gns_construct``, which reads the ranks of the algebra's
-    blocks.
+    positivity and gives the rank; a Gram matrix that is not hermitian, not
+    PSD or has NaN entries raises NotPositive, and one that overflows
+    raises NonFiniteScalar (``gram_matrix``).  The rank is ``psd_rank``'s
+    cut on the Gram matrix's spectrum, so near the cutoff it can depend on
+    the basis and differ from the dimension of ``gns_construct``, which
+    reads the ranks of the algebra's blocks.
     """
-    return _gram_kernel(algebra, functional, pol, "functional_to_kernel")
+    try:
+        return make_kernel(gram_matrix(algebra, functional), pol)
+    except (NotHermitian, NegativeEigenvalue, ValueError):
+        raise NotPositive("functional_to_kernel requires a positive functional") from None
 
 
 def is_positive(

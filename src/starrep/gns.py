@@ -10,10 +10,12 @@ and adjoint laws are those of the blocks, checked once as the blocks are
 built, and its verification report is kept as it is made.  Commutants,
 irreducibility, extremality, equivalence and the splitting into
 irreducible pieces are read in closed form off the block data too.  An
-algebra with no block data (NotSemisimple) gets the representation on the
-range of the functional's Gram form, the quotient of the algebra by the
-form's null space, rescaled so that the representation space carries the
-standard inner product on C^d.
+algebra with no block data (NotSemisimple, or blocks the policy cannot
+resolve) gets the representation on the range of the functional's Gram
+form, the quotient of the algebra by the form's null space, rescaled so
+that the representation space carries the standard inner product on C^d:
+one eigensolve of the Gram matrix (``_gram_represent``, which also gives
+the block build its regular representation).
 
 Inner products are written antilinear in the first argument throughout:
 ``(a, b) = sum_k conj(a_k) b_k``.  The defining reproduction identity is
@@ -41,7 +43,6 @@ from .errors import (
     NotSemisimple,
     ZeroFunctional,
 )
-from .kernels import Kernel
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -148,11 +149,13 @@ def gns_construct(
     empty representation (d = 0).  The verification report under ``pol``
     is kept on the representation as it is built (``_kept_report``).
 
-    An algebra with no block data gets the representation on the range of
-    rho's Gram matrix instead (``_gram_represent``), which
-    ``verify_star_rep`` checks in full: one that is not semisimple, or
-    whose blocks ``pol`` cannot resolve (NoConvergence, as at match_tol = 0
-    or a match_tol that merges the eigenspaces of a generic element).
+    This is the one builder of a representation from a functional, and
+    ``correspondence.kernel_to_rep`` calls it too.  Only an algebra with no
+    block data gets the representation on the range of rho's Gram matrix
+    instead (``_gram_represent``), which ``verify_star_rep`` checks in
+    full: one that is not semisimple, or whose blocks ``pol`` cannot
+    resolve (NoConvergence, as at match_tol = 0 or a match_tol that merges
+    the eigenspaces of a generic element).
     """
     try:
         data = block_data(algebra, pol)
@@ -201,24 +204,26 @@ def _kept_report(data: BlockData, ranks: list[int], reproduced: np.ndarray, rho:
 
 def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy,
                     caller: str) -> GNSRepresentation:
-    """The representation on the range of rho's Gram matrix, or NotPositive naming ``caller``."""
-    rho = np.asarray(rho, dtype=complex)
-    return _represent(algebra, rho, duality._gram_kernel(algebra, rho, pol, caller))
+    """The cyclic representation of rho on the range of its Gram matrix G.
 
-
-def _represent(algebra: FiniteStarAlgebra, rho: np.ndarray, kernel: Kernel) -> GNSRepresentation:
-    """The cyclic representation of rho on the range of its kernel.
-
-    The kernel's ``rank`` leading eigenpairs U diag(w) U^dagger give the quotient
-    map ``Q = diag(sqrt(w)) U^dagger`` and ``pi(e_i) = Q L_i U diag(1/sqrt(w))``.
-    Both come from the kernel's one full eigensolve, made on its first read
-    of ``vectors`` and kept, so a second representation of the same kernel
-    makes none.
+    One canonical eigensolve of G (``hermitian_eigen``) decides positivity
+    and gives the rank r (``psd_rank``) and the r leading eigenpairs
+    U diag(w) U^dagger, which give the quotient map Q = diag(sqrt(w)) U^dagger
+    and pi(e_i) = Q L_i U diag(1/sqrt(w)).  NotPositive, naming ``caller``,
+    is raised when G is not hermitian, not PSD or has NaN entries; a Gram
+    matrix that overflows raises NonFiniteScalar (``duality.gram_matrix``).
     """
-    u_r = kernel.vectors[:, : kernel.rank]
-    sqrt_w = np.sqrt(kernel.values[: kernel.rank])
-    q = sqrt_w[:, None] * u_r.conj().T  # (d, n)
-    right = u_r * (1.0 / sqrt_w)[None, :]  # (n, d)
+    rho = np.asarray(rho, dtype=complex)
+    try:
+        values, vectors = hermitian_eigen(duality.gram_matrix(algebra, rho), pol)
+        is_psd, rank = psd_rank(values, pol)
+    except (NotHermitian, ValueError):  # a ValueError for NaN entries
+        is_psd = False
+    if not is_psd:
+        raise NotPositive(f"{caller} requires a positive functional")
+    sqrt_w = np.sqrt(values[:rank])
+    q = sqrt_w[:, None] * vectors[:, :rank].conj().T  # (d, n)
+    right = vectors[:, :rank] * (1.0 / sqrt_w)[None, :]  # (n, d)
     return GNSRepresentation(
         algebra=algebra,
         matrices=q @ algebra.basis_left_mult() @ right,
@@ -431,15 +436,14 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     n = algebra.dim
     tau = np.asarray(np.trace(algebra.structure_constants, axis1=1, axis2=2), dtype=complex)
     try:
-        gram = duality._gram_kernel(algebra, tau, pol, "block_data")
+        regular = _gram_represent(algebra, tau, pol, "block_data")
     except NotPositive:
         raise NotSemisimple("the trace x -> tr L_x is not positive") from None
-    if gram.rank < n:
+    if regular.rep_dim < n:
         raise NotSemisimple(
             f"the trace x -> tr L_x is degenerate: its Gram form has rank "
-            f"{gram.rank} < {n}"
+            f"{regular.rep_dim} < {n}"
         )
-    regular = _represent(algebra, tau, gram)
     q, xi = regular.embedding, regular.cyclic_vector
     # q has orthogonal rows, so its inverse is its adjoint over their squared norms
     q_inv = q.conj().T / np.sum(np.abs(q) ** 2, axis=1)

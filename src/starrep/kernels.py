@@ -8,18 +8,20 @@ order, difference, exclusion, chains, weighted sums) all reduce to matrix
 arithmetic on the reproducing operators.  Every kernel, given or made by
 an operation (a sum, a difference, a chain's terms), is built by one
 value-only eigensolve (``hermitized_eigvals``), which decides hermiticity
-and the PSD verdict and gives the rank and the top eigenvalue; a verdict
-(the order, exclusion, the direct-summand test, the least dominating
-scale) likewise reads eigenvalues alone.  A kernel's eigenvectors are made
-by the full canonical eigensolve (``hermitian_eigen``) on their first read
-and kept, so each kernel is eigendecomposed at most once, and only when
-membership, the least dominating scale or a representation reads it.
+and the PSD verdict and gives the rank and the top eigenvalue; a positive
+multiple scales its kernel's top eigenvalue and keeps its rank, with no
+solve.  A verdict (the order, exclusion, the direct-summand test, the
+least dominating scale) likewise reads eigenvalues alone.  Every kernel's
+eigenvectors are made one way, by the full canonical eigensolve of its
+matrix (``hermitian_eigen``) on their first read, and kept, so each
+kernel is eigendecomposed at most once, and only when membership or the
+least dominating scale reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -81,16 +83,14 @@ class Kernel:
     eigendecomposition of ``matrix`` (``hermitian_eigen``: descending
     values, fixed phases and tie order), made on first read and kept, so
     that ``vectors[:, :rank]`` spans the subspace; a reader that pairs
-    vectors with values takes both from there.  A multiple lam * parent
-    (``kernel_scale``, which sets ``scaled_from``) reads lam times its
-    parent's values and the parent's vectors instead.  Build kernels with
+    vectors with values takes both from there.  Every kernel, a multiple
+    (``kernel_scale``) too, gets them that one way.  Build kernels with
     ``make_kernel``.  All arrays are read-only.
     """
 
     matrix: np.ndarray
     top: float
     rank: int
-    scaled_from: tuple[float, Kernel] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
@@ -102,13 +102,8 @@ class Kernel:
     @cached_property
     def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """``(values, vectors)``, made on first read and kept."""
-        if self.scaled_from is None:  # hermitian already, so any policy takes it
-            values, vectors = hermitian_eigen(self.matrix)
-        else:
-            lam, parent = self.scaled_from
-            values = _overflow_checked(lambda: lam * parent.values,
-                                       f"scaling by {lam} overflows the kernel")
-            vectors = parent.vectors
+        # the matrix is hermitian already, so any policy takes it
+        values, vectors = hermitian_eigen(self.matrix)
         for array in (values, vectors):
             array.setflags(write=False)
         return values, vectors
@@ -213,17 +208,16 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
     """Scale by a nonnegative real; member norms scale by 1/lam, 0 gives {0}.
 
     A positive finite lam scales the top eigenvalue and keeps the rank,
-    with no eigensolve; the result's eigendecomposition is lam times the
-    kernel's values and its vectors, read when first needed.
-    NonFiniteScalar is raised when the scaled entries or top eigenvalue
-    overflow.
+    with no eigensolve; the result's eigenvectors are made on their first
+    read, as any kernel's are.  NonFiniteScalar is raised when the scaled
+    entries or top eigenvalue overflow.
     """
     _check_scale(lam)
     if lam == 0:  # the zero kernel
         return make_kernel(lam * kernel.matrix, pol)
     matrix, top = _overflow_checked(lambda: (lam * kernel.matrix, lam * np.float64(kernel.top)),
                                     f"scaling by {lam} overflows the kernel")
-    return Kernel(matrix, float(top), kernel.rank, scaled_from=(lam, kernel))
+    return Kernel(matrix, float(top), kernel.rank)
 
 
 def kernel_leq(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -7,7 +7,9 @@ import itertools
 import numpy as np
 
 from starrep import (
+    DEFAULT_POLICY,
     FiniteStarAlgebra,
+    GNSRepresentation,
     build_group_algebra,
     build_matrix_algebra,
     direct_sum_algebra,
@@ -15,6 +17,8 @@ from starrep import (
     hermitian_eigen,
     is_positive,
 )
+from starrep.errors import NotHermitian, NotPositive
+from starrep.numerics import psd_rank
 
 
 def cyclic_group_table(k: int) -> list[list[int]]:
@@ -152,6 +156,41 @@ def change_basis(algebra, s: np.ndarray) -> FiniteStarAlgebra:
 
 # The value-only solvers; ``hermitian_eigen`` is the full one.
 VALUE_ONLY_SOLVERS = ("hermitian_eigvals", "hermitized_eigvals")
+
+
+def conjugated_copy(rep, u):
+    """The same representation written in a rotated orthonormal basis.
+
+    Built here, outside the package, so ``verify_star_rep`` gives it the
+    full check rather than a report kept as it was built.
+    """
+    return GNSRepresentation(
+        algebra=rep.algebra,
+        matrices=np.einsum("ab,ibc,cd->iad", u, rep.matrices, u.conj().T),
+        cyclic_vector=u @ rep.cyclic_vector,
+        source_functional=rep.source_functional,
+        embedding=u @ rep.embedding,
+    )
+
+
+def gram_represent_oracle(algebra, functional, pol=DEFAULT_POLICY):
+    """The representation on the range of rho's Gram matrix, by its own eigensolve.
+
+    Returns the matrices, the cyclic vector and the embedding.
+    """
+    rho = np.asarray(functional, dtype=complex)
+    try:
+        values, vectors = hermitian_eigen(gram_matrix(algebra, rho), pol)
+    except (NotHermitian, ValueError):
+        raise NotPositive("gns_construct requires a positive functional") from None
+    positive, d = psd_rank(values, pol)
+    if not positive:
+        raise NotPositive("gns_construct requires a positive functional")
+    u_r = vectors[:, :d]
+    sqrt_w = np.sqrt(values[:d])
+    q = sqrt_w[:, None] * u_r.conj().T
+    right = u_r * (1.0 / sqrt_w)[None, :] if d else u_r
+    return q @ algebra.basis_left_mult() @ right, q @ algebra.unit, q
 
 
 def record_eigensolves(monkeypatch, record, full_only: bool = False) -> None:

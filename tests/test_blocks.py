@@ -38,6 +38,7 @@ from starrep.workspace import parse_workspace
 from conftest import (
     _blocks,
     change_basis,
+    gram_represent_oracle,
     random_algebra,
     random_positive_functional,
     random_unitary,
@@ -140,8 +141,8 @@ def test_a_failed_build_is_kept(monkeypatch):
 def test_a_policy_that_cannot_resolve_the_blocks_keeps_the_gram_path(name, match_tol):
     # at match_tol = 0 the blocks cannot pass their own check, and at 0.5
     # the eigenspaces of the generic element merge: block_data raises
-    # NoConvergence, and gns_construct and verify_star_rep fall back to the
-    # Gram path and the orbit over the basis
+    # NoConvergence, and gns_construct (kernel_to_rep through it) and
+    # verify_star_rep fall back to the Gram form and the orbit over the basis
     a = {"M2": lambda: build_matrix_algebra(2), "M3": lambda: build_matrix_algebra(3),
          "S3": s3_algebra}[name]()
     pol = TolerancePolicy(match_tol=match_tol)
@@ -149,10 +150,13 @@ def test_a_policy_that_cannot_resolve_the_blocks_keeps_the_gram_path(name, match
     with pytest.raises(NoConvergence):
         block_data(a, pol)
     rep = gns_construct(a, rho, pol)
-    gram = kernel_to_rep(a, functional_to_kernel(a, rho, pol))
-    assert np.array_equal(rep.matrices, gram.matrices)
-    assert np.array_equal(rep.cyclic_vector, gram.cyclic_vector)
-    for r in (rep, gram, gns_construct(a, rho)):
+    mats, xi, q = gram_represent_oracle(a, rho, pol)
+    assert rep.matrices.tobytes() == mats.tobytes()
+    assert rep.cyclic_vector.tobytes() == xi.tobytes()
+    assert rep.embedding.tobytes() == q.tobytes()
+    from_kernel = kernel_to_rep(a, functional_to_kernel(a, rho, pol), pol)
+    assert np.array_equal(from_kernel.matrices, rep.matrices)
+    for r in (rep, from_kernel, gns_construct(a, rho)):
         report = verify_star_rep(r, pol)
         assert report.tolerance == match_tol
         assert report.violations["cyclicity"] == 0.0

@@ -246,6 +246,18 @@ def test_cli_rejects_a_tolerance_that_no_law_check_can_pass(flag):
         "BadArgument", f"--tol-match must be positive, got {float(flag)}")
 
 
+@pytest.mark.parametrize("flag", ["0", "-0.0"])
+def test_cli_rejects_a_rank_cutoff_with_no_margin(capsys, flag):
+    # at a cutoff of 0 roundoff eigenvalues count toward the rank, and
+    # min-scale found no scale at which k_t1 dominates itself; the library's
+    # TolerancePolicy(rel_rank_tol=0) is kept
+    code, report = run_in_process(capsys, "--tol-rank", flag, "min-scale", "k_t1", "k_t1",
+                                  workspace=FIXTURES / "z2.json")
+    assert code == 2
+    assert (report["error"], report["detail"]) == (
+        "BadArgument", f"--tol-rank must be positive, got {float(flag)}")
+
+
 @pytest.mark.parametrize(
     "cmd,detail",
     [

@@ -1,10 +1,14 @@
 """Tests for the functional <-> kernel <-> representation conversions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from starrep import (
+    DEFAULT_POLICY,
     StarHomomorphism,
+    TolerancePolicy,
     build_matrix_algebra,
     cone_morphism_audit,
     evaluate,
@@ -138,12 +142,26 @@ def test_triple_round_trip_random():
 
 
 def test_kernel_round_trip_through_representation():
+    # random states on random algebras, and states tr(D .) on M_3 with D of
+    # eigenvalues (1, 0.5, 0) in random frames at a rank cutoff of 0, which
+    # has no margin: a roundoff eigenvalue falls on either side of it.  The
+    # representation is finite and made with no RuntimeWarning.
     rng = np.random.default_rng(53)
+    cases = []
     for _ in range(20):
         a, _ = random_algebra(rng)
-        rho = random_positive_functional(a, rng)
-        k = functional_to_kernel(a, rho)
-        back = rep_to_kernel(kernel_to_rep(a, k))
+        cases.append((a, random_positive_functional(a, rng), DEFAULT_POLICY))
+    m3, zero_cutoff = build_matrix_algebra(3), TolerancePolicy(rel_rank_tol=0.0)
+    for seed in range(20):
+        w = random_unitary(np.random.default_rng(seed), 3)
+        cases.append((m3, ((w * [1.0, 0.5, 0.0]) @ w.conj().T).T.ravel(), zero_cutoff))
+    for a, rho, pol in cases:
+        k = functional_to_kernel(a, rho, pol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = kernel_to_rep(a, k, pol)
+        assert np.isfinite(rep.matrices).all() and np.isfinite(rep.cyclic_vector).all()
+        back = rep_to_kernel(rep, pol)
         assert np.max(np.abs(back.matrix - k.matrix)) < 1e-8
 
 
@@ -287,19 +305,25 @@ def test_functional_to_kernel_eigendecomposes_the_gram_matrix_once(monkeypatch):
     assert count_eigensolves(monkeypatch, lambda: kernel.vectors)[1] == []
 
 
-def test_kernel_to_rep_reads_the_kernels_spectrum(monkeypatch):
-    # the first representation makes the kernel's one full eigensolve,
-    # which the kernel keeps, so a second makes none
+def test_kernel_to_rep_is_gns_construct_of_the_kernels_functional(monkeypatch):
+    # the first representation builds the block data (the trace's Gram
+    # matrix and a generic element, 9 x 9 each) and solves the one 3 x 3
+    # density; the kernel's own eigensystem is never made
     m3 = build_matrix_algebra(3)
     rho = random_positive_functional(m3, np.random.default_rng(55))
     kernel = functional_to_kernel(m3, rho)
     rep, sizes = count_eigensolves(monkeypatch, lambda: kernel_to_rep(m3, kernel))
-    assert sizes == [9]
+    assert sizes == [9, 9, 3]
+    assert "_eigen" not in vars(kernel)
     assert rep.rep_dim == kernel.rank
+    assert ("verify_star_rep", DEFAULT_POLICY) in rep.derived
     assert verify_star_rep(rep).passed
     again, sizes = count_eigensolves(monkeypatch, lambda: kernel_to_rep(m3, kernel))
-    assert sizes == []
-    assert np.array_equal(again.matrices, rep.matrices)
+    assert sizes == [3]
+    built = gns_construct(m3, kernel_to_functional(m3, kernel))
+    for other in (again, built):
+        assert np.array_equal(other.matrices, rep.matrices)
+        assert np.array_equal(other.cyclic_vector, rep.cyclic_vector)
 
 
 def test_cone_morphism_audit_makes_four_eigensolves(monkeypatch):

@@ -15,8 +15,6 @@ from starrep import (
     direct_sum_algebra,
     functional_to_kernel,
     gns_construct,
-    gram_matrix,
-    hermitian_eigen,
     intertwiner,
     is_extremal,
     is_irreducible,
@@ -26,14 +24,16 @@ from starrep import (
     rep_to_kernel,
     verify_star_rep,
 )
-from starrep.errors import NotEquivalent, NotHermitian, NotPositive, ZeroFunctional
-from starrep.numerics import psd_rank
+from starrep.errors import NotEquivalent, NotPositive, ZeroFunctional
+from starrep.gns import _gram_represent
 
 from conftest import (
     change_basis,
+    conjugated_copy,
     count_eigensolves,
     count_law_checks,
     cyclic_group_table,
+    gram_represent_oracle,
     random_algebra,
     random_positive_functional,
     random_unitary,
@@ -45,17 +45,6 @@ from conftest import (
 )
 
 TRACE2 = np.array([1.0, 0, 0, 1.0])
-
-
-def conjugated_copy(rep, u):
-    """The same representation written in a rotated orthonormal basis."""
-    return GNSRepresentation(
-        algebra=rep.algebra,
-        matrices=np.einsum("ab,ibc,cd->iad", u, rep.matrices, u.conj().T),
-        cyclic_vector=u @ rep.cyclic_vector,
-        source_functional=rep.source_functional,
-        embedding=u @ rep.embedding,
-    )
 
 
 def test_gns_scalar_algebra():
@@ -95,14 +84,13 @@ def test_gns_requires_hermitian_gram():
 
 
 def test_gns_eigendecomposes_each_density_once(monkeypatch):
-    # once the algebra's block data is built (the trace's Gram matrix, by a
-    # value-only solve for its rank and a full one for the regular
-    # representation, and a generic element, n x n each), each block's
-    # density is eigendecomposed once, k_j x k_j, and no Gram matrix is
+    # once the algebra's block data is built (the trace's Gram matrix and a
+    # generic element, n x n each), each block's density is eigendecomposed
+    # once, k_j x k_j, and no Gram matrix is
     m2 = build_matrix_algebra(2)
     rep, sizes = count_eigensolves(monkeypatch, lambda: gns_construct(m2, TRACE2))
     assert rep.rep_dim == 4
-    assert sizes == [4, 4, 4, 2]
+    assert sizes == [4, 4, 2]
     rep, sizes = count_eigensolves(monkeypatch, lambda: gns_construct(m2, TRACE2))
     assert sizes == [2]
     s3 = s3_algebra()
@@ -110,26 +98,6 @@ def test_gns_eigendecomposes_each_density_once(monkeypatch):
     rep, sizes = count_eigensolves(monkeypatch, lambda: gns_construct(s3, np.eye(6)[0]))
     assert rep.rep_dim == 6
     assert sorted(sizes) == [1, 1, 2]
-
-
-def gns_construct_oracle(algebra, functional, pol=DEFAULT_POLICY):
-    """``gns_construct`` as it was before it read the functional's kernel: its own eigensolve.
-
-    Returns the matrices, the cyclic vector and the embedding.
-    """
-    rho = np.asarray(functional, dtype=complex)
-    try:
-        values, vectors = hermitian_eigen(gram_matrix(algebra, rho), pol)
-    except (NotHermitian, ValueError):
-        raise NotPositive("gns_construct requires a positive functional") from None
-    positive, d = psd_rank(values, pol)
-    if not positive:
-        raise NotPositive("gns_construct requires a positive functional")
-    u_r = vectors[:, :d]
-    sqrt_w = np.sqrt(values[:d])
-    q = sqrt_w[:, None] * u_r.conj().T
-    right = u_r * (1.0 / sqrt_w)[None, :] if d else u_r
-    return q @ algebra.basis_left_mult() @ right, q @ algebra.unit, q
 
 
 ORACLE_ALGEBRAS = {
@@ -169,13 +137,14 @@ def weighted_components(algebra, rho):
 @pytest.mark.parametrize("scrambled", [False, True], ids=["units", "scrambled"])
 @pytest.mark.parametrize("name", list(ORACLE_ALGEBRAS))
 def test_representations_match_the_own_eigensolve_oracle(name, scrambled, scale):
-    # kernel_to_rep reads the kernel's spectrum, which is the oracle's
+    # The Gram form of the fallback (gns._gram_represent) is the oracle's
     # eigensolve of the same Gram matrix, so the two agree bit for bit.
     # gns_construct reads the block data: it is the sum of decompose's
     # components weighted by sqrt(weight), and unitarily equivalent to the
-    # oracle.  The states: the unit's coordinates (the trace: a Gram matrix
-    # I, one tie cluster), a random one, a vector state of it
-    # (rank-deficient), and zero.
+    # oracle; kernel_to_rep of rho's kernel is gns_construct of the
+    # functional the kernel reproduces.  The states: the unit's coordinates
+    # (the trace: a Gram matrix I, one tie cluster), a random one, a vector
+    # state of it (rank-deficient), and zero.
     rng = np.random.default_rng([list(ORACLE_ALGEBRAS).index(name), scrambled])
     algebra = ORACLE_ALGEBRAS[name]()
     n = algebra.dim
@@ -188,9 +157,9 @@ def test_representations_match_the_own_eigensolve_oracle(name, scrambled, scale)
         states = [s.T @ rho for rho in states]
     for rho in states:
         rho = scale * rho
-        mats, xi, q = gns_construct_oracle(algebra, rho)
+        mats, xi, q = gram_represent_oracle(algebra, rho)
         oracle = GNSRepresentation(algebra, mats, xi, rho, q)
-        rep = kernel_to_rep(algebra, functional_to_kernel(algebra, rho))
+        rep = _gram_represent(algebra, rho, DEFAULT_POLICY, "gns_construct")
         assert rep.matrices.tobytes() == mats.tobytes()
         assert rep.cyclic_vector.tobytes() == xi.tobytes()
         assert rep.embedding.tobytes() == q.tobytes()
@@ -198,6 +167,9 @@ def test_representations_match_the_own_eigensolve_oracle(name, scrambled, scale)
 
         built = gns_construct(algebra, rho)
         assert verify_star_rep(built).passed
+        from_kernel = kernel_to_rep(algebra, functional_to_kernel(algebra, rho))
+        assert from_kernel.rep_dim == built.rep_dim
+        assert verify_star_rep(from_kernel).passed
         summed_mats, summed_xi = weighted_components(algebra, rho)
         assert np.array_equal(built.matrices, summed_mats)
         assert np.array_equal(built.cyclic_vector, summed_xi)
@@ -260,7 +232,7 @@ def test_a_representation_is_verified_once_per_policy(monkeypatch):
     rep_to_kernel(rep, looser)
     assert checks == [2, 2, 4]  # the blocks under the looser policy, then rep
 
-    outside = kernel_to_rep(m2, functional_to_kernel(m2, TRACE2))
+    outside = conjugated_copy(rep, random_unitary(np.random.default_rng(3), rep.rep_dim))
     report = verify_star_rep(outside)
     rep_to_kernel(outside)
     assert verify_star_rep(outside, TolerancePolicy()) is report
@@ -709,7 +681,7 @@ def test_errors_keep_their_messages(call, zero):
         call(z2, [0, 0])
 
 
-def gram_eigensolves(monkeypatch, run, full_only: bool = False):
+def gram_eigensolves(monkeypatch, run):
     """Run ``run()`` and count, per Gram matrix built, the eigensolves of it (``record_eigensolves``)."""
     import starrep.duality
 
@@ -721,7 +693,7 @@ def gram_eigensolves(monkeypatch, run, full_only: bool = False):
         return grams[-1]
 
     monkeypatch.setattr(starrep.duality, "gram_matrix", recorded_gram)
-    record_eigensolves(monkeypatch, lambda m: solved.append(np.array(m)), full_only)
+    record_eigensolves(monkeypatch, lambda m: solved.append(np.array(m)))
     run()
     return [sum(m.shape == g.shape and np.array_equal(m, g) for m in solved) for g in grams]
 
@@ -798,14 +770,9 @@ def test_decompose_reassembles_within_match_tol():
 
 
 def test_is_extremal_eigendecomposes_the_gram_matrix_once(monkeypatch):
-    # the trace's Gram kernel, built by a value-only solve, is eigendecomposed
-    # once, for the block data's regular representation
-    for full_only, solves in ((True, 1), (False, 2)):
-        assert gram_eigensolves(
-            monkeypatch, lambda: is_extremal(z2_algebra(), [1, 0]), full_only) == [solves]
-        assert gram_eigensolves(
-            monkeypatch, lambda: is_extremal(build_matrix_algebra(2), [1.0, 0, 0, 0]),
-            full_only) == [solves]
+    assert gram_eigensolves(monkeypatch, lambda: is_extremal(z2_algebra(), [1, 0])) == [1]
+    assert gram_eigensolves(
+        monkeypatch, lambda: is_extremal(build_matrix_algebra(2), [1.0, 0, 0, 0])) == [1]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -140,13 +140,15 @@ def test_kernel_scale():
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteScalar):
             kernel_scale(bad, k)
-    # a positive factor scales the cached eigenvalues; the matrix is the
-    # one make_kernel would build
+    # a positive factor scales the top eigenvalue and keeps the rank; the
+    # matrix is the one make_kernel would build, and its eigensystem is its
+    # own, made on first read
     k = split_family(seed=50, n=6)["ac"]
     scaled = kernel_scale(3.0, k)
-    assert scaled.vectors is k.vectors and scaled.rank == k.rank
-    assert np.array_equal(scaled.values, 3.0 * k.values)
+    assert scaled.rank == k.rank and scaled.top == 3.0 * k.top
     assert np.array_equal(scaled.matrix, make_kernel(3.0 * k.matrix).matrix)
+    assert scaled.vectors is not k.vectors
+    assert np.abs(scaled.values - 3.0 * k.values).max() <= 8 * np.finfo(float).eps * scaled.top
 
 
 @pytest.mark.parametrize("size", [1e300, 1e308])

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from starrep import (
+    DEFAULT_POLICY,
     FiniteStarAlgebra,
     GNSRepresentation,
     StarHomomorphism,
@@ -28,7 +29,6 @@ from starrep import (
     gns_construct,
     gram_matrix,
     is_star_invariant,
-    kernel_to_rep,
     make_kernel,
     numerics,
     pullback,
@@ -38,10 +38,11 @@ from starrep import (
 )
 from starrep.correspondence import _invariance_residual
 from starrep.errors import PullbackInvarianceFailure
-from starrep.gns import _law_violations
+from starrep.gns import _gram_represent, _law_violations
 
 from conftest import (
     change_basis,
+    conjugated_copy,
     random_algebra,
     random_positive_functional,
     random_psd,
@@ -441,11 +442,12 @@ def real_noise(rng, shape, scale=0.1):
 @pytest.mark.parametrize("name", REAL_ALGEBRAS)
 def test_real_representations_match_the_oracle(budget, name):
     # the trace state in the matrix-unit and group bases has a real Gram
-    # matrix, so the representation on its range is real and checked in
-    # real arithmetic; real noise keeps it real and makes every law fail
+    # matrix, so the representation on its range (the Gram form, which no
+    # report is kept for) is real and checked in real arithmetic; real
+    # noise keeps it real and makes every law fail
     rng = np.random.default_rng(600)
     a = REAL_ALGEBRAS[name]()
-    rep = kernel_to_rep(a, functional_to_kernel(a, trace_state(a)))
+    rep = _gram_represent(a, trace_state(a), DEFAULT_POLICY, "gns_construct")
     assert rep.rep_dim == a.dim and not np.any(rep.matrices.imag)
     assert_matches(verify_star_rep(rep), rep_oracle(rep))
     bad = GNSRepresentation(a, rep.matrices + real_noise(rng, rep.matrices.shape),
@@ -536,10 +538,12 @@ def traced_peak_mb(check) -> tuple[object, float]:
 
 def test_law_checks_at_n64_in_cubic_memory():
     # M_8, n = 64: the old einsums built n^4 and n^2 d^2 temporaries
-    # (927 MB and 640 MB); the blocked checks stay near n^3.  The
-    # representation on the kernel's range gets the full check.
+    # (927 MB and 640 MB); the blocked checks stay near n^3.  A
+    # representation given from outside (gns_construct's, in a rotated
+    # basis) gets the full check.
     m8 = build_matrix_algebra(8)
-    rep = kernel_to_rep(m8, functional_to_kernel(m8, m8.unit / 8))
+    built = gns_construct(m8, m8.unit / 8)
+    rep = conjugated_copy(built, random_unitary(np.random.default_rng(64), built.rep_dim))
     assert rep.rep_dim == 64
     for check in (lambda: validate_algebra(m8), lambda: verify_star_rep(rep)):
         report, peak = traced_peak_mb(check)

@@ -10,7 +10,10 @@ Gram matrix's spectrum by congruence, so a rank cut on it depends on the
 basis; the densities D_j of the block data do not.  Every case must give
 a representation of dimension sum_j k_j r_j = m^2, whose kept report (the
 one ``gns_construct`` leaves for ``verify_star_rep``) passes and agrees
-with the full check to a few ulps, and whose kernel gives back rho.
+with the full check to a few ulps, and whose kernel gives back rho.  The
+representation of rho's kernel (``kernel_to_rep``) must have the same
+dimension and pass ``verify_star_rep`` too, whatever rank the kernel's
+spectrum was cut at.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from starrep import (
     build_matrix_algebra,
     decompose,
     direct_sum_algebra,
+    functional_to_kernel,
     gns_construct,
     kernel_to_functional,
+    kernel_to_rep,
     rep_to_kernel,
     verify_star_rep,
 )
@@ -96,6 +101,10 @@ def test_nearly_singular_states_keep_their_dimension(m, basis, eps):
         assert_kept_matches_full(rep)
         back = kernel_to_functional(algebra, rep_to_kernel(rep))
         assert relative_gap(back, rho) < 1e-12
+        from_kernel = kernel_to_rep(algebra, functional_to_kernel(algebra, rho))
+        assert from_kernel.rep_dim == k * m
+        report = verify_star_rep(from_kernel)
+        assert report.passed, dict(report.violations)
 
 
 ALGEBRAS = {

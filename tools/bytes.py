@@ -12,7 +12,8 @@ directory, so both trees read the same inputs.  It covers every verb on
 every entity of every fixture it applies to (``decompose`` at seeds 0, 1
 and 7), ``--output text``, a tolerance override, and the error paths:
 unknown entities, entities on the wrong algebra, bad and non-finite
-arguments, a negative and a zero ``--tol-match``, a ``chain --max-steps``
+arguments, a negative and a zero ``--tol-match``, a zero ``--tol-rank``
+on ``min-scale``, a ``chain --max-steps``
 of 1, 0 and -3, and broken workspace files (written to a temporary
 directory).  Those include arrays with ragged rows, a string entry, a
 short pair, no entries, the integer 2**70 (which loads), 10**400 and NaN,
@@ -44,6 +45,12 @@ number 10, with the state tr(D·), D of eigenvalues 1 and 1e-8, runs ``gns``,
 ``roundtrip``, ``decompose`` and ``kernel``: there a rank cut on the Gram
 matrix's spectrum and one on the block densities can disagree.
 
+Two inputs take the Gram form of a representation, which algebras without
+block data keep: a workspace of the dual numbers C[eps]/eps^2, which are not
+semisimple, runs ``gns``, ``roundtrip``, ``kernel`` and ``decompose`` (the
+last exits 3), and ``m2.json`` under ``--tol-match 0.5``, where the blocks
+of M_2 do not resolve, runs ``gns`` and ``roundtrip``.
+
 The fixtures stop at n = 9, so an M_4 workspace (n = 16) is written there
 too, with the trace, a faithful state with a complex density and a vector
 state, and their Gram matrices as kernels.  Their Gram matrices have tied
@@ -73,6 +80,7 @@ SCRAMBLE_SEED = 2007
 M4_VERBS = ("validate", "gns", "kernel", "functional", "roundtrip", "decompose", "equiv", "audit")
 PROBE_VERBS = ("gns", "roundtrip", "decompose", "kernel")
 PROBE_EPS, PROBE_COND = 1e-8, 10.0
+FALLBACK_VERBS = ("gns", "roundtrip", "kernel", "decompose")
 WORKERS = 2
 
 
@@ -207,6 +215,29 @@ def probe_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     path = scratch / "m2_probe.json"
     path.write_text(json.dumps(rebased_m2(doc, basis)), encoding="utf-8")
     return [["-w", str(path), verb, "m2", "probe"] for verb in PROBE_VERBS]
+
+
+def fallback_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """The representation verbs where ``gns_construct`` falls back to the Gram form.
+
+    The dual numbers C[eps]/eps^2 with eps^* = eps have no block data
+    (NotSemisimple): ``FALLBACK_VERBS`` run on the state rho = (1, 0).  On
+    ``m2.json`` at ``--tol-match 0.5`` the eigenspaces of a generic element
+    merge (NoConvergence): ``gns`` and ``roundtrip`` run on the trace.
+    """
+    c = np.zeros((2, 2, 2), dtype=complex)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    doc = {"algebras": {"dual": {
+        "structure_constants": _encode(c),
+        "involution": _encode(np.eye(2, dtype=complex)),
+        "unit": _encode(np.array([1.0, 0.0], dtype=complex)),
+    }}, "functionals": {"rho": {"algebra": "dual",
+                                "values": _encode(np.array([1.0, 0.0], dtype=complex))}}}
+    path = scratch / "dual.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    loose = ["-w", str(fixtures / "m2.json"), "--tol-match", "0.5"]
+    return ([["-w", str(path), verb, "dual", "rho"] for verb in FALLBACK_VERBS]
+            + [loose + [verb, "m2", "trace"] for verb in ("gns", "roundtrip")])
 
 
 def m4_commands(scratch: Path) -> list[list[str]]:
@@ -409,6 +440,7 @@ def variant_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         m2 + ["gns", "m2", "trace", "--tol-match", "-1"],
         z2 + ["--tol-match", "-1", "validate", "z2"],
         m2 + ["--tol-match", "0", "gns", "m2", "trace"],
+        z2 + ["--tol-rank", "0", "min-scale", "k_t1", "k_t1"],
         z2 + ["validate", "z2", "--tol-rank=-1e-3"],
         z2 + ["weighted-sum", "x", "k_t1"],
         z2 + ["weighted-sum", "1", "k_t1", "1"],
@@ -468,7 +500,8 @@ def main(argv=None) -> int:
                 + scaled_commands(scrambled, scratch, "functionals", "values",
                                   SCRAMBLED_SCALES)
                 + probe_commands(fixtures, scratch)
-                + m4_commands(scratch))
+                + m4_commands(scratch)
+                + fallback_commands(fixtures, scratch))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
