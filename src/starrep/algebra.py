@@ -111,6 +111,53 @@ def _real_copies(algebra: FiniteStarAlgebra) -> tuple[np.ndarray, np.ndarray, np
     return algebra.derived["real copies"]
 
 
+def _product_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(v, t) with e_i e_j = v[i, j] e_t[i, j], for real single-term c; else None.
+
+    A product that is 0 has v = 0 and t = 0.
+    """
+    if np.iscomplexobj(c):
+        return None
+    nonzero = c != 0
+    if nonzero.sum(axis=2).max() > 1:
+        return None
+    t = nonzero.argmax(axis=2)
+    v = np.take_along_axis(c, t[:, :, None], axis=2)[:, :, 0]
+    return v, t
+
+
+def _associativity_from_table(v: np.ndarray, t: np.ndarray) -> float:
+    """max |(e_i e_j) e_k - e_i (e_j e_k)| over (i, j, k) from a single-term table.
+
+    (e_i e_j) e_k = L e_t[t_ij, k] with L = v[i, j] v[t_ij, k], and
+    e_i (e_j e_k) = R e_t[i, t_jk] with R = v[j, k] v[i, t_jk]: their
+    difference is |L - R| when the two indices agree, else max(|L|, |R|).
+    Every array is laid out as [i, j, k].
+    """
+    left = v[t]
+    left *= v[:, :, None]
+    right = np.take(v, t, axis=1)
+    right *= v
+    agree = t[t] == np.take(t, t, axis=1)
+    np.subtract(left, right, out=left, where=agree)
+    np.copyto(right, 0.0, where=agree)
+    return float(np.maximum(np.abs(left).max(), np.abs(right).max()))
+
+
+def _associativity_blocked(c: np.ndarray) -> float:
+    """max |(e_i e_j) e_k - e_i (e_j e_k)| coordinatewise, a block of i at a time."""
+    n = c.shape[0]
+    c_rows = c.reshape(n, n * n)  # [i, (j, l)]
+    c_pairs = c.reshape(n * n, n)  # [(i, j), l]
+    # both sides laid out as [i, j, k, l]
+    assoc = 0.0
+    for blk in index_blocks(n, n ** 3):
+        left = c[blk].reshape(-1, n) @ c_rows
+        right = np.matmul(c_pairs, c[blk])
+        assoc = np.maximum(assoc, _maxabs(left.reshape(right.shape) - right))
+    return float(assoc)
+
+
 def validate_algebra(
     algebra: FiniteStarAlgebra, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> ValidationReport:
@@ -119,25 +166,31 @@ def validate_algebra(
     Four laws are examined: associativity of the product, the two-sided unit
     law, the involution squaring to the identity, and antimultiplicativity
     of the involution.  Each violation is the exact maximum over all index
-    tuples.  Associativity, the n^4 law, is checked a block of the first
-    index at a time (``index_blocks``) as two BLAS matmuls per block, so it
-    costs O(n^5) work in O(n^3) memory.  The other laws are matmuls on n^3
-    entries at most.  Real structure constants, involutions and units
-    (group algebras, matrix units) are multiplied as real arrays, a quarter
-    of the work of complex ones; the real copies are kept on the algebra
+    tuples.  Real structure constants, involutions and units (group
+    algebras, matrix units) are multiplied as real arrays, a quarter of the
+    work of complex ones; the real copies are kept on the algebra
     (``_real_copies``).
+
+    Associativity, the n^4 law, is checked in one of two forms.  When the
+    structure constants are real and single-term, each product e_i e_j a
+    multiple v[i, j] of one basis element e_t[i, j] (matrix units, group
+    elements and their direct sums), it is read off that table in O(n^3)
+    (``_associativity_from_table``).  Otherwise it is checked a block of the
+    first index at a time (``index_blocks``) as two BLAS matmuls per block,
+    O(n^5) work in O(n^3) memory (``_associativity_blocked``).  Both give the
+    same number to the last bit on real single-term constants: each entry
+    of the matmuls is then one rounded product plus exact zeros.  Complex
+    single-term constants keep the blocked form, since a complex matmul
+    rounds its products differently from numpy's.  The other laws are
+    matmuls on n^3 entries at most.
     """
     c, s, e = _real_copies(algebra)
     n = algebra.dim
     c_rows = c.reshape(n, n * n)  # [i, (j, l)]
     c_pairs = c.reshape(n * n, n)  # [(i, j), l]
 
-    # (e_i e_j) e_k against e_i (e_j e_k), both laid out as [i, j, k, l]
-    assoc = 0.0
-    for blk in index_blocks(n, n ** 3):
-        left = c[blk].reshape(-1, n) @ c_rows
-        right = np.matmul(c_pairs, c[blk])
-        assoc = np.maximum(assoc, _maxabs(left.reshape(right.shape) - right))
+    table = _product_table(c)
+    assoc = _associativity_blocked(c) if table is None else _associativity_from_table(*table)
 
     eye = np.eye(n)
     unit_left = (e @ c_rows).reshape(n, n)

@@ -168,8 +168,11 @@ def gns_construct(
     parts, start = [], 0
     for stack, (values, vectors), r in zip(data.blocks, spectra, ranks):
         if r:
-            block = slice(start, start + stack.shape[1] * r)
-            mats[:, block, block] = np.kron(stack, np.eye(r))
+            k = stack.shape[1]
+            block = slice(start, start + k * r)
+            # x_j (x) I_r, laid out as [i, (a, p), (b, q)]
+            mats[:, block, block] = (stack[:, :, None, :, None]
+                                     * np.eye(r)[:, None, :]).reshape(n, k * r, k * r)
             parts.append((vectors[:, :r] * np.sqrt(values[:r])).ravel())
             start = block.stop
     xi = np.concatenate(parts) if parts else np.zeros(0, dtype=complex)

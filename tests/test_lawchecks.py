@@ -11,6 +11,11 @@ its earlier blocked complex form, which rebuilt the dual action on every
 call.  Real representations, homomorphisms and kernels are multiplied as
 real arrays, so each check also runs on real inputs: the trace state on
 M_3 and S_3, an embedding of matrix units and a real kernel.
+
+Real single-term structure constants, each product e_i e_j a multiple of
+one basis element, have their associativity read off a product table
+instead of the blocked matmuls; on them the report must equal the oracle's
+exactly, and the overflowing products must give the blocked form's verdict.
 """
 
 import tracemalloc
@@ -23,6 +28,8 @@ from starrep import (
     FiniteStarAlgebra,
     GNSRepresentation,
     StarHomomorphism,
+    algebra,
+    build_group_algebra,
     build_matrix_algebra,
     direct_sum_algebra,
     functional_to_kernel,
@@ -36,6 +43,7 @@ from starrep import (
     validate_star_homomorphism,
     verify_star_rep,
 )
+from starrep.algebra import _associativity_blocked, _product_table, _real_copies
 from starrep.correspondence import _invariance_residual
 from starrep.errors import PullbackInvarianceFailure
 from starrep.gns import _gram_represent, _law_violations
@@ -43,11 +51,13 @@ from starrep.gns import _gram_represent, _law_violations
 from conftest import (
     change_basis,
     conjugated_copy,
+    cyclic_group_table,
     random_algebra,
     random_positive_functional,
     random_psd,
     random_unitary,
     s3_algebra,
+    s4_algebra,
 )
 
 # A budget of 1 puts each index in its own block; 200 gives blocks of a few
@@ -344,20 +354,134 @@ def worst_index(per_index: np.ndarray) -> int:
     return int(worst[0])
 
 
-def test_planted_associativity_violation_in_last_slice(budget):
-    # a dyadic entry on the integer structure constants of S_3, so that every
-    # sum is exact and the blocked and unblocked forms agree to the last bit:
-    # e_5 e_0 = (1 + 1/4) e_5, with e_0 the identity
+def single_term(a: FiniteStarAlgebra) -> bool:
+    """Whether validate_algebra reads a's associativity off a product table."""
+    return _product_table(_real_copies(a)[0]) is not None
+
+
+# Dyadic entries planted in the integer structure constants of S_3, so that
+# every sum is exact and every form of the check agrees to the last bit.
+# e_0 is the identity and e_5 e_3 = e_2, e_5 e_1 = e_4.
+PLANTED = {
+    # e_5 e_0 = (1 + 1/4) e_5: still single-term
+    "dyadic": {(5, 0, 5): 1.25},
+    # e_5 e_3 = (5/4) e_5 instead of e_2: still single-term
+    "redirected": {(5, 3, 2): 0.0, (5, 3, 5): 1.25},
+    # e_5 e_1 = e_4 + (5/4) e_1: two terms, so the blocked form
+    "two-term": {(5, 1, 1): 1.25},
+}
+
+
+def planted_s3(plant: str) -> FiniteStarAlgebra:
     a = s3_algebra()
-    n = a.dim
     c = a.structure_constants.copy()
-    c[n - 1, 0, n - 1] += 0.25
-    bad = FiniteStarAlgebra(c, a.involution, a.unit)
+    for index, value in PLANTED[plant].items():
+        c[index] = value
+    return FiniteStarAlgebra(c, a.involution, a.unit)
+
+
+@pytest.mark.parametrize("plant", PLANTED)
+def test_planted_associativity_violation_in_last_slice(budget, plant):
+    bad = planted_s3(plant)
+    c, n = bad.structure_constants, bad.dim
+    assert single_term(bad) == (plant != "two-term")
     left = np.einsum("ijm,mkl->ijkl", c, c)
     right = np.einsum("jkm,iml->ijkl", c, c)
     per_i = np.abs(left - right).reshape(n, -1).max(axis=1)
     assert worst_index(per_i) == n - 1
-    assert validate_algebra(bad).violations["associativity"] == per_i[n - 1]
+    report = validate_algebra(bad)
+    assert report.violations["associativity"] == per_i[n - 1]
+    assert report.worst == "associativity"
+
+
+def phased(a: FiniteStarAlgebra, seed: int) -> FiniteStarAlgebra:
+    """a in the basis e'_i = phase_i e_i: still single-term, but complex."""
+    rng = np.random.default_rng(seed)
+    return change_basis(a, np.diag(np.exp(2j * np.pi * rng.random(a.dim))))
+
+
+SINGLE_TERM_ALGEBRAS = {
+    **{f"m{m}": (lambda m=m: build_matrix_algebra(m)) for m in range(1, 6)},
+    **{f"z{k}": (lambda k=k: build_group_algebra(cyclic_group_table(k))) for k in (2, 3, 5)},
+    "s3": s3_algebra,
+    "s4": s4_algebra,
+    "m2+s3": lambda: direct_sum_algebra(build_matrix_algebra(2), s3_algebra()),
+    "m3+z2": lambda: direct_sum_algebra(build_matrix_algebra(3),
+                                        build_group_algebra(cyclic_group_table(2))),
+    "m2 basis 2E": lambda: change_basis(build_matrix_algebra(2), 2.0 * np.eye(4)),
+    "m2 basis E/2": lambda: change_basis(build_matrix_algebra(2), 0.5 * np.eye(4)),
+}
+
+
+def raise_on_blocks(*args):
+    raise AssertionError("the blocked associativity loop ran")
+
+
+@pytest.mark.parametrize("name", SINGLE_TERM_ALGEBRAS)
+def test_single_term_algebras_take_the_table_and_equal_the_oracle(monkeypatch, name):
+    a = SINGLE_TERM_ALGEBRAS[name]()
+    monkeypatch.setattr(algebra, "index_blocks", raise_on_blocks)
+    assert validate_algebra(a).violations == algebra_oracle(a)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_single_term_tables_equal_the_oracle(seed):
+    # e_i e_j = v e_t with t random and v Gaussian or 0: far from
+    # associative, and each side of every triple is one rounded product, so
+    # the table, the blocked matmuls and the einsum oracle agree to the bit
+    rng = np.random.default_rng(800 + seed)
+    n = int(rng.integers(1, 10))
+    c = np.zeros((n, n, n))
+    targets = rng.integers(0, n, (n, n))
+    values = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.8)
+    np.put_along_axis(c, targets[:, :, None], values[:, :, None], axis=2)
+    a = FiniteStarAlgebra(c, np.eye(n), np.eye(n)[0])
+    assert single_term(a)
+    got = validate_algebra(a).violations["associativity"]
+    assert got == algebra_oracle(a)["associativity"] == _associativity_blocked(c)
+
+
+def test_m8_reports_zero_for_every_law():
+    report = validate_algebra(build_matrix_algebra(8))
+    assert set(report.violations.values()) == {0.0}
+
+
+BLOCKED_ALGEBRAS = {
+    "m3 scrambled": lambda: change_basis(build_matrix_algebra(3),
+                                         random_unitary(np.random.default_rng(700), 9)),
+    "m2 phased": lambda: phased(build_matrix_algebra(2), 701),
+    "s3 phased": lambda: phased(s3_algebra(), 702),
+    "s3 two-term": lambda: planted_s3("two-term"),
+}
+
+
+@pytest.mark.parametrize("name", BLOCKED_ALGEBRAS)
+def test_other_algebras_take_the_blocked_loop(monkeypatch, name):
+    # a random-phase basis keeps one term per product, but complex: a
+    # complex matmul rounds differently from numpy's products, so it keeps
+    # the blocked form and its bits
+    a = BLOCKED_ALGEBRAS[name]()
+    monkeypatch.setattr(algebra, "index_blocks", raise_on_blocks)
+    with pytest.raises(AssertionError, match="blocked associativity loop"):
+        validate_algebra(a)
+
+
+@pytest.mark.parametrize("rows", ["all", "last"])
+def test_overflowing_single_term_products_match_the_blocked_verdict(budget, rows):
+    # S_3 with its products scaled by 1e200, all of them or those of e_5:
+    # (e_i e_j) e_k overflows to inf, and inf - inf reads NaN when both
+    # sides overflow onto one basis element
+    a = s3_algebra()
+    c = a.structure_constants.copy()
+    c[slice(None) if rows == "all" else slice(5, None)] *= 1e200
+    bad = FiniteStarAlgebra(c, a.involution, a.unit)
+    assert single_term(bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = validate_algebra(bad)
+        want = _associativity_blocked(_real_copies(bad)[0])
+    assert np.isnan(want) if rows == "all" else want == np.inf
+    np.testing.assert_equal(got.violations["associativity"], want)
+    assert not got.passed
 
 
 def test_planted_multiplicativity_violation_in_last_slice(budget):

@@ -36,9 +36,19 @@ of ``m2.json`` with the functional 1e308·tr, in the matrix-unit and the
 scrambled basis, runs ``gns``, ``decompose`` and ``audit``, whose sum
 overflows; copies of ``m2.json`` in the bases 2·E_pq and E_pq/2, with
 functionals whose Gram matrix and whose densities overflow, run ``gns``,
-``kernel`` and ``decompose``; a copy of ``homs.json`` with a kernel 1e308 times
+``validate``, ``kernel`` and ``decompose``; a copy of ``homs.json`` with a kernel 1e308 times
 ``gram_trace`` runs ``pullback``, whose product overflows; and a copy of
 ``z2.json`` whose ``kernels`` section is misspelt ``kernals`` does not load.
+
+``validate`` reads associativity off a product table when each product of
+two basis elements is a real multiple of one basis element, and checks it
+with matmuls otherwise.  Besides the fixtures and the M_4 workspace, which
+take the table, a copy of ``m2.json`` in a seeded random-phase basis
+e'_i = phase_i e_i, whose products are single terms but complex, runs
+``validate``, ``gns``, ``kernel`` and ``roundtrip``; and two copies of
+``s3.json`` that do not load run ``validate``, their messages carrying the
+associativity violation: one with e_5 e_3 = (5/4) e_5 planted, still a
+single term, and one with e_5 e_1 = e_4 + (5/4) e_1, two terms.
 
 A copy of ``m2.json`` in a seeded complex Gaussian basis of condition
 number 10, with the state tr(D·), D of eigenvalues 1 and 1e-8, runs ``gns``,
@@ -81,6 +91,12 @@ M4_VERBS = ("validate", "gns", "kernel", "functional", "roundtrip", "decompose",
 PROBE_VERBS = ("gns", "roundtrip", "decompose", "kernel")
 PROBE_EPS, PROBE_COND = 1e-8, 10.0
 FALLBACK_VERBS = ("gns", "roundtrip", "kernel", "decompose")
+PHASE_VERBS = ("validate", "gns", "kernel", "roundtrip")
+# (the entries of s3.json's structure constants set, [index, value])
+S3_PLANTED = {
+    "redirected": [((5, 3, 2), 0.0), ((5, 3, 5), 1.25)],
+    "two_term": [((5, 1, 1), 1.25)],
+}
 WORKERS = 2
 
 
@@ -240,6 +256,31 @@ def fallback_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
             + [loose + [verb, "m2", "trace"] for verb in ("gns", "roundtrip")])
 
 
+def single_term_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """The associativity check on single-term products: complex ones and broken ones.
+
+    ``PHASE_VERBS`` on a copy of ``m2.json`` in the basis of a seeded
+    diagonal of random phases (``rebased_m2``), and ``validate`` on the
+    copies of ``s3.json`` with the entries of ``S3_PLANTED`` set.
+    """
+    rng = np.random.default_rng(SCRAMBLE_SEED)
+    phases = np.exp(2j * np.pi * rng.random(4))
+    doc = rebased_m2(json.loads((fixtures / "m2.json").read_text(encoding="utf-8")),
+                     np.diag(phases))
+    path = scratch / "m2_phased.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cmds = [cmd for cmd in fixture_commands([path]) if cmd[2] in PHASE_VERBS]
+    for name, entries in S3_PLANTED.items():
+        doc = json.loads((fixtures / "s3.json").read_text(encoding="utf-8"))
+        c = doc["algebras"]["s3"]["structure_constants"]
+        for (i, j, k), value in entries:
+            c[i][j][k] = [value, 0.0]
+        path = scratch / f"s3_{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        cmds.append(["-w", str(path), "validate", "s3"])
+    return cmds
+
+
 def m4_commands(scratch: Path) -> list[list[str]]:
     """The functional and kernel verbs on an M_4 workspace (n = 16), written with numpy.
 
@@ -396,6 +437,7 @@ def float_range_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
                                      "values": _encode(big * np.array([1.0, 0.0, 0.0, 1.0]))}
         path = scratch / f"m2_basis_{factor:g}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        cmds.append(["-w", str(path), "validate", "m2"])
         cmds += [["-w", str(path), verb, "m2", "big"] for verb in ("gns", "kernel", "decompose")]
     doc = json.loads((fixtures / "homs.json").read_text(encoding="utf-8"))
     kernels = doc["kernels"]
@@ -501,7 +543,8 @@ def main(argv=None) -> int:
                                   SCRAMBLED_SCALES)
                 + probe_commands(fixtures, scratch)
                 + m4_commands(scratch)
-                + fallback_commands(fixtures, scratch))
+                + fallback_commands(fixtures, scratch)
+                + single_term_commands(fixtures, scratch))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
