@@ -9,12 +9,20 @@ coordinates of the unit.  Elements are plain complex coordinate vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, NotAGroup, ShapeMismatch
-from .numerics import DEFAULT_POLICY, TolerancePolicy, ValidationReport, _maxabs, index_blocks
+from .errors import DimMismatch, NonFiniteScalar, NotAGroup, ShapeMismatch
+from .numerics import (
+    DEFAULT_POLICY,
+    TolerancePolicy,
+    ValidationReport,
+    _maxabs,
+    _overflow_checked,
+    index_blocks,
+)
 
 __all__ = [
     "FiniteStarAlgebra",
@@ -33,10 +41,10 @@ class FiniteStarAlgebra:
     labels: tuple[str, ...] | None = None
     # Data other modules derive from the algebra on first use and keep for
     # its lifetime, keyed by what they were derived with: the real copies
-    # the law checks multiply (``_real_copies``), the Wedderburn blocks of
-    # ``gns.block_data``, and the dual action stacks and max|c| of the
-    # invariance test (``correspondence._invariant``).  None of it is built
-    # with the algebra.
+    # the law checks multiply (``_real_copies``) and the Wedderburn blocks
+    # of ``gns.block_data``.  None of it is built with the algebra.  The
+    # invariance test keeps nothing here: it compares a kernel with the
+    # Gram matrix of its own functional (``correspondence._invariant``).
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,9 +106,9 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
 def _real_copies(algebra: FiniteStarAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The structure constants, involution and unit, each by ``_real_if_real``.
 
-    The law checks and the dual action multiply these.  They are made on
-    first use and kept on the algebra (``FiniteStarAlgebra.derived``), so
-    the imaginary parts are read once per algebra.
+    The law checks multiply these.  They are made on first use and kept on
+    the algebra (``FiniteStarAlgebra.derived``), so the imaginary parts are
+    read once per algebra.
     """
     if "real copies" not in algebra.derived:
         copies = tuple(_real_if_real(a) for a in
@@ -183,7 +191,23 @@ def validate_algebra(
     single-term constants keep the blocked form, since a complex matmul
     rounds its products differently from numpy's.  The other laws are
     matmuls on n^3 entries at most.
+
+    The algebra's data is finite, so a violation that is not finite comes
+    from a product or a difference past the float range.  The laws are
+    computed under numpy's overflow check (``_overflow_checked``), and
+    NonFiniteScalar is raised for such a value, never a report with an inf
+    or NaN in it.
     """
+    message = "the algebra's law checks overflow the float range"
+    with np.errstate(invalid="ignore"):  # inf - inf, after an overflow BLAS threads hide
+        violations = _overflow_checked(lambda: _axiom_violations(algebra), message)
+    if not all(map(math.isfinite, violations.values())):
+        raise NonFiniteScalar(message)
+    return ValidationReport(violations=violations, tolerance=pol.match_tol)
+
+
+def _axiom_violations(algebra: FiniteStarAlgebra) -> dict[str, float]:
+    """``validate_algebra``'s four violations, by name."""
     c, s, e = _real_copies(algebra)
     n = algebra.dim
     c_rows = c.reshape(n, n * n)  # [i, (j, l)]
@@ -206,15 +230,12 @@ def validate_algebra(
     rhs = s @ star_j
     antimult = _maxabs(lhs.reshape(rhs.shape) - rhs)
 
-    return ValidationReport(
-        violations={
-            "associativity": float(assoc),
-            "unit": float(unit_dev),
-            "involution_involutive": involutive,
-            "involution_antimultiplicative": antimult,
-        },
-        tolerance=pol.match_tol,
-    )
+    return {
+        "associativity": float(assoc),
+        "unit": float(unit_dev),
+        "involution_involutive": involutive,
+        "involution_antimultiplicative": antimult,
+    }
 
 
 def build_group_algebra(cayley, inverses=None, labels=None) -> FiniteStarAlgebra:

@@ -7,7 +7,14 @@ module identity ``pi(x) H y = H (x y)`` literal matrix statements.  This
 module houses the conversions between the three pictures, the invariance
 test that characterizes which kernels arise this way, and transport along
 *-homomorphisms.
-"""
+
+The invariance test reads the bijection backwards.  On a valid *-algebra a
+kernel H satisfies the module identity exactly when it is the Gram matrix
+of a functional, and that functional can only be the one H reproduces,
+r = conj(e) H.  So H is invariant when it matches ``gram_matrix(algebra,
+r)`` by the entrywise rule: O(n^3) work, and nothing kept on the algebra.
+The precondition holds for every algebra a workspace loads, since loading
+validates it."""
 
 from __future__ import annotations
 
@@ -34,7 +41,7 @@ from .numerics import (
     _finite_product,
     _maxabs,
     _overflow_checked,
-    _stack_times,
+    entrywise_gap,
     index_blocks,
     relative_gap,
     within_tol,
@@ -122,72 +129,19 @@ def validate_star_homomorphism(
     )
 
 
-def _dual_action(algebra: FiniteStarAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks pi(e_i) and L_{e_i}^T, each laid out flat as (n * n, n).
-
-    pi(e_i) = L_{e_i^*}^H is the dual regular action, and L_{e_i}^T is the
-    slice c[i] of the structure constants.  Both depend on the algebra
-    alone, so they are built on the first invariance test and kept on the
-    algebra (``FiniteStarAlgebra.derived``).  Group algebras and matrix
-    units give real stacks, 2 n^3 reals (4 MB at n = 64), and the L^T
-    stack is the kept real copy of the structure constants
-    (``_real_copies``).  In a complex basis both are complex.  pi is made
-    real only where c is, so a real pi is never paired with a complex L^T.
-    """
-    if "dual action" not in algebra.derived:
-        n = algebra.dim
-        c, s, _ = _real_copies(algebra)
-        c = c.reshape(n, n * n)
-        # pi(e_i)[a, b] = sum_j conj(S[i, j] c[j, a, b]), as L_{e_j}^T = c[j]
-        pi = s @ c
-        np.conjugate(pi, out=pi)
-        algebra.derived["dual action"] = (
-            (_real_if_real(pi) if np.isrealobj(c) else pi).reshape(n * n, n),
-            c.reshape(n * n, n),
-        )
-    return algebra.derived["dual action"]
-
-
-def _invariance_residual(algebra: FiniteStarAlgebra, matrix: np.ndarray) -> float:
-    """max over i of |pi(e_i) H - H L_{e_i}|, a block of i at a time.
-
-    pi(e_i), the dual regular action, is the adjoint of L_{e_i^*}.  Each
-    block is two flat matmuls on the kept stacks (``_dual_action``):
-    pi(e_i) H and (H L_{e_i})^T = L_{e_i}^T H^T.  A real H is multiplied
-    as a real array (``_real_if_real``): by a real stack in real
-    arithmetic, a quarter of the work of the complex product.  A real
-    stack multiplies the real and imaginary parts of a complex H as one
-    real matmul, half the work.
-    """
-    n = algebra.dim
-    pi, left_t = _dual_action(algebra)
-    h = _real_if_real(np.ascontiguousarray(matrix, dtype=complex))
-    h_t = np.ascontiguousarray(h.T)
-    residual = 0.0
-    for blk in index_blocks(n, n * n):
-        rows = slice(blk.start * n, blk.stop * n)
-        lhs = _stack_times(pi[rows], h).reshape(-1, n, n)
-        rhs_t = _stack_times(left_t[rows], h_t).reshape(-1, n, n)
-        lhs -= rhs_t.transpose(0, 2, 1)
-        residual = np.maximum(residual, np.max(np.abs(lhs)))
-    return float(residual)
-
-
 def _invariant(
     algebra: FiniteStarAlgebra, matrix: np.ndarray, pol: TolerancePolicy
-) -> tuple[bool, float]:
-    """The entrywise rule on the module identity, and its residual.
+) -> tuple[bool, float, np.ndarray]:
+    """``is_star_invariant``'s verdict on H, its residual max|H - G| and r = conj(e) H.
 
-    Both products pi(e_i) H and H L_{e_i} pair entries of H with structure
-    constants, so the residual is measured against max|H| * max|c|, read
-    off the operands rather than the products; max|c| is kept on the
-    algebra (``FiniteStarAlgebra.derived``).
+    G is the Gram matrix of r.  A NaN in H gives a NaN residual, which fails.
     """
-    residual = _invariance_residual(algebra, matrix)
-    if "max|c|" not in algebra.derived:
-        algebra.derived["max|c|"] = float(np.abs(algebra.structure_constants).max())
-    size = float(np.abs(matrix).max()) * algebra.derived["max|c|"]
-    return bool(within_tol(residual, size, pol)), residual
+    if len(matrix) != algebra.dim:
+        raise DimMismatch(f"kernel dim {len(matrix)} vs algebra dim {algebra.dim}")
+    r = _finite_product(lambda: np.conj(algebra.unit) @ matrix,
+                        "the kernel's functional overflows", algebra.unit, matrix)
+    residual, size = entrywise_gap(matrix, gram_matrix(algebra, r))
+    return bool(within_tol(residual, size, pol)), residual, r
 
 
 def is_star_invariant(
@@ -195,24 +149,30 @@ def is_star_invariant(
 ) -> bool:
     """Whether the dual regular action restricts to the kernel's subspace.
 
-    Tested as the module identity pi(e_i) H = H L_{e_i} on every basis
-    element; by linearity this settles all of the algebra.  The residual is
-    measured by the entrywise rule (``within_tol``) against max|H| times
-    the largest structure constant, so a kernel and its positive multiples
-    get the same verdict.
+    On a valid *-algebra, as a loaded workspace always is, this holds
+    exactly when H is the Gram matrix of a functional, and the only
+    candidate is the functional H reproduces, r = conj(e) H: an invariant
+    H gives H[i, j] = <L_{e_i} e, H e_j> = r(e_i^* e_j), and every Gram
+    matrix is invariant.  So H is compared with the Gram matrix of r,
+    O(n^3) work, by the entrywise rule (``within_tol``) at the larger of
+    the two matrices' largest entries, and a kernel and its positive
+    multiples get the same verdict.  NonFiniteScalar is raised when r or
+    its Gram matrix overflows.
     """
-    if kernel.dim != algebra.dim:
-        raise DimMismatch(f"kernel dim {kernel.dim} vs algebra dim {algebra.dim}")
     return _invariant(algebra, kernel.matrix, pol)[0]
 
 
 def kernel_to_functional(
     algebra: FiniteStarAlgebra, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
-    """Functional r_j = <e | H e_j> recovered from an invariant kernel."""
-    if not is_star_invariant(algebra, kernel, pol):
+    """Functional r_j = <e | H e_j> recovered from an invariant kernel.
+
+    It is the r that ``is_star_invariant`` compares H with the Gram matrix of.
+    """
+    invariant, _, r = _invariant(algebra, kernel.matrix, pol)
+    if not invariant:
         raise NotStarInvariant("kernel is not invariant under the dual action")
-    return np.conj(algebra.unit) @ kernel.matrix
+    return r
 
 
 def kernel_to_rep(
@@ -252,9 +212,10 @@ def pullback(
     """Transport of an invariant kernel along a *-homomorphism.
 
     The pulled-back operator is ``alpha^dagger H alpha``; invariance on the
-    source algebra is re-verified numerically (a failure indicates the map
-    was not a valid *-homomorphism).  NonFiniteScalar is raised when the
-    product overflows.
+    source algebra is re-verified numerically, as ``is_star_invariant``
+    tests it (a failure indicates the map was not a valid
+    *-homomorphism).  NonFiniteScalar is raised when the product, its
+    functional or that functional's Gram matrix overflows.
     """
     if kernel.dim != hom.target.dim:
         raise DimMismatch(
@@ -264,7 +225,7 @@ def pullback(
         raise NotStarInvariant("input kernel is not invariant on the target algebra")
     pulled = _finite_product(lambda: hom.matrix.conj().T @ kernel.matrix @ hom.matrix,
                              "the pulled-back kernel overflows", hom.matrix, kernel.matrix)
-    invariant, residual = _invariant(hom.source, pulled, pol)
+    invariant, residual, _ = _invariant(hom.source, pulled, pol)
     if not invariant:
         raise PullbackInvarianceFailure(
             f"pulled-back kernel fails invariance by {residual:.3e}"

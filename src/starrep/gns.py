@@ -47,6 +47,8 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _eigh,
+    _eigvalsh,
     _finite_product,
     _hermitized,
     _maxabs,
@@ -54,7 +56,6 @@ from .numerics import (
     _stack_times,
     entrywise_gap,
     hermitian_eigen,
-    hermitian_eigvals,
     index_blocks,
     psd_check,
     psd_rank,
@@ -660,8 +661,9 @@ def _state_densities(
     is decided here with one scale for all blocks: the block-diagonal matrix
     of the D_j is checked and hermitized in one step, as an eigensolver's
     input is (``_require_square_hermitian``), and the D_j are its diagonal
-    blocks.  The second is decided by ``_state_ranks``.  NotPositive names
-    the calling function; NonFiniteScalar is raised for densities past the
+    blocks, each solved with no second check (``_eigh``, ``_eigvalsh``).
+    The second is decided by ``_state_ranks``.  NotPositive names the
+    calling function; NonFiniteScalar is raised for densities past the
     float range (``BlockData.densities``).
     """
     rho = algebra._check_element(functional, "functional")
@@ -712,7 +714,7 @@ def _state_spectra(
     with ``caller`` and ``zero``.
     """
     data, rho, densities = _state_densities(algebra, functional, pol, caller)
-    spectra = [hermitian_eigen(dens, pol) for dens in densities]
+    spectra = [_eigh(dens) for dens in densities]
     ranks = _state_ranks(rho, [values for values, _ in spectra], pol, caller, zero)
     return data, rho, spectra, ranks
 
@@ -726,7 +728,7 @@ def is_extremal(
     read off the eigenvalues of the D_j alone.
     """
     _, rho, densities = _state_densities(algebra, functional, pol, "is_extremal")
-    spectra = [hermitian_eigvals(dens, pol) for dens in densities]
+    spectra = [_eigvalsh(dens) for dens in densities]
     ranks = _state_ranks(rho, spectra, pol, "is_extremal", "the zero functional is not in scope")
     return sum(ranks) == 1
 

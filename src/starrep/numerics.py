@@ -31,7 +31,10 @@ back the hermitized matrix it solved, which the kernel keeps
 differ from one read from the full spectrum only for an eigenvalue within
 a few ulps of its cutoff.  Both
 solvers validate alike and raise ``NonFiniteScalar`` when an eigenvalue of
-a finite matrix lies beyond the float range.
+a finite matrix lies beyond the float range.  Their solves of an already
+validated, hermitized matrix are ``_eigh`` and ``_eigvalsh``, for a caller
+that has checked the matrix itself, as ``gns`` checks the block-diagonal
+matrix of a functional's densities once for all its blocks.
 
 Overflow is decided once too.  ``_overflow_checked`` runs a computation
 under numpy's overflow flag and turns the first overflow into
@@ -371,12 +374,7 @@ def hermitian_eigen(
     by their eigenvectors' rounded coordinates, so repeated calls are
     bit-identical for a given numpy build.
     """
-    a = _require_square_hermitian(m, pol)
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigh did not converge: {exc}") from exc
-    return _canonical_columns(_require_finite(values), vectors)
+    return _eigh(_require_square_hermitian(m, pol))
 
 
 def hermitian_eigvals(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -397,6 +395,15 @@ def hermitized_eigvals(
     """
     a = _require_square_hermitian(m, pol)
     return a, _eigvalsh(a)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_eigen``'s canonical eigensystem of a validated, hermitized matrix."""
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+    return _canonical_columns(_require_finite(values), vectors)
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:

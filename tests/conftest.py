@@ -154,8 +154,11 @@ def change_basis(algebra, s: np.ndarray) -> FiniteStarAlgebra:
     return FiniteStarAlgebra(c, s.conj().T @ algebra.involution @ s_inv.T, s_inv @ algebra.unit)
 
 
-# The value-only solvers; ``hermitian_eigen`` is the full one.
-VALUE_ONLY_SOLVERS = ("hermitian_eigvals", "hermitized_eigvals")
+# The full solvers and the value-only ones.  The private ``_eigh`` and
+# ``_eigvalsh`` solve a matrix already checked, as ``gns`` does each block
+# density; inside ``numerics`` they are the public solvers' last step.
+FULL_SOLVERS = ("hermitian_eigen", "_eigh")
+VALUE_ONLY_SOLVERS = ("hermitian_eigvals", "hermitized_eigvals", "_eigvalsh")
 
 
 def conjugated_copy(rep, u):
@@ -196,8 +199,9 @@ def gram_represent_oracle(algebra, functional, pol=DEFAULT_POLICY):
 def record_eigensolves(monkeypatch, record, full_only: bool = False) -> None:
     """Call ``record(m)`` on the matrix of every eigensolve, full or value-only.
 
-    Every solver is replaced in every module that calls it.  With
-    ``full_only`` only the full solves (``hermitian_eigen``) are recorded.
+    Every solver is replaced in every module that calls it, a private one
+    outside ``numerics``, so each solve is recorded once.  With
+    ``full_only`` only the full solves (``FULL_SOLVERS``) are recorded.
     """
     import starrep.gns
     import starrep.kernels
@@ -210,11 +214,11 @@ def record_eigensolves(monkeypatch, record, full_only: bool = False) -> None:
 
         return solve_recorded
 
-    solvers = ("hermitian_eigen",) if full_only else ("hermitian_eigen", *VALUE_ONLY_SOLVERS)
+    solvers = FULL_SOLVERS if full_only else (*FULL_SOLVERS, *VALUE_ONLY_SOLVERS)
     for name in solvers:
         wrapper = recorded(getattr(starrep.numerics, name))
         for module in (starrep.numerics, starrep.kernels, starrep.gns):
-            if hasattr(module, name):
+            if hasattr(module, name) and not (module is starrep.numerics and name[0] == "_"):
                 monkeypatch.setattr(module, name, wrapper)
 
 

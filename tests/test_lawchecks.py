@@ -1,16 +1,20 @@
-"""The blocked law checks against their unblocked einsum forms.
+"""The law checks against their unblocked einsum forms.
 
-``validate_algebra``, ``verify_star_rep``, ``validate_star_homomorphism``,
-the invariance residual behind ``is_star_invariant`` and ``gram_matrix``
+``validate_algebra``, ``verify_star_rep`` and ``validate_star_homomorphism``
 work a block of the first basis index at a time with BLAS matmuls.  The
 einsum forms they replaced are kept here as oracles: each check must report
 the same worst violation, on valid data, on perturbed data whose violations
 are far from zero, and with the block budget cut down so that every check
-runs over many blocks.  The invariance residual is also checked against
-its earlier blocked complex form, which rebuilt the dual action on every
-call.  Real representations, homomorphisms and kernels are multiplied as
-real arrays, so each check also runs on real inputs: the trace state on
-M_3 and S_3, an embedding of matrix units and a real kernel.
+runs over many blocks.  Real representations, homomorphisms and kernels
+are multiplied as real arrays, so each check also runs on real inputs: the
+trace state on M_3 and S_3, an embedding of matrix units and a real kernel.
+
+The invariance residual behind ``is_star_invariant`` is max|H - G|, G the
+Gram matrix of the functional r = conj(e) H that H reproduces; it must
+equal its einsum form to a few ulps.  Its verdict must equal that of the
+module identity pi(e_i) H = H L_{e_i}, the test it replaced, kept here as
+an independent oracle, in real, unitary and Gaussian bases and at scales
+from 1e-12 to 1e9.
 
 Real single-term structure constants, each product e_i e_j a multiple of
 one basis element, have their associativity read off a product table
@@ -36,22 +40,25 @@ from starrep import (
     gns_construct,
     gram_matrix,
     is_star_invariant,
+    kernel_to_functional,
     make_kernel,
     numerics,
     pullback,
+    rep_to_kernel,
     validate_algebra,
     validate_star_homomorphism,
     verify_star_rep,
 )
 from starrep.algebra import _associativity_blocked, _product_table, _real_copies
-from starrep.correspondence import _invariance_residual
-from starrep.errors import PullbackInvarianceFailure
+from starrep.correspondence import _invariant
+from starrep.errors import NonFiniteScalar, PullbackInvarianceFailure
 from starrep.gns import _gram_represent, _law_violations
 
 from conftest import (
     change_basis,
     conjugated_copy,
     cyclic_group_table,
+    gaussian_basis,
     random_algebra,
     random_positive_functional,
     random_psd,
@@ -126,6 +133,27 @@ def invariance_oracle(a: FiniteStarAlgebra, h: np.ndarray) -> float:
 
 def gram_oracle(a: FiniteStarAlgebra, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ip,pjk,k->ij", a.involution, a.structure_constants, rho)
+
+
+def invariance_residual(a: FiniteStarAlgebra, h: np.ndarray) -> float:
+    """The residual ``is_star_invariant`` decides on."""
+    return _invariant(a, h, DEFAULT_POLICY)[1]
+
+
+def gram_residual_oracle(a: FiniteStarAlgebra, h: np.ndarray) -> tuple[float, float, float]:
+    """max|H - G| by einsum, G the Gram matrix of r = conj(e) H, with two sizes.
+
+    The first is the size the entrywise rule reads, the larger of max|H|
+    and max|G|.  The second is the largest entry of |S| |c| (|e| |H|), the
+    sums of absolute terms that both forms round: they agree to a few ulps
+    of it.
+    """
+    r = np.einsum("i,ij->j", np.conj(a.unit), h)
+    g = gram_oracle(a, r)
+    terms = np.einsum("ip,pjk,k->ij", np.abs(a.involution), np.abs(a.structure_constants),
+                      np.abs(a.unit) @ np.abs(h))
+    size = max(np.abs(h).max(), np.abs(g).max())
+    return float(np.abs(h - g).max()), float(size), float(np.abs(terms).max())
 
 
 def assert_matches(report, oracle: dict) -> None:
@@ -233,17 +261,17 @@ def test_invariance_and_gram_match_oracles(budget, seed):
     )
 
     for h in (g, noise(rng, (a.dim, a.dim), scale=1.0)):
-        want = invariance_oracle(a, h)
-        np.testing.assert_allclose(_invariance_residual(a, h), want, rtol=1e-12, atol=1e-14)
+        assert_residual_matches_oracle(a, h)
     kernel = make_kernel((g + g.conj().T) / 2)
     assert is_star_invariant(a, kernel) == (invariance_oracle(a, kernel.matrix) < 1e-8)
     assert is_star_invariant(a, kernel)
 
 
 def invariance_residual_oracle(a: FiniteStarAlgebra, h: np.ndarray) -> float:
-    """The blocked complex form of ``_invariance_residual`` that the kept stacks replaced.
+    """max over i of |pi(e_i) H - H L_{e_i}|, the module identity, a block of i at a time.
 
-    It builds L_{e_i^*}^H from the structure constants on every call and
+    The residual of the invariance test the Gram comparison replaced: it
+    builds L_{e_i^*}^H from the structure constants on every call and
     multiplies in complex arithmetic.
     """
     n = a.dim
@@ -258,6 +286,12 @@ def invariance_residual_oracle(a: FiniteStarAlgebra, h: np.ndarray) -> float:
     return float(residual)
 
 
+def module_identity_verdict(a: FiniteStarAlgebra, h: np.ndarray) -> bool:
+    """The earlier verdict: the module identity's residual against max|H| * max|c|."""
+    size = float(np.abs(h).max()) * float(np.abs(a.structure_constants).max())
+    return bool(numerics.within_tol(invariance_residual_oracle(a, h), size))
+
+
 INVARIANCE_ALGEBRAS = {
     "m2": lambda: build_matrix_algebra(2),
     "m3": lambda: build_matrix_algebra(3),
@@ -267,37 +301,50 @@ INVARIANCE_ALGEBRAS = {
 
 
 def assert_residual_matches_oracle(a: FiniteStarAlgebra, h) -> tuple[float, float]:
-    """The residual against the oracle's, and the size the entrywise rule reads.
+    """The residual against the einsum oracle's, and the size the entrywise rule reads.
 
-    A residual far from zero agrees to a few ulps of itself; one made of
-    roundoff alone agrees to a few ulps of the size.
+    They agree to a few ulps of the sums' absolute terms
+    (``gram_residual_oracle``).
     """
-    got, want = _invariance_residual(a, h), invariance_residual_oracle(a, h)
-    size = float(np.abs(h).max()) * float(np.abs(a.structure_constants).max())
-    eps = np.finfo(float).eps
-    assert abs(got - want) <= 4 * eps * max(want, a.dim * size), (got, want, size)
+    got = invariance_residual(a, h)
+    want, size, terms = gram_residual_oracle(a, h)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * terms, (got, want, terms)
     return want, size
 
 
+# a basis change s of each kind: none, a random unitary, and a complex
+# Gaussian matrix of condition 10 or 100, the last the loosest for the
+# module identity's size max|H| * max|c|
+BASES = {
+    "real": None,
+    "unitary": random_unitary,
+    "gauss10": lambda rng, n: gaussian_basis(rng, n, 10.0),
+    "gauss100": lambda rng, n: gaussian_basis(rng, n, 100.0),
+}
+
+
 @pytest.mark.parametrize("name", INVARIANCE_ALGEBRAS)
-@pytest.mark.parametrize("scrambled", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
-def test_kept_dual_action_matches_the_complex_oracle(budget, name, scrambled, scale):
-    # matrix units and group elements give real stacks, a random unitary
-    # change of basis complex ones; each verdict is the oracle's
+def test_invariance_verdict_matches_the_module_identity(budget, name, basis, scale):
+    # matrix units and group elements give real structure constants, a
+    # change of basis complex ones; each verdict is the module identity's
     rng = np.random.default_rng(500)
     a = INVARIANCE_ALGEBRAS[name]()
     rho = random_positive_functional(a, rng)
-    if scrambled:
-        s = random_unitary(rng, a.dim)
+    if BASES[basis] is not None:
+        s = BASES[basis](rng, a.dim)
         a, rho = change_basis(a, s), s.T @ rho
     invariant = functional_to_kernel(a, scale * rho)
     wild = make_kernel(scale * random_psd(rng, a.dim))
     for kernel, expected in ((invariant, True), (wild, False)):
         want, size = assert_residual_matches_oracle(a, kernel.matrix)
         assert bool(numerics.within_tol(want, size)) == expected
+        assert module_identity_verdict(a, kernel.matrix) == expected
         assert is_star_invariant(a, kernel) == expected
-    assert all(np.iscomplexobj(stack) == scrambled for stack in a.derived["dual action"])
+    # the functional returned is the one checked, conj(e) H to the bit
+    assert np.array_equal(kernel_to_functional(a, invariant),
+                          np.conj(a.unit) @ invariant.matrix)
 
 
 def m2_in_m4() -> StarHomomorphism:
@@ -313,8 +360,9 @@ def m2_in_m4() -> StarHomomorphism:
 @pytest.mark.parametrize("scrambled", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
 def test_pullback_source_side_matches_the_complex_oracle(budget, scrambled, scale):
-    # the source side of pullback tests alpha^H H alpha on the source
-    # algebra's stacks; a map that is not a homomorphism breaks it
+    # the source side of pullback compares alpha^H H alpha with the Gram
+    # matrix of its functional on the source algebra; a map that is not a
+    # homomorphism breaks it, by the module identity too
     rng = np.random.default_rng(501)
     hom = m2_in_m4()
     if scrambled:  # the source M_2 in a random unitary basis: alpha becomes alpha s
@@ -324,27 +372,66 @@ def test_pullback_source_side_matches_the_complex_oracle(budget, scrambled, scal
     pulled = hom.matrix.conj().T @ kernel.matrix @ hom.matrix
     want, size = assert_residual_matches_oracle(hom.source, pulled)
     assert numerics.within_tol(want, size)
+    assert module_identity_verdict(hom.source, pulled)
     assert is_star_invariant(hom.source, pullback(hom, kernel))
 
     skewed = StarHomomorphism(hom.source, hom.target, hom.matrix @ random_unitary(rng, 4))
     pulled = skewed.matrix.conj().T @ kernel.matrix @ skewed.matrix
     want, size = assert_residual_matches_oracle(skewed.source, pulled)
     assert not numerics.within_tol(want, size)
+    assert not module_identity_verdict(skewed.source, pulled)
     with pytest.raises(PullbackInvarianceFailure):
         pullback(skewed, kernel)
 
 
-def test_the_stacks_are_built_on_the_first_test_and_kept():
-    # not when the algebra is built; a second test reuses them
+def test_the_invariance_test_keeps_nothing_on_the_algebra():
+    # is_star_invariant, kernel_to_functional and pullback build no stacks
+    # and keep nothing: the algebras' derived data stays empty
     a = s3_algebra()
-    assert "dual action" not in a.derived
     kernel = functional_to_kernel(a, np.eye(6)[0])
     assert is_star_invariant(a, kernel)
-    stacks = a.derived["dual action"]
-    assert is_star_invariant(a, kernel)
-    assert a.derived["dual action"] is stacks
-    assert [stack.dtype for stack in stacks] == [np.float64, np.float64]
-    assert [stack.shape for stack in stacks] == [(36, 6), (36, 6)]
+    kernel_to_functional(a, kernel)
+    hom = m2_in_m4()
+    pullback(hom, functional_to_kernel(hom.target, hom.target.unit / 4))
+    for alg in (a, hom.source, hom.target):
+        assert alg.derived == {}
+
+
+@pytest.mark.parametrize("cond", [10.0, 100.0])
+def test_gaussian_basis_m8_kernels_pass_with_margin(cond):
+    # M_8 (n = 64) in a complex Gaussian basis with a faithful state: its
+    # Gram kernel and the kernel of its representation are invariant with a
+    # relative residual far below match_tol
+    rng = np.random.default_rng(64)
+    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    density = b @ b.conj().T + np.eye(8)
+    s = gaussian_basis(rng, 64, cond)
+    a = change_basis(build_matrix_algebra(8), s)
+    rho = s.T @ (density.T.ravel() / np.trace(density).real)
+    for kernel in (functional_to_kernel(a, rho), rep_to_kernel(gns_construct(a, rho))):
+        invariant, residual, _ = _invariant(a, kernel.matrix, DEFAULT_POLICY)
+        _, size, _ = gram_residual_oracle(a, kernel.matrix)
+        assert invariant and residual <= 1e-10 * size
+
+
+def test_an_overflowing_functional_or_gram_matrix_raises():
+    # H = 1e308 v v^T with v = (1, 0, 0, 1) on M_2: conj(e) H adds two
+    # entries of 1e308.  In the basis 2 E_pq, e = (E_11 + E_22) / 2 halves
+    # them first, and the Gram matrix, 2 r on each entry, overflows instead
+    m2 = build_matrix_algebra(2)
+    h = 1e308 * np.outer([1.0, 0, 0, 1], [1.0, 0, 0, 1]) + 0j
+    with pytest.raises(NonFiniteScalar, match="functional overflows"):
+        _invariant(m2, h, DEFAULT_POLICY)
+    with pytest.raises(NonFiniteScalar, match="Gram matrix overflows"):
+        _invariant(change_basis(m2, 2.0 * np.eye(4)), h, DEFAULT_POLICY)
+    # a kernel on M_4 of top eigenvalue 1.5e308 whose functional reaches
+    # 2.25e308: u = (e_0 + e / 2) / sqrt(3) has <e, u> u_0 = 3 / 2
+    m4 = build_matrix_algebra(4)
+    u = np.eye(16)[0] + m4.unit.real / 2
+    kernel = make_kernel(np.outer(u, u) * (1.5e308 / 3.0))
+    for call in (is_star_invariant, kernel_to_functional):
+        with pytest.raises(NonFiniteScalar, match="functional overflows"):
+            call(m4, kernel)
 
 
 def worst_index(per_index: np.ndarray) -> int:
@@ -467,21 +554,24 @@ def test_other_algebras_take_the_blocked_loop(monkeypatch, name):
 
 
 @pytest.mark.parametrize("rows", ["all", "last"])
-def test_overflowing_single_term_products_match_the_blocked_verdict(budget, rows):
+def test_overflowing_single_term_products_match_the_blocked_verdict(budget, monkeypatch, rows):
     # S_3 with its products scaled by 1e200, all of them or those of e_5:
     # (e_i e_j) e_k overflows to inf, and inf - inf reads NaN when both
-    # sides overflow onto one basis element
+    # sides overflow onto one basis element.  The table form and the
+    # blocked form both raise NonFiniteScalar rather than report that
     a = s3_algebra()
     c = a.structure_constants.copy()
     c[slice(None) if rows == "all" else slice(5, None)] *= 1e200
     bad = FiniteStarAlgebra(c, a.involution, a.unit)
     assert single_term(bad)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = validate_algebra(bad)
         want = _associativity_blocked(_real_copies(bad)[0])
     assert np.isnan(want) if rows == "all" else want == np.inf
-    np.testing.assert_equal(got.violations["associativity"], want)
-    assert not got.passed
+    with pytest.raises(NonFiniteScalar, match="overflow"):
+        validate_algebra(bad)
+    monkeypatch.setattr(algebra, "_product_table", lambda c: None)
+    with pytest.raises(NonFiniteScalar, match="overflow"):
+        validate_algebra(bad)
 
 
 def test_planted_multiplicativity_violation_in_last_slice(budget):
@@ -506,15 +596,21 @@ def test_planted_multiplicativity_violation_in_last_slice(budget):
 
 def test_planted_invariance_violation_in_last_slice(budget):
     # the identity kernel of S_3 is invariant; a row of the involution
-    # changed at e_5 breaks the identity pi(e_5) H = H L_5 alone
+    # changed at e_5 breaks the identity pi(e_5) H = H L_5 alone, and the
+    # Gram matrix of H's functional in its row of e_5
     a = s3_algebra()
     n = a.dim
     s = a.involution.copy()
     s[n - 1, 0] += 0.25
     bad = FiniteStarAlgebra(a.structure_constants, s, a.unit)
     h = np.eye(n, dtype=complex)
-    assert _invariance_residual(a, h) == 0.0
-    assert _invariance_residual(bad, h) == invariance_oracle(bad, h) == 0.25
+    assert invariance_residual(a, h) == 0.0
+    want = gram_residual_oracle(bad, h)[0]
+    assert invariance_residual(bad, h) == want == invariance_oracle(bad, h) == 0.25
+    # the Gram matrix of r = e_0 misses H in its last row alone
+    g = gram_oracle(bad, np.conj(bad.unit) @ h)
+    assert worst_index(np.abs(h - g).max(axis=1)) == n - 1
+    assert not is_star_invariant(bad, make_kernel(h))
 
 
 def test_planted_homomorphism_violation_in_last_slice(budget):
@@ -544,7 +640,8 @@ def test_a_nan_in_the_last_slice_reaches_the_report(budget):
 
     h = np.eye(n, dtype=complex)
     h[n - 1, n - 1] = np.nan
-    assert np.isnan(_invariance_residual(a, h))
+    invariant, residual, _ = _invariant(a, h, DEFAULT_POLICY)
+    assert np.isnan(residual) and not invariant
 
     mats = a.basis_left_mult().astype(complex)
     mats[n - 1, 0, 0] = np.nan
@@ -633,17 +730,18 @@ def test_real_kernels_match_the_oracle(budget, name):
 
 
 def test_one_real_copy_of_the_algebra_is_kept():
-    # validate_algebra, the law checks of a representation and the
-    # invariance test multiply the same real copies, made on first use
+    # validate_algebra and the law checks of a representation multiply the
+    # same real copies, made on first use; the invariance test keeps nothing
     a = build_matrix_algebra(3)
     assert "real copies" not in a.derived
     validate_algebra(a)
     copies = a.derived["real copies"]
     assert [x.dtype for x in copies] == [np.float64] * 3
     verify_star_rep(gns_construct(a, trace_state(a)))
+    kept = list(a.derived)
     assert is_star_invariant(a, functional_to_kernel(a, trace_state(a)))
+    assert list(a.derived) == kept
     assert a.derived["real copies"] is copies
-    assert np.shares_memory(a.derived["dual action"][1], copies[0])
     s = random_unitary(np.random.default_rng(603), a.dim)
     scrambled = change_basis(a, s)
     validate_algebra(scrambled)

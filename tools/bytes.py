@@ -48,7 +48,20 @@ e'_i = phase_i e_i, whose products are single terms but complex, runs
 ``validate``, ``gns``, ``kernel`` and ``roundtrip``; and two copies of
 ``s3.json`` that do not load run ``validate``, their messages carrying the
 associativity violation: one with e_5 e_3 = (5/4) e_5 planted, still a
-single term, and one with e_5 e_1 = e_4 + (5/4) e_1, two terms.
+single term, and one with e_5 e_1 = e_4 + (5/4) e_1, two terms.  A third
+copy of ``s3.json``, its structure constants times 1e200, runs ``validate``:
+its law checks overflow, which raises ``NonFiniteScalar`` (exit 1).
+
+The verbs that test a kernel's *-invariance run where it fails or is
+inexact: ``functional`` on a kernel of M_2 that is not invariant (exit 1,
+``NotStarInvariant``); ``pullback`` of a vector state's kernel along a
+skewed copy of ``homs.json``'s ``embed_z2_m2``, its matrix times a small
+power of a seeded random unitary, loaded under a ``--tol-match`` that
+passes the map's laws and fails the pulled-back kernel's invariance (exit
+1, ``PullbackInvarianceFailure``, whose message prints the residual; a
+whole random unitary would break the map's laws, and the workspace would
+not load); and ``functional``, ``pullback`` and ``roundtrip`` on copies of
+``m2.json`` and ``homs.json`` in the Gaussian basis below.
 
 A copy of ``m2.json`` in a seeded complex Gaussian basis of condition
 number 10, with the state tr(D·), D of eigenvalues 1 and 1e-8, runs ``gns``,
@@ -92,6 +105,8 @@ PROBE_VERBS = ("gns", "roundtrip", "decompose", "kernel")
 PROBE_EPS, PROBE_COND = 1e-8, 10.0
 FALLBACK_VERBS = ("gns", "roundtrip", "kernel", "decompose")
 PHASE_VERBS = ("validate", "gns", "kernel", "roundtrip")
+INVARIANCE_VERBS = ("functional", "pullback", "roundtrip")
+SKEW_POWER, SKEW_TOL = 1e-3, 6e-3
 # (the entries of s3.json's structure constants set, [index, value])
 S3_PLANTED = {
     "redirected": [((5, 3, 2), 0.0), ((5, 3, 5), 1.25)],
@@ -179,11 +194,13 @@ def _encode(a: np.ndarray) -> list:
 
 
 def rebased_m2(doc: dict, s: np.ndarray) -> dict:
-    """An M_2 workspace document moved to the basis e'_i = sum_j s[j, i] e_j.
+    """A workspace document with its algebra ``m2`` moved to the basis e'_i = sum_j s[j, i] e_j.
 
     c' = (s (x) s) c s^-1, the involution becomes s^H S s^-T and the unit
-    s^-1 e; a functional rho becomes s^T rho and a kernel H becomes s^H H s.
-    The document is changed in place and returned.
+    s^-1 e; a functional rho on m2 becomes s^T rho and a kernel H on m2
+    becomes s^H H s.  A homomorphism's matrix M becomes s^-1 M when m2 is
+    its target and M s when m2 is its source.  The document is changed in
+    place and returned.
     """
     s_inv = np.linalg.inv(s)
     alg = doc["algebras"]["m2"]
@@ -195,9 +212,18 @@ def rebased_m2(doc: dict, s: np.ndarray) -> dict:
         "unit": _encode(s_inv @ _decode(alg["unit"])),
     }
     for spec in doc["functionals"].values():
-        spec["values"] = _encode(s.T @ _decode(spec["values"]))
+        if spec["algebra"] == "m2":
+            spec["values"] = _encode(s.T @ _decode(spec["values"]))
     for spec in doc["kernels"].values():
-        spec["matrix"] = _encode(s.conj().T @ _decode(spec["matrix"]) @ s)
+        if spec["algebra"] == "m2":
+            spec["matrix"] = _encode(s.conj().T @ _decode(spec["matrix"]) @ s)
+    for spec in (doc.get("homomorphisms") or {}).values():
+        matrix = _decode(spec["matrix"])
+        if spec["target"] == "m2":
+            matrix = s_inv @ matrix
+        if spec["source"] == "m2":
+            matrix = matrix @ s
+        spec["matrix"] = _encode(matrix)
     return doc
 
 
@@ -212,6 +238,12 @@ def scrambled_m2(source: Path, scratch: Path) -> Path:
     return path
 
 
+def gaussian_basis(rng) -> np.ndarray:
+    """A complex Gaussian 4 x 4 matrix, its singular values spaced geometrically from ``PROBE_COND`` to 1."""
+    u, _, vh = np.linalg.svd(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return (u * np.geomspace(PROBE_COND, 1.0, 4)) @ vh
+
+
 def probe_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     """``PROBE_VERBS`` on a nearly singular state of M_2 in a badly conditioned basis.
 
@@ -221,8 +253,7 @@ def probe_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     random eigenbasis.
     """
     rng = np.random.default_rng(SCRAMBLE_SEED)
-    u, _, vh = np.linalg.svd(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    basis = (u * np.geomspace(PROBE_COND, 1.0, 4)) @ vh
+    basis = gaussian_basis(rng)
     w, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     density = (w * np.array([1.0, PROBE_EPS])) @ w.conj().T
     doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
@@ -278,7 +309,60 @@ def single_term_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         path = scratch / f"s3_{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         cmds.append(["-w", str(path), "validate", "s3"])
+    doc = json.loads((fixtures / "s3.json").read_text(encoding="utf-8"))
+    alg = doc["algebras"]["s3"]
+    alg["structure_constants"] = _scaled(alg["structure_constants"], 1e200)
+    path = scratch / "s3_huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cmds.append(["-w", str(path), "validate", "s3"])
     return cmds
+
+
+def invariance_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """The verbs that test a kernel's *-invariance, on inputs where it fails or is inexact.
+
+    ``functional`` on a copy of ``m2.json`` with the kernel diag(1, 0, 0, 0),
+    which is not invariant.  ``pullback`` of the Gram matrix of the vector
+    state on E_11 along a skewed copy of ``homs.json``'s ``embed_z2_m2``:
+    its matrix times U^t, U a seeded random unitary and t = ``SKEW_POWER``,
+    loaded under ``--tol-match`` ``SKEW_TOL``, between the map's largest
+    law violation and the pulled-back kernel's invariance residual, so it
+    loads and then fails invariance.  ``INVARIANCE_VERBS`` on copies of
+    ``m2.json`` and ``homs.json`` in the Gaussian basis of
+    ``probe_commands``.
+    """
+    doc = json.loads((fixtures / "m2.json").read_text(encoding="utf-8"))
+    doc["kernels"]["skew"] = {"algebra": "m2", "matrix": _encode(np.diag([1.0, 0, 0, 0]) + 0j)}
+    path = scratch / "m2_not_invariant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cmds = [["-w", str(path), "functional", "m2", "skew"]]
+
+    doc = json.loads((fixtures / "homs.json").read_text(encoding="utf-8"))
+    alg = doc["algebras"]["m2"]
+    c, s = _decode(alg["structure_constants"]), _decode(alg["involution"])
+    rho = np.array([1.0, 0, 0, 0], dtype=complex)  # rho(E_pq) = delta_p1 delta_q1
+    doc["kernels"]["vector"] = {"algebra": "m2",
+                                "matrix": _encode(np.einsum("ip,pjk,k->ij", s, c, rho))}
+    rng = np.random.default_rng(SCRAMBLE_SEED)
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    w, v = np.linalg.eig(q * (np.diag(r) / np.abs(np.diag(r))))
+    power = (v * np.exp(SKEW_POWER * np.log(w))) @ np.linalg.inv(v)
+    homs = doc["homomorphisms"]
+    homs["skewed"] = {**homs["embed_z2_m2"],
+                      "matrix": _encode(_decode(homs["embed_z2_m2"]["matrix"]) @ power)}
+    path = scratch / "homs_skewed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cmds.append(["-w", str(path), "--tol-match", str(SKEW_TOL), "pullback", "skewed", "vector"])
+
+    paths = []
+    for name in ("m2", "homs"):
+        rng = np.random.default_rng(SCRAMBLE_SEED)
+        doc = rebased_m2(json.loads((fixtures / f"{name}.json").read_text(encoding="utf-8")),
+                         gaussian_basis(rng))
+        path = scratch / f"{name}_gaussian.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(path)
+    return cmds + [cmd for cmd in fixture_commands(paths) if cmd[2] in INVARIANCE_VERBS]
 
 
 def m4_commands(scratch: Path) -> list[list[str]]:
@@ -544,7 +628,8 @@ def main(argv=None) -> int:
                 + probe_commands(fixtures, scratch)
                 + m4_commands(scratch)
                 + fallback_commands(fixtures, scratch)
-                + single_term_commands(fixtures, scratch))
+                + single_term_commands(fixtures, scratch)
+                + invariance_commands(fixtures, scratch))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
