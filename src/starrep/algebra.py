@@ -9,18 +9,17 @@ coordinates of the unit.  Elements are plain complex coordinate vectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteScalar, NotAGroup, ShapeMismatch
+from .errors import DimMismatch, NotAGroup, ShapeMismatch
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _law_report,
     _maxabs,
-    _overflow_checked,
     index_blocks,
 )
 
@@ -193,17 +192,12 @@ def validate_algebra(
     matmuls on n^3 entries at most.
 
     The algebra's data is finite, so a violation that is not finite comes
-    from a product or a difference past the float range.  The laws are
-    computed under numpy's overflow check (``_overflow_checked``), and
-    NonFiniteScalar is raised for such a value, never a report with an inf
-    or NaN in it.
+    from a product or a difference past the float range, and raises
+    NonFiniteScalar (``_law_report``), never a report with an inf or NaN
+    in it.
     """
-    message = "the algebra's law checks overflow the float range"
-    with np.errstate(invalid="ignore"):  # inf - inf, after an overflow BLAS threads hide
-        violations = _overflow_checked(lambda: _axiom_violations(algebra), message)
-    if not all(map(math.isfinite, violations.values())):
-        raise NonFiniteScalar(message)
-    return ValidationReport(violations=violations, tolerance=pol.match_tol)
+    return _law_report(lambda: _axiom_violations(algebra), pol,
+                       "the algebra's law checks overflow the float range")
 
 
 def _axiom_violations(algebra: FiniteStarAlgebra) -> dict[str, float]:

@@ -29,7 +29,6 @@ from .errors import (
     InvalidRepresentation,
     NotPositive,
     NotStarInvariant,
-    PullbackInvarianceFailure,
     ShapeMismatch,
 )
 from .gns import GNSRepresentation, gns_construct, verify_star_rep
@@ -39,6 +38,7 @@ from .numerics import (
     TolerancePolicy,
     ValidationReport,
     _finite_product,
+    _law_report,
     _maxabs,
     _overflow_checked,
     entrywise_gap,
@@ -79,8 +79,10 @@ class StarHomomorphism:
         object.__setattr__(self, "matrix", m)
 
     def compose(self, other: "StarHomomorphism") -> "StarHomomorphism":
-        """self after other (other.source -> self.target)."""
-        if other.target is not self.source and other.target.dim != self.source.dim:
+        """self after other (other.source -> self.target); the middle algebras must be equal."""
+        mid, src = other.target, self.source
+        if mid is not src and not all(np.array_equal(getattr(mid, f), getattr(src, f))
+                                      for f in ("structure_constants", "involution", "unit")):
             raise DimMismatch("homomorphisms are not composable")
         return StarHomomorphism(
             source=other.source, target=self.target, matrix=self.matrix @ other.matrix
@@ -98,35 +100,31 @@ def validate_star_homomorphism(
     are multiplied as real arrays where their imaginary parts are zero
     (``_real_copies``, ``_real_if_real``), so a real map between real
     algebras, such as an embedding of matrix units, is checked in real
-    arithmetic.
+    arithmetic.  A violation past the float range raises NonFiniteScalar
+    (``_law_report``).
     """
     a1, a2, m = hom.source, hom.target, _real_if_real(hom.matrix)
     n1, n2 = a1.dim, a2.dim
     (c1, s1, e1), (c2, s2, e2) = _real_copies(a1), _real_copies(a2)
     c2_rows = c2.reshape(n2, n2 * n2)  # [a, (b, k)]
-    # alpha(e_i e_j) against alpha(e_i) alpha(e_j), both laid out as [i, j, k]
-    mult_dev = 0.0
-    for blk in index_blocks(n1, n2 * (n1 + n2)):
-        rows = blk.stop - blk.start
-        prod_src = c1[blk].reshape(rows * n1, n1) @ m.T
-        left = (m[:, blk].T @ c2_rows).reshape(rows, n2, n2)  # alpha(e_i) e_b
-        prod_tgt = m.T @ left
-        mult_dev = np.maximum(mult_dev, _maxabs(prod_src.reshape(prod_tgt.shape) - prod_tgt))
 
-    star_src = m @ s1.T  # column i = image of e_i^*
-    star_tgt = s2.T @ np.conj(m)
-    star_dev = _maxabs(star_src - star_tgt)
+    def violations() -> dict[str, float]:
+        # alpha(e_i e_j) against alpha(e_i) alpha(e_j), both laid out as [i, j, k]
+        mult_dev = 0.0
+        for blk in index_blocks(n1, n2 * (n1 + n2)):
+            rows = blk.stop - blk.start
+            prod_src = c1[blk].reshape(rows * n1, n1) @ m.T
+            left = (m[:, blk].T @ c2_rows).reshape(rows, n2, n2)  # alpha(e_i) e_b
+            prod_tgt = m.T @ left
+            mult_dev = np.maximum(mult_dev, _maxabs(prod_src.reshape(prod_tgt.shape) - prod_tgt))
+        star_src = m @ s1.T  # column i = image of e_i^*
+        star_tgt = s2.T @ np.conj(m)
+        return {"multiplicativity": float(mult_dev),
+                "star_compatibility": _maxabs(star_src - star_tgt),
+                "unit": _maxabs(m @ e1 - e2)}
 
-    unit_dev = _maxabs(m @ e1 - e2)
-
-    return ValidationReport(
-        violations={
-            "multiplicativity": float(mult_dev),
-            "star_compatibility": star_dev,
-            "unit": unit_dev,
-        },
-        tolerance=pol.match_tol,
-    )
+    message = "the homomorphism's law checks overflow the float range"
+    return _law_report(violations, pol, message, m)
 
 
 def _invariant(
@@ -209,28 +207,26 @@ def rep_to_kernel(
 def pullback(
     hom: StarHomomorphism, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> Kernel:
-    """Transport of an invariant kernel along a *-homomorphism.
+    """The kernel of rho o alpha, rho the functional an invariant kernel H reproduces.
 
-    The pulled-back operator is ``alpha^dagger H alpha``; invariance on the
-    source algebra is re-verified numerically, as ``is_star_invariant``
-    tests it (a failure indicates the map was not a valid
-    *-homomorphism).  NonFiniteScalar is raised when the product, its
-    functional or that functional's Gram matrix overflows.
+    H is checked invariant on the target, which gives r = conj(e) H
+    (``is_star_invariant``); the result is the Gram matrix of alpha^T r,
+    which on a *-homomorphism is alpha^dagger H alpha, invariant by
+    construction.  ``pullback`` trusts alpha to be one, as every loaded
+    workspace's is; along another map it raises NotPositive where rho o
+    alpha is not positive.  NonFiniteScalar is raised when r, alpha^T r or
+    a Gram matrix overflows.
     """
     if kernel.dim != hom.target.dim:
         raise DimMismatch(
             f"kernel dim {kernel.dim} vs homomorphism target dim {hom.target.dim}"
         )
-    if not is_star_invariant(hom.target, kernel, pol):
-        raise NotStarInvariant("input kernel is not invariant on the target algebra")
-    pulled = _finite_product(lambda: hom.matrix.conj().T @ kernel.matrix @ hom.matrix,
-                             "the pulled-back kernel overflows", hom.matrix, kernel.matrix)
-    invariant, residual, _ = _invariant(hom.source, pulled, pol)
+    invariant, _, r = _invariant(hom.target, kernel.matrix, pol)
     if not invariant:
-        raise PullbackInvarianceFailure(
-            f"pulled-back kernel fails invariance by {residual:.3e}"
-        )
-    return make_kernel(pulled, pol)
+        raise NotStarInvariant("input kernel is not invariant on the target algebra")
+    pulled = _finite_product(lambda: hom.matrix.T @ r, "the pulled-back kernel overflows",
+                             hom.matrix, r)
+    return functional_to_kernel(hom.source, pulled, pol)
 
 
 def cone_morphism_audit(

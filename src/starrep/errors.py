@@ -118,10 +118,6 @@ class NotStarInvariant(StarRepError):
     pass
 
 
-class PullbackInvarianceFailure(StarRepError):
-    pass
-
-
 # -- cli / workspace --------------------------------------------------------
 
 class WorkspaceError(StarRepError):

@@ -51,6 +51,7 @@ from .numerics import (
     _eigvalsh,
     _finite_product,
     _hermitized,
+    _law_report,
     _maxabs,
     _require_square_hermitian,
     _stack_times,
@@ -161,7 +162,7 @@ def gns_construct(
     try:
         data = block_data(algebra, pol)
     except (NotSemisimple, NoConvergence):
-        return _gram_represent(algebra, functional, pol, "gns_construct")
+        return _gram_represent(algebra, functional, pol)
     _, rho, spectra, ranks = _state_spectra(algebra, functional, pol, "gns_construct")
     n = algebra.dim
     d = sum(k * r for k, r in zip(data.sizes, ranks))
@@ -206,16 +207,15 @@ def _kept_report(data: BlockData, ranks: list[int], reproduced: np.ndarray, rho:
     )
 
 
-def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy,
-                    caller: str) -> GNSRepresentation:
+def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy) -> GNSRepresentation:
     """The cyclic representation of rho on the range of its Gram matrix G.
 
     One canonical eigensolve of G (``hermitian_eigen``) decides positivity
     and gives the rank r (``psd_rank``) and the r leading eigenpairs
     U diag(w) U^dagger, which give the quotient map Q = diag(sqrt(w)) U^dagger
-    and pi(e_i) = Q L_i U diag(1/sqrt(w)).  NotPositive, naming ``caller``,
-    is raised when G is not hermitian, not PSD or has NaN entries; a Gram
-    matrix that overflows raises NonFiniteScalar (``duality.gram_matrix``).
+    and pi(e_i) = Q L_i U diag(1/sqrt(w)).  NotPositive is raised when G is
+    not hermitian, not PSD or has NaN entries; a Gram matrix that overflows
+    raises NonFiniteScalar (``duality.gram_matrix``).
     """
     rho = np.asarray(rho, dtype=complex)
     try:
@@ -224,7 +224,7 @@ def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy,
     except (NotHermitian, ValueError):  # a ValueError for NaN entries
         is_psd = False
     if not is_psd:
-        raise NotPositive(f"{caller} requires a positive functional")
+        raise NotPositive("gns_construct requires a positive functional")
     sqrt_w = np.sqrt(values[:rank])
     q = sqrt_w[:, None] * vectors[:, :rank].conj().T  # (d, n)
     right = vectors[:, :rank] * (1.0 / sqrt_w)[None, :]  # (n, d)
@@ -313,35 +313,30 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
     a Gram form that does not depend on the basis the algebra is written
     in, where the orbit over a badly conditioned basis can lose rank to the
     cutoff.  An algebra with no block data under ``pol`` (NotSemisimple or
-    NoConvergence) uses the orbit over its basis.
+    NoConvergence) uses the orbit over its basis.  A violation past the
+    float range raises NonFiniteScalar (``_law_report``).
     """
-    mats = rep.matrices
-    xi = rep.cyclic_vector
-    d = rep.rep_dim
-
-    t = rep.orbit_matrix()
     try:
-        t = t @ block_data(rep.algebra, pol).units
+        units = block_data(rep.algebra, pol).units
     except (NotSemisimple, NoConvergence):
-        pass
-    # T T^H is hermitian by construction; its roundoff asymmetry would fail
-    # the eigensolver's check at match_tol = 0, so it is hermitized first
-    gram = t @ t.conj().T
-    gram = _hermitized(gram, gram.conj().T, _maxabs(gram))
-    _, orbit_rank = psd_check(gram, pol) if d else (True, 0)
-    cyclic_dev = float(d - orbit_rank)
+        units = None
 
-    reproduced = (mats @ xi) @ np.conj(xi)
-    repro_dev = relative_gap(reproduced, rep.source_functional)
+    def violations() -> dict[str, float]:
+        orbit = rep.orbit_matrix()
+        t = orbit if units is None else orbit @ units
+        # T T^H is hermitian by construction; its roundoff asymmetry would fail
+        # the eigensolver's check at match_tol = 0, so it is hermitized first
+        gram = t @ t.conj().T
+        gram = _hermitized(gram, gram.conj().T, _maxabs(gram))
+        _, orbit_rank = psd_check(gram, pol) if rep.rep_dim else (True, 0)
+        reproduced = orbit.T @ np.conj(rep.cyclic_vector)
+        return {**_law_violations(rep.algebra, rep.matrices),
+                "cyclicity": float(rep.rep_dim - orbit_rank),
+                "reproduction": relative_gap(reproduced, rep.source_functional)}
 
-    return ValidationReport(
-        violations={
-            **_law_violations(rep.algebra, mats),
-            "cyclicity": cyclic_dev,
-            "reproduction": repro_dev,
-        },
-        tolerance=pol.match_tol,
-    )
+    message = "the representation's law checks overflow the float range"
+    return _law_report(violations, pol, message, rep.matrices, rep.cyclic_vector,
+                       rep.source_functional)
 
 
 def _block_slices(sizes: tuple[int, ...]) -> list[slice]:
@@ -440,7 +435,7 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     n = algebra.dim
     tau = np.asarray(np.trace(algebra.structure_constants, axis1=1, axis2=2), dtype=complex)
     try:
-        regular = _gram_represent(algebra, tau, pol, "block_data")
+        regular = _gram_represent(algebra, tau, pol)
     except NotPositive:
         raise NotSemisimple("the trace x -> tr L_x is not positive") from None
     if regular.rep_dim < n:

@@ -41,7 +41,8 @@ under numpy's overflow flag and turns the first overflow into
 ``NonFiniteScalar``; the sums, multiples and products of kernels and
 functionals in the other modules go through it.  A BLAS product goes
 through ``_finite_product``, which also checks its result with
-``np.isfinite``, since numpy does not see the flags of BLAS threads.
+``np.isfinite``, since numpy does not see the flags of BLAS threads, and
+the law checks' reports go through ``_law_report``, which does the same.
 ``_hermitized`` is the one hermitization, (A + A^H) / 2, taken of halves
 above 2**1022, where the sum could overflow.
 """
@@ -111,9 +112,9 @@ class TolerancePolicy:
         of their largest entries, ``entrywise_gap``).  Hermiticity, the
         *-invariance of a kernel, the equality of functionals and the
         convergence of a chain are decided so.  The law checks of an
-        algebra, a representation and a homomorphism compare their
-        violations with ``match_tol`` directly (``ValidationReport``):
-        their inputs do not scale with a functional.
+        algebra, a representation and a homomorphism compare absolute
+        violations with ``match_tol``, a defect: a violation scales with
+        the basis, so rescaling it can pass a broken law or fail a valid one.
     """
 
     rel_rank_tol: float = 1e-9
@@ -283,6 +284,21 @@ def _finite_product(compute: Callable, message: str, *operands: np.ndarray) -> n
     if not np.isfinite(result).all() and all(np.isfinite(a).all() for a in operands):
         raise NonFiniteScalar(message)
     return result
+
+
+def _law_report(compute: Callable[[], Mapping[str, float]], pol: TolerancePolicy,
+                message: str, *operands: np.ndarray) -> ValidationReport:
+    """The law checks' report of the violations ``compute()`` returns, at ``match_tol``.
+
+    An overflow in ``compute`` raises NonFiniteScalar(message) (``_overflow_checked``),
+    and so does a violation that is not finite while every operand is finite.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf, after an overflow BLAS threads hide
+        violations = _overflow_checked(compute, message)
+    if (not all(map(math.isfinite, violations.values()))
+            and all(np.isfinite(a).all() for a in operands)):
+        raise NonFiniteScalar(message)
+    return ValidationReport(violations=violations, tolerance=pol.match_tol)
 
 
 def _maxabs(x: np.ndarray) -> float:

@@ -11,6 +11,7 @@ from starrep import (
     TolerancePolicy,
     build_matrix_algebra,
     cone_morphism_audit,
+    direct_sum_algebra,
     evaluate,
     functional_to_kernel,
     gns_construct,
@@ -26,7 +27,7 @@ from starrep import (
     validate_star_homomorphism,
     verify_star_rep,
 )
-from starrep.errors import NonFiniteScalar, NotPositive, NotStarInvariant
+from starrep.errors import DimMismatch, NonFiniteScalar, NotPositive, NotStarInvariant
 
 from conftest import (
     count_eigensolves,
@@ -187,6 +188,24 @@ def test_validate_star_homomorphism():
         matrix=np.array([[1, 0], [0, 1], [0, 0], [1, 0]], dtype=complex),
     )
     assert not validate_star_homomorphism(broken).passed
+
+
+def test_compose_requires_the_same_middle_algebra():
+    # C (+) C and Z_2 both have dimension 2.  Composing C (+) C -> M_2 after
+    # C -> Z_2 through the wrong one would send the unit to E_11, failing
+    # the unit law by 1.0; an equal copy of C (+) C composes
+    c1 = build_matrix_algebra(1)
+    diagonal = StarHomomorphism(direct_sum_algebra(c1, c1), build_matrix_algebra(2),
+                                np.array([[1, 0], [0, 0], [0, 0], [0, 1.0]]))
+    into_z2 = StarHomomorphism(c1, z2_algebra(), np.array([[1.0], [0.0]]))
+    into_sum = StarHomomorphism(c1, direct_sum_algebra(c1, c1), np.array([[1.0], [1.0]]))
+    for hom in (diagonal, into_z2, into_sum):
+        assert validate_star_homomorphism(hom).passed
+    with pytest.raises(DimMismatch, match="^homomorphisms are not composable$"):
+        diagonal.compose(into_z2)
+    composed = diagonal.compose(into_sum)
+    assert validate_star_homomorphism(composed).passed
+    assert np.array_equal(composed.matrix, [[1.0], [0.0], [0.0], [1.0]])
 
 
 def test_pullback_identity():

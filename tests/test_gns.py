@@ -159,7 +159,7 @@ def test_representations_match_the_own_eigensolve_oracle(name, scrambled, scale)
         rho = scale * rho
         mats, xi, q = gram_represent_oracle(algebra, rho)
         oracle = GNSRepresentation(algebra, mats, xi, rho, q)
-        rep = _gram_represent(algebra, rho, DEFAULT_POLICY, "gns_construct")
+        rep = _gram_represent(algebra, rho, DEFAULT_POLICY)
         assert rep.matrices.tobytes() == mats.tobytes()
         assert rep.cyclic_vector.tobytes() == xi.tobytes()
         assert rep.embedding.tobytes() == q.tobytes()

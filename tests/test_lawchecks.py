@@ -35,6 +35,7 @@ from starrep import (
     algebra,
     build_group_algebra,
     build_matrix_algebra,
+    correspondence,
     direct_sum_algebra,
     functional_to_kernel,
     gns_construct,
@@ -51,7 +52,7 @@ from starrep import (
 )
 from starrep.algebra import _associativity_blocked, _product_table, _real_copies
 from starrep.correspondence import _invariant
-from starrep.errors import NonFiniteScalar, PullbackInvarianceFailure
+from starrep.errors import NonFiniteScalar, NotPositive
 from starrep.gns import _gram_represent, _law_violations
 
 from conftest import (
@@ -357,31 +358,66 @@ def m2_in_m4() -> StarHomomorphism:
     return StarHomomorphism(build_matrix_algebra(2), build_matrix_algebra(4), m)
 
 
-@pytest.mark.parametrize("scrambled", [False, True], ids=["real", "complex"])
+# a basis change s of the source M_2: none, a random unitary, and a complex
+# Gaussian matrix of condition 10
+SOURCE_BASES = {
+    "real": None,
+    "complex": random_unitary,
+    "gauss10": lambda rng, n: gaussian_basis(rng, n, 10.0),
+}
+
+
+@pytest.mark.parametrize("basis", SOURCE_BASES)
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
-def test_pullback_source_side_matches_the_complex_oracle(budget, scrambled, scale):
-    # the source side of pullback compares alpha^H H alpha with the Gram
-    # matrix of its functional on the source algebra; a map that is not a
-    # homomorphism breaks it, by the module identity too
+def test_pullback_source_side_matches_the_complex_oracle(budget, monkeypatch, basis, scale):
+    # pullback is the Gram matrix of alpha^T r on the source, r = conj(e) H
+    # the target kernel's functional, and checks invariance on the target
+    # alone.  Along a *-homomorphism it matches alpha^H H alpha, which is
+    # invariant by the module identity too
     rng = np.random.default_rng(501)
-    hom = m2_in_m4()
-    if scrambled:  # the source M_2 in a random unitary basis: alpha becomes alpha s
-        s = random_unitary(rng, 4)
+    hom, s = m2_in_m4(), np.eye(4)
+    if SOURCE_BASES[basis] is not None:  # the source M_2 in a basis s: alpha becomes alpha s
+        s = SOURCE_BASES[basis](rng, 4)
         hom = StarHomomorphism(change_basis(hom.source, s), hom.target, hom.matrix @ s)
     kernel = functional_to_kernel(hom.target, scale * random_positive_functional(hom.target, rng))
+    r = np.conj(hom.target.unit) @ kernel.matrix
+    checked = []
+    invariant = correspondence._invariant
+
+    def counted(algebra, matrix, pol):
+        checked.append(algebra)
+        return invariant(algebra, matrix, pol)
+
+    monkeypatch.setattr(correspondence, "_invariant", counted)
+    got = pullback(hom, kernel)
+    assert checked == [hom.target]
     pulled = hom.matrix.conj().T @ kernel.matrix @ hom.matrix
+    assert numerics.within_tol(*numerics.entrywise_gap(got.matrix, pulled))
     want, size = assert_residual_matches_oracle(hom.source, pulled)
     assert numerics.within_tol(want, size)
     assert module_identity_verdict(hom.source, pulled)
-    assert is_star_invariant(hom.source, pullback(hom, kernel))
+    assert is_star_invariant(hom.source, got)
 
+    # alpha times a random unitary is not *-preserving: rho o alpha is not
+    # hermitian, so it has no kernel
     skewed = StarHomomorphism(hom.source, hom.target, hom.matrix @ random_unitary(rng, 4))
+    with pytest.raises(NotPositive, match="^functional_to_kernel requires a positive functional$"):
+        pullback(skewed, kernel)
+
+    # alpha after the transpose of M_2, positive but not multiplicative:
+    # rho o alpha is a state, and pullback returns its Gram matrix, where
+    # alpha^H H alpha is neither invariant nor equal to it
+    transpose = np.eye(4)[[0, 2, 1, 3]]  # E_pq -> E_qp on matrix-unit coordinates
+    skewed = StarHomomorphism(hom.source, hom.target,
+                              m2_in_m4().matrix @ transpose @ s)
     pulled = skewed.matrix.conj().T @ kernel.matrix @ skewed.matrix
     want, size = assert_residual_matches_oracle(skewed.source, pulled)
     assert not numerics.within_tol(want, size)
     assert not module_identity_verdict(skewed.source, pulled)
-    with pytest.raises(PullbackInvarianceFailure):
-        pullback(skewed, kernel)
+    got = pullback(skewed, kernel).matrix
+    oracle = gram_matrix(skewed.source, skewed.matrix.T @ r)
+    assert numerics.within_tol(*numerics.entrywise_gap(got, oracle))
+    assert not numerics.within_tol(*numerics.entrywise_gap(got, pulled))
 
 
 def test_the_invariance_test_keeps_nothing_on_the_algebra():
@@ -574,6 +610,23 @@ def test_overflowing_single_term_products_match_the_blocked_verdict(budget, monk
         validate_algebra(bad)
 
 
+def test_overflowing_representation_and_homomorphism_laws_raise(budget):
+    # the regular representation of S_3 times 1e200, given from outside,
+    # and the map 1e200 I on S_3: their products pass the float range, so
+    # verify_star_rep and validate_star_homomorphism raise NonFiniteScalar,
+    # as validate_algebra does, rather than warn or report an inf
+    a = s3_algebra()
+    n = a.dim
+    rep = GNSRepresentation(a, 1e200 * a.basis_left_mult(), a.unit, np.eye(n)[0],
+                            np.eye(n, dtype=complex))
+    with pytest.raises(NonFiniteScalar,
+                       match="^the representation's law checks overflow the float range$"):
+        verify_star_rep(rep)
+    with pytest.raises(NonFiniteScalar,
+                       match="^the homomorphism's law checks overflow the float range$"):
+        validate_star_homomorphism(StarHomomorphism(a, a, 1e200 * np.eye(n)))
+
+
 def test_planted_multiplicativity_violation_in_last_slice(budget):
     # the regular representation of S_3 on C^6, all entries 0 or 1, over
     # structure constants that add e_0 / 4 to every product e_5 e_j: only
@@ -668,7 +721,7 @@ def test_real_representations_match_the_oracle(budget, name):
     # noise keeps it real and makes every law fail
     rng = np.random.default_rng(600)
     a = REAL_ALGEBRAS[name]()
-    rep = _gram_represent(a, trace_state(a), DEFAULT_POLICY, "gns_construct")
+    rep = _gram_represent(a, trace_state(a), DEFAULT_POLICY)
     assert rep.rep_dim == a.dim and not np.any(rep.matrices.imag)
     assert_matches(verify_star_rep(rep), rep_oracle(rep))
     bad = GNSRepresentation(a, rep.matrices + real_noise(rng, rep.matrices.shape),

@@ -102,8 +102,9 @@ def orbit_gram(rep) -> np.ndarray:
 
 
 def pulled(f: dict) -> np.ndarray:
-    a, k = f["hom"].matrix, f["target"].matrix
-    return a.conj().T @ k @ a
+    """The Gram matrix of rho o alpha: alpha^T r, r = conj(e) H the target kernel's functional."""
+    hom, k = f["hom"], f["target"].matrix
+    return gram_matrix(hom.source, hom.matrix.T @ (np.conj(hom.target.unit) @ k))
 
 
 # Each operation, as (the kernel it makes, the matrix it solves).

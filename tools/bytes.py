@@ -37,7 +37,7 @@ scrambled basis, runs ``gns``, ``decompose`` and ``audit``, whose sum
 overflows; copies of ``m2.json`` in the bases 2·E_pq and E_pq/2, with
 functionals whose Gram matrix and whose densities overflow, run ``gns``,
 ``validate``, ``kernel`` and ``decompose``; a copy of ``homs.json`` with a kernel 1e308 times
-``gram_trace`` runs ``pullback``, whose product overflows; and a copy of
+``gram_trace`` runs ``pullback``, whose pulled-back functional overflows; and a copy of
 ``z2.json`` whose ``kernels`` section is misspelt ``kernals`` does not load.
 
 ``validate`` reads associativity off a product table when each product of
@@ -57,10 +57,11 @@ inexact: ``functional`` on a kernel of M_2 that is not invariant (exit 1,
 ``NotStarInvariant``); ``pullback`` of a vector state's kernel along a
 skewed copy of ``homs.json``'s ``embed_z2_m2``, its matrix times a small
 power of a seeded random unitary, loaded under a ``--tol-match`` that
-passes the map's laws and fails the pulled-back kernel's invariance (exit
-1, ``PullbackInvarianceFailure``, whose message prints the residual; a
-whole random unitary would break the map's laws, and the workspace would
-not load); and ``functional``, ``pullback`` and ``roundtrip`` on copies of
+passes the map's laws (a whole random unitary would break them, and the
+workspace would not load).  ``pullback`` returns the kernel of the
+functional rho o alpha, whatever alpha is, and along this map that
+functional is not positive: its Gram matrix has the eigenvalue -3.3e-3
+(exit 1, ``NotPositive``); and ``functional``, ``pullback`` and ``roundtrip`` on copies of
 ``m2.json`` and ``homs.json`` in the Gaussian basis below.
 
 A copy of ``m2.json`` in a seeded complex Gaussian basis of condition
@@ -325,9 +326,10 @@ def invariance_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     which is not invariant.  ``pullback`` of the Gram matrix of the vector
     state on E_11 along a skewed copy of ``homs.json``'s ``embed_z2_m2``:
     its matrix times U^t, U a seeded random unitary and t = ``SKEW_POWER``,
-    loaded under ``--tol-match`` ``SKEW_TOL``, between the map's largest
-    law violation and the pulled-back kernel's invariance residual, so it
-    loads and then fails invariance.  ``INVARIANCE_VERBS`` on copies of
+    loaded under ``--tol-match`` ``SKEW_TOL``, above the map's largest law
+    violation, so it loads.  The pulled-back functional rho o alpha, whose
+    kernel ``pullback`` returns, is not positive along it, and the command
+    exits 1 with ``NotPositive``.  ``INVARIANCE_VERBS`` on copies of
     ``m2.json`` and ``homs.json`` in the Gaussian basis of
     ``probe_commands``.
     """
