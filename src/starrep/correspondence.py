@@ -213,9 +213,9 @@ def pullback(
     (``is_star_invariant``); the result is the Gram matrix of alpha^T r,
     which on a *-homomorphism is alpha^dagger H alpha, invariant by
     construction.  ``pullback`` trusts alpha to be one, as every loaded
-    workspace's is; along another map it raises NotPositive where rho o
-    alpha is not positive.  NonFiniteScalar is raised when r, alpha^T r or
-    a Gram matrix overflows.
+    workspace's is; along another map it raises NotPositive, naming
+    ``pullback``, where rho o alpha is not positive.  NonFiniteScalar is
+    raised when r, alpha^T r or a Gram matrix overflows.
     """
     if kernel.dim != hom.target.dim:
         raise DimMismatch(
@@ -226,7 +226,10 @@ def pullback(
         raise NotStarInvariant("input kernel is not invariant on the target algebra")
     pulled = _finite_product(lambda: hom.matrix.T @ r, "the pulled-back kernel overflows",
                              hom.matrix, r)
-    return functional_to_kernel(hom.source, pulled, pol)
+    try:
+        return functional_to_kernel(hom.source, pulled, pol)
+    except NotPositive:
+        raise NotPositive("pullback requires the pulled-back functional to be positive") from None
 
 
 def cone_morphism_audit(

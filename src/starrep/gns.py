@@ -25,6 +25,7 @@ Inner products are written antilinear in the first argument throughout:
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -47,13 +48,13 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _checked_hermitized,
     _eigh,
     _eigvalsh,
     _finite_product,
     _hermitized,
     _law_report,
     _maxabs,
-    _require_square_hermitian,
     _stack_times,
     entrywise_gap,
     hermitian_eigen,
@@ -313,8 +314,10 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
     a Gram form that does not depend on the basis the algebra is written
     in, where the orbit over a badly conditioned basis can lose rank to the
     cutoff.  An algebra with no block data under ``pol`` (NotSemisimple or
-    NoConvergence) uses the orbit over its basis.  A violation past the
-    float range raises NonFiniteScalar (``_law_report``).
+    NoConvergence) uses the orbit over its basis.  A representation with a
+    NaN entry has no orbit rank, and its cyclicity reads NaN, which fails
+    the report; a violation past the float range raises NonFiniteScalar
+    (``_law_report``).
     """
     try:
         units = block_data(rep.algebra, pol).units
@@ -328,10 +331,15 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
         # the eigensolver's check at match_tol = 0, so it is hermitized first
         gram = t @ t.conj().T
         gram = _hermitized(gram, gram.conj().T, _maxabs(gram))
-        _, orbit_rank = psd_check(gram, pol) if rep.rep_dim else (True, 0)
+        if not np.isfinite(gram).all():  # a NaN entry of rep, or an overflow: no rank
+            cyclicity = math.nan
+        elif rep.rep_dim:
+            cyclicity = float(rep.rep_dim - psd_check(gram, pol)[1])
+        else:
+            cyclicity = 0.0
         reproduced = orbit.T @ np.conj(rep.cyclic_vector)
         return {**_law_violations(rep.algebra, rep.matrices),
-                "cyclicity": float(rep.rep_dim - orbit_rank),
+                "cyclicity": cyclicity,
                 "reproduction": relative_gap(reproduced, rep.source_functional)}
 
     message = "the representation's law checks overflow the float range"
@@ -357,6 +365,11 @@ class BlockData(NamedTuple):
     ``laws[j]`` holds the worst violations of the unit, product and adjoint
     laws by ``blocks[j]`` (``_law_violations``), measured as the blocks
     were built; a representation built from blocks reads its own off them.
+    ``adjoint`` maps the column of E^j_ab to that of E^j_ba = (E^j_ab)^*,
+    and column j of ``centers`` holds the coordinates of z_j = sum_a E^j_aa,
+    the unit of block j: the values rho(E^j_ab) of a functional are
+    checked for hermiticity (``_state_densities``) and a character read
+    on the z_j (``_multiplicities``) with no per-block loop.
     """
 
     sizes: tuple[int, ...]
@@ -364,26 +377,12 @@ class BlockData(NamedTuple):
     coords: np.ndarray  # (n, n)
     blocks: tuple[np.ndarray, ...]
     laws: tuple[Mapping[str, float], ...]
+    adjoint: np.ndarray  # (n,)
+    centers: np.ndarray  # (n, J)
 
     @property
     def slices(self) -> list[slice]:
         return _block_slices(self.sizes)
-
-    def densities(self, functional: np.ndarray) -> list[np.ndarray]:
-        """The D_j with rho(x) = sum_j tr(D_j x_j), that is D_j[b, a] = rho(E^j_ab).
-
-        NonFiniteScalar is raised when a finite rho has a value rho(E^j_ab)
-        past the float range (``_finite_product``).
-        """
-        values = _finite_product(lambda: functional @ self.units,
-                                 "the densities of the functional overflow", functional)
-        return [values[s].reshape(k, k).T for s, k in zip(self.slices, self.sizes)]
-
-    def central_projections(self) -> list[np.ndarray]:
-        """Coordinates of z_j = sum_a E^j_aa, the unit of block j."""
-        n = self.units.shape[0]
-        return [np.trace(self.units[:, s].reshape(n, k, k), axis1=1, axis2=2)
-                for s, k in zip(self.slices, self.sizes)]
 
 
 def block_data(
@@ -502,10 +501,15 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
         raise NoConvergence(
             f"the blocks {sizes} miss the algebra: {law} deviates by {worst[law]:.3e}"
         )
-    for a in (units, coords):
+    slices = _block_slices(sizes)
+    adjoint = np.concatenate([s.start + np.arange(k * k).reshape(k, k).T.ravel()
+                              for s, k in zip(slices, sizes)])
+    centers = np.stack([np.trace(units[:, s].reshape(n, k, k), axis1=1, axis2=2)
+                        for s, k in zip(slices, sizes)], axis=1)
+    for a in (units, coords, adjoint, centers):
         a.setflags(write=False)
     return BlockData(sizes=sizes, units=units, coords=coords, blocks=blocks,
-                     laws=tuple(laws))
+                     laws=tuple(laws), adjoint=adjoint, centers=centers)
 
 
 def intertwiner(
@@ -553,7 +557,8 @@ def _multiplicities(rep: GNSRepresentation, pol: TolerancePolicy) -> np.ndarray:
     """How often rep holds the irreducible representation of each block.
 
     m_j = tr pi(z_j) / k_j, z_j the block's central projection, read off
-    the character tr pi(e_i).  InvalidRepresentation when rep is empty,
+    the character tr pi(e_i) in one product with the z_j
+    (``BlockData.centers``).  InvalidRepresentation when rep is empty,
     some m_j is further than match_tol * d from an integer, or the m_j do
     not add up to d (pi(1) is not the identity).
     """
@@ -562,8 +567,7 @@ def _multiplicities(rep: GNSRepresentation, pol: TolerancePolicy) -> np.ndarray:
         raise InvalidRepresentation("the empty representation has no multiplicities")
     data = block_data(rep.algebra, pol)
     character = np.trace(rep.matrices, axis1=1, axis2=2)
-    counts = np.array([character @ z / k for z, k in
-                       zip(data.central_projections(), data.sizes)])
+    counts = character @ data.centers / data.sizes
     whole = np.rint(counts.real)
     off = float(np.max(np.abs(counts - whole)))
     if off > pol.match_tol * d:
@@ -652,29 +656,28 @@ def _state_densities(
 ) -> tuple[BlockData, np.ndarray, list[np.ndarray]]:
     """The block data, rho as an array, and the hermitized densities D_j of rho.
 
-    rho is positive exactly when every D_j is hermitian and PSD.  The first
-    is decided here with one scale for all blocks: the block-diagonal matrix
-    of the D_j is checked and hermitized in one step, as an eigensolver's
-    input is (``_require_square_hermitian``), and the D_j are its diagonal
-    blocks, each solved with no second check (``_eigh``, ``_eigvalsh``).
-    The second is decided by ``_state_ranks``.  NotPositive names the
-    calling function; NonFiniteScalar is raised for densities past the
-    float range (``BlockData.densities``).
+    D_j[b, a] = rho(E^j_ab), so rho(x) = sum_j tr(D_j x_j), and rho is
+    positive exactly when every D_j is hermitian and PSD.  The first is
+    decided here, on the n values rho(E^j_ab) against the conjugates of
+    the rho(E^j_ba) (``BlockData.adjoint``), at one scale for all blocks,
+    max|rho(E^j_ab)|, by the rule and the hermitization of an eigensolver's
+    input (``_checked_hermitized``): the verdict and the bits are those of
+    the block-diagonal matrix of the D_j checked whole, which is never
+    built.  The D_j are views of the hermitized values, each solved with no
+    second check (``_eigh``, ``_eigvalsh``).  The second is decided by
+    ``_state_ranks``.  NotPositive names the calling function;
+    NonFiniteScalar is raised when a finite rho has a value rho(E^j_ab)
+    past the float range (``_finite_product``).
     """
     rho = algebra._check_element(functional, "functional")
     data = block_data(algebra, pol)
-    diagonal = np.zeros((sum(data.sizes),) * 2, dtype=complex)
-    blocks, start = [], 0
-    for dens in data.densities(rho):
-        block = slice(start, start + dens.shape[0])
-        diagonal[block, block] = dens
-        blocks.append(block)
-        start = block.stop
+    values = _finite_product(lambda: rho @ data.units,
+                             "the densities of the functional overflow", rho)
     try:
-        diagonal = _require_square_hermitian(diagonal, pol)
+        values = _checked_hermitized(values, np.conj(values[data.adjoint]), pol)
     except (NotHermitian, ValueError):  # a ValueError for a NaN functional
         raise NotPositive(f"{caller} requires a positive functional") from None
-    return data, rho, [diagonal[block, block] for block in blocks]
+    return data, rho, [values[s].reshape(k, k).T for s, k in zip(data.slices, data.sizes)]
 
 
 def _state_ranks(
@@ -683,20 +686,20 @@ def _state_ranks(
 ) -> list[int]:
     """The rank of each density D_j of rho, given the descending eigenvalues of each.
 
-    The D_j are PSD, and rho positive, by ``psd_rank`` on all their
-    eigenvalues at once, and each block's rank is taken relative to the
+    The D_j are PSD, and rho positive, by ``psd_rank``'s rule on the
+    largest and the smallest eigenvalue of all blocks, the first and last
+    of each spectrum, and each block's rank is taken relative to the
     largest of them.  NotPositive names the calling function; the zero
     functional raises ZeroFunctional carrying ``zero``, or has rank 0 in
     every block when ``zero`` is None.
     """
-    values = np.sort(np.concatenate(spectra))[::-1]
-    positive, _ = psd_rank(values, pol)
+    top = max(float(w[0]) for w in spectra)
+    positive, _ = psd_rank(np.array([top, min(float(w[-1]) for w in spectra)]), pol)
     if not positive:
         raise NotPositive(f"{caller} requires a positive functional")
     if zero is not None and not np.any(rho):
         raise ZeroFunctional(zero)
-    top = max(float(values[0]), 0.0)
-    return [psd_rank(w, pol, top)[1] for w in spectra]
+    return [psd_rank(w, pol, max(top, 0.0))[1] for w in spectra]
 
 
 def _state_spectra(

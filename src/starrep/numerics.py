@@ -33,8 +33,9 @@ a few ulps of its cutoff.  Both
 solvers validate alike and raise ``NonFiniteScalar`` when an eigenvalue of
 a finite matrix lies beyond the float range.  Their solves of an already
 validated, hermitized matrix are ``_eigh`` and ``_eigvalsh``, for a caller
-that has checked the matrix itself, as ``gns`` checks the block-diagonal
-matrix of a functional's densities once for all its blocks.
+that has checked the matrix itself, as ``gns`` checks the values of a
+functional on all its blocks' matrix units at once
+(``_checked_hermitized``, the rule of every eigensolver's input).
 
 Overflow is decided once too.  ``_overflow_checked`` runs a computation
 under numpy's overflow flag and turns the first overflow into
@@ -226,14 +227,26 @@ def is_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
 def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
     """m as a nonempty square complex matrix, hermitized; hermitian by ``is_hermitian``'s rule.
 
-    Finite entries give a finite size, so the entries are checked one by
-    one only when it is not (an entry's modulus can pass the float range).
+    The check and the hermitization are ``_checked_hermitized``'s.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"expected a nonempty square matrix, got shape {a.shape}")
-    ah = a.conj().T
-    size = float(np.abs(a).max())  # max|A^H| too
+    return _checked_hermitized(a, a.conj().T, pol)
+
+
+def _checked_hermitized(a: np.ndarray, ah: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """(A + A^H) / 2, when A is hermitian by ``is_hermitian``'s rule, from A and ``ah``.
+
+    ``ah`` holds the adjoint's entries in the places of A's: the matrix
+    A^H, or for the values rho(E^j_ab) of a functional the conjugates of
+    the rho(E^j_ba).  The size is max|A|, which is max|A^H| too, so it is
+    read once.  NotHermitian when the gap fails ``within_tol``; a
+    ValueError when an entry is not finite.  Finite entries give a finite
+    size, so the entries are checked one by one only when it is not (an
+    entry's modulus can pass the float range).
+    """
+    size = float(np.abs(a).max())
     asym = _gap(a, ah, size)
     if not math.isfinite(size) and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")

@@ -52,7 +52,7 @@ from starrep import (
 )
 from starrep.algebra import _associativity_blocked, _product_table, _real_copies
 from starrep.correspondence import _invariant
-from starrep.errors import NonFiniteScalar, NotPositive
+from starrep.errors import InvalidRepresentation, NonFiniteScalar, NotPositive
 from starrep.gns import _gram_represent, _law_violations
 
 from conftest import (
@@ -401,7 +401,8 @@ def test_pullback_source_side_matches_the_complex_oracle(budget, monkeypatch, ba
     # alpha times a random unitary is not *-preserving: rho o alpha is not
     # hermitian, so it has no kernel
     skewed = StarHomomorphism(hom.source, hom.target, hom.matrix @ random_unitary(rng, 4))
-    with pytest.raises(NotPositive, match="^functional_to_kernel requires a positive functional$"):
+    with pytest.raises(NotPositive,
+                       match="^pullback requires the pulled-back functional to be positive$"):
         pullback(skewed, kernel)
 
     # alpha after the transpose of M_2, positive but not multiplicative:
@@ -625,6 +626,23 @@ def test_overflowing_representation_and_homomorphism_laws_raise(budget):
     with pytest.raises(NonFiniteScalar,
                        match="^the homomorphism's law checks overflow the float range$"):
         validate_star_homomorphism(StarHomomorphism(a, a, 1e200 * np.eye(n)))
+
+
+def test_representation_with_a_nan_entry_fails_its_report():
+    # the regular representation of S_3, given from outside with a NaN at
+    # matrices[5, 0, 0]: its orbit's Gram matrix has no rank, so cyclicity
+    # reads NaN, the report fails rather than raise a bare ValueError, and
+    # rep_to_kernel refuses the representation
+    a = s3_algebra()
+    n = a.dim
+    mats = np.array(a.basis_left_mult(), dtype=complex)
+    mats[5, 0, 0] = np.nan
+    rep = GNSRepresentation(a, mats, a.unit, np.eye(n)[0], np.eye(n, dtype=complex))
+    report = verify_star_rep(rep)
+    assert np.isnan(report.violations["cyclicity"])
+    assert not report.passed
+    with pytest.raises(InvalidRepresentation, match="^representation fails verification: "):
+        rep_to_kernel(rep)
 
 
 def test_planted_multiplicativity_violation_in_last_slice(budget):

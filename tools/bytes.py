@@ -69,6 +69,13 @@ number 10, with the state tr(D·), D of eigenvalues 1 and 1e-8, runs ``gns``,
 ``roundtrip``, ``decompose`` and ``kernel``: there a rank cut on the Gram
 matrix's spectrum and one on the block densities can disagree.
 
+A copy of ``s3.json`` holds two states that are hermitian in every block
+but one, run by ``gns``, ``decompose`` and ``roundtrip``: one whose 2 x 2
+density is far from hermitian (exit 1, ``NotPositive``), and one whose
+2 x 2 density's asymmetry passes the hermiticity rule at the scale of its
+largest density value, 1e3, the one scale at which all blocks are checked,
+and would fail it at the scale of its own values.
+
 Two inputs take the Gram form of a representation, which algebras without
 block data keep: a workspace of the dual numbers C[eps]/eps^2, which are not
 semisimple, runs ``gns``, ``roundtrip``, ``kernel`` and ``decompose`` (the
@@ -107,6 +114,11 @@ PROBE_EPS, PROBE_COND = 1e-8, 10.0
 FALLBACK_VERBS = ("gns", "roundtrip", "kernel", "decompose")
 PHASE_VERBS = ("validate", "gns", "kernel", "roundtrip")
 INVARIANCE_VERBS = ("functional", "pullback", "roundtrip")
+DENSITY_VERBS = ("gns", "decompose", "roundtrip")
+MATCH_TOL = 1e-8  # starrep's default
+# the one_scale state's largest density value, and the skew of its 2 x 2
+# density in units of MATCH_TOL times that value (``density_commands``)
+ONE_SCALE_TOP, ONE_SCALE_SKEW = 1e3, 0.5
 SKEW_POWER, SKEW_TOL = 1e-3, 6e-3
 # (the entries of s3.json's structure constants set, [index, value])
 S3_PLANTED = {
@@ -365,6 +377,36 @@ def invariance_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(path)
     return cmds + [cmd for cmd in fixture_commands(paths) if cmd[2] in INVARIANCE_VERBS]
+
+
+def density_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """``DENSITY_VERBS`` on a copy of ``s3.json`` with two states hermitian but in one block.
+
+    A state rho(g) = a + b sign(g) + tr(D pi(g)), pi the standard
+    representation of S_3 on the complement of (1, 1, 1) in C^3, has the
+    densities a, b and D.  In ``skewed`` a = b = 1 and D = [[1, 1/2],
+    [0, 1]], which is not hermitian: the verbs exit 1 with NotPositive.  In
+    ``one_scale`` a = ``ONE_SCALE_TOP``, b = 1 and D = I + t [[0, 1], [0, 0]],
+    t = ``ONE_SCALE_SKEW`` times ``MATCH_TOL`` times a.  Hermiticity is
+    decided at one scale for all blocks, the largest density value, where
+    D's asymmetry passes; at the scale of D's own values it would fail.
+    """
+    doc = json.loads((fixtures / "s3.json").read_text(encoding="utf-8"))
+    labels = doc["algebras"]["s3"]["labels"]  # the permutations x -> label[x]
+    perms = [np.eye(3)[:, [int(x) for x in label]] for label in labels]
+    frame = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]) / np.sqrt([2.0, 6.0])
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    t = ONE_SCALE_SKEW * MATCH_TOL * ONE_SCALE_TOP
+    states = {"skewed": (1.0, np.eye(2) + skew / 2),
+              "one_scale": (ONE_SCALE_TOP, np.eye(2) + t * skew)}
+    doc["functionals"] = {}
+    for name, (a, d) in states.items():
+        # rho(g) = a + sign(g) + tr(D pi(g)), sign(g) = det(g)
+        values = [a + np.linalg.det(g) + np.trace(d @ frame.T @ g @ frame) for g in perms]
+        doc["functionals"][name] = {"algebra": "s3", "values": _encode(np.array(values) + 0j)}
+    path = scratch / "s3_densities.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return [["-w", str(path), verb, "s3", name] for name in states for verb in DENSITY_VERBS]
 
 
 def m4_commands(scratch: Path) -> list[list[str]]:
@@ -631,7 +673,8 @@ def main(argv=None) -> int:
                 + m4_commands(scratch)
                 + fallback_commands(fixtures, scratch)
                 + single_term_commands(fixtures, scratch)
-                + invariance_commands(fixtures, scratch))
+                + invariance_commands(fixtures, scratch)
+                + density_commands(fixtures, scratch))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
