@@ -247,37 +247,33 @@ def build_group_algebra(cayley, inverses=None, labels=None) -> FiniteStarAlgebra
     if np.any(table < 0) or np.any(table >= n):
         raise NotAGroup("table entries must index group elements")
 
-    identity = None
-    for e in range(n):
-        if all(table[e, x] == x and table[x, e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    idx = np.arange(n)
+    # the first e with g_e g_x = g_x = g_x g_e for every x
+    identities = np.flatnonzero((table == idx).all(axis=1) & (table == idx[:, None]).all(axis=0))
+    if identities.size == 0:
         raise NotAGroup("no identity element")
+    identity = int(identities[0])
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i, j], k] != table[i, table[j, k]]:
-                    raise NotAGroup(f"associativity fails at triple ({i}, {j}, {k})")
+    # (g_i g_j) g_k against g_i (g_j g_k) over all triples; the first failure in (i, j, k) order
+    broken = np.flatnonzero(table[table] != table[:, table])
+    if broken.size:
+        i, j, k = np.unravel_index(broken[0], (n, n, n))
+        raise NotAGroup(f"associativity fails at triple ({i}, {j}, {k})")
 
-    inv = np.full(n, -1, dtype=int)
-    for i in range(n):
-        hits = np.nonzero(table[i] == identity)[0]
-        if hits.size != 1 or table[hits[0], i] != identity:
-            raise NotAGroup(f"element {i} has no two-sided inverse")
-        inv[i] = hits[0]
+    # each row holds the identity once, at the column of a two-sided inverse
+    hits = table == identity
+    inv = hits.argmax(axis=1)
+    inverted = (hits.sum(axis=1) == 1) & (table[inv, idx] == identity)
+    if not inverted.all():
+        raise NotAGroup(f"element {np.flatnonzero(~inverted)[0]} has no two-sided inverse")
     if inverses is not None:
         if list(inverses) != inv.tolist():
             raise NotAGroup("supplied inverses disagree with the table")
 
     c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c[i, j, table[i, j]] = 1.0
+    c[idx[:, None], idx, table] = 1.0
     s = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        s[i, inv[i]] = 1.0
+    s[idx, inv] = 1.0
     unit = np.zeros(n, dtype=complex)
     unit[identity] = 1.0
     if labels is None:
@@ -295,22 +291,14 @@ def build_matrix_algebra(m: int) -> FiniteStarAlgebra:
     if m < 1:
         raise ValueError("matrix algebra size must be >= 1")
     n = m * m
-
-    def idx(p: int, q: int) -> int:
-        return p * m + q
-
+    p, q, r = np.indices((m, m, m))
     c = np.zeros((n, n, n), dtype=complex)
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                c[idx(p, q), idx(q, r), idx(p, r)] = 1.0
+    c[p * m + q, q * m + r, p * m + r] = 1.0
+    p, q = np.indices((m, m))
     s = np.zeros((n, n), dtype=complex)
-    for p in range(m):
-        for q in range(m):
-            s[idx(p, q), idx(q, p)] = 1.0
+    s[p * m + q, q * m + p] = 1.0
     unit = np.zeros(n, dtype=complex)
-    for p in range(m):
-        unit[idx(p, p)] = 1.0
+    unit[:: m + 1] = 1.0
     labels = tuple(f"E{p + 1}{q + 1}" for p in range(m) for q in range(m))
     return FiniteStarAlgebra(c, s, unit, labels)
 

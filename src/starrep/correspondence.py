@@ -32,12 +32,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .gns import GNSRepresentation, gns_construct, verify_star_rep
-from .kernels import Kernel, _check_scale, kernel_leq, make_kernel
+from .kernels import Kernel, _check_scale, _psd_kernel, kernel_leq
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
     _finite_product,
+    _hermitized,
     _law_report,
     _maxabs,
     _overflow_checked,
@@ -193,7 +194,9 @@ def rep_to_kernel(
     """Reproducing operator recovered from a representation as T^dagger T.
 
     T is the orbit matrix of the cyclic vector (columns pi(e_j) xi); the
-    result coincides with the kernel of the source functional.
+    result coincides with the kernel of the source functional.  T^H T is
+    hermitian by construction: it is hermitized and built with no check
+    (``kernels._psd_kernel``).  NonFiniteScalar is raised when it overflows.
     """
     report = verify_star_rep(rep, pol)
     if not report.passed:
@@ -201,7 +204,8 @@ def rep_to_kernel(
             f"representation fails verification: {dict(report.violations)}"
         )
     t = rep.orbit_matrix()
-    return make_kernel(t.conj().T @ t, pol)
+    gram = _finite_product(lambda: t.conj().T @ t, "the representation's kernel overflows", t)
+    return _psd_kernel(_hermitized(gram, gram.conj().T, _maxabs(gram)), pol)
 
 
 def pullback(

@@ -55,13 +55,12 @@ from .numerics import (
     _hermitized,
     _law_report,
     _maxabs,
+    _pseudo_inverse,
     _stack_times,
     entrywise_gap,
     hermitian_eigen,
     index_blocks,
-    psd_check,
     psd_rank,
-    pseudo_inverse,
     relative_gap,
     within_tol,
 )
@@ -314,27 +313,27 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
     a Gram form that does not depend on the basis the algebra is written
     in, where the orbit over a badly conditioned basis can lose rank to the
     cutoff.  An algebra with no block data under ``pol`` (NotSemisimple or
-    NoConvergence) uses the orbit over its basis.  A representation with a
-    NaN entry has no orbit rank, and its cyclicity reads NaN, which fails
-    the report; a violation past the float range raises NonFiniteScalar
-    (``_law_report``).
+    NoConvergence) uses the orbit over its basis.  T T^H is hermitian by
+    construction: it is hermitized and solved with no check.  A
+    representation with a NaN entry has no orbit rank, and its cyclicity
+    reads NaN, which fails the report; a violation past the float range
+    raises NonFiniteScalar (``_law_report``, ``_finite_product``).
     """
     try:
         units = block_data(rep.algebra, pol).units
     except (NotSemisimple, NoConvergence):
         units = None
+    message = "the representation's law checks overflow the float range"
 
     def violations() -> dict[str, float]:
         orbit = rep.orbit_matrix()
         t = orbit if units is None else orbit @ units
-        # T T^H is hermitian by construction; its roundoff asymmetry would fail
-        # the eigensolver's check at match_tol = 0, so it is hermitized first
-        gram = t @ t.conj().T
+        gram = _finite_product(lambda: t @ t.conj().T, message, t)
         gram = _hermitized(gram, gram.conj().T, _maxabs(gram))
-        if not np.isfinite(gram).all():  # a NaN entry of rep, or an overflow: no rank
+        if not np.isfinite(gram).all():  # a NaN entry of rep, or an orbit past the range
             cyclicity = math.nan
         elif rep.rep_dim:
-            cyclicity = float(rep.rep_dim - psd_check(gram, pol)[1])
+            cyclicity = float(rep.rep_dim - psd_rank(_eigvalsh(gram), pol)[1])
         else:
             cyclicity = 0.0
         reproduced = orbit.T @ np.conj(rep.cyclic_vector)
@@ -342,7 +341,6 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
                 "cyclicity": cyclicity,
                 "reproduction": relative_gap(reproduced, rep.source_functional)}
 
-    message = "the representation's law checks overflow the float range"
     return _law_report(violations, pol, message, rep.matrices, rep.cyclic_vector,
                        rep.source_functional)
 
@@ -448,8 +446,11 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
 
     rng = np.random.default_rng(_BLOCK_SEED)
     draws = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    x, y = ((draws @ q_inv.T) @ regular.matrices.reshape(n, n * n)).reshape(2, n, n)
-    values, vectors = hermitian_eigen(_hermitized(x, x.conj().T, float(np.abs(x).max())), pol)
+    x, y = _finite_product(
+        lambda: ((draws @ q_inv.T) @ regular.matrices.reshape(n, n * n)).reshape(2, n, n),
+        "the generic elements of the algebra overflow", q_inv, regular.matrices)
+    # (x + x^H) / 2 is hermitian by construction, so it is solved with no check
+    values, vectors = _eigh(_hermitized(x, x.conj().T, _maxabs(x)))
     spread = float(np.max(np.abs(values)))
     cuts = np.flatnonzero(~within_tol(-np.diff(values), spread, pol)) + 1
     spaces = [vectors[:, idx] for idx in np.split(np.arange(n), cuts)]
@@ -521,7 +522,9 @@ def intertwiner(
 
     Such a unitary exists exactly when the two source functionals coincide;
     otherwise NotEquivalent is raised.  U is recovered from the two orbit
-    matrices as ``T2 T1^+`` and then checked against its contract.  Each
+    matrices as ``T2 T1^H (T1 T1^H)^+`` and then checked against its
+    contract; T1 T1^H is hermitized and solved with no check, and
+    NonFiniteScalar is raised when it overflows.  Each
     check is the entrywise rule (``within_tol``): the functionals against
     the larger of them, U T1 against T2 likewise, and the unitarity and
     intertwining residuals against 1, the norm of a unitary.
@@ -541,7 +544,9 @@ def intertwiner(
 
     t1 = rep1.orbit_matrix()
     t2 = rep2.orbit_matrix()
-    u = t2 @ t1.conj().T @ pseudo_inverse(t1 @ t1.conj().T, pol)
+    gram = _finite_product(lambda: t1 @ t1.conj().T, "the orbit's Gram matrix overflows", t1)
+    gram = _hermitized(gram, gram.conj().T, _maxabs(gram))
+    u = t2 @ t1.conj().T @ _pseudo_inverse(*_eigh(gram), pol)
 
     orbit, size = entrywise_gap(u @ t1, t2)
     unitary = max(

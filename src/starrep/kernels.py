@@ -5,10 +5,13 @@ reproducing operator: a hermitian PSD matrix H acting on dual coordinates.
 Its elements are the vectors in range(H), carrying the squared norm
 ``phi^dagger H^+ phi``.  The cone operations (sum, nonnegative scaling,
 order, difference, exclusion, chains, weighted sums) all reduce to matrix
-arithmetic on the reproducing operators.  Every kernel, given or made by
-an operation (a sum, a difference, a chain's terms), is built by one
-value-only eigensolve (``hermitized_eigvals``), which decides hermiticity
-and the PSD verdict and gives the rank and the top eigenvalue; a positive
+arithmetic on the reproducing operators.  Hermiticity is decided once,
+where a matrix enters (``make_kernel``'s argument).  A sum, a difference
+or a nonnegatively weighted sum of kernels is hermitian by construction,
+and so is every matrix an operation builds from them, so each goes to the
+solver as it is.  Every kernel, given or made by an operation, is built
+by one builder (``_built``): one value-only eigensolve (``_eigvalsh``)
+gives the PSD verdict, the rank and the top eigenvalue.  A positive
 multiple scales its kernel's top eigenvalue and keeps its rank, with no
 solve.  A verdict (the order, exclusion, the direct-summand test, the
 least dominating scale) likewise reads eigenvalues alone.  Every kernel's
@@ -42,11 +45,14 @@ from .errors import (
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _eigvalsh,
+    _finite_product,
+    _hermitized,
+    _maxabs,
     _overflow_checked,
+    _require_square_hermitian,
     entrywise_gap,
     hermitian_eigen,
-    hermitian_eigvals,
-    hermitized_eigvals,
     psd_rank,
     within_tol,
 )
@@ -77,15 +83,19 @@ _MAJORIZATION_GROWTH = 1e12
 class Kernel:
     """Reproducing operator (hermitian PSD) with its top eigenvalue and rank.
 
-    ``top``, the largest eigenvalue, and ``rank``, the count of eigenvalues
-    above the rank cutoff, come from the value-only eigensolve the kernel
-    was built with.  ``values`` and ``vectors`` are the canonical
+    ``matrix`` is hermitian, a fixed point of the hermitization
+    (A + A^H) / 2: hermitized where it entered or was built (``make_kernel``,
+    T^H T of a representation), or a sum, difference or positive multiple
+    of such matrices.  ``top``, the largest eigenvalue, and ``rank``, the
+    count of eigenvalues above the rank cutoff, come from the value-only
+    eigensolve the kernel was built with.  ``Kernel(...)`` trusts its
+    caller for all three.  ``values`` and ``vectors`` are the canonical
     eigendecomposition of ``matrix`` (``hermitian_eigen``: descending
     values, fixed phases and tie order), made on first read and kept, so
     that ``vectors[:, :rank]`` spans the subspace; a reader that pairs
     vectors with values takes both from there.  Every kernel, a multiple
-    (``kernel_scale``) too, gets them that one way.  Build kernels with
-    ``make_kernel``.  All arrays are read-only.
+    (``kernel_scale``) too, gets them that one way.  Build kernels from
+    outside with ``make_kernel``.  All arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -128,15 +138,34 @@ class SubspaceElement:
 def make_kernel(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
     """Validate a matrix as a reproducing operator, keeping its rank and top eigenvalue.
 
-    One value-only eigensolve (``hermitized_eigvals``) gives the hermitized
-    matrix the kernel keeps, the PSD verdict (``psd_rank``), the rank and
-    the top eigenvalue.  The eigenvectors are left to their first read.
+    The matrix is checked square and hermitian and hermitized
+    (``_require_square_hermitian``), then built (``_psd_kernel``).  The
+    eigenvectors are left to their first read.
     """
-    a, values = hermitized_eigvals(matrix, pol)
+    return _psd_kernel(_require_square_hermitian(matrix, pol), pol)
+
+
+def _built(a: np.ndarray, pol: TolerancePolicy, scale: float | None = None) -> Kernel | None:
+    """The kernel of a matrix hermitian by construction, or None when it is not PSD.
+
+    One value-only eigensolve (``_eigvalsh``) of ``a``, with no check of
+    its hermiticity, gives the PSD verdict (``psd_rank`` at ``scale``, at
+    the top eigenvalue when None), the top eigenvalue and the rank, which
+    is cut at the top eigenvalue whatever ``scale`` is.
+    """
+    values = _eigvalsh(a)
     is_psd, rank = psd_rank(values, pol)
-    if not is_psd:
+    if scale is not None:
+        is_psd = psd_rank(values, pol, scale)[0]
+    return Kernel(a, float(values[0]), rank) if is_psd else None
+
+
+def _psd_kernel(a: np.ndarray, pol: TolerancePolicy) -> Kernel:
+    """``_built``'s kernel of ``a``; NegativeEigenvalue when ``a`` is not PSD."""
+    kernel = _built(a, pol)
+    if kernel is None:
         raise NegativeEigenvalue("a reproducing operator must be PSD")
-    return Kernel(a, float(values[0]), rank)
+    return kernel
 
 
 def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
@@ -193,7 +222,7 @@ def kernel_sum(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) ->
 
     NonFiniteScalar is raised when the summed entries overflow.
     """
-    return make_kernel(_sum(k1, k2), pol)
+    return _psd_kernel(_sum(k1, k2), pol)
 
 
 def _check_scale(lam: float) -> None:
@@ -213,7 +242,7 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
     entries or top eigenvalue overflow.
     """
     _check_scale(lam)
-    if lam == 0:  # the zero kernel
+    if lam == 0:  # the zero kernel; 0 H carries signed zeros, so it is hermitized
         return make_kernel(lam * kernel.matrix, pol)
     matrix, top = _overflow_checked(lambda: (lam * kernel.matrix, lam * np.float64(kernel.top)),
                                     f"scaling by {lam} overflows the kernel")
@@ -222,7 +251,7 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
 
 def kernel_leq(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """Order relation: k2 - k1 is PSD by ``psd_rank`` at the scale of ``_top``."""
-    return psd_rank(hermitian_eigvals(_difference(k1, k2), pol), pol, _top(k1, k2))[0]
+    return _built(_difference(k1, k2), pol, _top(k1, k2)) is not None
 
 
 def kernel_difference(
@@ -230,13 +259,13 @@ def kernel_difference(
 ) -> Kernel:
     """The unique complement with k1 + result = kernel; requires k1 <= kernel.
 
-    One value-only eigensolve of kernel - k1 decides the order and gives
-    the result's rank and top eigenvalue, as ``make_kernel``'s does.
+    One value-only eigensolve of kernel - k1 (``_built``) decides the order
+    at the scale of ``_top`` and gives the result's rank and top eigenvalue.
     """
-    a, values = hermitized_eigvals(_difference(k1, kernel), pol)
-    if not psd_rank(values, pol, _top(k1, kernel))[0]:
+    result = _built(_difference(k1, kernel), pol, _top(k1, kernel))
+    if result is None:
         raise NotDominated("subtrahend is not below the kernel")
-    return Kernel(a, float(values[0]), psd_rank(values, pol)[1])
+    return result
 
 
 def mutually_excluding(
@@ -244,15 +273,11 @@ def mutually_excluding(
 ) -> bool:
     """Trivial intersection of the two subspaces, i.e. their sum is direct.
 
-    At finite dimension this is exactly additivity of ranks under the sum,
-    read off the eigenvalues of the sum, which must be PSD as
-    ``make_kernel`` requires.  NonFiniteScalar is raised when the summed
-    entries overflow.
+    At finite dimension this is exactly additivity of ranks under the sum:
+    the rank of ``kernel_sum``, which raises NonFiniteScalar when the
+    summed entries overflow.
     """
-    is_psd, rank = psd_rank(hermitian_eigvals(_sum(k1, k2), pol), pol)
-    if not is_psd:
-        raise NegativeEigenvalue("a reproducing operator must be PSD")
-    return k1.rank + k2.rank == rank
+    return k1.rank + k2.rank == kernel_sum(k1, k2, pol).rank
 
 
 def min_dominating_scale(
@@ -262,7 +287,9 @@ def min_dominating_scale(
 
     Finite domination is possible exactly when range(H1) sits inside
     range(H2); the optimum is the top eigenvalue of the compression of H1 by
-    the inverse square root of H2 on its range.
+    the inverse square root of H2 on its range, hermitian by construction:
+    it is hermitized and solved with no check.  NonFiniteScalar is raised
+    when the compression overflows.
     """
     _check_same_dim(k1, k2)
     if k1.rank == 0:
@@ -279,8 +306,9 @@ def min_dominating_scale(
         return None
 
     inv_sqrt = basis2 * (1.0 / np.sqrt(k2.values[: k2.rank]))[None, :]  # (n, r2)
-    compressed = inv_sqrt.conj().T @ k1.matrix @ inv_sqrt
-    return float(hermitian_eigvals(compressed, pol)[0])
+    compressed = _finite_product(lambda: inv_sqrt.conj().T @ k1.matrix @ inv_sqrt,
+                                 "the compression overflows", inv_sqrt, k1.matrix)
+    return float(_eigvalsh(_hermitized(compressed, compressed.conj().T, _maxabs(compressed)))[0])
 
 
 def ordinary_subrep_check(
@@ -291,13 +319,11 @@ def ordinary_subrep_check(
     True exactly when k1 <= kernel and k1 excludes the complement
     kernel - k1: since k1 + (kernel - k1) is kernel, whose rank is cached,
     rank additivity certifies the direct-sum splitting.  One eigensolve of
-    kernel - k1 (values alone) gives both the order and the complement's
-    rank.
+    kernel - k1 (``_built``, values alone) gives both the order and the
+    complement's rank.
     """
-    values = hermitian_eigvals(_difference(k1, kernel), pol)
-    if not psd_rank(values, pol, _top(k1, kernel))[0]:
-        return False
-    return k1.rank + psd_rank(values, pol)[1] == kernel.rank
+    complement = _built(_difference(k1, kernel), pol, _top(k1, kernel))
+    return complement is not None and k1.rank + complement.rank == kernel.rank
 
 
 def chain_limit(
@@ -385,5 +411,5 @@ def weighted_kernel_sum(
                     np.zeros((dim, dim), dtype=complex)),
         "the weighted sum overflows",
     )
-    combined = make_kernel(total, pol)
+    combined = _psd_kernel(total, pol)
     return combined, sum(kernel.rank for weight, kernel in terms if weight > 0) == combined.rank

@@ -21,21 +21,26 @@ absolute floor, so a functional and its positive multiples get the same
 verdict.
 
 ``hermitian_eigvals`` calls ``np.linalg.eigvalsh`` and returns the values
-alone, descending.  It serves every decision that reads eigenvalues only:
-``psd_check`` (positivity, and the cyclicity of a representation), the
-kernel order, rank additivity, the least dominating scale and
-extremality, and builds every kernel: ``hermitized_eigvals`` also hands
-back the hermitized matrix it solved, which the kernel keeps
-(``kernels.make_kernel``).  These values can differ from
-``hermitian_eigen``'s in the last bits, so a verdict read from them can
-differ from one read from the full spectrum only for an eigenvalue within
-a few ulps of its cutoff.  Both
-solvers validate alike and raise ``NonFiniteScalar`` when an eigenvalue of
-a finite matrix lies beyond the float range.  Their solves of an already
-validated, hermitized matrix are ``_eigh`` and ``_eigvalsh``, for a caller
-that has checked the matrix itself, as ``gns`` checks the values of a
-functional on all its blocks' matrix units at once
-(``_checked_hermitized``, the rule of every eigensolver's input).
+alone, descending, for the decisions that read eigenvalues only
+(``psd_check``: the positivity of a functional).  These values can differ
+from ``hermitian_eigen``'s in the last bits, so a verdict read from them
+can differ from one read from the full spectrum only for an eigenvalue
+within a few ulps of its cutoff.
+
+Hermiticity is decided once, where a matrix enters the package:
+``kernels.make_kernel``'s argument, a functional's Gram matrix or block
+densities, a representation given from outside, and the argument of a
+public solver here.  Each is checked against its adjoint by the entrywise
+rule and hermitized (``_checked_hermitized``): a matrix by
+``_require_square_hermitian``, a functional's block densities by one check
+of its values on all the blocks' matrix units (``gns``).  The public
+solvers' last steps, ``_eigh`` and ``_eigvalsh``, solve a hermitized
+matrix with no second check.  They also solve the matrices the package
+builds hermitian: a kernel's sum, difference or weighted sum
+(``kernels``), and T^H T, T T^H and the compressions of PSD matrices,
+hermitized first (``_hermitized``).  Every solve raises
+``NonFiniteScalar`` when an eigenvalue of a finite matrix lies beyond the
+float range.
 
 Overflow is decided once too.  ``_overflow_checked`` runs a computation
 under numpy's overflow flag and turns the first overflow into
@@ -69,10 +74,8 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "ValidationReport",
-    "is_hermitian",
     "hermitian_eigen",
     "hermitian_eigvals",
-    "hermitized_eigvals",
     "pseudo_inverse",
     "psd_check",
     "psd_rank",
@@ -215,17 +218,8 @@ def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
     return residual / size if size else 0.0
 
 
-def is_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """The package's one hermiticity rule: A against A^H by ``within_tol``.
-
-    The size is max|A|, which is max|A^H| too.
-    """
-    size = float(np.abs(a).max())
-    return bool(within_tol(_gap(a, a.conj().T, size), size, pol))
-
-
 def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
-    """m as a nonempty square complex matrix, hermitized; hermitian by ``is_hermitian``'s rule.
+    """m as a nonempty square complex matrix, hermitized; hermitian by the entrywise rule.
 
     The check and the hermitization are ``_checked_hermitized``'s.
     """
@@ -236,12 +230,13 @@ def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
 
 
 def _checked_hermitized(a: np.ndarray, ah: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
-    """(A + A^H) / 2, when A is hermitian by ``is_hermitian``'s rule, from A and ``ah``.
+    """(A + A^H) / 2, when A is hermitian, from A and ``ah``.
 
     ``ah`` holds the adjoint's entries in the places of A's: the matrix
     A^H, or for the values rho(E^j_ab) of a functional the conjugates of
-    the rho(E^j_ba).  The size is max|A|, which is max|A^H| too, so it is
-    read once.  NotHermitian when the gap fails ``within_tol``; a
+    the rho(E^j_ba).  The package's one hermiticity rule: A against A^H
+    by ``within_tol`` at the size max|A|, which is max|A^H| too, so it is
+    read once.  NotHermitian when the gap fails the rule; a
     ValueError when an entry is not finite.  Finite entries give a finite
     size, so the entries are checked one by one only when it is not (an
     entry's modulus can pass the float range).
@@ -415,19 +410,8 @@ def hermitian_eigvals(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     return _eigvalsh(_require_square_hermitian(m, pol))
 
 
-def hermitized_eigvals(
-    m, pol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, values)``: ``hermitian_eigvals`` with the hermitized A it solved.
-
-    For a caller that keeps the matrix, as ``kernels.make_kernel`` does.
-    """
-    a = _require_square_hermitian(m, pol)
-    return a, _eigvalsh(a)
-
-
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``hermitian_eigen``'s canonical eigensystem of a validated, hermitized matrix."""
+    """``hermitian_eigen``'s canonical eigensystem of a hermitized matrix, with no check."""
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -436,7 +420,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """The descending eigenvalues of a validated, hermitized matrix."""
+    """``hermitian_eigvals``'s descending eigenvalues of a hermitized matrix, with no check."""
     try:
         values = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -477,7 +461,14 @@ def psd_check(m, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:
 
 def pseudo_inverse(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Moore-Penrose inverse of a hermitian PSD matrix under the rank policy."""
-    values, vectors = hermitian_eigen(m, pol)
+    return _pseudo_inverse(*hermitian_eigen(m, pol), pol)
+
+
+def _pseudo_inverse(values: np.ndarray, vectors: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """``pseudo_inverse`` of the matrix with the canonical eigensystem ``(values, vectors)``.
+
+    NegativeEigenvalue when the matrix is not PSD by ``psd_rank``.
+    """
     is_psd, rank = psd_rank(values, pol)
     if not is_psd:
         raise NegativeEigenvalue(

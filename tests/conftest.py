@@ -155,10 +155,11 @@ def change_basis(algebra, s: np.ndarray) -> FiniteStarAlgebra:
 
 
 # The full solvers and the value-only ones.  The private ``_eigh`` and
-# ``_eigvalsh`` solve a matrix already checked, as ``gns`` does each block
-# density; inside ``numerics`` they are the public solvers' last step.
+# ``_eigvalsh`` solve a matrix checked or built hermitian, as ``gns`` solves
+# each block density and ``kernels`` each kernel it builds; inside
+# ``numerics`` they are the public solvers' last step.
 FULL_SOLVERS = ("hermitian_eigen", "_eigh")
-VALUE_ONLY_SOLVERS = ("hermitian_eigvals", "hermitized_eigvals", "_eigvalsh")
+VALUE_ONLY_SOLVERS = ("hermitian_eigvals", "_eigvalsh")
 
 
 def conjugated_copy(rep, u):
@@ -199,8 +200,9 @@ def gram_represent_oracle(algebra, functional, pol=DEFAULT_POLICY):
 def record_eigensolves(monkeypatch, record, full_only: bool = False) -> None:
     """Call ``record(m)`` on the matrix of every eigensolve, full or value-only.
 
-    Every solver is replaced in every module that calls it, a private one
-    outside ``numerics``, so each solve is recorded once.  With
+    Each module's own solvers are replaced: the public ones in
+    ``numerics``, and in ``kernels`` and ``gns`` every solver they call, a
+    private one too, so each solve is recorded once.  With
     ``full_only`` only the full solves (``FULL_SOLVERS``) are recorded.
     """
     import starrep.gns

@@ -1,5 +1,8 @@
 """Tests for structure-constant algebras and the standard builders."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from conftest import (
     cyclic_group_table,
     random_element,
     s3_algebra,
+    symmetric_group_table,
     z2_algebra,
     z3_algebra,
 )
@@ -175,6 +179,82 @@ def test_build_matrix_algebra():
     assert m2.dim == 4 and validate_algebra(m2).passed
     m3 = build_matrix_algebra(3)
     assert np.allclose(m3.left_mult_matrix(m3.unit), np.eye(9))
+
+
+def group_algebra_oracle(table: list[list[int]]):
+    """``(c, s, unit)`` of the group algebra of ``table``, or the NotAGroup message, by loops.
+
+    The checks run in the builder's order (identity, associativity over
+    the triples in (i, j, k) order, inverses), one element at a time.
+    """
+    n = len(table)
+    identity = next((e for e in range(n)
+                     if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
+    if identity is None:
+        return "no identity element"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return f"associativity fails at triple ({i}, {j}, {k})"
+    inv = []
+    for i in range(n):
+        hits = [j for j in range(n) if table[i][j] == identity]
+        if len(hits) != 1 or table[hits[0]][i] != identity:
+            return f"element {i} has no two-sided inverse"
+        inv.append(hits[0])
+    c = np.zeros((n, n, n), dtype=complex)
+    s = np.zeros((n, n), dtype=complex)
+    unit = np.zeros(n, dtype=complex)
+    for i in range(n):
+        s[i, inv[i]] = unit[identity] = 1.0
+        for j in range(n):
+            c[i, j, table[i][j]] = 1.0
+    return c, s, unit
+
+
+def matrix_algebra_oracle(m: int):
+    """``(c, s, unit)`` of M_m in the matrix-unit basis, by loops over the units."""
+    n = m * m
+    c = np.zeros((n, n, n), dtype=complex)
+    s = np.zeros((n, n), dtype=complex)
+    unit = np.zeros(n, dtype=complex)
+    for p, q in itertools.product(range(m), repeat=2):
+        s[p * m + q, q * m + p] = 1.0
+        unit[p * m + p] = 1.0
+        for r in range(m):
+            c[p * m + q, q * m + r, p * m + r] = 1.0
+    return c, s, unit
+
+
+def assert_bit_identical(algebra, want) -> None:
+    got = (algebra.structure_constants, algebra.involution, algebra.unit)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_build_matrix_algebra_matches_the_loop_oracle(m):
+    assert_bit_identical(build_matrix_algebra(m), matrix_algebra_oracle(m))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_build_group_algebra_matches_the_loop_oracle(seed):
+    # the tables of Z_1 .. Z_8, S_3 and S_4, and copies with up to three
+    # entries overwritten, which break the identity, associativity or the
+    # inverses, each time naming the first failure the loops find
+    rng = np.random.default_rng(seed)
+    tables = [cyclic_group_table(k) for k in range(1, 9)]
+    tables += [symmetric_group_table(3), symmetric_group_table(4)]
+    for table in tables:
+        n = len(table)
+        for trial in range(12):
+            broken = np.array(table)
+            for _ in range(trial % 4):
+                broken[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            want = group_algebra_oracle(broken.tolist())
+            if isinstance(want, str):
+                with pytest.raises(NotAGroup, match=f"^{re.escape(want)}$"):
+                    build_group_algebra(broken)
+            else:
+                assert_bit_identical(build_group_algebra(broken), want)
 
 
 def test_direct_sum():

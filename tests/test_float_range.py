@@ -22,10 +22,13 @@ from starrep import (
     functional_to_kernel,
     gns_construct,
     hilbert_bound,
+    intertwiner,
     is_extremal,
     is_positive,
     make_kernel,
+    min_dominating_scale,
     pullback,
+    rep_to_kernel,
     verify_star_rep,
 )
 from starrep import cli
@@ -160,3 +163,38 @@ def test_the_cli_at_1e308(tmp_path, capsys):
     code, report = run("audit", "m2", "big", "big", "0.5")
     assert code == 1
     assert (report["error"], report["detail"]) == ("NonFiniteScalar", "the functional sum overflows")
+
+
+def test_built_products_that_overflow_are_typed_errors(tmp_path, capsys):
+    # In the basis 2 E_pq, rho = 1.2e308 (1, 0, 0, 1) has finite densities,
+    # so its representation is built; T^H T of its orbit, the kernel
+    # roundtrip recovers, and T T^H, which equiv inverts, are past the range
+    doc = json.loads((FIXTURES / "m2.json").read_text())
+    m2 = doc["algebras"]["m2"]  # c' = 2 c and e' = e / 2; the involution stays
+    m2["structure_constants"] = (2.0 * np.array(m2["structure_constants"])).tolist()
+    m2["unit"] = (0.5 * np.array(m2["unit"])).tolist()
+    doc["functionals"] = {"big": {"algebra": "m2", "values": [[1.2e308, 0.0], [0.0, 0.0],
+                                                              [0.0, 0.0], [1.2e308, 0.0]]}}
+    doc["kernels"] = {}
+    path = tmp_path / "m2_basis_2.json"
+    path.write_text(json.dumps(doc))
+    algebra = change_basis(build_matrix_algebra(2), 2.0 * np.eye(4))
+    rep = gns_construct(algebra, 1.2e308 * TRACE)
+    with pytest.raises(NonFiniteScalar, match="^the representation's kernel overflows$"):
+        rep_to_kernel(rep)
+    with pytest.raises(NonFiniteScalar, match="^the orbit's Gram matrix overflows$"):
+        intertwiner(rep, rep)
+    for args, detail in ((("roundtrip", "m2", "big"), "the representation's kernel overflows"),
+                         (("equiv", "m2", "big", "big"), "the orbit's Gram matrix overflows")):
+        code = cli.main(["--workspace", str(path), *args])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert (report["error"], report["detail"]) == ("NonFiniteScalar", detail)
+
+
+def test_an_overflowing_compression_is_a_typed_error():
+    # the least lam with 1e308 I <= lam 1e-10 I is 1e318, past the range
+    big, small = make_kernel(BIG * np.eye(2)), make_kernel(1e-10 * np.eye(2))
+    assert min_dominating_scale(big, make_kernel(1e10 * np.eye(2))) == pytest.approx(1e298)
+    with pytest.raises(NonFiniteScalar, match="^the compression overflows$"):
+        min_dominating_scale(big, small)

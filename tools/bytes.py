@@ -36,7 +36,8 @@ of ``m2.json`` with the functional 1e308·tr, in the matrix-unit and the
 scrambled basis, runs ``gns``, ``decompose`` and ``audit``, whose sum
 overflows; copies of ``m2.json`` in the bases 2·E_pq and E_pq/2, with
 functionals whose Gram matrix and whose densities overflow, run ``gns``,
-``validate``, ``kernel`` and ``decompose``; a copy of ``homs.json`` with a kernel 1e308 times
+``validate``, ``kernel``, ``decompose``, ``roundtrip`` and ``equiv``, where
+in the first the orbit's T^H T and T T^H overflow; a copy of ``homs.json`` with a kernel 1e308 times
 ``gram_trace`` runs ``pullback``, whose pulled-back functional overflows; and a copy of
 ``z2.json`` whose ``kernels`` section is misspelt ``kernals`` does not load.
 
@@ -542,8 +543,11 @@ def float_range_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     Copies of m2.json in the bases 2·E_pq and E_pq/2 (``rebased_m2``), each
     with a functional big whose coordinates there are 1.2e308·(1, 0, 0, 1)
     and 1e308·(1, 0, 0, 1): in the first its Gram matrix overflows and its
-    densities do not, in the second the reverse; ``gns``, ``kernel`` and
-    ``decompose`` run on both.  A copy of homs.json with the kernel huge =
+    densities do not, in the second the reverse; ``gns``, ``kernel``,
+    ``decompose``, ``roundtrip`` and ``equiv big big`` run on both.  In the
+    first the representation is built, and the kernel roundtrip recovers
+    from it (T^H T of its orbit T) and the T T^H that equiv inverts
+    overflow.  A copy of homs.json with the kernel huge =
     1e308 times ``gram_trace``, whose pullback overflows.  A copy of z2.json
     whose ``kernels`` section is spelt ``kernals``, which does not load.
     """
@@ -566,7 +570,9 @@ def float_range_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
         path = scratch / f"m2_basis_{factor:g}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         cmds.append(["-w", str(path), "validate", "m2"])
-        cmds += [["-w", str(path), verb, "m2", "big"] for verb in ("gns", "kernel", "decompose")]
+        cmds += [["-w", str(path), verb, "m2", "big"]
+                 for verb in ("gns", "kernel", "decompose", "roundtrip")]
+        cmds.append(["-w", str(path), "equiv", "m2", "big", "big"])
     doc = json.loads((fixtures / "homs.json").read_text(encoding="utf-8"))
     kernels = doc["kernels"]
     kernels["huge"] = {**kernels["gram_trace"],
