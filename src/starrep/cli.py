@@ -225,9 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _weighted_terms(ws: WorkspaceFile, verb: str, terms: list[str]) -> list[tuple[float, Kernel]]:
+def _weighted_terms(ws: WorkspaceFile, args: argparse.Namespace) -> list[tuple[float, Kernel]]:
+    terms = args.terms
     if len(terms) % 2 != 0:
-        raise BadArgument(f"{verb} expects alternating WEIGHT KERNEL pairs")
+        raise BadArgument(f"{args.verb} expects alternating WEIGHT KERNEL pairs")
     resolved = []
     for weight, name in zip(terms[::2], terms[1::2]):
         try:
@@ -236,7 +237,7 @@ def _weighted_terms(ws: WorkspaceFile, verb: str, terms: list[str]) -> list[tupl
             w = math.nan
         if not math.isfinite(w):
             raise BadArgument(f"bad weight {weight!r}")
-        resolved.append((w, ws.kernel(name).kernel))
+        resolved.append((w, _at_home(ws, args, "kernel", name, ws.kernel(name))))
     return resolved
 
 
@@ -254,10 +255,9 @@ def _number(name: str, raw, kind: type):
 def _resolve(ws: WorkspaceFile, args: argparse.Namespace, name: str):
     """What the argument ``name`` of a parsed command names in the workspace.
 
-    A functional or kernel must live on the command's algebra: its
-    ``algebra`` argument, or else its homomorphism's target.  A number
-    (``_NUMBER_ARGS``) must be finite.  Other arguments that name nothing
-    (the chain rule) come back as parsed.
+    A functional or kernel must live on the command's algebra
+    (``_at_home``).  A number (``_NUMBER_ARGS``) must be finite.  Other
+    arguments that name nothing (the chain rule) come back as parsed.
     """
     raw = getattr(args, name)
     if name in _NUMBER_ARGS:
@@ -267,24 +267,33 @@ def _resolve(ws: WorkspaceFile, args: argparse.Namespace, name: str):
     if name == "homomorphism":
         return ws.homomorphism(raw)
     if name == "terms":
-        return _weighted_terms(ws, args.verb, raw)
+        return _weighted_terms(ws, args)
     if name in _FUNCTIONAL_ARGS:
-        kind, entry = "functional", ws.functional(raw)
-    elif name in _KERNEL_ARGS:
-        kind, entry = "kernel", ws.kernel(raw)
-    else:
-        return raw
-    value = entry.values if kind == "functional" else entry.kernel
+        return _at_home(ws, args, "functional", raw, ws.functional(raw))
+    if name in _KERNEL_ARGS:
+        return _at_home(ws, args, "kernel", raw, ws.kernel(raw))
+    return raw
+
+
+def _at_home(ws: WorkspaceFile, args: argparse.Namespace, kind: str, raw: str, entry):
+    """An entry's functional values or kernel; ValidationError off the command's algebra.
+
+    The command's algebra is its ``algebra`` argument, else its
+    homomorphism's target, else the algebra of the first kernel it names.
+    """
     if "algebra" in args:
         home, where = args.algebra, f"not {args.algebra!r}"
     elif "homomorphism" in args:
         home = ws.homomorphism(args.homomorphism).target
         where = f"but the homomorphism targets {home!r}"
     else:
-        return value
+        first = args.terms[1] if "terms" in args else getattr(
+            args, next(arg for arg in VERBS[args.verb].args if arg in _KERNEL_ARGS))
+        home = ws.kernel(first).algebra
+        where = f"but {first!r} lives on {home!r}"
     if entry.algebra != home:
         raise ValidationError(f"{kind} {raw!r} lives on {entry.algebra!r}, {where}")
-    return value
+    return entry.values if kind == "functional" else entry.kernel
 
 
 def _echo(name: str, raw, value):

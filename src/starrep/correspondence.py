@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteStarAlgebra, _real_copies, _real_if_real
-from .duality import functional_to_kernel, gram_matrix, is_positive
+from .duality import _gram_and_kernel, functional_to_kernel, gram_matrix, is_positive
 from .errors import (
     DimMismatch,
     InvalidRepresentation,
@@ -38,7 +38,7 @@ from .numerics import (
     TolerancePolicy,
     ValidationReport,
     _finite_product,
-    _hermitized,
+    _hermitian_product,
     _law_report,
     _maxabs,
     _overflow_checked,
@@ -195,17 +195,18 @@ def rep_to_kernel(
 
     T is the orbit matrix of the cyclic vector (columns pi(e_j) xi); the
     result coincides with the kernel of the source functional.  T^H T is
-    hermitian by construction: it is hermitized and built with no check
-    (``kernels._psd_kernel``).  NonFiniteScalar is raised when it overflows.
+    hermitian by construction: it is hermitized (``_hermitian_product``)
+    and built with no check (``kernels._psd_kernel``).  NonFiniteScalar is
+    raised when it overflows.
     """
     report = verify_star_rep(rep, pol)
     if not report.passed:
         raise InvalidRepresentation(
             f"representation fails verification: {dict(report.violations)}"
         )
-    t = rep.orbit_matrix()
-    gram = _finite_product(lambda: t.conj().T @ t, "the representation's kernel overflows", t)
-    return _psd_kernel(_hermitized(gram, gram.conj().T, _maxabs(gram)), pol)
+    t = rep.orbit_matrix()  # finite: a NaN or an infinity fails the report
+    return _psd_kernel(_hermitian_product(lambda: t.conj().T @ t,
+                                          "the representation's kernel overflows"), pol)
 
 
 def pullback(
@@ -251,19 +252,18 @@ def cone_morphism_audit(
     relations agree: rho1 <= rho2 as functionals (rho2 - rho1 positive) and
     k1 <= k2 as kernels (k2 - k1 PSD).  NonFiniteScalar is raised when
     rho1 + rho2, lam rho1 or rho2 - rho1, or the matching sum or multiple
-    of Gram matrices, overflows.
+    of Gram matrices, overflows.  Each of the five Gram matrices (of rho1,
+    rho2, their sum, lam rho1 and rho2 - rho1) is built once.
     """
     r1 = np.asarray(rho1, dtype=complex)
     r2 = np.asarray(rho2, dtype=complex)
     _check_scale(lam)
     try:
-        k1 = functional_to_kernel(algebra, r1, pol)
-        k2 = functional_to_kernel(algebra, r2, pol)
+        g1, k1 = _gram_and_kernel(algebra, r1, pol)
+        g2, k2 = _gram_and_kernel(algebra, r2, pol)
     except NotPositive:
         raise NotPositive("cone_morphism_audit requires positive functionals") from None
 
-    g1 = gram_matrix(algebra, r1)
-    g2 = gram_matrix(algebra, r2)
     sum_dev = relative_gap(*_overflow_checked(
         lambda: (gram_matrix(algebra, r1 + r2), g1 + g2), "the functional sum overflows"))
     scale_dev = relative_gap(*_overflow_checked(

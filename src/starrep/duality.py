@@ -71,8 +71,14 @@ def functional_to_kernel(
     the basis and differ from the dimension of ``gns_construct``, which
     reads the ranks of the algebra's blocks.
     """
+    return _gram_and_kernel(algebra, functional, pol)[1]
+
+
+def _gram_and_kernel(algebra: FiniteStarAlgebra, functional, pol: TolerancePolicy):
+    """The Gram matrix of a functional, as built, and ``functional_to_kernel``'s kernel of it."""
     try:
-        return make_kernel(gram_matrix(algebra, functional), pol)
+        gram = gram_matrix(algebra, functional)
+        return gram, make_kernel(gram, pol)
     except (NotHermitian, NegativeEigenvalue, ValueError):
         raise NotPositive("functional_to_kernel requires a positive functional") from None
 

@@ -52,6 +52,7 @@ from .numerics import (
     _eigh,
     _eigvalsh,
     _finite_product,
+    _hermitian_product,
     _hermitized,
     _law_report,
     _maxabs,
@@ -314,10 +315,11 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
     in, where the orbit over a badly conditioned basis can lose rank to the
     cutoff.  An algebra with no block data under ``pol`` (NotSemisimple or
     NoConvergence) uses the orbit over its basis.  T T^H is hermitian by
-    construction: it is hermitized and solved with no check.  A
-    representation with a NaN entry has no orbit rank, and its cyclicity
-    reads NaN, which fails the report; a violation past the float range
-    raises NonFiniteScalar (``_law_report``, ``_finite_product``).
+    construction: it is hermitized and solved with no check
+    (``_hermitian_product``).  A representation with a NaN entry has no
+    orbit rank, and its cyclicity reads NaN, which fails the report; a
+    violation past the float range raises NonFiniteScalar (``_law_report``,
+    ``_hermitian_product``).
     """
     try:
         units = block_data(rep.algebra, pol).units
@@ -328,9 +330,8 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
     def violations() -> dict[str, float]:
         orbit = rep.orbit_matrix()
         t = orbit if units is None else orbit @ units
-        gram = _finite_product(lambda: t @ t.conj().T, message, t)
-        gram = _hermitized(gram, gram.conj().T, _maxabs(gram))
-        if not np.isfinite(gram).all():  # a NaN entry of rep, or an orbit past the range
+        gram = _hermitian_product(lambda: t @ t.conj().T, message, t)
+        if gram is None:  # a NaN entry of rep, or an orbit past the range
             cyclicity = math.nan
         elif rep.rep_dim:
             cyclicity = float(rep.rep_dim - psd_rank(_eigvalsh(gram), pol)[1])
@@ -523,11 +524,12 @@ def intertwiner(
     Such a unitary exists exactly when the two source functionals coincide;
     otherwise NotEquivalent is raised.  U is recovered from the two orbit
     matrices as ``T2 T1^H (T1 T1^H)^+`` and then checked against its
-    contract; T1 T1^H is hermitized and solved with no check, and
-    NonFiniteScalar is raised when it overflows.  Each
-    check is the entrywise rule (``within_tol``): the functionals against
-    the larger of them, U T1 against T2 likewise, and the unitarity and
-    intertwining residuals against 1, the norm of a unitary.
+    contract; T1 T1^H is hermitized and solved with no check
+    (``_hermitian_product``), and NonFiniteScalar is raised when it
+    overflows.  Each check is the entrywise rule (``within_tol``): the
+    functionals against the larger of them, U T1 against T2 likewise, and
+    the unitarity and intertwining residuals against 1, the norm of a
+    unitary.  A NaN or infinite entry in either orbit raises NotEquivalent too.
     """
     if rep1.algebra.dim != rep2.algebra.dim:
         raise NotEquivalent("representations live over different algebras")
@@ -544,8 +546,9 @@ def intertwiner(
 
     t1 = rep1.orbit_matrix()
     t2 = rep2.orbit_matrix()
-    gram = _finite_product(lambda: t1 @ t1.conj().T, "the orbit's Gram matrix overflows", t1)
-    gram = _hermitized(gram, gram.conj().T, _maxabs(gram))
+    gram = _hermitian_product(lambda: t1 @ t1.conj().T, "the orbit's Gram matrix overflows", t1)
+    if gram is None:
+        raise NotEquivalent("the first representation's orbit is not finite")
     u = t2 @ t1.conj().T @ _pseudo_inverse(*_eigh(gram), pol)
 
     orbit, size = entrywise_gap(u @ t1, t2)
@@ -564,8 +567,9 @@ def _multiplicities(rep: GNSRepresentation, pol: TolerancePolicy) -> np.ndarray:
     m_j = tr pi(z_j) / k_j, z_j the block's central projection, read off
     the character tr pi(e_i) in one product with the z_j
     (``BlockData.centers``).  InvalidRepresentation when rep is empty,
-    some m_j is further than match_tol * d from an integer, or the m_j do
-    not add up to d (pi(1) is not the identity).
+    some m_j is not within match_tol * d of an integer (``within_tol``: a
+    NaN character fails too), or the m_j do not add up to d (pi(1) is not
+    the identity).
     """
     d = rep.rep_dim
     if d < 1:
@@ -575,7 +579,7 @@ def _multiplicities(rep: GNSRepresentation, pol: TolerancePolicy) -> np.ndarray:
     counts = character @ data.centers / data.sizes
     whole = np.rint(counts.real)
     off = float(np.max(np.abs(counts - whole)))
-    if off > pol.match_tol * d:
+    if not within_tol(off, d, pol):
         raise InvalidRepresentation(
             f"block multiplicities {np.round(counts.real, 6).tolist()} are {off:.3e} "
             "from integers"

@@ -46,9 +46,7 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _eigvalsh,
-    _finite_product,
-    _hermitized,
-    _maxabs,
+    _hermitian_product,
     _overflow_checked,
     _require_square_hermitian,
     entrywise_gap,
@@ -202,7 +200,7 @@ def membership(
     Membership is decided by the residual of phi against its projection onto
     range(H), read off the kernel's eigendecomposition: phi is rejected when
     the residual exceeds ``rel_rank_tol * |phi|``, a bound that scales with
-    phi.
+    phi, or is NaN.
     The squared norm of a member is ``phi^dagger H^+ phi``.
     """
     v = np.asarray(phi, dtype=complex)
@@ -211,7 +209,7 @@ def membership(
     basis = kernel.vectors[:, : kernel.rank]
     coords = basis.conj().T @ v
     residual = float(np.linalg.norm(v - basis @ coords))
-    if residual > pol.rel_rank_tol * float(np.linalg.norm(v)):
+    if not residual <= pol.rel_rank_tol * float(np.linalg.norm(v)):  # NaN fails too
         return None
     norm_sq = float(np.sum(np.abs(coords) ** 2 / kernel.values[: kernel.rank])) if kernel.rank else 0.0
     return SubspaceElement(vector=v, norm_sq=norm_sq)
@@ -288,8 +286,8 @@ def min_dominating_scale(
     Finite domination is possible exactly when range(H1) sits inside
     range(H2); the optimum is the top eigenvalue of the compression of H1 by
     the inverse square root of H2 on its range, hermitian by construction:
-    it is hermitized and solved with no check.  NonFiniteScalar is raised
-    when the compression overflows.
+    it is hermitized (``_hermitian_product``) and solved with no check.
+    NonFiniteScalar is raised when the compression overflows.
     """
     _check_same_dim(k1, k2)
     if k1.rank == 0:
@@ -302,13 +300,13 @@ def min_dominating_scale(
 
     overflow = basis1 - basis2 @ (basis2.conj().T @ basis1)
     residuals = np.linalg.norm(overflow, axis=0)
-    if np.any(residuals >= pol.rel_rank_tol * 2.0):
+    if not np.all(residuals < pol.rel_rank_tol * 2.0):  # NaN fails too
         return None
 
     inv_sqrt = basis2 * (1.0 / np.sqrt(k2.values[: k2.rank]))[None, :]  # (n, r2)
-    compressed = _finite_product(lambda: inv_sqrt.conj().T @ k1.matrix @ inv_sqrt,
-                                 "the compression overflows", inv_sqrt, k1.matrix)
-    return float(_eigvalsh(_hermitized(compressed, compressed.conj().T, _maxabs(compressed)))[0])
+    compressed = _hermitian_product(lambda: inv_sqrt.conj().T @ k1.matrix @ inv_sqrt,
+                                    "the compression overflows")  # of finite kernels
+    return float(_eigvalsh(compressed)[0])
 
 
 def ordinary_subrep_check(

@@ -38,7 +38,7 @@ solvers' last steps, ``_eigh`` and ``_eigvalsh``, solve a hermitized
 matrix with no second check.  They also solve the matrices the package
 builds hermitian: a kernel's sum, difference or weighted sum
 (``kernels``), and T^H T, T T^H and the compressions of PSD matrices,
-hermitized first (``_hermitized``).  Every solve raises
+each built and hermitized by ``_hermitian_product``.  Every solve raises
 ``NonFiniteScalar`` when an eigenvalue of a finite matrix lies beyond the
 float range.
 
@@ -49,8 +49,11 @@ functionals in the other modules go through it.  A BLAS product goes
 through ``_finite_product``, which also checks its result with
 ``np.isfinite``, since numpy does not see the flags of BLAS threads, and
 the law checks' reports go through ``_law_report``, which does the same.
-``_hermitized`` is the one hermitization, (A + A^H) / 2, taken of halves
-above 2**1022, where the sum could overflow.
+``_hermitian_product`` is the one guard of T T^H, T^H T and the
+compressions: it reads their finiteness off the max|P| their
+hermitization takes, with no second scan.  ``_hermitized`` is the one
+hermitization, (A + A^H) / 2, taken of halves above 2**1022, where the
+sum could overflow.
 """
 
 from __future__ import annotations
@@ -271,7 +274,7 @@ def _overflow_checked(compute: Callable, message: str):
     numpy raises inside the ufunc that overflows (``np.errstate(over="raise")``),
     so no result is scanned for infinities.  numpy does not see the flags of
     a BLAS product whose threads overflow: such a product goes through
-    ``_finite_product``.
+    ``_finite_product`` or ``_hermitian_product``.
     """
     with np.errstate(over="raise"):
         try:
@@ -292,6 +295,26 @@ def _finite_product(compute: Callable, message: str, *operands: np.ndarray) -> n
     if not np.isfinite(result).all() and all(np.isfinite(a).all() for a in operands):
         raise NonFiniteScalar(message)
     return result
+
+
+def _hermitian_product(compute: Callable, message: str, *operands: np.ndarray):
+    """(P + P^H) / 2 for a product P = ``compute()`` of ``operands``, hermitian by construction.
+
+    The one guard of the products the package solves as hermitian: T T^H,
+    T^H T and the compressions of PSD matrices.  P is computed under the
+    overflow flag (``_overflow_checked``), and max|P|, the size the
+    hermitization takes, is also its finiteness test: P is PSD, so max|P|
+    is its largest diagonal entry, finite exactly when P is.  When it is
+    not finite, NonFiniteScalar(message) is raised if every operand is
+    finite, as ``_finite_product`` does; otherwise the result is None, and
+    the caller reports the NaN or infinite operand.  A caller whose
+    operands are finite already passes none of them.
+    """
+    product = _overflow_checked(compute, message)
+    size = _maxabs(product)
+    if not math.isfinite(size) and all(np.isfinite(a).all() for a in operands):
+        raise NonFiniteScalar(message)
+    return _hermitized(product, product.conj().T, size) if math.isfinite(size) else None
 
 
 def _law_report(compute: Callable[[], Mapping[str, float]], pol: TolerancePolicy,

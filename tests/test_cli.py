@@ -235,6 +235,43 @@ def test_cli_reports_the_first_failed_lookup(capsys, cmd, error, detail):
     assert (report["error"], report["detail"]) == (error, detail)
 
 
+def two_algebra_workspace(tmp_path) -> Path:
+    """z2.json with C (+) C beside Z_2, in the basis of its minimal projections, and k_cc = I on it."""
+    zero, one = [0.0, 0.0], [1.0, 0.0]
+    doc = json.loads((FIXTURES / "z2.json").read_text())
+    doc["algebras"]["cc"] = {
+        "structure_constants": [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]],
+        "involution": [[one, zero], [zero, one]],
+        "unit": [one, one],
+    }
+    doc["kernels"]["k_cc"] = {"algebra": "cc", "matrix": [[one, zero], [zero, one]]}
+    path = tmp_path / "z2_cc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("verb", [
+    "cone-sum", "cone-leq", "cone-diff", "exclude", "min-scale", "subrep", "weighted-sum"])
+@pytest.mark.parametrize("first,second", [("k_id", "k_cc"), ("k_cc", "k_id")])
+def test_cli_kernels_of_one_command_share_the_first_ones_algebra(
+        tmp_path, capsys, verb, first, second):
+    # both algebras have dimension 2, so without the check the operations run
+    homes = {"k_id": "z2", "k_cc": "cc"}
+    args = ["1", first, "1", second] if verb == "weighted-sum" else [first, second]
+    code, report = run_in_process(capsys, verb, *args, workspace=two_algebra_workspace(tmp_path))
+    assert code == 2
+    assert (report["error"], report["detail"]) == ("ValidationError", (
+        f"kernel {second!r} lives on {homes[second]!r}, but {first!r} lives on {homes[first]!r}"))
+
+
+def test_cli_kernels_on_one_algebra_run_on_any(tmp_path, capsys):
+    path = two_algebra_workspace(tmp_path)
+    for args in (["cone-sum", "k_cc", "k_cc"], ["weighted-sum", "1", "k_cc", "2", "k_cc"],
+                 ["cone-leq", "k_id", "k_sum"], ["chain", "k_cc", "--rule", "constant"]):
+        code, report = run_in_process(capsys, *args, workspace=path)
+        assert code == 0 and report["status"] == "ok", args
+
+
 @pytest.mark.parametrize("flag", ["0", "-0.0"])
 def test_cli_rejects_a_tolerance_that_no_law_check_can_pass(flag):
     # a law check passes below match_tol, so at 0 even an exact algebra

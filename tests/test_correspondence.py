@@ -356,6 +356,31 @@ def test_cone_morphism_audit_makes_four_eigensolves(monkeypatch):
         cone_morphism_audit(m2, E11, -TRACE2, 1.0)
 
 
+def test_cone_morphism_audit_builds_each_gram_matrix_once(monkeypatch):
+    # rho1 and rho2 (each also made a kernel), rho1 + rho2, lam rho1 and
+    # rho2 - rho1; before, the first two were built twice
+    import starrep.correspondence
+    import starrep.duality
+
+    m2 = build_matrix_algebra(2)
+    built = []
+
+    def recorded(algebra, functional):
+        built.append(np.asarray(functional).tobytes())
+        return gram_matrix(algebra, functional)
+
+    for module in (starrep.correspondence, starrep.duality):
+        monkeypatch.setattr(module, "gram_matrix", recorded)
+    cone_morphism_audit(m2, E11, TRACE2, 2.0)
+    assert len(built) == len(set(built)) == 5
+
+
+@pytest.mark.parametrize("rho1,rho2", [(-TRACE2, TRACE2), (TRACE2, -TRACE2)])
+def test_cone_morphism_audit_names_itself_for_either_functional(rho1, rho2):
+    with pytest.raises(NotPositive, match="^cone_morphism_audit requires positive functionals$"):
+        cone_morphism_audit(build_matrix_algebra(2), rho1, rho2, 1.0)
+
+
 @pytest.mark.parametrize(
     "rho1,rho2,ordered",
     [(E11, TRACE2, True), (TRACE2, E11, False), (E11, E22, False)],

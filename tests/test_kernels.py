@@ -118,6 +118,16 @@ def test_membership_zero_kernel():
     assert membership(zero, [1.0, 0.0]) is None
 
 
+def test_membership_rejects_a_nan_vector():
+    assert membership(kernel(np.eye(3)), [np.nan, 0.0, 0.0]) is None
+
+
+def test_membership_admits_a_residual_at_its_bound():
+    # residual 1 against rel_rank_tol * |phi| = 1: a member, as before NaN failed
+    member = membership(kernel(np.diag([1.0, 0.0])), [0.0, 1.0], TolerancePolicy(rel_rank_tol=1.0))
+    assert member is not None and member.norm_sq == 0.0
+
+
 def test_kernel_sum():
     k = kernel(np.diag([1.0, 0.0]))
     z = kernel(np.zeros((2, 2)))
@@ -236,6 +246,19 @@ def test_min_dominating_scale():
     assert min_dominating_scale(kernel(np.diag([0.0, 1.0])), kernel(np.diag([1.0, 0.0]))) is None
     with pytest.raises(ZeroKernel):
         min_dominating_scale(kernel(np.zeros((2, 2))), kernel(IDENTITY2))
+
+
+def test_no_multiple_of_the_zero_kernel_dominates():
+    assert min_dominating_scale(kernel(IDENTITY2), kernel(np.zeros((2, 2)))) is None
+
+
+def test_min_dominating_scale_range_test_at_its_bound():
+    # range(k1) is e_2 and range(k2) is e_1: the residual is 1, and it must
+    # fall below 2 rel_rank_tol, so at 1/2 no scale is found and just above
+    # the compression, 0, is
+    k1, k2 = kernel(np.diag([0.0, 1.0])), kernel(np.diag([1.0, 0.0]))
+    assert min_dominating_scale(k1, k2, TolerancePolicy(rel_rank_tol=0.5)) is None
+    assert min_dominating_scale(k1, k2, TolerancePolicy(rel_rank_tol=0.5000001)) == 0.0
 
 
 def test_min_dominating_scale_certificate():

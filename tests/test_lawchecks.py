@@ -35,24 +35,28 @@ from starrep import (
     algebra,
     build_group_algebra,
     build_matrix_algebra,
+    commutant,
     correspondence,
     direct_sum_algebra,
     functional_to_kernel,
     gns_construct,
     gram_matrix,
+    intertwiner,
+    is_irreducible,
     is_star_invariant,
     kernel_to_functional,
     make_kernel,
     numerics,
     pullback,
     rep_to_kernel,
+    representations_equivalent,
     validate_algebra,
     validate_star_homomorphism,
     verify_star_rep,
 )
 from starrep.algebra import _associativity_blocked, _product_table, _real_copies
 from starrep.correspondence import _invariant
-from starrep.errors import InvalidRepresentation, NonFiniteScalar, NotPositive
+from starrep.errors import InvalidRepresentation, NonFiniteScalar, NotEquivalent, NotPositive
 from starrep.gns import _gram_represent, _law_violations
 
 from conftest import (
@@ -628,21 +632,50 @@ def test_overflowing_representation_and_homomorphism_laws_raise(budget):
         validate_star_homomorphism(StarHomomorphism(a, a, 1e200 * np.eye(n)))
 
 
-def test_representation_with_a_nan_entry_fails_its_report():
-    # the regular representation of S_3, given from outside with a NaN at
-    # matrices[5, 0, 0]: its orbit's Gram matrix has no rank, so cyclicity
-    # reads NaN, the report fails rather than raise a bare ValueError, and
-    # rep_to_kernel refuses the representation
+def s3_regular(nan: bool) -> GNSRepresentation:
+    """The regular representation of S_3 at its unit, given from outside; NaN at matrices[5, 0, 0]."""
     a = s3_algebra()
     n = a.dim
     mats = np.array(a.basis_left_mult(), dtype=complex)
-    mats[5, 0, 0] = np.nan
-    rep = GNSRepresentation(a, mats, a.unit, np.eye(n)[0], np.eye(n, dtype=complex))
+    if nan:
+        mats[5, 0, 0] = np.nan
+    return GNSRepresentation(a, mats, a.unit, np.eye(n)[0], np.eye(n, dtype=complex))
+
+
+def test_representation_with_a_nan_entry_fails_its_report():
+    # its orbit's Gram matrix has no rank, so cyclicity reads NaN, the
+    # report fails rather than raise a bare ValueError, and rep_to_kernel
+    # refuses the representation
+    rep = s3_regular(nan=True)
     report = verify_star_rep(rep)
     assert np.isnan(report.violations["cyclicity"])
     assert not report.passed
     with pytest.raises(InvalidRepresentation, match="^representation fails verification: "):
         rep_to_kernel(rep)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rep, clean: is_irreducible(rep),
+    lambda rep, clean: commutant(rep),
+    lambda rep, clean: representations_equivalent(rep, clean),
+    lambda rep, clean: representations_equivalent(clean, rep),
+], ids=["is_irreducible", "commutant", "equivalent", "equivalent-swapped"])
+def test_a_nan_character_has_no_multiplicities(call):
+    # the NaN makes every block multiplicity NaN, which no integer is near
+    with pytest.raises(InvalidRepresentation, match=r"^block multiplicities \[nan, "):
+        call(s3_regular(nan=True), s3_regular(nan=False))
+
+
+def test_intertwiner_refuses_a_nan_entry_in_either_order():
+    # the same source functional and dimension, so the orbits are compared:
+    # a NaN in T1 leaves T1 T1^H nothing to solve, and a NaN in T2 fails the
+    # residual; neither reaches an eigensolver that does not converge
+    clean, bad = s3_regular(nan=False), s3_regular(nan=True)
+    with pytest.raises(NotEquivalent, match="^the first representation's orbit is not finite$"):
+        intertwiner(bad, clean)
+    with pytest.raises(NotEquivalent, match="^intertwining residual nan$"):
+        intertwiner(clean, bad)
+    assert np.allclose(intertwiner(clean, clean), np.eye(clean.rep_dim))
 
 
 def test_planted_multiplicativity_violation_in_last_slice(budget):

@@ -89,6 +89,11 @@ state, and their Gram matrices as kernels.  Their Gram matrices have tied
 eigenvalues: one cluster of 16, four clusters of 4, and two clusters.
 ``validate``, ``gns``, ``kernel``, ``functional``, ``roundtrip``,
 ``decompose``, ``equiv`` and ``audit`` run on it.
+
+A copy of ``z2.json`` with a second algebra of dimension 2, C (+) C, and a
+kernel on it runs each verb that names two kernels and no algebra with one
+kernel from each algebra, in both orders: the kernels must share an
+algebra, the first one's.
 """
 
 from __future__ import annotations
@@ -116,6 +121,7 @@ FALLBACK_VERBS = ("gns", "roundtrip", "kernel", "decompose")
 PHASE_VERBS = ("validate", "gns", "kernel", "roundtrip")
 INVARIANCE_VERBS = ("functional", "pullback", "roundtrip")
 DENSITY_VERBS = ("gns", "decompose", "roundtrip")
+KERNEL_PAIR_VERBS = ("cone-sum", "cone-leq", "cone-diff", "exclude", "min-scale", "subrep")
 MATCH_TOL = 1e-8  # starrep's default
 # the one_scale state's largest density value, and the skew of its 2 x 2
 # density in units of MATCH_TOL times that value (``density_commands``)
@@ -163,8 +169,7 @@ def fixture_commands(paths: list[Path]) -> list[list[str]]:
             for k2, s2 in kerns.items():
                 if s1["algebra"] != s2["algebra"]:
                     continue
-                for verb in ("cone-sum", "cone-leq", "cone-diff", "exclude", "min-scale",
-                             "subrep"):
+                for verb in KERNEL_PAIR_VERBS:
                     cmds.append(ws + [verb, k1, k2])
                 cmds.append(ws + ["weighted-sum", "0.5", k1, "2", k2])
                 cmds.append(ws + ["weighted-sum", "0", k1, "1", k2])
@@ -448,6 +453,30 @@ def m4_commands(scratch: Path) -> list[list[str]]:
     return [cmd for cmd in fixture_commands([path]) if cmd[2] in M4_VERBS]
 
 
+def two_algebra_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """The kernel-pair verbs across two algebras: z2.json's Z_2 and C (+) C.
+
+    C (+) C is written in the basis of its two minimal projections, with the
+    kernel ``k_cc`` = I on it.  Each of ``KERNEL_PAIR_VERBS`` and
+    ``weighted-sum`` runs on ``k_id`` (on Z_2) and ``k_cc``, in both orders.
+    """
+    zero, one = [0.0, 0.0], [1.0, 0.0]
+    doc = json.loads((fixtures / "z2.json").read_text(encoding="utf-8"))
+    doc["algebras"]["cc"] = {
+        "structure_constants": [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]],
+        "involution": [[one, zero], [zero, one]],
+        "unit": [one, one],
+    }
+    doc["kernels"]["k_cc"] = {"algebra": "cc", "matrix": [[one, zero], [zero, one]]}
+    path = scratch / "z2_cc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cmds = []
+    for k1, k2 in (("k_id", "k_cc"), ("k_cc", "k_id")):
+        cmds += [["-w", str(path), verb, k1, k2] for verb in KERNEL_PAIR_VERBS]
+        cmds.append(["-w", str(path), "weighted-sum", "1", k1, "1", k2])
+    return cmds
+
+
 def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
     """A command on each copy of a fixture with one array, section or field broken."""
     rho = ("functionals", "rho_t0", "values")
@@ -680,7 +709,8 @@ def main(argv=None) -> int:
                 + fallback_commands(fixtures, scratch)
                 + single_term_commands(fixtures, scratch)
                 + invariance_commands(fixtures, scratch)
-                + density_commands(fixtures, scratch))
+                + density_commands(fixtures, scratch)
+                + two_algebra_commands(fixtures, scratch))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
