@@ -72,7 +72,15 @@ class FiniteStarAlgebra:
         return self.unit.shape[0]
 
     def _check_element(self, x, what: str = "element") -> np.ndarray:
-        v = np.asarray(x, dtype=complex)
+        """x as a vector of n complex coordinates.
+
+        ShapeMismatch when x is not an array of numbers (a string, a ragged
+        list), DimMismatch when its shape is not (n,).
+        """
+        try:
+            v = np.asarray(x, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ShapeMismatch(f"{what} is not an array of numbers: {exc}") from None
         if v.shape != (self.dim,):
             raise DimMismatch(f"{what} has shape {v.shape}, algebra dim {self.dim}")
         return v

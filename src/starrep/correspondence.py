@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gns import GNSRepresentation, gns_construct, verify_star_rep
-from .kernels import Kernel, _check_scale, _psd_kernel, kernel_leq
+from .kernels import Kernel, _built, _check_scale, kernel_leq
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -194,10 +194,13 @@ def rep_to_kernel(
     """Reproducing operator recovered from a representation as T^dagger T.
 
     T is the orbit matrix of the cyclic vector (columns pi(e_j) xi); the
-    result coincides with the kernel of the source functional.  T^H T is
-    hermitian by construction: it is hermitized (``_hermitian_product``)
-    and built with no check (``kernels._psd_kernel``).  NonFiniteScalar is
-    raised when it overflows.
+    result coincides with the kernel of the source functional.  The
+    representation is checked where it enters (``verify_star_rep``).  T^H T
+    is then hermitian and PSD by construction: it is hermitized
+    (``_hermitian_product``) and built with no check and no PSD verdict
+    (``kernels._built``), so a state ``gns_construct`` accepted gives its
+    kernel under any ``psd_tol``.  NonFiniteScalar is raised when it
+    overflows.
     """
     report = verify_star_rep(rep, pol)
     if not report.passed:
@@ -205,8 +208,8 @@ def rep_to_kernel(
             f"representation fails verification: {dict(report.violations)}"
         )
     t = rep.orbit_matrix()  # finite: a NaN or an infinity fails the report
-    return _psd_kernel(_hermitian_product(lambda: t.conj().T @ t,
-                                          "the representation's kernel overflows"), pol)
+    return _built(_hermitian_product(lambda: t.conj().T @ t,
+                                     "the representation's kernel overflows"), pol)
 
 
 def pullback(
@@ -255,9 +258,8 @@ def cone_morphism_audit(
     of Gram matrices, overflows.  Each of the five Gram matrices (of rho1,
     rho2, their sum, lam rho1 and rho2 - rho1) is built once.
     """
-    r1 = np.asarray(rho1, dtype=complex)
-    r2 = np.asarray(rho2, dtype=complex)
     _check_scale(lam)
+    r1, r2 = (algebra._check_element(rho, "functional") for rho in (rho1, rho2))
     try:
         g1, k1 = _gram_and_kernel(algebra, r1, pol)
         g2, k2 = _gram_and_kernel(algebra, r2, pol)

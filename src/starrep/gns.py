@@ -132,8 +132,13 @@ class GNSRepresentation:
         return self.cyclic_vector.shape[0]
 
     def orbit_matrix(self) -> np.ndarray:
-        """The d x n matrix whose j-th column is pi(e_j) applied to the cyclic vector."""
-        return (self.matrices @ self.cyclic_vector).T
+        """The d x n matrix whose j-th column is pi(e_j) applied to the cyclic vector.
+
+        An infinite entry of a representation given from outside gives NaN
+        columns (inf * 0) with no warning; its callers report them.
+        """
+        with np.errstate(invalid="ignore"):
+            return (self.matrices @ self.cyclic_vector).T
 
 
 def gns_construct(
@@ -218,7 +223,7 @@ def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy) -> GN
     not hermitian, not PSD or has NaN entries; a Gram matrix that overflows
     raises NonFiniteScalar (``duality.gram_matrix``).
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = algebra._check_element(rho, "functional")
     try:
         values, vectors = hermitian_eigen(duality.gram_matrix(algebra, rho), pol)
         is_psd, rank = psd_rank(values, pol)
@@ -524,10 +529,13 @@ def intertwiner(
     Such a unitary exists exactly when the two source functionals coincide;
     otherwise NotEquivalent is raised.  U is recovered from the two orbit
     matrices as ``T2 T1^H (T1 T1^H)^+`` and then checked against its
-    contract; T1 T1^H is hermitized and solved with no check
-    (``_hermitian_product``), and NonFiniteScalar is raised when it
-    overflows.  Each check is the entrywise rule (``within_tol``): the
-    functionals against the larger of them, U T1 against T2 likewise, and
+    contract.  T1 T1^H is hermitian and PSD by construction: it is
+    hermitized and solved with no check (``_hermitian_product``), and
+    inverted with no PSD verdict (``numerics._pseudo_inverse``), so a
+    roundoff eigenvalue below -psd_tol times its top is dropped as the
+    rank cutoff drops it.  NonFiniteScalar is raised when it overflows.
+    Each check is the entrywise rule (``within_tol``): the functionals
+    against the larger of them, U T1 against T2 likewise, and
     the unitarity and intertwining residuals against 1, the norm of a
     unitary.  A NaN or infinite entry in either orbit raises NotEquivalent too.
     """
@@ -575,8 +583,8 @@ def _multiplicities(rep: GNSRepresentation, pol: TolerancePolicy) -> np.ndarray:
     if d < 1:
         raise InvalidRepresentation("the empty representation has no multiplicities")
     data = block_data(rep.algebra, pol)
-    character = np.trace(rep.matrices, axis1=1, axis2=2)
-    counts = character @ data.centers / data.sizes
+    with np.errstate(invalid="ignore"):  # inf * 0 of an infinite character reads NaN
+        counts = np.trace(rep.matrices, axis1=1, axis2=2) @ data.centers / data.sizes
     whole = np.rint(counts.real)
     off = float(np.max(np.abs(counts - whole)))
     if not within_tol(off, d, pol):

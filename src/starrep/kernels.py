@@ -9,16 +9,21 @@ arithmetic on the reproducing operators.  Hermiticity is decided once,
 where a matrix enters (``make_kernel``'s argument).  A sum, a difference
 or a nonnegatively weighted sum of kernels is hermitian by construction,
 and so is every matrix an operation builds from them, so each goes to the
-solver as it is.  Every kernel, given or made by an operation, is built
-by one builder (``_built``): one value-only eigensolve (``_eigvalsh``)
-gives the PSD verdict, the rank and the top eigenvalue.  A positive
-multiple scales its kernel's top eigenvalue and keeps its rank, with no
-solve.  A verdict (the order, exclusion, the direct-summand test, the
-least dominating scale) likewise reads eigenvalues alone.  Every kernel's
-eigenvectors are made one way, by the full canonical eigensolve of its
-matrix (``hermitian_eigen``) on their first read, and kept, so each
-kernel is eigendecomposed at most once, and only when membership or the
-least dominating scale reads it.
+solver as it is.  Every kernel, given or made by an operation, gets its
+top eigenvalue and rank from one value-only eigensolve (``_eigvalsh``,
+then ``psd_rank``).  A PSD verdict is made in two places only: where a
+matrix enters (``make_kernel``, which raises NegativeEigenvalue), and
+where the order is asked (``_complement``, behind ``kernel_leq``,
+``kernel_difference`` and ``ordinary_subrep_check``).  A sum or weighted
+sum of kernels is PSD by construction, as the sum of two Hilbert
+subspaces has the sum of their kernels as its kernel, so it is built
+(``_built``) with no verdict.  A positive multiple scales its kernel's
+top eigenvalue and keeps its rank, with no solve.  A verdict (the order,
+exclusion, the direct-summand test, the least dominating scale) likewise
+reads eigenvalues alone.  Every kernel's eigenvectors are made one way,
+by the full canonical eigensolve of its matrix (``hermitian_eigen``) on
+their first read, and kept, so each kernel is eigendecomposed at most
+once, and only when membership or the least dominating scale reads it.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .numerics import (
     TolerancePolicy,
     _eigvalsh,
     _hermitian_product,
+    _hermitized,
     _overflow_checked,
     _require_square_hermitian,
     entrywise_gap,
@@ -84,16 +90,19 @@ class Kernel:
     ``matrix`` is hermitian, a fixed point of the hermitization
     (A + A^H) / 2: hermitized where it entered or was built (``make_kernel``,
     T^H T of a representation), or a sum, difference or positive multiple
-    of such matrices.  ``top``, the largest eigenvalue, and ``rank``, the
-    count of eigenvalues above the rank cutoff, come from the value-only
-    eigensolve the kernel was built with.  ``Kernel(...)`` trusts its
-    caller for all three.  ``values`` and ``vectors`` are the canonical
-    eigendecomposition of ``matrix`` (``hermitian_eigen``: descending
-    values, fixed phases and tie order), made on first read and kept, so
-    that ``vectors[:, :rank]`` spans the subspace; a reader that pairs
-    vectors with values takes both from there.  Every kernel, a multiple
-    (``kernel_scale``) too, gets them that one way.  Build kernels from
-    outside with ``make_kernel``.  All arrays are read-only.
+    of such matrices.  It is PSD: judged so where it entered
+    (``make_kernel``) or by the order (a difference, ``_complement``), or
+    PSD by construction and given no verdict (a sum, a weighted sum, the
+    zero multiple, T^H T).  ``top``, the largest eigenvalue, and ``rank``,
+    the count of eigenvalues above the rank cutoff, come from the
+    value-only eigensolve the kernel was built with.  ``Kernel(...)``
+    trusts its caller for all three.  ``values`` and ``vectors`` are the
+    canonical eigendecomposition of ``matrix`` (``hermitian_eigen``:
+    descending values, fixed phases and tie order), made on first read and
+    kept, so that ``vectors[:, :rank]`` spans the subspace; a reader that
+    pairs vectors with values takes both from there.  Every kernel, a
+    multiple (``kernel_scale``) too, gets them that one way.  Build kernels
+    from outside with ``make_kernel``.  All arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -137,33 +146,32 @@ def make_kernel(matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
     """Validate a matrix as a reproducing operator, keeping its rank and top eigenvalue.
 
     The matrix is checked square and hermitian and hermitized
-    (``_require_square_hermitian``), then built (``_psd_kernel``).  The
-    eigenvectors are left to their first read.
+    (``_require_square_hermitian``), and judged PSD by ``psd_rank`` on the
+    one value-only eigensolve that ``_built`` then reads its rank and top
+    eigenvalue off: NegativeEigenvalue when it is not PSD.  This is the
+    verdict where a matrix enters the cone.  The eigenvectors are left to
+    their first read.
     """
-    return _psd_kernel(_require_square_hermitian(matrix, pol), pol)
-
-
-def _built(a: np.ndarray, pol: TolerancePolicy, scale: float | None = None) -> Kernel | None:
-    """The kernel of a matrix hermitian by construction, or None when it is not PSD.
-
-    One value-only eigensolve (``_eigvalsh``) of ``a``, with no check of
-    its hermiticity, gives the PSD verdict (``psd_rank`` at ``scale``, at
-    the top eigenvalue when None), the top eigenvalue and the rank, which
-    is cut at the top eigenvalue whatever ``scale`` is.
-    """
+    a = _require_square_hermitian(matrix, pol)
     values = _eigvalsh(a)
-    is_psd, rank = psd_rank(values, pol)
-    if scale is not None:
-        is_psd = psd_rank(values, pol, scale)[0]
-    return Kernel(a, float(values[0]), rank) if is_psd else None
-
-
-def _psd_kernel(a: np.ndarray, pol: TolerancePolicy) -> Kernel:
-    """``_built``'s kernel of ``a``; NegativeEigenvalue when ``a`` is not PSD."""
-    kernel = _built(a, pol)
-    if kernel is None:
+    if not psd_rank(values, pol)[0]:
         raise NegativeEigenvalue("a reproducing operator must be PSD")
-    return kernel
+    return _built(a, pol, values)
+
+
+def _built(a: np.ndarray, pol: TolerancePolicy, values: np.ndarray | None = None) -> Kernel:
+    """The kernel of ``a``, hermitian and PSD already, with no verdict.
+
+    Its top eigenvalue and its rank (``psd_rank``, cut at that top) are read
+    off ``values``, its descending eigenvalues, which one value-only
+    eigensolve of ``a`` (``_eigvalsh``) gives when they are not passed.
+    ``a`` is not checked hermitian or PSD: it entered through
+    ``make_kernel``, passed the order (``_complement``), or is PSD by
+    construction, as a sum or weighted sum of kernels, the zero multiple
+    and T^H T of a verified representation are.
+    """
+    values = _eigvalsh(a) if values is None else values
+    return Kernel(a, float(values[0]), psd_rank(values, pol)[1])
 
 
 def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
@@ -171,25 +179,19 @@ def _check_same_dim(k1: Kernel, k2: Kernel) -> None:
         raise DimMismatch(f"kernel dimensions differ: {k1.dim} vs {k2.dim}")
 
 
-def _sum(k1: Kernel, k2: Kernel) -> np.ndarray:
-    """k1 + k2 as a matrix; NonFiniteScalar when an entry overflows."""
-    _check_same_dim(k1, k2)
-    return _overflow_checked(lambda: k1.matrix + k2.matrix, "the kernel sum overflows")
+def _complement(k1: Kernel, k2: Kernel, pol: TolerancePolicy) -> Kernel | None:
+    """k2 - k1 as a kernel when k1 <= k2, else None: the one reading of the order.
 
-
-def _difference(k1: Kernel, k2: Kernel) -> np.ndarray:
-    """k2 - k1 as a matrix; NonFiniteScalar when an entry overflows."""
-    _check_same_dim(k1, k2)
-    return _overflow_checked(lambda: k2.matrix - k1.matrix, "the kernel difference overflows")
-
-
-def _top(k1: Kernel, k2: Kernel) -> float:
-    """The larger top eigenvalue of two kernels, the size their order is measured against.
-
-    k1 <= k2 is ``psd_rank``'s PSD verdict on k2 - k1 at this scale, so
-    kernels and their common multiples get the same verdict.
+    One value-only eigensolve of k2 - k1 gives the verdict, ``psd_rank`` at
+    the larger top eigenvalue of k1 and k2, so kernels and their common
+    multiples get the same verdict; and ``_built`` reads the complement's
+    rank and top eigenvalue off the same values.  NonFiniteScalar is raised
+    when an entry of k2 - k1 overflows.
     """
-    return max(k1.top, k2.top, 0.0)
+    _check_same_dim(k1, k2)
+    a = _overflow_checked(lambda: k2.matrix - k1.matrix, "the kernel difference overflows")
+    values = _eigvalsh(a)
+    return _built(a, pol, values) if psd_rank(values, pol, max(k1.top, k2.top, 0.0))[0] else None
 
 
 def membership(
@@ -218,9 +220,13 @@ def membership(
 def kernel_sum(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> Kernel:
     """Subspace sum; elements carry the infimum norm over all splittings.
 
-    NonFiniteScalar is raised when the summed entries overflow.
+    The sum of two kernels is PSD by construction, so it is built with no
+    verdict (``_built``).  NonFiniteScalar is raised when the summed entries
+    overflow.
     """
-    return _psd_kernel(_sum(k1, k2), pol)
+    _check_same_dim(k1, k2)
+    summed = _overflow_checked(lambda: k1.matrix + k2.matrix, "the kernel sum overflows")
+    return _built(summed, pol)
 
 
 def _check_scale(lam: float) -> None:
@@ -236,20 +242,22 @@ def kernel_scale(lam: float, kernel: Kernel, pol: TolerancePolicy = DEFAULT_POLI
 
     A positive finite lam scales the top eigenvalue and keeps the rank,
     with no eigensolve; the result's eigenvectors are made on their first
-    read, as any kernel's are.  NonFiniteScalar is raised when the scaled
+    read, as any kernel's are.  lam = 0 gives the zero kernel, built with
+    no verdict (``_built``).  NonFiniteScalar is raised when the scaled
     entries or top eigenvalue overflow.
     """
     _check_scale(lam)
-    if lam == 0:  # the zero kernel; 0 H carries signed zeros, so it is hermitized
-        return make_kernel(lam * kernel.matrix, pol)
+    if lam == 0:  # 0 H carries signed zeros, so it is hermitized, as make_kernel would
+        zero = lam * kernel.matrix
+        return _built(_hermitized(zero, zero.conj().T, 0.0), pol)
     matrix, top = _overflow_checked(lambda: (lam * kernel.matrix, lam * np.float64(kernel.top)),
                                     f"scaling by {lam} overflows the kernel")
     return Kernel(matrix, float(top), kernel.rank)
 
 
 def kernel_leq(k1: Kernel, k2: Kernel, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Order relation: k2 - k1 is PSD by ``psd_rank`` at the scale of ``_top``."""
-    return _built(_difference(k1, k2), pol, _top(k1, k2)) is not None
+    """Order relation: k2 - k1 is PSD at the larger top eigenvalue (``_complement``)."""
+    return _complement(k1, k2, pol) is not None
 
 
 def kernel_difference(
@@ -257,10 +265,10 @@ def kernel_difference(
 ) -> Kernel:
     """The unique complement with k1 + result = kernel; requires k1 <= kernel.
 
-    One value-only eigensolve of kernel - k1 (``_built``) decides the order
-    at the scale of ``_top`` and gives the result's rank and top eigenvalue.
+    One value-only eigensolve of kernel - k1 (``_complement``) decides the
+    order and gives the result's rank and top eigenvalue.
     """
-    result = _built(_difference(k1, kernel), pol, _top(k1, kernel))
+    result = _complement(k1, kernel, pol)
     if result is None:
         raise NotDominated("subtrahend is not below the kernel")
     return result
@@ -272,8 +280,8 @@ def mutually_excluding(
     """Trivial intersection of the two subspaces, i.e. their sum is direct.
 
     At finite dimension this is exactly additivity of ranks under the sum:
-    the rank of ``kernel_sum``, which raises NonFiniteScalar when the
-    summed entries overflow.
+    the rank of ``kernel_sum``, which makes no PSD verdict and raises
+    NonFiniteScalar when the summed entries overflow.
     """
     return k1.rank + k2.rank == kernel_sum(k1, k2, pol).rank
 
@@ -317,10 +325,10 @@ def ordinary_subrep_check(
     True exactly when k1 <= kernel and k1 excludes the complement
     kernel - k1: since k1 + (kernel - k1) is kernel, whose rank is cached,
     rank additivity certifies the direct-sum splitting.  One eigensolve of
-    kernel - k1 (``_built``, values alone) gives both the order and the
-    complement's rank.
+    kernel - k1 (``_complement``, values alone) gives both the order and
+    the complement's rank.
     """
-    complement = _built(_difference(k1, kernel), pol, _top(k1, kernel))
+    complement = _complement(k1, kernel, pol)
     return complement is not None and k1.rank + complement.rank == kernel.rank
 
 
@@ -392,7 +400,8 @@ def weighted_kernel_sum(
 
     The sum is direct exactly when the ranks of the (positively weighted)
     terms add up to the rank of the sum.  With quadrature weights this is
-    the finite realization of integrating a kernel-valued map.
+    the finite realization of integrating a kernel-valued map.  The sum is
+    PSD by construction and built with no verdict (``_built``).
     """
     if not terms:
         raise ValueError("weighted_kernel_sum needs at least one term")
@@ -409,5 +418,5 @@ def weighted_kernel_sum(
                     np.zeros((dim, dim), dtype=complex)),
         "the weighted sum overflows",
     )
-    combined = _psd_kernel(total, pol)
+    combined = _built(total, pol)
     return combined, sum(kernel.rank for weight, kernel in terms if weight > 0) == combined.rank

@@ -42,6 +42,12 @@ each built and hermitized by ``_hermitian_product``.  Every solve raises
 ``NonFiniteScalar`` when an eigenvalue of a finite matrix lies beyond the
 float range.
 
+Positive semidefiniteness is judged only where a matrix enters (the
+argument of ``psd_check``, of ``pseudo_inverse``, which raises
+``NegativeEigenvalue``, and of ``kernels.make_kernel``) or where the order
+of kernels is asked.  A matrix PSD by construction, such as T T^H, is
+read for its rank alone (``_pseudo_inverse``).
+
 Overflow is decided once too.  ``_overflow_checked`` runs a computation
 under numpy's overflow flag and turns the first overflow into
 ``NonFiniteScalar``; the sums, multiples and products of kernels and
@@ -483,20 +489,25 @@ def psd_check(m, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, int]:
 
 
 def pseudo_inverse(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Moore-Penrose inverse of a hermitian PSD matrix under the rank policy."""
-    return _pseudo_inverse(*hermitian_eigen(m, pol), pol)
+    """Moore-Penrose inverse of a hermitian PSD matrix under the rank policy.
+
+    The argument enters here, so it is checked hermitian (``hermitian_eigen``)
+    and judged PSD by ``psd_rank``: NegativeEigenvalue when it is not.
+    """
+    values, vectors = hermitian_eigen(m, pol)
+    if not psd_rank(values, pol)[0]:
+        raise NegativeEigenvalue(f"eigenvalue {values[-1]:.3e} below -psd_tol*lambda_max")
+    return _pseudo_inverse(values, vectors, pol)
 
 
 def _pseudo_inverse(values: np.ndarray, vectors: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
     """``pseudo_inverse`` of the matrix with the canonical eigensystem ``(values, vectors)``.
 
-    NegativeEigenvalue when the matrix is not PSD by ``psd_rank``.
+    No PSD verdict: the caller judged the matrix where it entered, or it is
+    PSD by construction, as T T^H is.  Eigenvalues at or below the rank
+    cutoff (``psd_rank``) are dropped.
     """
-    is_psd, rank = psd_rank(values, pol)
-    if not is_psd:
-        raise NegativeEigenvalue(
-            f"eigenvalue {values[-1]:.3e} below -psd_tol*lambda_max"
-        )
+    rank = psd_rank(values, pol)[1]
     inv = np.zeros_like(values)
     inv[:rank] = 1.0 / values[:rank]
     return (vectors * inv) @ vectors.conj().T

@@ -442,6 +442,33 @@ def test_cli_overflowing_difference_is_a_typed_error(tmp_path):
     assert result.stderr == "error: NonFiniteScalar: the kernel difference overflows\n"
 
 
+def test_cli_sums_of_kernels_at_the_psd_edge_are_kernels(tmp_path, capsys):
+    # ka = diag(1, 0, -0.9e-9) and kb = diag(0, 1, -0.9e-9) load; their sum
+    # diag(1, 1, -1.8e-9) is a kernel, as every sum of kernels is, though
+    # its least eigenvalue is below -psd_tol times its top.  The order still
+    # judges kb - ka, which is not PSD
+    doc = json.loads((FIXTURES / "z3.json").read_text())
+    doc["kernels"] = {
+        name: {"algebra": "z3", "matrix": [[[d[i] if i == j else 0.0, 0.0] for j in range(3)]
+                                           for i in range(3)]}
+        for name, d in (("ka", (1.0, 0.0, -0.9e-9)), ("kb", (0.0, 1.0, -0.9e-9)))}
+    path = tmp_path / "z3_edge.json"
+    path.write_text(json.dumps(doc))
+    for cmd, outputs in (
+        (["cone-sum", "ka", "kb"], lambda out: out["rank"] == 2),
+        (["exclude", "ka", "kb"], lambda out: out["mutually_excluding"] is True),
+        (["weighted-sum", "1", "ka", "1", "kb"], lambda out: out["is_direct"] is True),
+        (["cone-leq", "ka", "kb"], lambda out: out["leq"] is False),
+    ):
+        code, report = run_in_process(capsys, *cmd, workspace=path)
+        assert code == 0 and outputs(report["outputs"]), (cmd, report)
+    # the kernel of a state gns_construct accepted, at a psd_tol that
+    # admits no roundoff
+    code, report = run_in_process(capsys, "--tol-psd", "1e-300", "roundtrip", "s3", "trivial",
+                                  workspace=FIXTURES / "s3.json")
+    assert code == 0 and report["outputs"]["max_error"] < 1e-12
+
+
 def test_cli_refuses_a_workspace_with_an_overflowing_eigenvalue(tmp_path):
     # P and M are finite and PSD, but each has the eigenvalue 2e308
     doc = json.loads((FIXTURES / "z2.json").read_text())

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from starrep import (
+    TolerancePolicy,
     build_matrix_algebra,
+    cone_morphism_audit,
     dual_regular_action,
     evaluate,
+    functional_to_kernel,
+    gns_construct,
     gram_matrix,
     hilbert_bound,
     is_positive,
 )
-from starrep.errors import DimMismatch, NotPositive
+from starrep.errors import DimMismatch, NotPositive, ShapeMismatch
 
 from conftest import (
     random_algebra,
@@ -29,6 +33,28 @@ def test_evaluate():
     assert evaluate(m2, [1, 0, 0, 1], [1, 0, 0, 1]) == 2
     with pytest.raises(DimMismatch):
         evaluate(z2, [1, 0], [1, 0, 0])
+
+
+# the entry points that take a functional; at match_tol 0.5 the blocks of
+# M_2 do not resolve, and gns_construct takes the Gram form
+FUNCTIONAL_ENTRIES = {
+    "functional_to_kernel": lambda rho: functional_to_kernel(z2_algebra(), rho),
+    "is_positive": lambda rho: is_positive(z2_algebra(), rho),
+    "gns_construct": lambda rho: gns_construct(z2_algebra(), rho),
+    "gns_construct-gram-form": lambda rho: gns_construct(
+        build_matrix_algebra(2), rho, TolerancePolicy(match_tol=0.5)),
+    "cone_morphism_audit": lambda rho: cone_morphism_audit(z2_algebra(), rho, [1, 0], 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", list(FUNCTIONAL_ENTRIES))
+@pytest.mark.parametrize("functional", ["x", [[1], [1, 2]], [1, "x"], object()],
+                         ids=["string", "ragged", "string-entry", "object"])
+def test_a_malformed_functional_is_one_typed_error(entry, functional):
+    # not a verdict on positivity: every entry point refuses a value that is
+    # not an array of numbers the same way, before any Gram matrix is formed
+    with pytest.raises(ShapeMismatch, match="^functional is not an array of numbers: "):
+        FUNCTIONAL_ENTRIES[entry](functional)
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 1.0, 2.0])

@@ -35,6 +35,7 @@ from starrep.errors import (
     NotMajorized,
     ZeroKernel,
 )
+from starrep.numerics import psd_rank
 
 from conftest import (
     count_eigensolves,
@@ -78,11 +79,61 @@ def test_overflowing_sum_is_a_typed_error():
                 operation(near, near)
 
 
-def test_mutually_excluding_rejects_a_sum_that_is_not_psd():
-    # as make_kernel would; only a Kernel built by hand can give such a sum
-    negative = Kernel(-IDENTITY2, -1.0, 0)
-    with pytest.raises(NegativeEigenvalue, match="must be PSD"):
-        mutually_excluding(negative, negative)
+def edge_kernels(seed: int, n: int, scale: float) -> list[Kernel]:
+    """Four ``make_kernel`` kernels at the PSD edge, times scale.
+
+    Each has the top eigenvalue 1 on a part of the directions, and its
+    least eigenvalue in (-psd_tol, -psd_tol / 2), so it loads.  Two share
+    one eigenbasis and two another; in each basis the two kernels share
+    the direction of their least eigenvalue and have disjoint ranges.  The
+    sum of such a pair has the top eigenvalue 1 and a least eigenvalue
+    below -psd_tol, though the sum of two kernels is a kernel.
+    """
+    rng = np.random.default_rng(seed)
+    tol = DEFAULT_POLICY.psd_tol
+    kernels = []
+    for u in (random_unitary(rng, n), random_unitary(rng, n)):
+        order = rng.permutation(n - 1)
+        for support in (order[: n // 2], order[n // 2:]):
+            w = np.zeros(n)
+            w[support] = rng.uniform(0.5, 1.0, support.size)
+            w[support[0]] = 1.0
+            w[-1] = -rng.uniform(0.55, 0.95) * tol
+            kernels.append(make_kernel(scale * ((u * w) @ u.conj().T)))
+    return kernels
+
+
+def summed_oracle(terms: list[tuple[float, Kernel]]) -> tuple[bytes, float, int, bool]:
+    """The weighted sum's bytes, top and rank, and the PSD verdict, by eigvalsh and psd_rank."""
+    n = terms[0][1].dim
+    total = sum((w * k.matrix for w, k in terms), np.zeros((n, n), dtype=complex))
+    values = np.linalg.eigvalsh(total)[::-1]
+    is_psd, rank = psd_rank(values)
+    return total.tobytes(), float(values[0]), rank, is_psd
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+@pytest.mark.parametrize("seed", range(4))
+def test_sums_of_kernels_at_the_psd_edge_are_kernels(seed, scale):
+    # the sum makes no PSD verdict: each sum is a kernel with the bits, top
+    # and rank of the eigvalsh oracle, including the sums the oracle's
+    # verdict would refuse, and exclusion reads the same rank
+    family = edge_kernels(seed, 6, scale)
+    verdicts = set()
+    for k1 in family:
+        for k2 in family:
+            matrix, top, rank, is_psd = summed_oracle([(1.0, k1), (1.0, k2)])
+            verdicts.add(is_psd)
+            got = kernel_sum(k1, k2)
+            assert got.matrix.tobytes() == (k1.matrix + k2.matrix).tobytes()
+            assert (got.top, got.rank) == (top, rank)
+            assert mutually_excluding(k1, k2) == (k1.rank + k2.rank == rank)
+            terms = [(0.5, k1), (2.0, k2)]
+            matrix, top, rank, _ = summed_oracle(terms)
+            combined, direct = weighted_kernel_sum(terms)
+            assert (combined.matrix.tobytes(), combined.top, combined.rank) == (matrix, top, rank)
+            assert direct == (k1.rank + k2.rank == rank)
+    assert verdicts == {True, False}
 
 
 def test_make_kernel_rejects_indefinite():

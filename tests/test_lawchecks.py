@@ -632,21 +632,26 @@ def test_overflowing_representation_and_homomorphism_laws_raise(budget):
         validate_star_homomorphism(StarHomomorphism(a, a, 1e200 * np.eye(n)))
 
 
-def s3_regular(nan: bool) -> GNSRepresentation:
-    """The regular representation of S_3 at its unit, given from outside; NaN at matrices[5, 0, 0]."""
+# the entries a representation given from outside may carry that are not finite
+BAD_ENTRIES = [np.nan, np.inf]
+
+
+def s3_regular(bad: float | None = None) -> GNSRepresentation:
+    """The regular representation of S_3 at its unit, given from outside; ``bad`` at matrices[5, 0, 0]."""
     a = s3_algebra()
     n = a.dim
     mats = np.array(a.basis_left_mult(), dtype=complex)
-    if nan:
-        mats[5, 0, 0] = np.nan
+    if bad is not None:
+        mats[5, 0, 0] = bad
     return GNSRepresentation(a, mats, a.unit, np.eye(n)[0], np.eye(n, dtype=complex))
 
 
-def test_representation_with_a_nan_entry_fails_its_report():
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+def test_representation_with_a_non_finite_entry_fails_its_report(bad):
     # its orbit's Gram matrix has no rank, so cyclicity reads NaN, the
     # report fails rather than raise a bare ValueError, and rep_to_kernel
     # refuses the representation
-    rep = s3_regular(nan=True)
+    rep = s3_regular(bad)
     report = verify_star_rep(rep)
     assert np.isnan(report.violations["cyclicity"])
     assert not report.passed
@@ -654,27 +659,32 @@ def test_representation_with_a_nan_entry_fails_its_report():
         rep_to_kernel(rep)
 
 
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
 @pytest.mark.parametrize("call", [
     lambda rep, clean: is_irreducible(rep),
     lambda rep, clean: commutant(rep),
     lambda rep, clean: representations_equivalent(rep, clean),
     lambda rep, clean: representations_equivalent(clean, rep),
 ], ids=["is_irreducible", "commutant", "equivalent", "equivalent-swapped"])
-def test_a_nan_character_has_no_multiplicities(call):
-    # the NaN makes every block multiplicity NaN, which no integer is near
+def test_a_non_finite_character_has_no_multiplicities(call, bad):
+    # the NaN makes every block multiplicity NaN, which no integer is near;
+    # an infinity times the zero coordinates of a block's center reads NaN
+    # too, with no numpy warning
     with pytest.raises(InvalidRepresentation, match=r"^block multiplicities \[nan, "):
-        call(s3_regular(nan=True), s3_regular(nan=False))
+        call(s3_regular(bad), s3_regular())
 
 
-def test_intertwiner_refuses_a_nan_entry_in_either_order():
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+def test_intertwiner_refuses_a_non_finite_entry_in_either_order(bad):
     # the same source functional and dimension, so the orbits are compared:
-    # a NaN in T1 leaves T1 T1^H nothing to solve, and a NaN in T2 fails the
-    # residual; neither reaches an eigensolver that does not converge
-    clean, bad = s3_regular(nan=False), s3_regular(nan=True)
+    # a NaN or an infinity in T1 leaves T1 T1^H nothing to solve, and one in
+    # T2 fails the residual; neither reaches an eigensolver that does not
+    # converge, and an infinity's inf * 0 makes no numpy warning
+    clean, broken = s3_regular(), s3_regular(bad)
     with pytest.raises(NotEquivalent, match="^the first representation's orbit is not finite$"):
-        intertwiner(bad, clean)
+        intertwiner(broken, clean)
     with pytest.raises(NotEquivalent, match="^intertwining residual nan$"):
-        intertwiner(clean, bad)
+        intertwiner(clean, broken)
     assert np.allclose(intertwiner(clean, clean), np.eye(clean.rep_dim))
 
 

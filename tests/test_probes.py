@@ -25,6 +25,7 @@ import pytest
 
 from starrep import (
     DEFAULT_POLICY,
+    TolerancePolicy,
     block_data,
     build_matrix_algebra,
     decompose,
@@ -36,8 +37,9 @@ from starrep import (
     rep_to_kernel,
     verify_star_rep,
 )
+from starrep.errors import NotPositive
 from starrep.gns import _check_star_rep, _law_violations
-from starrep.numerics import relative_gap
+from starrep.numerics import psd_rank, relative_gap
 
 from conftest import (
     change_basis,
@@ -105,6 +107,35 @@ def test_nearly_singular_states_keep_their_dimension(m, basis, eps):
         assert from_kernel.rep_dim == k * m
         report = verify_star_rep(from_kernel)
         assert report.passed, dict(report.violations)
+
+
+# a PSD tolerance that admits no roundoff: only where a state enters is PSD judged
+EXACT_PSD = TolerancePolicy(psd_tol=1e-300)
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("m", (2, 3, 4, 6))
+def test_the_kernel_of_an_accepted_state_takes_no_psd_verdict(m, basis):
+    # T^H T of a representation gns_construct built is PSD by construction,
+    # so rep_to_kernel returns its kernel even where roundoff leaves it a
+    # least eigenvalue below -psd_tol times its top, as the rank-deficient
+    # T^H T of a vector state w^H x w often does.  A vector state's density
+    # can itself carry a negative roundoff eigenvalue; gns_construct judges
+    # it where it enters and refuses it, and such a state is passed over
+    algebra, s = algebra_in(m, basis)
+    states = [probe_state(m, basis, eps) for eps in EPSILONS]
+    for seed in range(3):
+        w = random_unitary(np.random.default_rng([m, seed]), m)[:, 0]
+        vector = np.outer(w, w.conj()).T.ravel()  # rho(E_pq) = D[q, p], D = w w^H
+        states.append(vector if s is None else s.T @ vector)
+    for rho in states:
+        for scale in SCALES:
+            try:
+                rep = gns_construct(algebra, scale * rho, EXACT_PSD)
+            except NotPositive:
+                continue
+            kernel = rep_to_kernel(rep, EXACT_PSD)
+            assert kernel.rank == psd_rank(np.linalg.eigvalsh(kernel.matrix)[::-1], EXACT_PSD)[1]
 
 
 ALGEBRAS = {

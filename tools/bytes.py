@@ -94,6 +94,16 @@ A copy of ``z2.json`` with a second algebra of dimension 2, C (+) C, and a
 kernel on it runs each verb that names two kernels and no algebra with one
 kernel from each algebra, in both orders: the kernels must share an
 algebra, the first one's.
+
+PSD is judged where a matrix enters and where the order is asked, and a
+kernel the package builds gets no verdict.  A copy of ``z3.json`` with the
+kernels ka = diag(1, 0, -0.9e-9) and kb = diag(0, 1, -0.9e-9), which load,
+runs ``EDGE_VERBS`` on ka and kb, and ``weighted-sum 1 ka 1 kb``: the sum
+diag(1, 1, -1.8e-9) is a kernel, though its least eigenvalue is below
+-psd_tol times its top, while kb - ka is not PSD.  ``roundtrip s3 trivial``
+on ``s3.json`` under ``--tol-psd 1e-300`` reads the kernel T^H T of a
+representation ``gns_construct`` accepted, whose roundoff eigenvalues would
+fail that tolerance.
 """
 
 from __future__ import annotations
@@ -122,6 +132,9 @@ PHASE_VERBS = ("validate", "gns", "kernel", "roundtrip")
 INVARIANCE_VERBS = ("functional", "pullback", "roundtrip")
 DENSITY_VERBS = ("gns", "decompose", "roundtrip")
 KERNEL_PAIR_VERBS = ("cone-sum", "cone-leq", "cone-diff", "exclude", "min-scale", "subrep")
+EDGE_VERBS = ("cone-sum", "exclude", "cone-leq", "subrep")
+# the least eigenvalue of each edge kernel, within -psd_tol times its top 1
+EDGE_LEAST = -0.9e-9
 MATCH_TOL = 1e-8  # starrep's default
 # the one_scale state's largest density value, and the skew of its 2 x 2
 # density in units of MATCH_TOL times that value (``density_commands``)
@@ -477,6 +490,26 @@ def two_algebra_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     return cmds
 
 
+def edge_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """Kernels the package builds from kernels at the PSD edge, and a kernel read off a representation.
+
+    ``EDGE_VERBS`` and ``weighted-sum 1 ka 1 kb`` on a copy of ``z3.json``
+    with ka = diag(1, 0, ``EDGE_LEAST``) and kb = diag(0, 1, ``EDGE_LEAST``),
+    and ``roundtrip s3 trivial`` on ``s3.json`` under ``--tol-psd 1e-300``.
+    """
+    doc = json.loads((fixtures / "z3.json").read_text(encoding="utf-8"))
+    doc["kernels"] = {name: {"algebra": "z3", "matrix": _encode(np.diag(d).astype(complex))}
+                      for name, d in (("ka", [1.0, 0.0, EDGE_LEAST]),
+                                      ("kb", [0.0, 1.0, EDGE_LEAST]))}
+    path = scratch / "z3_edge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ws = ["-w", str(path)]
+    return ([ws + [verb, "ka", "kb"] for verb in EDGE_VERBS]
+            + [ws + ["weighted-sum", "1", "ka", "1", "kb"],
+               ["-w", str(fixtures / "s3.json"), "--tol-psd", "1e-300", "roundtrip", "s3",
+                "trivial"]])
+
+
 def malformed_arrays(fixtures: Path, scratch: Path) -> list[list[str]]:
     """A command on each copy of a fixture with one array, section or field broken."""
     rho = ("functionals", "rho_t0", "values")
@@ -710,7 +743,8 @@ def main(argv=None) -> int:
                 + single_term_commands(fixtures, scratch)
                 + invariance_commands(fixtures, scratch)
                 + density_commands(fixtures, scratch)
-                + two_algebra_commands(fixtures, scratch))
+                + two_algebra_commands(fixtures, scratch)
+                + edge_commands(fixtures, scratch))
         if args.list:
             for cmd in cmds:
                 print(" ".join(cmd))
