@@ -18,8 +18,11 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _complex_array,
     _law_report,
     _maxabs,
+    _worst_gap,
+    entrywise_gap,
     index_blocks,
 )
 
@@ -75,12 +78,10 @@ class FiniteStarAlgebra:
         """x as a vector of n complex coordinates.
 
         ShapeMismatch when x is not an array of numbers (a string, a ragged
-        list), DimMismatch when its shape is not (n,).
+        list, ``numerics._complex_array``), DimMismatch when its shape is not
+        (n,).
         """
-        try:
-            v = np.asarray(x, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ShapeMismatch(f"{what} is not an array of numbers: {exc}") from None
+        v = _complex_array(x, what)
         if v.shape != (self.dim,):
             raise DimMismatch(f"{what} has shape {v.shape}, algebra dim {self.dim}")
         return v
@@ -141,50 +142,54 @@ def _product_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return v, t
 
 
-def _associativity_from_table(v: np.ndarray, t: np.ndarray) -> float:
-    """max |(e_i e_j) e_k - e_i (e_j e_k)| over (i, j, k) from a single-term table.
+def _associativity_from_table(v: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+    """``entrywise_gap`` of (e_i e_j) e_k and e_i (e_j e_k), read off a single-term table.
 
     (e_i e_j) e_k = L e_t[t_ij, k] with L = v[i, j] v[t_ij, k], and
     e_i (e_j e_k) = R e_t[i, t_jk] with R = v[j, k] v[i, t_jk]: their
-    difference is |L - R| when the two indices agree, else max(|L|, |R|).
-    Every array is laid out as [i, j, k].
+    difference is |L - R| when the two indices agree, else max(|L|, |R|),
+    and the size is the larger of max|L| and max|R|.  Every array is laid
+    out as [i, j, k].
     """
     left = v[t]
     left *= v[:, :, None]
     right = np.take(v, t, axis=1)
     right *= v
+    size = float(np.maximum(_maxabs(left), _maxabs(right)))
     agree = t[t] == np.take(t, t, axis=1)
     np.subtract(left, right, out=left, where=agree)
     np.copyto(right, 0.0, where=agree)
-    return float(np.maximum(np.abs(left).max(), np.abs(right).max()))
+    return float(np.maximum(_maxabs(left), _maxabs(right))), size
 
 
-def _associativity_blocked(c: np.ndarray) -> float:
-    """max |(e_i e_j) e_k - e_i (e_j e_k)| coordinatewise, a block of i at a time."""
+def _associativity_blocked(c: np.ndarray) -> tuple[float, float]:
+    """``entrywise_gap`` of (e_i e_j) e_k and e_i (e_j e_k), a block of i at a time."""
     n = c.shape[0]
     c_rows = c.reshape(n, n * n)  # [i, (j, l)]
     c_pairs = c.reshape(n * n, n)  # [(i, j), l]
-    # both sides laid out as [i, j, k, l]
-    assoc = 0.0
-    for blk in index_blocks(n, n ** 3):
-        left = c[blk].reshape(-1, n) @ c_rows
-        right = np.matmul(c_pairs, c[blk])
-        assoc = np.maximum(assoc, _maxabs(left.reshape(right.shape) - right))
-    return float(assoc)
+
+    def gaps():  # both sides laid out as [i, j, k, l]
+        for blk in index_blocks(n, n ** 3):
+            right = np.matmul(c_pairs, c[blk])
+            yield entrywise_gap((c[blk].reshape(-1, n) @ c_rows).reshape(right.shape), right)
+
+    return _worst_gap(gaps())
 
 
 def validate_algebra(
     algebra: FiniteStarAlgebra, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> ValidationReport:
-    """Check the algebra axioms coordinatewise and report the worst violations.
+    """Check the algebra axioms coordinatewise and report the worst relative violations.
 
     Four laws are examined: associativity of the product, the two-sided unit
     law, the involution squaring to the identity, and antimultiplicativity
-    of the involution.  Each violation is the exact maximum over all index
-    tuples.  Real structure constants, involutions and units (group
-    algebras, matrix units) are multiplied as real arrays, a quarter of the
-    work of complex ones; the real copies are kept on the algebra
-    (``_real_copies``).
+    of the involution.  Each violation is the exact maximum of |lhs - rhs|
+    over all index tuples, over the larger of max|lhs| and max|rhs|
+    (``numerics.entrywise_gap``, ``_gap_report``), so the verdict is the
+    same in the basis e and in the basis s e.  Real structure constants,
+    involutions and units (group algebras, matrix units) are multiplied as
+    real arrays, a quarter of the work of complex ones; the real copies are
+    kept on the algebra (``_real_copies``).
 
     Associativity, the n^4 law, is checked in one of two forms.  When the
     structure constants are real and single-term, each product e_i e_j a
@@ -193,8 +198,8 @@ def validate_algebra(
     (``_associativity_from_table``).  Otherwise it is checked a block of the
     first index at a time (``index_blocks``) as two BLAS matmuls per block,
     O(n^5) work in O(n^3) memory (``_associativity_blocked``).  Both give the
-    same number to the last bit on real single-term constants: each entry
-    of the matmuls is then one rounded product plus exact zeros.  Complex
+    residual and size to the last bit on real single-term constants: each
+    entry of the matmuls is then one rounded product plus exact zeros.  Complex
     single-term constants keep the blocked form, since a complex matmul
     rounds its products differently from numpy's.  The other laws are
     matmuls on n^3 entries at most.
@@ -208,8 +213,8 @@ def validate_algebra(
                        "the algebra's law checks overflow the float range")
 
 
-def _axiom_violations(algebra: FiniteStarAlgebra) -> dict[str, float]:
-    """``validate_algebra``'s four violations, by name."""
+def _axiom_violations(algebra: FiniteStarAlgebra) -> dict[str, tuple[float, float]]:
+    """``validate_algebra``'s four ``(residual, size)`` pairs, by name."""
     c, s, e = _real_copies(algebra)
     n = algebra.dim
     c_rows = c.reshape(n, n * n)  # [i, (j, l)]
@@ -219,24 +224,20 @@ def _axiom_violations(algebra: FiniteStarAlgebra) -> dict[str, float]:
     assoc = _associativity_blocked(c) if table is None else _associativity_from_table(*table)
 
     eye = np.eye(n)
-    unit_left = (e @ c_rows).reshape(n, n)
-    unit_right = np.matmul(e, c)
-    unit_dev = np.maximum(_maxabs(unit_left - eye), _maxabs(unit_right - eye))
-
-    involutive = _maxabs(s.T @ np.conj(s.T) - eye)
+    unit = _worst_gap((entrywise_gap((e @ c_rows).reshape(n, n), eye),
+                       entrywise_gap(np.matmul(e, c), eye)))
 
     # (e_i e_j)^* against e_j^* e_i^*, both laid out as [i, j, l]; the right
     # side is s applied to the index of e_j, then to that of e_i
-    lhs = np.conj(c_pairs) @ s
     star_j = (s @ c_rows).reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n)
     rhs = s @ star_j
-    antimult = _maxabs(lhs.reshape(rhs.shape) - rhs)
 
     return {
-        "associativity": float(assoc),
-        "unit": float(unit_dev),
-        "involution_involutive": involutive,
-        "involution_antimultiplicative": antimult,
+        "associativity": assoc,
+        "unit": unit,
+        "involution_involutive": entrywise_gap(s.T @ np.conj(s.T), eye),
+        "involution_antimultiplicative": entrywise_gap(
+            (np.conj(c_pairs) @ s).reshape(rhs.shape), rhs),
     }
 
 

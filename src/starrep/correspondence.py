@@ -37,14 +37,15 @@ from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
     ValidationReport,
+    _complex_array,
     _finite_product,
+    _gap_report,
     _hermitian_product,
     _law_report,
-    _maxabs,
     _overflow_checked,
+    _worst_gap,
     entrywise_gap,
     index_blocks,
-    relative_gap,
     within_tol,
 )
 
@@ -70,7 +71,7 @@ class StarHomomorphism:
     matrix: np.ndarray  # (target.dim, source.dim)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _complex_array(self.matrix, "homomorphism matrix")
         if m.shape != (self.target.dim, self.source.dim):
             raise ShapeMismatch(
                 f"homomorphism matrix must be {(self.target.dim, self.source.dim)}, "
@@ -95,9 +96,12 @@ def validate_star_homomorphism(
 ) -> ValidationReport:
     """Check multiplicativity, *-compatibility, and unitality on basis pairs.
 
-    Each violation is the exact maximum over all index tuples;
-    multiplicativity is checked a block of the first index at a time
-    (``index_blocks``), as matmuls.  The two algebras' data and the matrix
+    Each violation is the exact maximum of |lhs - rhs| over all index
+    tuples, relative to the larger of max|lhs| and max|rhs|
+    (``numerics.entrywise_gap``, ``_gap_report``), so the verdict is the
+    same in the basis e and in the basis s e of the source; multiplicativity
+    is checked a block of the first index at a time (``index_blocks``), as
+    matmuls.  The two algebras' data and the matrix
     are multiplied as real arrays where their imaginary parts are zero
     (``_real_copies``, ``_real_if_real``), so a real map between real
     algebras, such as an embedding of matrix units, is checked in real
@@ -109,20 +113,20 @@ def validate_star_homomorphism(
     (c1, s1, e1), (c2, s2, e2) = _real_copies(a1), _real_copies(a2)
     c2_rows = c2.reshape(n2, n2 * n2)  # [a, (b, k)]
 
-    def violations() -> dict[str, float]:
+    def product_gaps():
         # alpha(e_i e_j) against alpha(e_i) alpha(e_j), both laid out as [i, j, k]
-        mult_dev = 0.0
         for blk in index_blocks(n1, n2 * (n1 + n2)):
             rows = blk.stop - blk.start
             prod_src = c1[blk].reshape(rows * n1, n1) @ m.T
             left = (m[:, blk].T @ c2_rows).reshape(rows, n2, n2)  # alpha(e_i) e_b
             prod_tgt = m.T @ left
-            mult_dev = np.maximum(mult_dev, _maxabs(prod_src.reshape(prod_tgt.shape) - prod_tgt))
-        star_src = m @ s1.T  # column i = image of e_i^*
-        star_tgt = s2.T @ np.conj(m)
-        return {"multiplicativity": float(mult_dev),
-                "star_compatibility": _maxabs(star_src - star_tgt),
-                "unit": _maxabs(m @ e1 - e2)}
+            yield entrywise_gap(prod_src.reshape(prod_tgt.shape), prod_tgt)
+
+    def violations() -> dict[str, tuple[float, float]]:
+        # column i of m s1^T is the image of e_i^*
+        return {"multiplicativity": _worst_gap(product_gaps()),
+                "star_compatibility": entrywise_gap(m @ s1.T, s2.T @ np.conj(m)),
+                "unit": entrywise_gap(m @ e1, e2)}
 
     message = "the homomorphism's law checks overflow the float range"
     return _law_report(violations, pol, message, m)
@@ -251,7 +255,7 @@ def cone_morphism_audit(
 
     Reports the deviation of the kernel of rho1 + rho2 from the sum of
     kernels, likewise for scaling by lam, each relative to the larger of
-    the two matrices compared (``relative_gap``), and whether the two order
+    the two matrices compared (``entrywise_gap``, ``_gap_report``), and whether the two order
     relations agree: rho1 <= rho2 as functionals (rho2 - rho1 positive) and
     k1 <= k2 as kernels (k2 - k1 PSD).  NonFiniteScalar is raised when
     rho1 + rho2, lam rho1 or rho2 - rho1, or the matching sum or multiple
@@ -266,9 +270,9 @@ def cone_morphism_audit(
     except NotPositive:
         raise NotPositive("cone_morphism_audit requires positive functionals") from None
 
-    sum_dev = relative_gap(*_overflow_checked(
+    sum_gap = entrywise_gap(*_overflow_checked(
         lambda: (gram_matrix(algebra, r1 + r2), g1 + g2), "the functional sum overflows"))
-    scale_dev = relative_gap(*_overflow_checked(
+    scale_gap = entrywise_gap(*_overflow_checked(
         lambda: (gram_matrix(algebra, lam * r1), lam * g1),
         f"scaling by {lam} overflows the functional"))
 
@@ -277,11 +281,5 @@ def cone_morphism_audit(
     kernel_order = kernel_leq(k1, k2, pol)
     order_dev = 0.0 if functional_order == kernel_order else 1.0
 
-    return ValidationReport(
-        violations={
-            "sum": sum_dev,
-            "scale": scale_dev,
-            "order_agreement": order_dev,
-        },
-        tolerance=pol.match_tol,
-    )
+    return _gap_report({"sum": sum_gap, "scale": scale_gap,
+                        "order_agreement": (order_dev, 1.0)}, pol)

@@ -49,20 +49,22 @@ from .numerics import (
     TolerancePolicy,
     ValidationReport,
     _checked_hermitized,
+    _complex_array,
     _eigh,
     _eigvalsh,
     _finite_product,
+    _gap_report,
     _hermitian_product,
     _hermitized,
     _law_report,
     _maxabs,
     _pseudo_inverse,
     _stack_times,
+    _worst_gap,
     entrywise_gap,
     hermitian_eigen,
     index_blocks,
     psd_rank,
-    relative_gap,
     within_tol,
 )
 
@@ -109,10 +111,10 @@ class GNSRepresentation:
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mats = np.asarray(self.matrices, dtype=complex)
-        xi = np.asarray(self.cyclic_vector, dtype=complex)
-        rho = np.asarray(self.source_functional, dtype=complex)
-        q = np.asarray(self.embedding, dtype=complex)
+        mats = _complex_array(self.matrices, "matrices")
+        xi = _complex_array(self.cyclic_vector, "cyclic vector")
+        rho = _complex_array(self.source_functional, "functional")
+        q = _complex_array(self.embedding, "embedding")
         n = self.algebra.dim
         d = xi.shape[0] if xi.ndim == 1 else -1
         if mats.shape != (n, d, d) or q.shape != (d, n) or rho.shape != (n,):
@@ -197,20 +199,16 @@ def _kept_report(data: BlockData, ranks: list[int], reproduced: np.ndarray, rho:
 
     Its unit, product and adjoint violations are those of the blocks it
     holds, kept on the block data (``BlockData.laws``): an entry of
-    pi(e_i) pi(e_l) is one of x_j y_j, or 0 off the blocks.  Only the
-    blocks with r_j > 0 count.  The vector is cyclic by construction, as
-    each V_j diag(sqrt(mu)) has full column rank.  Reproduction is checked
-    on the orbit, as ``_check_star_rep`` checks it.
+    pi(e_i) pi(e_l) is one of x_j y_j, or 0 off the blocks, so the largest
+    residual over the largest size of the blocks with r_j > 0 is the full
+    check's relative violation (``_worst_gap``).  The vector is cyclic by
+    construction, as each V_j diag(sqrt(mu)) has full column rank.
+    Reproduction is checked on the orbit, as ``_check_star_rep`` checks it.
     """
     held = [laws for laws, r in zip(data.laws, ranks) if r]
-    return ValidationReport(
-        violations={
-            **{law: max((laws[law] for laws in held), default=0.0) for law in _LAWS},
-            "cyclicity": 0.0,
-            "reproduction": relative_gap(reproduced, rho),
-        },
-        tolerance=pol.match_tol,
-    )
+    return _gap_report({**{law: _worst_gap(laws[law] for laws in held) for law in _LAWS},
+                        "cyclicity": (0.0, 1.0),
+                        "reproduction": entrywise_gap(reproduced, rho)}, pol)
 
 
 def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy) -> GNSRepresentation:
@@ -247,10 +245,13 @@ def _gram_represent(algebra: FiniteStarAlgebra, rho, pol: TolerancePolicy) -> GN
 _LAWS = ("unit", "multiplicativity", "star_property")
 
 
-def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, float]:
-    """Worst violations of the unit, product and adjoint laws by images of the basis.
+def _law_violations(algebra: FiniteStarAlgebra,
+                    mats: np.ndarray) -> dict[str, tuple[float, float]]:
+    """The unit, product and adjoint laws by images of the basis, as ``(residual, size)`` pairs.
 
-    ``mats`` stacks candidate images pi(e_i), shape (n, d, d).
+    ``mats`` stacks candidate images pi(e_i), shape (n, d, d).  Each law
+    gives ``entrywise_gap`` of its two sides, the product law the largest
+    residual and size over its blocks (``_worst_gap``).
     Multiplicativity, n^2 d^2 entries, is checked a block of the first index
     at a time (``index_blocks``) as two BLAS matmuls per block, so it costs
     O(n^2 d^2 (n + d)) work in O(n d^2) memory; the other laws are matmuls.
@@ -267,34 +268,36 @@ def _law_violations(algebra: FiniteStarAlgebra, mats: np.ndarray) -> dict[str, f
     mats = _real_if_real(mats)
     flat = np.ascontiguousarray(mats.reshape(n, d * d))  # [k, (a, b)]
 
-    unit_dev = _maxabs((e @ flat).reshape(d, d) - np.eye(d))
-
     # pi(e_i) pi(e_j) as [i, a, j, c] against sum_k c[i, j, k] pi(e_k) as
     # [i, j, a, c]
     by_row = mats.transpose(1, 0, 2).reshape(d, n * d)  # [b, (j, c)]
-    mult_dev = 0.0
-    for blk in index_blocks(n, n * d * d):
-        rows = blk.stop - blk.start
-        products = (mats[blk].reshape(rows * d, d) @ by_row).reshape(rows, d, n, d)
-        table = _stack_times(c[blk].reshape(rows * n, n), flat).reshape(rows, n, d, d)
-        mult_dev = np.maximum(mult_dev, _maxabs(products.transpose(0, 2, 1, 3) - table))
 
-    star_images = (s @ flat).reshape(n, d, d)
-    star_dev = _maxabs(star_images - np.conj(np.transpose(mats, (0, 2, 1))))
-    return {"unit": unit_dev, "multiplicativity": float(mult_dev), "star_property": star_dev}
+    def product_gaps():
+        for blk in index_blocks(n, n * d * d):
+            rows = blk.stop - blk.start
+            products = (mats[blk].reshape(rows * d, d) @ by_row).reshape(rows, d, n, d)
+            table = _stack_times(c[blk].reshape(rows * n, n), flat).reshape(rows, n, d, d)
+            yield entrywise_gap(products.transpose(0, 2, 1, 3), table)
+
+    return {"unit": entrywise_gap((e @ flat).reshape(d, d), np.eye(d)),
+            "multiplicativity": _worst_gap(product_gaps()),
+            "star_property": entrywise_gap((s @ flat).reshape(n, d, d),
+                                           np.conj(np.transpose(mats, (0, 2, 1))))}
 
 
 def verify_star_rep(
     rep: GNSRepresentation, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> ValidationReport:
-    """Report the worst violation of each defining law of the representation.
+    """Report the worst relative violation of each defining law of the representation.
 
     Checked: the unit acts as the identity; multiplicativity on basis pairs;
     the adjoint property pi(e_i^*) = pi(e_i)^dagger (all three by
-    ``_law_violations``); cyclicity of the distinguished vector; and
-    reproduction of the source functional, max|rho_hat - rho| relative to
-    the larger of max|rho_hat| and max|rho| (``relative_gap``).  Each
-    violation is the exact maximum over all index tuples.  The report is
+    ``_law_violations``); cyclicity of the distinguished vector, the
+    number of dimensions its orbit misses; and reproduction of the source
+    functional.  Each law's violation is the exact maximum of |lhs - rhs|
+    over all index tuples, relative to the larger of max|lhs| and max|rhs|
+    (``numerics.entrywise_gap``, ``_gap_report``), so the verdict does not
+    change when the algebra's basis is scaled.  The report is
     computed on the first call for a representation and policy and kept on
     the representation (``GNSRepresentation.derived``); later calls return
     the kept report.
@@ -344,8 +347,8 @@ def _check_star_rep(rep: GNSRepresentation, pol: TolerancePolicy) -> ValidationR
             cyclicity = 0.0
         reproduced = orbit.T @ np.conj(rep.cyclic_vector)
         return {**_law_violations(rep.algebra, rep.matrices),
-                "cyclicity": cyclicity,
-                "reproduction": relative_gap(reproduced, rep.source_functional)}
+                "cyclicity": (cyclicity, 1.0),
+                "reproduction": entrywise_gap(reproduced, rep.source_functional)}
 
     return _law_report(violations, pol, message, rep.matrices, rep.cyclic_vector,
                        rep.source_functional)
@@ -366,9 +369,10 @@ class BlockData(NamedTuple):
     row of ``coords @ x`` is the (a, b) entry of block j of x.
     ``blocks[j]`` stacks block j of every basis element, shape (n, k_j, k_j);
     x -> block j of x runs over the irreducible *-representations, each once.
-    ``laws[j]`` holds the worst violations of the unit, product and adjoint
-    laws by ``blocks[j]`` (``_law_violations``), measured as the blocks
-    were built; a representation built from blocks reads its own off them.
+    ``laws[j]`` holds the ``(residual, size)`` pair of each of the unit,
+    product and adjoint laws by ``blocks[j]`` (``_law_violations``),
+    measured as the blocks were built; a representation built from blocks
+    reads its own off them.
     ``adjoint`` maps the column of E^j_ab to that of E^j_ba = (E^j_ab)^*,
     and column j of ``centers`` holds the coordinates of z_j = sum_a E^j_aa,
     the unit of block j: the values rho(E^j_ab) of a functional are
@@ -380,7 +384,7 @@ class BlockData(NamedTuple):
     units: np.ndarray  # (n, n)
     coords: np.ndarray  # (n, n)
     blocks: tuple[np.ndarray, ...]
-    laws: tuple[Mapping[str, float], ...]
+    laws: tuple[Mapping[str, tuple[float, float]], ...]
     adjoint: np.ndarray  # (n,)
     centers: np.ndarray  # (n, J)
 
@@ -428,12 +432,14 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     sqrt(t), with t such that E_a1^H E_a1 = F_1, E_11 = F_1, and
     E_ab = E_a1 E_b1^H.  An element X of pi(A) has coordinates
     q^-1 (X xi).  The generic elements come from a fixed seed, and the
-    result is checked once: the blocks of the basis must reproduce the
-    unit, product and involution, and ``coords`` must invert ``units``,
-    within match_tol.  Eigenvalues of x split into eigenspaces where
-    neighbours fail the entrywise rule (``within_tol``) against max|x's
-    eigenvalues|, and two eigenspaces are linked where their block of y
-    fails it against |y|.
+    result is checked once, by the rule of the law checks
+    (``_gap_report``): the blocks of the basis must reproduce the unit,
+    product and involution, the largest residual over the largest size of
+    the blocks within match_tol, and ``coords`` must invert ``units``,
+    max|coords units - I| within match_tol.  Eigenvalues of x split into
+    eigenspaces where neighbours fail the entrywise rule (``within_tol``)
+    against max|x's eigenvalues|, and two eigenspaces are linked where
+    their block of y fails it against |y|.
     """
     n = algebra.dim
     tau = np.asarray(np.trace(algebra.structure_constants, axis1=1, axis2=2), dtype=complex)
@@ -500,14 +506,13 @@ def _build_block_data(algebra: FiniteStarAlgebra, pol: TolerancePolicy) -> Block
     for stack in blocks:
         stack.setflags(write=False)
         laws.append(MappingProxyType(_law_violations(algebra, stack)))
-    worst = {"inverse": float(np.max(np.abs(coords @ units - np.eye(n)))),
-             **{law: float(np.max([block[law] for block in laws])) for law in _LAWS}}
-    report = ValidationReport(violations=worst, tolerance=pol.match_tol)
+    report = _gap_report({"inverse": (_maxabs(coords @ units - np.eye(n)), 1.0),
+                          **{law: _worst_gap(block[law] for block in laws) for law in _LAWS}},
+                         pol)
     if not report.passed:
         law = report.worst
-        raise NoConvergence(
-            f"the blocks {sizes} miss the algebra: {law} deviates by {worst[law]:.3e}"
-        )
+        raise NoConvergence(f"the blocks {sizes} miss the algebra: "
+                            f"{law} deviates by {report.violations[law]:.3e}")
     slices = _block_slices(sizes)
     adjoint = np.concatenate([s.start + np.arange(k * k).reshape(k, k).T.ravel()
                               for s, k in zip(slices, sizes)])

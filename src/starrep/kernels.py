@@ -50,6 +50,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _complex_array,
     _eigvalsh,
     _hermitian_product,
     _hermitized,
@@ -203,9 +204,11 @@ def membership(
     range(H), read off the kernel's eigendecomposition: phi is rejected when
     the residual exceeds ``rel_rank_tol * |phi|``, a bound that scales with
     phi, or is NaN.
-    The squared norm of a member is ``phi^dagger H^+ phi``.
+    The squared norm of a member is ``phi^dagger H^+ phi``.  ShapeMismatch
+    when phi is not an array of numbers, DimMismatch when its shape is not
+    (dim,).
     """
-    v = np.asarray(phi, dtype=complex)
+    v = _complex_array(phi, "vector")
     if v.shape != (kernel.dim,):
         raise DimMismatch(f"vector has shape {v.shape}, kernel dim {kernel.dim}")
     basis = kernel.vectors[:, : kernel.rank]

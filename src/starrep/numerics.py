@@ -16,9 +16,15 @@ spectral rule is ``psd_rank``: eigenvalues are measured against the top
 eigenvalue or a scale the caller gives.  The entrywise rule is
 ``within_tol``: a residual between arrays that should agree is measured
 against ``match_tol`` times the size it scales with, and ``entrywise_gap``
-gives both numbers for two arrays without overflow.  Neither has an
+gives both numbers for two arrays without overflow.  The law checks of an
+algebra, a representation and a homomorphism take the same rule: each law
+gives ``entrywise_gap`` of the two sides it compares, a blocked check the
+larger residual and the larger size over its blocks (``_worst_gap``), and
+``_gap_report`` reads each residual over its size (``_relative``), so a
+``ValidationReport`` holds relative violations.  Neither rule has an
 absolute floor, so a functional and its positive multiples get the same
-verdict.
+verdict, and a law check gets the same verdict in the basis e and in the
+basis s e.
 
 ``hermitian_eigvals`` calls ``np.linalg.eigvalsh`` and returns the values
 alone, descending, for the decisions that read eigenvalues only
@@ -65,7 +71,7 @@ sum could overflow.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -77,6 +83,7 @@ from .errors import (
     NonFiniteScalar,
     NonSquare,
     NotHermitian,
+    ShapeMismatch,
 )
 
 __all__ = [
@@ -123,11 +130,9 @@ class TolerancePolicy:
         should agree passes when it is at most ``match_tol * size``, with
         ``size`` the magnitude it scales with (for two arrays, the larger
         of their largest entries, ``entrywise_gap``).  Hermiticity, the
-        *-invariance of a kernel, the equality of functionals and the
-        convergence of a chain are decided so.  The law checks of an
-        algebra, a representation and a homomorphism compare absolute
-        violations with ``match_tol``, a defect: a violation scales with
-        the basis, so rescaling it can pass a broken law or fail a valid one.
+        *-invariance of a kernel, the equality of functionals, the
+        convergence of a chain and the law checks of an algebra, a
+        representation and a homomorphism are decided so.
     """
 
     rel_rank_tol: float = 1e-9
@@ -145,10 +150,14 @@ DEFAULT_POLICY = TolerancePolicy()
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Named maximum violations of a family of laws, plus a pass threshold.
+    """Named relative violations of a family of laws, plus a pass threshold.
 
-    ``violations`` is a read-only mapping, so a report can be kept and
-    shared (``gns.verify_star_rep`` keeps one per representation).  A NaN
+    Each violation is a law's largest residual over the size it scales
+    with (``_gap_report``), so the report of a law check does not change
+    when the basis is scaled, and it passes when every violation is below
+    ``tolerance``, the policy's ``match_tol``.  ``violations`` is a
+    read-only mapping, so a report can be kept and shared
+    (``gns.verify_star_rep`` keeps one per representation).  A NaN
     violation, a law whose check produced no number, counts as the worst
     and fails the report.
     """
@@ -201,7 +210,7 @@ def entrywise_gap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     bits are those of ``a - b``.  A NaN entry gives a NaN residual, which
     fails the rule.
     """
-    size = float(max(np.abs(a).max(), np.abs(b).max()))
+    size = max(_maxabs(a), _maxabs(b))
     return _gap(a, b, size), size
 
 
@@ -212,9 +221,17 @@ def _gap(a: np.ndarray, b: np.ndarray, size: float) -> float:
     twice: for a matrix and its adjoint it is max|A| alone.
     """
     if size <= 2.0**1022:
-        return float(np.abs(a - b).max())
+        return _maxabs(a - b)
     with np.errstate(invalid="ignore"):  # inf - inf reads NaN
-        return 2.0 * float(np.abs(a / 2.0 - b / 2.0).max())
+        return 2.0 * _maxabs(a / 2.0 - b / 2.0)
+
+
+def _relative(residual: float, size: float) -> float:
+    """A residual over the size it scales with, 0/0 read as 0.
+
+    The one place a residual of the entrywise rule is divided by its size.
+    """
+    return residual / size if size else 0.0
 
 
 def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
@@ -223,8 +240,43 @@ def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
     The form of the entrywise rule a ``ValidationReport`` holds.  A zero
     array against a nonzero one reads 1.
     """
-    residual, size = entrywise_gap(got, want)
-    return residual / size if size else 0.0
+    return _relative(*entrywise_gap(got, want))
+
+
+def _worst_gap(gaps: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """The largest residual and the largest size of ``(residual, size)`` pairs.
+
+    A law checked a block at a time, or over several arrays, gives one pair
+    per block.  The larger residual over the larger size is the relative
+    gap of the whole check, as every entry it compares lies in one block.
+    A NaN residual or size stays NaN; no pairs read ``(0, 0)``.
+    """
+    residual, size = 0.0, 0.0
+    for r, s in gaps:
+        residual, size = np.maximum(residual, r), np.maximum(size, s)
+    return float(residual), float(size)
+
+
+def _gap_report(gaps: Mapping[str, tuple[float, float]], pol: TolerancePolicy) -> ValidationReport:
+    """The report of named ``(residual, size)`` pairs: each residual over its size.
+
+    A number that is scale-free already, such as a count, comes with the
+    size 1.
+    """
+    return ValidationReport(violations={law: _relative(*gap) for law, gap in gaps.items()},
+                            tolerance=pol.match_tol)
+
+
+def _complex_array(x, what: str) -> np.ndarray:
+    """x as a complex array; ShapeMismatch when it is not an array of numbers.
+
+    A string, a ragged list or an object numpy cannot read as numbers is
+    refused the same way wherever an array enters.
+    """
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"{what} is not an array of numbers: {exc}") from None
 
 
 def _require_square_hermitian(m, pol: TolerancePolicy) -> np.ndarray:
@@ -323,24 +375,34 @@ def _hermitian_product(compute: Callable, message: str, *operands: np.ndarray):
     return _hermitized(product, product.conj().T, size) if math.isfinite(size) else None
 
 
-def _law_report(compute: Callable[[], Mapping[str, float]], pol: TolerancePolicy,
+def _law_report(compute: Callable[[], Mapping[str, tuple[float, float]]], pol: TolerancePolicy,
                 message: str, *operands: np.ndarray) -> ValidationReport:
-    """The law checks' report of the violations ``compute()`` returns, at ``match_tol``.
+    """The law checks' report of the ``(residual, size)`` pairs ``compute()`` returns.
 
     An overflow in ``compute`` raises NonFiniteScalar(message) (``_overflow_checked``),
-    and so does a violation that is not finite while every operand is finite.
+    and so does a residual or size that is not finite while every operand
+    is finite.  The report is ``_gap_report``'s.
     """
     with np.errstate(invalid="ignore"):  # inf - inf, after an overflow BLAS threads hide
-        violations = _overflow_checked(compute, message)
-    if (not all(map(math.isfinite, violations.values()))
+        gaps = _overflow_checked(compute, message)
+    if (not all(math.isfinite(x) for gap in gaps.values() for x in gap)
             and all(np.isfinite(a).all() for a in operands)):
         raise NonFiniteScalar(message)
-    return ValidationReport(violations=violations, tolerance=pol.match_tol)
+    return _gap_report(gaps, pol)
 
 
 def _maxabs(x: np.ndarray) -> float:
-    """max|x|, 0 for an empty array; a NaN entry gives NaN."""
-    return float(np.abs(x).max()) if x.size else 0.0
+    """max|x|, 0 for an empty array; a NaN entry gives NaN.
+
+    A real array is read as |max(max x, -min x)|, the same number with no
+    |x| temporary (the outer abs turns -0.0 into 0.0): the law checks take
+    three of these per law.
+    """
+    if not x.size:
+        return 0.0
+    if x.dtype.kind == "f":
+        return abs(float(np.maximum(x.max(), -x.min())))
+    return float(np.abs(x).max())
 
 
 def _stack_times(stack: np.ndarray, m: np.ndarray) -> np.ndarray:

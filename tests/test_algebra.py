@@ -75,8 +75,10 @@ def test_validate_flags_corrupted_table():
     )
     report = validate_algebra(a)
     assert not report.passed
-    assert report.violations["unit"] == pytest.approx(1.0)
-    assert report.violations["associativity"] > 0.5
+    # e.g = 2g against g: |2 - 1| over the larger side, 2
+    assert report.violations["unit"] == pytest.approx(0.5)
+    # (e.e).g = 2g against e.(e.g) = 4g: |4 - 2| over 4
+    assert report.violations["associativity"] == pytest.approx(0.5)
 
 
 def test_multiply_unit_law_and_group_law():

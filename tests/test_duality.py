@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from starrep import (
+    GNSRepresentation,
+    StarHomomorphism,
     TolerancePolicy,
     build_matrix_algebra,
     cone_morphism_audit,
@@ -14,6 +16,8 @@ from starrep import (
     gram_matrix,
     hilbert_bound,
     is_positive,
+    make_kernel,
+    membership,
 )
 from starrep.errors import DimMismatch, NotPositive, ShapeMismatch
 
@@ -55,6 +59,27 @@ def test_a_malformed_functional_is_one_typed_error(entry, functional):
     # not an array of numbers the same way, before any Gram matrix is formed
     with pytest.raises(ShapeMismatch, match="^functional is not an array of numbers: "):
         FUNCTIONAL_ENTRIES[entry](functional)
+
+
+# the other entry points that take an array, and the name each gives it
+ARRAY_ENTRIES = {
+    "GNSRepresentation": ("matrices", lambda x: GNSRepresentation(
+        z2_algebra(), x, [1, 0], [1, 0], [[1, 0], [0, 1]])),
+    "StarHomomorphism": ("homomorphism matrix",
+                         lambda x: StarHomomorphism(z2_algebra(), z2_algebra(), x)),
+    "membership": ("vector", lambda x: membership(make_kernel(np.eye(2)), x)),
+}
+
+
+@pytest.mark.parametrize("entry", list(ARRAY_ENTRIES))
+@pytest.mark.parametrize("array", ["x", [[1], [1, 2]], [1, "x"], object()],
+                         ids=["string", "ragged", "string-entry", "object"])
+def test_a_malformed_array_is_one_typed_error(entry, array):
+    # as for a functional: a value that is not an array of numbers is
+    # refused before its shape is read
+    what, call = ARRAY_ENTRIES[entry]
+    with pytest.raises(ShapeMismatch, match=f"^{what} is not an array of numbers: "):
+        call(array)
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 1.0, 2.0])

@@ -210,7 +210,8 @@ def test_verify_detects_broken_multiplicativity():
     )
     report = verify_star_rep(broken)
     assert not report.passed
-    assert report.violations["multiplicativity"] == pytest.approx(3.0)
+    # pi(g) pi(g) = 4 I against pi(g g) = I: |4 - 1| over 4
+    assert report.violations["multiplicativity"] == pytest.approx(0.75)
 
 
 def test_a_representation_is_verified_once_per_policy(monkeypatch):

@@ -3,9 +3,10 @@
 ``validate_algebra``, ``verify_star_rep`` and ``validate_star_homomorphism``
 work a block of the first basis index at a time with BLAS matmuls.  The
 einsum forms they replaced are kept here as oracles: each check must report
-the same worst violation, on valid data, on perturbed data whose violations
-are far from zero, and with the block budget cut down so that every check
-runs over many blocks.  Real representations, homomorphisms and kernels
+the same worst violation, max|lhs - rhs| over the larger of max|lhs| and
+max|rhs| with each number computed by einsum (``relative``), on valid
+data, on perturbed data whose violations are far from zero, and with the
+block budget cut down so that every check runs over many blocks.  Real representations, homomorphisms and kernels
 are multiplied as real arrays, so each check also runs on real inputs: the
 trace state on M_3 and S_3, an embedding of matrix units and a real kernel.
 
@@ -84,6 +85,16 @@ def budget(request, monkeypatch):
     return request.param
 
 
+def maxabs(x) -> float:
+    return float(np.max(np.abs(x))) if np.size(x) else 0.0
+
+
+def relative(lhs, rhs) -> float:
+    """max|lhs - rhs| over the larger of max|lhs| and max|rhs|, 0 when both are 0."""
+    size = max(maxabs(lhs), maxabs(rhs))
+    return maxabs(lhs - rhs) / size if size else 0.0
+
+
 def algebra_oracle(a: FiniteStarAlgebra) -> dict:
     c, s, e, n = a.structure_constants, a.involution, a.unit, a.dim
     eye = np.eye(n)
@@ -93,30 +104,27 @@ def algebra_oracle(a: FiniteStarAlgebra) -> dict:
     unit_right = np.einsum("j,ijl->il", e, c)
     lhs = np.einsum("ijm,ml->ijl", np.conj(c), s)
     rhs = np.einsum("jp,iq,pql->ijl", s, s, c)
+    # the unit law compares both products with I: one residual, one size
+    unit = (max(maxabs(unit_left - eye), maxabs(unit_right - eye))
+            / max(maxabs(unit_left), maxabs(unit_right), 1.0))
     return {
-        "associativity": np.max(np.abs(left - right)),
-        "unit": max(np.max(np.abs(unit_left - eye)), np.max(np.abs(unit_right - eye))),
-        "involution_involutive": np.max(np.abs(s.T @ np.conj(s.T) - eye)),
-        "involution_antimultiplicative": np.max(np.abs(lhs - rhs)),
+        "associativity": relative(left, right),
+        "unit": unit,
+        "involution_involutive": relative(s.T @ np.conj(s.T), eye),
+        "involution_antimultiplicative": relative(lhs, rhs),
     }
 
 
 def rep_oracle(rep: GNSRepresentation) -> dict:
     a, mats, xi, d = rep.algebra, rep.matrices, rep.cyclic_vector, rep.rep_dim
-
-    def maxabs(x) -> float:
-        return float(np.max(np.abs(x))) if np.size(x) else 0.0
-
     prod_table = np.einsum("ijk,kab->ijab", a.structure_constants, mats)
     star_images = np.einsum("ij,jab->iab", a.involution, mats)
     reproduced = np.einsum("a,iab,b->i", np.conj(xi), mats, xi)
-    # reproduction is relative to the larger of the two functionals
-    size = max(maxabs(reproduced), maxabs(rep.source_functional))
     return {
-        "unit": maxabs(np.einsum("i,iab->ab", a.unit, mats) - np.eye(d)),
-        "multiplicativity": maxabs(np.einsum("iab,jbc->ijac", mats, mats) - prod_table),
-        "star_property": maxabs(star_images - np.conj(mats.transpose(0, 2, 1))),
-        "reproduction": maxabs(reproduced - rep.source_functional) / size if size else 0.0,
+        "unit": relative(np.einsum("i,iab->ab", a.unit, mats), np.eye(d)),
+        "multiplicativity": relative(np.einsum("iab,jbc->ijac", mats, mats), prod_table),
+        "star_property": relative(star_images, np.conj(mats.transpose(0, 2, 1))),
+        "reproduction": relative(reproduced, rep.source_functional),
     }
 
 
@@ -124,7 +132,7 @@ def hom_multiplicativity_oracle(hom: StarHomomorphism) -> float:
     m = hom.matrix
     prod_src = np.einsum("ab,ijb->ija", m, hom.source.structure_constants)
     prod_tgt = np.einsum("ai,bj,abk->ijk", m, m, hom.target.structure_constants)
-    return float(np.max(np.abs(prod_src - prod_tgt)))
+    return relative(prod_src, prod_tgt)
 
 
 def invariance_oracle(a: FiniteStarAlgebra, h: np.ndarray) -> float:
@@ -518,8 +526,11 @@ def test_planted_associativity_violation_in_last_slice(budget, plant):
     per_i = np.abs(left - right).reshape(n, -1).max(axis=1)
     assert worst_index(per_i) == n - 1
     report = validate_algebra(bad)
-    assert report.violations["associativity"] == per_i[n - 1]
-    assert report.worst == "associativity"
+    size = max(maxabs(left), maxabs(right))
+    assert report.violations["associativity"] == per_i[n - 1] / size
+    # the planted entry breaks antimultiplicativity too, by as much or more
+    # relative to its sides
+    assert not report.passed
 
 
 def phased(a: FiniteStarAlgebra, seed: int) -> FiniteStarAlgebra:
@@ -566,7 +577,8 @@ def test_random_single_term_tables_equal_the_oracle(seed):
     a = FiniteStarAlgebra(c, np.eye(n), np.eye(n)[0])
     assert single_term(a)
     got = validate_algebra(a).violations["associativity"]
-    assert got == algebra_oracle(a)["associativity"] == _associativity_blocked(c)
+    assert got == algebra_oracle(a)["associativity"] == numerics._relative(
+        *_associativity_blocked(c))
 
 
 def test_m8_reports_zero_for_every_law():
@@ -606,7 +618,7 @@ def test_overflowing_single_term_products_match_the_blocked_verdict(budget, monk
     bad = FiniteStarAlgebra(c, a.involution, a.unit)
     assert single_term(bad)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _associativity_blocked(_real_copies(bad)[0])
+        want, _ = _associativity_blocked(_real_copies(bad)[0])
     assert np.isnan(want) if rows == "all" else want == np.inf
     with pytest.raises(NonFiniteScalar, match="overflow"):
         validate_algebra(bad)
@@ -705,7 +717,10 @@ def test_planted_multiplicativity_violation_in_last_slice(budget):
     table = np.einsum("ijk,kab->ijab", c, mats)
     per_i = np.abs(prod - table).reshape(n, -1).max(axis=1)
     assert np.all(per_i[:-1] == 0.0)
-    assert verify_star_rep(rep).violations["multiplicativity"] == per_i[n - 1] == 0.25
+    # over the size 1.25, of pi(e_5) pi(e_5^-1) = I against (1 + 1/4) pi(e_0)
+    size = max(maxabs(prod), maxabs(table))
+    assert size == 1.25
+    assert verify_star_rep(rep).violations["multiplicativity"] == per_i[n - 1] / size == 0.2
 
 
 def test_planted_invariance_violation_in_last_slice(budget):
@@ -738,7 +753,8 @@ def test_planted_homomorphism_violation_in_last_slice(budget):
     prod_tgt = np.einsum("ai,bj,abk->ijk", m, m, a.structure_constants)
     per_i = np.abs(prod_src - prod_tgt).reshape(4, -1).max(axis=1)
     assert worst_index(per_i) == 3
-    assert validate_star_homomorphism(hom).violations["multiplicativity"] == per_i[3]
+    size = max(maxabs(prod_src), maxabs(prod_tgt))
+    assert validate_star_homomorphism(hom).violations["multiplicativity"] == per_i[3] / size
 
 
 def test_a_nan_in_the_last_slice_reaches_the_report(budget):
@@ -759,7 +775,8 @@ def test_a_nan_in_the_last_slice_reaches_the_report(budget):
 
     mats = a.basis_left_mult().astype(complex)
     mats[n - 1, 0, 0] = np.nan
-    assert np.isnan(_law_violations(a, mats)["multiplicativity"])
+    residual, _ = _law_violations(a, mats)["multiplicativity"]
+    assert np.isnan(residual)
 
 
 REAL_ALGEBRAS = {"m3": lambda: build_matrix_algebra(3), "s3": s3_algebra}
@@ -788,7 +805,7 @@ def test_real_representations_match_the_oracle(budget, name):
     bad = GNSRepresentation(a, rep.matrices + real_noise(rng, rep.matrices.shape),
                             rep.cyclic_vector, rep.source_functional, rep.embedding)
     violations = _law_violations(a, bad.matrices)
-    assert min(violations.values()) > 1e-3
+    assert min(numerics._relative(*gap) for gap in violations.values()) > 1e-3
     assert_matches(verify_star_rep(bad), rep_oracle(bad))
 
 
@@ -799,13 +816,15 @@ def test_a_tiny_imaginary_part_takes_the_complex_path(budget):
     a = s3_algebra()
     n = a.dim
     mats = a.basis_left_mult().copy()
-    assert max(_law_violations(a, mats).values()) == 0.0
+    assert max(residual for residual, _ in _law_violations(a, mats).values()) == 0.0
     mats[n - 1, 0, n - 1] += 1e-300j
     rep = GNSRepresentation(a, mats, a.unit, np.eye(n)[0], np.eye(n, dtype=complex))
     violations, want = _law_violations(a, mats), rep_oracle(rep)
-    assert violations["star_property"] == want["star_property"] == 1e-300
+    # every side has the size 1
+    assert violations["star_property"] == (1e-300, 1.0) and want["star_property"] == 1e-300
     for law in ("unit", "multiplicativity"):
-        np.testing.assert_allclose(violations[law], want[law], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(numerics._relative(*violations[law]), want[law],
+                                   rtol=1e-12, atol=0)
 
 
 def test_real_homomorphisms_match_the_oracle(budget):
@@ -823,8 +842,8 @@ def test_real_homomorphisms_match_the_oracle(budget):
     np.testing.assert_allclose(got["multiplicativity"], want, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(
         got["star_compatibility"],
-        np.max(np.abs(wild.matrix @ hom.source.involution.T
-                      - hom.target.involution.T @ np.conj(wild.matrix))),
+        relative(wild.matrix @ hom.source.involution.T,
+                 hom.target.involution.T @ np.conj(wild.matrix)),
         rtol=1e-12, atol=1e-14)
 
 

@@ -456,3 +456,16 @@ def test_eigvals_are_the_full_spectrum_descending(n, scale):
         assert values.shape == (n,) and np.all(np.diff(values) <= 0)
         assert np.abs(values - full).max() <= 4 * n * np.finfo(float).eps * np.abs(full).max()
         assert psd_check(m) == psd_rank(full)
+
+
+@pytest.mark.parametrize("x", [
+    np.zeros(5), -np.zeros(5), np.array([-3.0, 2.0]), np.array([1.0, np.nan, -2.0]),
+    np.array([-np.inf, 1.0]), np.array([1 - 2j, 0.5j]), np.zeros(0),
+], ids=["zeros", "negative-zeros", "negative-top", "nan", "inf", "complex", "empty"])
+def test_maxabs_reads_real_arrays_without_a_temporary(x):
+    # max(max x, -min x) on a real array: the number np.abs(x).max() gives,
+    # +0.0 and not -0.0 on zeros, NaN on a NaN entry
+    got = numerics._maxabs(x)
+    want = float(np.abs(x).max()) if x.size else 0.0
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert np.copysign(1.0, got) == 1.0

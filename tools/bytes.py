@@ -53,6 +53,14 @@ single term, and one with e_5 e_1 = e_4 + (5/4) e_1, two terms.  A third
 copy of ``s3.json``, its structure constants times 1e200, runs ``validate``:
 its law checks overflow, which raises ``NonFiniteScalar`` (exit 1).
 
+A law check measures each residual against the two sides it compares, so
+its verdict does not depend on the scale of the basis.  Copies of
+``s3.json`` with the product e_5 e_5 = (e_0 + e_1) / 2, in the bases s e
+for s = 1e-6, 1 and 1e6, run ``validate``: none loads.  A copy of
+``homs.json`` with z2 in the basis 1e-10 (e, g) and a map from z2 into m2,
+e -> I and g -> i diag(1, -1), which is neither multiplicative nor
+*-preserving, runs ``validate``: it does not load either.
+
 The verbs that test a kernel's *-invariance run where it fails or is
 inexact: ``functional`` on a kernel of M_2 that is not invariant (exit 1,
 ``NotStarInvariant``); ``pullback`` of a vector state's kernel along a
@@ -145,6 +153,12 @@ S3_PLANTED = {
     "redirected": [((5, 3, 2), 0.0), ((5, 3, 5), 1.25)],
     "two_term": [((5, 1, 1), 1.25)],
 }
+# e_5 e_5 = (e_0 + e_1) / 2 in s3.json, in the bases s e (``basis_scale_commands``)
+BROKEN_S3_SCALES = (1e-6, 1.0, 1e6)
+# e -> I, g -> i diag(1, -1) from z2 into m2, in matrix-unit coordinates, with
+# z2 in the basis BAD_Z2_SCALE (e, g)
+BAD_Z2_M2 = [[1.0, 1j], [0.0, 0.0], [0.0, 0.0], [1.0, -1j]]
+BAD_Z2_SCALE = 1e-10
 WORKERS = 2
 
 
@@ -225,45 +239,45 @@ def _encode(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def rebased_m2(doc: dict, s: np.ndarray) -> dict:
-    """A workspace document with its algebra ``m2`` moved to the basis e'_i = sum_j s[j, i] e_j.
+def rebased(doc: dict, s: np.ndarray, name: str = "m2") -> dict:
+    """A workspace document with its algebra ``name`` moved to the basis e'_i = sum_j s[j, i] e_j.
 
     c' = (s (x) s) c s^-1, the involution becomes s^H S s^-T and the unit
-    s^-1 e; a functional rho on m2 becomes s^T rho and a kernel H on m2
-    becomes s^H H s.  A homomorphism's matrix M becomes s^-1 M when m2 is
-    its target and M s when m2 is its source.  The document is changed in
-    place and returned.
+    s^-1 e; a functional rho on the algebra becomes s^T rho and a kernel H
+    on it becomes s^H H s.  A homomorphism's matrix M becomes s^-1 M when
+    the algebra is its target and M s when it is its source.  The document
+    is changed in place and returned.
     """
     s_inv = np.linalg.inv(s)
-    alg = doc["algebras"]["m2"]
+    alg = doc["algebras"][name]
     c = np.einsum("ji,ml,jmp,kp->ilk", s, s, _decode(alg["structure_constants"]), s_inv)
-    doc["algebras"]["m2"] = {
+    doc["algebras"][name] = {
         **alg,
         "structure_constants": _encode(c),
         "involution": _encode(s.conj().T @ _decode(alg["involution"]) @ s_inv.T),
         "unit": _encode(s_inv @ _decode(alg["unit"])),
     }
     for spec in doc["functionals"].values():
-        if spec["algebra"] == "m2":
+        if spec["algebra"] == name:
             spec["values"] = _encode(s.T @ _decode(spec["values"]))
-    for spec in doc["kernels"].values():
-        if spec["algebra"] == "m2":
+    for spec in (doc.get("kernels") or {}).values():
+        if spec["algebra"] == name:
             spec["matrix"] = _encode(s.conj().T @ _decode(spec["matrix"]) @ s)
     for spec in (doc.get("homomorphisms") or {}).values():
         matrix = _decode(spec["matrix"])
-        if spec["target"] == "m2":
+        if spec["target"] == name:
             matrix = s_inv @ matrix
-        if spec["source"] == "m2":
+        if spec["source"] == name:
             matrix = matrix @ s
         spec["matrix"] = _encode(matrix)
     return doc
 
 
 def scrambled_m2(source: Path, scratch: Path) -> Path:
-    """A copy of an M_2 workspace in the basis of a seeded random unitary (``rebased_m2``)."""
+    """A copy of an M_2 workspace in the basis of a seeded random unitary (``rebased``)."""
     rng = np.random.default_rng(SCRAMBLE_SEED)
     q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    doc = rebased_m2(json.loads(source.read_text(encoding="utf-8")),
+    doc = rebased(json.loads(source.read_text(encoding="utf-8")),
                      q * (np.diag(r) / np.abs(np.diag(r))))
     path = scratch / f"{source.stem}_scrambled.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -280,7 +294,7 @@ def probe_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     """``PROBE_VERBS`` on a nearly singular state of M_2 in a badly conditioned basis.
 
     The basis is a seeded complex Gaussian matrix with its singular values
-    spaced geometrically from ``PROBE_COND`` down to 1 (``rebased_m2``); the
+    spaced geometrically from ``PROBE_COND`` down to 1 (``rebased``); the
     state is tr(D .) with D of eigenvalues 1 and ``PROBE_EPS`` in a seeded
     random eigenbasis.
     """
@@ -292,7 +306,7 @@ def probe_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     doc["functionals"] = {"probe": {"algebra": "m2", "values": _encode(density.T.ravel())}}
     doc["kernels"] = {}
     path = scratch / "m2_probe.json"
-    path.write_text(json.dumps(rebased_m2(doc, basis)), encoding="utf-8")
+    path.write_text(json.dumps(rebased(doc, basis)), encoding="utf-8")
     return [["-w", str(path), verb, "m2", "probe"] for verb in PROBE_VERBS]
 
 
@@ -323,12 +337,12 @@ def single_term_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     """The associativity check on single-term products: complex ones and broken ones.
 
     ``PHASE_VERBS`` on a copy of ``m2.json`` in the basis of a seeded
-    diagonal of random phases (``rebased_m2``), and ``validate`` on the
+    diagonal of random phases (``rebased``), and ``validate`` on the
     copies of ``s3.json`` with the entries of ``S3_PLANTED`` set.
     """
     rng = np.random.default_rng(SCRAMBLE_SEED)
     phases = np.exp(2j * np.pi * rng.random(4))
-    doc = rebased_m2(json.loads((fixtures / "m2.json").read_text(encoding="utf-8")),
+    doc = rebased(json.loads((fixtures / "m2.json").read_text(encoding="utf-8")),
                      np.diag(phases))
     path = scratch / "m2_phased.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -348,6 +362,32 @@ def single_term_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     path.write_text(json.dumps(doc), encoding="utf-8")
     cmds.append(["-w", str(path), "validate", "s3"])
     return cmds
+
+
+def basis_scale_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
+    """Law checks whose verdict an absolute residual would tie to the scale of the basis.
+
+    ``validate`` on copies of ``s3.json`` with e_5 e_5 = (e_0 + e_1) / 2,
+    in the bases s e for s in ``BROKEN_S3_SCALES`` (``rebased``): the
+    broken law fails at each.  ``validate`` on a copy of ``homs.json`` with
+    the map ``BAD_Z2_M2`` from z2 into m2, e -> I and g -> i diag(1, -1),
+    which is neither multiplicative nor *-preserving, and z2 in the basis
+    ``BAD_Z2_SCALE`` (e, g): the workspace does not load.
+    """
+    cmds = []
+    for scale in BROKEN_S3_SCALES:
+        doc = json.loads((fixtures / "s3.json").read_text(encoding="utf-8"))
+        c = doc["algebras"]["s3"]["structure_constants"]
+        c[5][5] = [[0.5, 0.0], [0.5, 0.0]] + [[0.0, 0.0]] * 4
+        path = scratch / f"s3_broken_{scale:g}.json"
+        path.write_text(json.dumps(rebased(doc, scale * np.eye(6), "s3")), encoding="utf-8")
+        cmds.append(["-w", str(path), "validate", "s3"])
+    doc = json.loads((fixtures / "homs.json").read_text(encoding="utf-8"))
+    doc["homomorphisms"]["bad"] = {"source": "z2", "target": "m2",
+                                   "matrix": _encode(np.array(BAD_Z2_M2))}
+    path = scratch / "homs_bad_z2.json"
+    path.write_text(json.dumps(rebased(doc, BAD_Z2_SCALE * np.eye(2), "z2")), encoding="utf-8")
+    return cmds + [["-w", str(path), "validate", "z2"]]
 
 
 def invariance_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
@@ -390,7 +430,7 @@ def invariance_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     paths = []
     for name in ("m2", "homs"):
         rng = np.random.default_rng(SCRAMBLE_SEED)
-        doc = rebased_m2(json.loads((fixtures / f"{name}.json").read_text(encoding="utf-8")),
+        doc = rebased(json.loads((fixtures / f"{name}.json").read_text(encoding="utf-8")),
                          gaussian_basis(rng))
         path = scratch / f"{name}_gaussian.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -602,7 +642,7 @@ def float_range_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
     A copy of m2.json with the functional big = 1e308·tr, also moved to the
     scrambled basis (``scrambled_m2``): ``gns``, ``decompose`` and ``audit
     big trace`` work on big, and ``audit big big`` overflows in big + big.
-    Copies of m2.json in the bases 2·E_pq and E_pq/2 (``rebased_m2``), each
+    Copies of m2.json in the bases 2·E_pq and E_pq/2 (``rebased``), each
     with a functional big whose coordinates there are 1.2e308·(1, 0, 0, 1)
     and 1e308·(1, 0, 0, 1): in the first its Gram matrix overflows and its
     densities do not, in the second the reverse; ``gns``, ``kernel``,
@@ -625,7 +665,7 @@ def float_range_commands(fixtures: Path, scratch: Path) -> list[list[str]]:
                  ws + ["audit", "m2", "big", "big", "0.5"],
                  ws + ["audit", "m2", "big", "trace", "0.5"]]
     for factor, big in ((2.0, 1.2e308), (0.5, 1e308)):
-        doc = rebased_m2(json.loads((fixtures / "m2.json").read_text(encoding="utf-8")),
+        doc = rebased(json.loads((fixtures / "m2.json").read_text(encoding="utf-8")),
                          factor * np.eye(4))
         doc["functionals"]["big"] = {"algebra": "m2",
                                      "values": _encode(big * np.array([1.0, 0.0, 0.0, 1.0]))}
@@ -741,6 +781,7 @@ def main(argv=None) -> int:
                 + m4_commands(scratch)
                 + fallback_commands(fixtures, scratch)
                 + single_term_commands(fixtures, scratch)
+                + basis_scale_commands(fixtures, scratch)
                 + invariance_commands(fixtures, scratch)
                 + density_commands(fixtures, scratch)
                 + two_algebra_commands(fixtures, scratch)
